@@ -78,7 +78,6 @@ from .checker import CheckReport, check, expected_check_count
 from .testkit import (
     GenConfig,
     PolynomialPath,
-    brute_d_pow,
     el_path_oracle,
     gen_expr,
     gen_params,

@@ -129,6 +129,15 @@ class _Abort(Exception):
         self.witness = witness
 
 
+def _settle(step: str, witness: Expr, verdict: ZeroVerdict) -> None:
+    """Return if `verdict` is zero; reject on a nonzero witness, else abort."""
+    if verdict.is_zero:
+        return
+    if isinstance(verdict, NonZero):
+        raise _Reject(step, witness, verdict)
+    raise _Abort(step, witness)
+
+
 class _Run:
     def __init__(self, cfg: ZeroTestConfig):
         self.cfg = cfg
@@ -137,11 +146,7 @@ class _Run:
     def probe(self, step: str, e: Expr, derived: Expr | None = None) -> None:
         v = is_zero(e, self.cfg)
         self.trace.append(TraceEntry(step=step, checked=e, verdict=v, derived=derived))
-        if v.is_zero:
-            return
-        if isinstance(v, NonZero):
-            raise _Reject(step, e, v)
-        raise _Abort(step, e)
+        _settle(step, e, v)
 
     def attach(self, derived: Expr) -> None:
         # record the quantity derived after the most recent vanishing check
@@ -161,12 +166,7 @@ class _Run:
     def certify(self, step: str, e: Expr, text: str) -> None:
         # like probe, but recorded as a note: these are refinement checks
         # outside the algorithm's own tally
-        v = self.note(step, e, text)
-        if v.is_zero:
-            return
-        if isinstance(v, NonZero):
-            raise _Reject(step, e, v)
-        raise _Abort(step, e)
+        _settle(step, e, self.note(step, e, text))
 
     def restrict(self, step: str, e: Expr, cap: int) -> Expr:
         """Remove jets above `cap` that occur syntactically but not
@@ -273,10 +273,7 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
     lagrangian = construct(params).L
     triple = VariationalTriple(f=f, rho=rho, L=lagrangian, n=n, m=n)
     residual = verify_triple(triple, run.cfg)
-    if not residual.is_zero:
-        if isinstance(residual, NonZero):
-            raise _Reject("S5", triple.L, residual)
-        raise _Abort("S5", triple.L)
+    _settle("S5", triple.L, residual)
     return Accepted(R=big_r, rho=rho, f_lower=params.f_lower, L=lagrangian,
                     residual=residual)
 

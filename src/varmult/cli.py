@@ -41,8 +41,6 @@ from .varcore import ParamSet, VariationalTriple, construct, fels_I1, fels_T5, v
 
 __all__ = ["main", "run"]
 
-_MAX_CLI_LOWER = 9  # --f0 .. --f9 registered flags
-
 
 def _default_seed() -> int:
     try:
@@ -71,9 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--order", type=int, required=True, metavar="N")
     p_con.add_argument("--lagrangian-order", type=int, default=None, metavar="M")
     p_con.add_argument("--R", default="0", metavar="E")
-    for ell in range(_MAX_CLI_LOWER + 1):
-        p_con.add_argument(f"--f{ell}", default=None, metavar="E",
-                           help=argparse.SUPPRESS if ell > 2 else f"lower function f_{ell}")
+    p_con.add_argument("--f", action="append", default=[], metavar="L=E",
+                       help="lower function f_L = E (repeatable; unset ones are 0)")
     p_con.add_argument("--N", default="0", metavar="E")
     p_con.add_argument("--json", action="store_true")
 
@@ -171,16 +168,19 @@ def _run_check(args, out) -> int:
 
 
 def _parse_lower(args, n: int) -> tuple[Expr, ...]:
-    lower = []
-    for ell in range(n):
-        if ell > _MAX_CLI_LOWER:
-            lower.append(ZERO)
-            continue
-        raw = getattr(args, f"f{ell}")
-        lower.append(ZERO if raw is None else parse(raw))
-    for ell in range(n, _MAX_CLI_LOWER + 1):
-        if getattr(args, f"f{ell}") is not None:
-            raise _Usage(f"--f{ell} given but order {n} only uses f0..f{n - 1}")
+    lower = [ZERO] * n
+    seen = set()
+    for raw in args.f:
+        label, eq, text = raw.partition("=")
+        if not (eq and label.isascii() and label.isdigit()):
+            raise _Usage(f"--f expects L=E with a nonnegative integer L, got {raw!r}")
+        ell = int(label)
+        if ell >= n:
+            raise _Usage(f"--f {ell}=... given but order {n} only uses f0..f{n - 1}")
+        if ell in seen:
+            raise _Usage(f"--f {ell}=... given more than once")
+        seen.add(ell)
+        lower[ell] = parse(text)
     return tuple(lower)
 
 

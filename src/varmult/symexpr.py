@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -759,26 +759,35 @@ def substitute(e: ExprLike, bindings: Mapping[Expr, ExprLike]) -> Expr:
     return _subst(as_expr(e), b)
 
 
+def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """Apply `f` to each child of `e` and rebuild the node through the
+    canonical constructors; atoms come back unchanged."""
+    cls = e.__class__
+    if cls is Sum:
+        return add(*(f(t) for t in e.terms))
+    if cls is Prod:
+        return mul(*(f(t) for t in e.factors))
+    if cls is Pow:
+        return pow_int(f(e.base), e.exponent)
+    if cls is Exp:
+        return exp(f(e.arg))
+    if cls is Log:
+        return log(f(e.arg))
+    if cls is Sin:
+        return sin(f(e.arg))
+    if cls is Cos:
+        return cos(f(e.arg))
+    if cls is AntiDeriv:
+        return _anti1(f(e.integrand), e.var)
+    return e
+
+
 def _subst(e: Expr, b: dict[Expr, Expr]) -> Expr:
     if not (e.free_atoms & b.keys()):
         return e
     cls = e.__class__
     if cls is VarX or cls is Jet:
         return b.get(e, e)
-    if cls is Sum:
-        return add(*(_subst(t, b) for t in e.terms))
-    if cls is Prod:
-        return mul(*(_subst(f, b) for f in e.factors))
-    if cls is Pow:
-        return pow_int(_subst(e.base, b), e.exponent)
-    if cls is Exp:
-        return exp(_subst(e.arg, b))
-    if cls is Log:
-        return log(_subst(e.arg, b))
-    if cls is Sin:
-        return sin(_subst(e.arg, b))
-    if cls is Cos:
-        return cos(_subst(e.arg, b))
     if cls is AntiDeriv:
         v = e.var
         if v in b:
@@ -797,8 +806,7 @@ def _subst(e: Expr, b: dict[Expr, Expr]) -> Expr:
                     f"substituting {render(k)} -> {render(val)} inside an "
                     f"integral over {render(v)} would capture the "
                     "integration variable")
-        return _anti1(_subst(e.integrand, b), v)
-    raise ExprError(f"cannot substitute into {e!r}")  # pragma: no cover
+    return _rebuild(e, lambda c: _subst(c, b))
 
 
 def _bind_zero(e: Expr, v: Expr) -> Expr:
@@ -807,54 +815,15 @@ def _bind_zero(e: Expr, v: Expr) -> Expr:
     opaque integral over v collapses to 0 (the integral from 0 to 0)."""
     if v not in e.free_atoms:
         return e
-    cls = e.__class__
-    if cls is VarX or cls is Jet:
+    if e == v or (e.__class__ is AntiDeriv and e.var is v):
         return ZERO
-    if cls is Sum:
-        return add(*(_bind_zero(t, v) for t in e.terms))
-    if cls is Prod:
-        return mul(*(_bind_zero(f, v) for f in e.factors))
-    if cls is Pow:
-        return pow_int(_bind_zero(e.base, v), e.exponent)
-    if cls is Exp:
-        return exp(_bind_zero(e.arg, v))
-    if cls is Log:
-        return log(_bind_zero(e.arg, v))
-    if cls is Sin:
-        return sin(_bind_zero(e.arg, v))
-    if cls is Cos:
-        return cos(_bind_zero(e.arg, v))
-    if cls is AntiDeriv:
-        if e.var is v:
-            return ZERO
-        return _anti1(_bind_zero(e.integrand, v), e.var)
-    raise ExprError(f"cannot bind zero in {e!r}")  # pragma: no cover
+    return _rebuild(e, lambda c: _bind_zero(c, v))
 
 
 def simplify(e: ExprLike) -> Expr:
     """Canonical form of `e`.  Idempotent and value-preserving; expressions
     built through this module's constructors are already canonical."""
-    e = as_expr(e)
-    cls = e.__class__
-    if cls in (Rat, VarX, Jet):
-        return e
-    if cls is Sum:
-        return add(*(simplify(t) for t in e.terms))
-    if cls is Prod:
-        return mul(*(simplify(f) for f in e.factors))
-    if cls is Pow:
-        return pow_int(simplify(e.base), e.exponent)
-    if cls is Exp:
-        return exp(simplify(e.arg))
-    if cls is Log:
-        return log(simplify(e.arg))
-    if cls is Sin:
-        return sin(simplify(e.arg))
-    if cls is Cos:
-        return cos(simplify(e.arg))
-    if cls is AntiDeriv:
-        return _anti1(simplify(e.integrand), e.var)
-    raise ExprError(f"cannot simplify {e!r}")  # pragma: no cover
+    return _rebuild(as_expr(e), simplify)
 
 
 def max_jet(e: ExprLike) -> int:
@@ -949,12 +918,14 @@ class _Parser:
         return t
 
     def expr(self) -> Expr:
-        out = self.term()
+        # one add over all terms: adding term by term would re-flatten and
+        # re-sort the partial sum at every step
+        terms = [self.term()]
         while self.peek().kind in "+-":
             op = self.next()
             rhs = self.term()
-            out = add(out, rhs if op.kind == "+" else mul(-1, rhs))
-        return out
+            terms.append(rhs if op.kind == "+" else mul(-1, rhs))
+        return add(*terms)
 
     def term(self) -> Expr:
         out = self.factor()

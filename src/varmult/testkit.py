@@ -2,10 +2,10 @@
 
 The generators produce degree-bounded polynomials with exact rational
 coefficients (optionally with one exponential summand), deterministically in
-the seed.  The oracles deliberately avoid the code paths they check:
-`brute_d_pow` is the literal k-fold total derivative, and `el_path_oracle`
-computes Euler-Lagrange values along a fixed polynomial path by plain
-one-variable calculus, to be compared against the jet-operator route.
+the seed.  The oracle deliberately avoids the code path it checks:
+`el_path_oracle` computes Euler-Lagrange values along a fixed polynomial
+path by plain one-variable calculus, to be compared against the
+jet-operator route.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .jetops import euler_op, total_derivative
+from .jetops import euler_op
 from .symexpr import (
     Expr,
     ExprLike,
@@ -41,7 +41,6 @@ __all__ = [
     "PolynomialPath",
     "gen_expr",
     "gen_params",
-    "brute_d_pow",
     "el_path_oracle",
 ]
 
@@ -112,15 +111,6 @@ def gen_params(n: int, m: int, cfg: GenConfig) -> ParamSet:
     f_lower = tuple(sub([X] + [jet(k) for k in range(ell + 1)]) for ell in range(n))
     gauge = sub([X] + [jet(k) for k in range(n)])
     return ParamSet(n=n, R=r_expr, f_lower=f_lower, N=gauge, m=m)
-
-
-def brute_d_pow(m: int, k: int, e: ExprLike) -> Expr:
-    """Literal k-fold application of the truncated total derivative; the
-    oracle the closed-form operator expansion is checked against."""
-    out = as_expr(e)
-    for _ in range(k):
-        out = total_derivative(m, out)
-    return out
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from varmult.symexpr import (
     ZERO,
     ONE,
     add,
+    cos,
     exp,
     is_zero,
     jet,
@@ -29,6 +30,7 @@ from varmult.symexpr import (
     mul,
     pow_int,
     render,
+    sin,
 )
 from varmult.testkit import GenConfig, gen_params
 from varmult.varcore import ParamSet, construct
@@ -218,6 +220,19 @@ def test_inconclusive_propagates():
     report = check(f, 2, CFG)
     assert isinstance(report.outcome, Inconclusive)
     assert report.outcome.step == "S2(k=3)"
+
+
+def test_unbindable_phantom_jet_is_inconclusive():
+    # (sin(p1)^2 + cos(p1)^2 - 1)/p1 is functionally zero, so every check
+    # passes, but pruning the phantom p1 from h_0 binds p1^-1 at p1 = 0;
+    # restrict turns that ExprError into an inconclusive outcome
+    f = add(pow_int(p3, 2),
+            mul(add(pow_int(sin(p1), 2), pow_int(cos(p1), 2), -1),
+                pow_int(p1, -1)))
+    report = check(f, 2, CFG)
+    assert isinstance(report.outcome, Inconclusive)
+    assert report.outcome.step == "S5"
+    assert pow_int(p1, -1) in report.outcome.witness.terms
 
 
 # ---------------------------------------------------------------------------

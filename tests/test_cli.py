@@ -240,8 +240,11 @@ def test_usage_error_exit_code():
     code, _, err = invoke("check", "--order", "1", "--expr", "0")
     assert code == 2
     code, _, err = invoke("construct", "--order", "2", "--R", "0",
-                          "--f5", "p1")
-    assert code == 2 and "--f5" in err
+                          "--f", "5=p1")
+    assert code == 2 and "--f 5" in err
+    for bad in (["--f", "p1"], ["--f", "x=p1"], ["--f", "1=p1", "--f", "1=x"]):
+        code, _, err = invoke("construct", "--order", "2", *bad)
+        assert code == 2 and "--f" in err, bad
 
 
 def test_verify_rejects_bad_multiplier_shape():
@@ -258,7 +261,7 @@ def test_verify_nonzero_exit_code():
 
 def test_construct_plain_output():
     code, out, _ = invoke("construct", "--order", "2", "--R", "0",
-                          "--f1", "1")
+                          "--f", "1=1")
     assert code == 0
     assert out.splitlines() == ["f: -p2", "rho: 1",
                                 "L: -1/2*p1^2 + 1/2*p2^2"]

@@ -47,6 +47,9 @@ from varmult.symexpr import (
     sin,
     substitute,
 )
+from varmult.symexpr import _bind_zero
+from varmult.testkit import GenConfig, gen_params
+from varmult.varcore import construct
 
 p0, p1, p2, p3 = jet(0), jet(1), jet(2), jet(3)
 
@@ -135,6 +138,9 @@ def test_parse_render_roundtrip_handpicked():
         cos(add(X, mul(-1, p0))),
         log(add(ONE, pow_int(X, 2))),
         sin(mul(Fraction(1, 3), p1)),
+        # acceptance-corpus member n=3 seed 30002: f has 222 terms
+        construct(gen_params(3, 3, GenConfig(seed=30_002, max_degree=3,
+                                             max_terms=4))).f,
     ]
     for e in cases:
         assert parse(render(e)) == e, render(e)
@@ -297,6 +303,32 @@ def test_substitute_refolds_integrals():
     node = antideriv(exp(mul(X, pow_int(p2, 2))), p2)
     assert isinstance(node, AntiDeriv)
     assert substitute(node, {X: 0}) == p2
+
+
+# ---------------------------------------------------------------------------
+# _bind_zero (restriction to the slice p_k = 0)
+# ---------------------------------------------------------------------------
+
+
+def test_bind_zero_collapses_integral_over_the_variable():
+    node = antideriv(exp(mul(-1, pow_int(p2, 2))), p2)
+    assert isinstance(node, AntiDeriv)
+    assert _bind_zero(node, p2) is ZERO
+    assert _bind_zero(add(mul(X, node), p1), p2) is p1
+
+
+def test_bind_zero_keeps_free_subterms_interned():
+    free = add(exp(mul(X, p1)), sin(p0))
+    assert _bind_zero(free, p2) is free
+    e = add(mul(free, add(p2, 1)), pow_int(p2, 3))
+    assert _bind_zero(e, p2) is free
+
+
+def test_bind_zero_negative_power_raises():
+    with pytest.raises(ExprError, match="division by zero"):
+        _bind_zero(pow_int(p2, -1), p2)
+    with pytest.raises(ExprError, match="division by zero"):
+        _bind_zero(add(X, mul(p1, pow_int(p2, -1))), p2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from varmult.symexpr import (
 from varmult.testkit import (
     GenConfig,
     PolynomialPath,
-    brute_d_pow,
     el_path_oracle,
     gen_expr,
     gen_params,
@@ -72,29 +71,29 @@ def test_gen_params_shapes_and_determinism():
 
 
 # ---------------------------------------------------------------------------
-# brute-force operator oracle
+# literal k-fold total derivative against the closed-form expansion
 # ---------------------------------------------------------------------------
 
 
-def test_brute_d_pow_identity_and_example():
+def test_d_pow_identity_and_example():
     e = mul(X, p2)
-    assert brute_d_pow(4, 0, e) == e
+    assert d_pow(4, 0, e) == e
     terms = expand_d_pow(4, 2)
-    assert brute_d_pow(4, 2, p2) == apply_expansion(terms, p2)
+    assert d_pow(4, 2, p2) == apply_expansion(terms, p2)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_brute_matches_expansion(m):
-    # every admissible power k < m up to m = 7, ten random expressions each
+    # d_pow iterates D_m literally; apply_expansion uses the multi-index
+    # coefficients.  Every admissible power k < m up to m = 7, ten random
+    # expressions each
     from conftest import rand_expr
 
     for k in range(1, m):
         terms = expand_d_pow(m, k)
         for seed in range(10):
             e = rand_expr(seed + 100 * m + k, max_index=m, degree=2, terms=3)
-            got = brute_d_pow(m, k, e)
-            assert got == apply_expansion(terms, e), (m, k, seed)
-            assert got == d_pow(m, k, e), (m, k, seed)
+            assert d_pow(m, k, e) == apply_expansion(terms, e), (m, k, seed)
 
 
 # ---------------------------------------------------------------------------
