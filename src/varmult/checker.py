@@ -111,9 +111,8 @@ class CheckReport:
 
 def expected_check_count(n: int) -> int:
     """Number of vanishing checks recorded for an input that reaches the
-    final step: (n-2 if n >= 3) + (n+1) + 1 + (n(n+1)/2 - 1) + 1."""
-    s1 = n - 2 if n >= 3 else 0
-    return s1 + (n + 1) + 1 + (n * (n + 1)) // 2 - 1 + 1
+    final step: (n-2) + (n+1) + 1 + (n(n+1)/2 - 1) + 1."""
+    return (n - 2) + (n + 1) + 1 + (n * (n + 1)) // 2 - 1 + 1
 
 
 class _Reject(Exception):
@@ -211,14 +210,12 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
     top = jet(2 * n - 1)
     d_top = diff(f, top)
 
-    # S1: top-slope dependence bound, and the seed g_{n+1}
-    if n >= 3:
-        for k in range(n + 2, 2 * n):
-            run.probe("S1", diff(d_top, jet(k)))
-        g = mul(Fraction(1, n), d_top)
-        run.attach(g)
-    else:
-        g = mul(Fraction(1, 2), d_top)
+    # S1: top-slope dependence bound, and the seed g_{n+1} (no checks at
+    # n = 2, where the bound is p_3 itself)
+    for k in range(n + 2, 2 * n):
+        run.probe("S1", diff(d_top, jet(k)))
+    g = mul(Fraction(1, n), d_top)
+    run.attach(g)
 
     # S2: peel the multiplier exponent order by order
     g_snapshots: dict[int, Expr] = {n + 1: g}

@@ -316,3 +316,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,10 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping, Union
-
-import numpy as np
 
 __all__ = [
     "MAX_JET_INDEX",
@@ -1112,37 +1109,30 @@ def render(e: ExprLike, format: str = "plain") -> str:
 
 @dataclass(frozen=True)
 class ZeroTestConfig:
-    """Configuration for floating evaluation and the probabilistic zero test."""
+    """Configuration of the probabilistic zero test: the number of sample
+    points, the absolute tolerance and the seed of the sampler."""
 
     samples: int = 20
-    box: tuple[float, float] = (-1.0, 1.0)
     atol: float = 1e-9
-    rtol: float = 1e-8
     seed: int = 0
-    max_retries_per_point: int = 50
-    quadrature_order: int = 32
-    quadrature_panels: int = 4
-    #: opaque integrals nested deeper than this (after same-variable
-    #: flattening) fail evaluation instead of costing order^depth per point
-    max_quadrature_depth: int = 2
-    #: total node-visit budget for one evaluation or zero-test call;
-    #: exceeding it fails the call (inconclusive for the zero test) rather
-    #: than letting deeply nested quadrature run unboundedly
-    eval_budget: int = 2_000_000
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.atol <= 0 or self.rtol <= 0:
+        if self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if not self.box[0] <= self.box[1]:
-            raise ValueError("box must be a nonempty closed interval")
-        if self.quadrature_order < 1 or self.quadrature_panels < 1:
-            raise ValueError("quadrature parameters must be >= 1")
-        if self.max_quadrature_depth < 1:
-            raise ValueError("max_quadrature_depth must be >= 1")
-        if self.eval_budget < 1:
-            raise ValueError("eval_budget must be >= 1")
+
+
+#: every free variable is sampled uniformly from this interval
+_BOX = (-1.0, 1.0)
+#: relative tolerance, against the largest intermediate magnitude
+_RTOL = 1e-8
+#: fresh points drawn for one sample before it is given up on domain errors
+_MAX_RETRIES_PER_POINT = 50
+#: total node-visit budget for one evaluation or zero-test call; exceeding
+#: it fails the call (inconclusive for the zero test) rather than letting
+#: deeply nested quadrature run unboundedly
+_EVAL_BUDGET = 2_000_000
 
 
 class ZeroVerdict:
@@ -1213,14 +1203,34 @@ class Inconclusive(ZeroVerdict):
 _DEFAULT_CFG = ZeroTestConfig()
 
 
-@lru_cache(maxsize=None)
-def _gauss_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    return tuple(xs.tolist()), tuple(ws.tolist())
+def _gauss_legendre(order: int) -> tuple[tuple[float, float], ...]:
+    """Nodes and weights of the `order`-point Gauss-Legendre rule on
+    [-1, 1], ascending, by Newton iteration on the three-term recurrence."""
+    rule = []
+    for i in range(order):
+        x = -math.cos(math.pi * (i + 0.75) / (order + 0.5))
+        for _ in range(20):
+            p_prev, p = 1.0, x
+            for k in range(2, order + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dp = order * (x * p - p_prev) / (x * x - 1.0)
+            step = p / dp
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        rule.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple(rule)
+
+
+#: (rule, panels) per nesting level of opaque integrals: order 32 on 4
+#: panels outside, 16 on 2 inside, since full-order recursion would cost
+#: order^depth per point.  Integrals nested deeper than this table (after
+#: same-variable flattening) fail evaluation.
+_QUAD_RULES = ((_gauss_legendre(32), 4), (_gauss_legendre(16), 2))
 
 
 class BudgetExceeded(DomainError):
-    """A single-point evaluation ran past the configured node-visit budget."""
+    """A single-point evaluation ran past the node-visit budget."""
 
 
 class _Scale:
@@ -1244,28 +1254,30 @@ class _Scale:
         return v
 
 
-def _eval_rec(e: Expr, env: dict, cache: dict, cfg: ZeroTestConfig, scale: _Scale,
-              depth: int = 0) -> float:
+def _eval_rec(e: Expr, env: dict, cache: dict, scale: _Scale, depth: int = 0) -> float:
     v = cache.get(e)
     if v is not None:
         return v
     scale.tick()
     cls = e.__class__
     if cls is Rat:
-        v = float(e.value)
+        try:
+            v = float(e.value)
+        except OverflowError:
+            raise DomainError("overflow in constant") from None
     elif cls is VarX or cls is Jet:
         try:
             v = env[e]
         except KeyError:
             raise ExprError(f"unassigned variable {render(e)}") from None
     elif cls is Sum:
-        v = math.fsum(_eval_rec(t, env, cache, cfg, scale, depth) for t in e.terms)
+        v = math.fsum(_eval_rec(t, env, cache, scale, depth) for t in e.terms)
     elif cls is Prod:
         v = 1.0
         for f in e.factors:
-            v *= _eval_rec(f, env, cache, cfg, scale, depth)
+            v *= _eval_rec(f, env, cache, scale, depth)
     elif cls is Pow:
-        b = _eval_rec(e.base, env, cache, cfg, scale, depth)
+        b = _eval_rec(e.base, env, cache, scale, depth)
         if b == 0.0 and e.exponent < 0:
             raise DomainError("division by zero")
         try:
@@ -1274,20 +1286,20 @@ def _eval_rec(e: Expr, env: dict, cache: dict, cfg: ZeroTestConfig, scale: _Scal
             raise DomainError("overflow in power") from None
     elif cls is Exp:
         try:
-            v = math.exp(_eval_rec(e.arg, env, cache, cfg, scale, depth))
+            v = math.exp(_eval_rec(e.arg, env, cache, scale, depth))
         except OverflowError:
             raise DomainError("overflow in exp") from None
     elif cls is Log:
-        a = _eval_rec(e.arg, env, cache, cfg, scale, depth)
+        a = _eval_rec(e.arg, env, cache, scale, depth)
         if a <= 0.0:
             raise DomainError("log of a nonpositive value")
         v = math.log(a)
     elif cls is Sin:
-        v = math.sin(_eval_rec(e.arg, env, cache, cfg, scale, depth))
+        v = math.sin(_eval_rec(e.arg, env, cache, scale, depth))
     elif cls is Cos:
-        v = math.cos(_eval_rec(e.arg, env, cache, cfg, scale, depth))
+        v = math.cos(_eval_rec(e.arg, env, cache, scale, depth))
     elif cls is AntiDeriv:
-        v = _eval_quad(e, env, cfg, scale, depth)
+        v = _eval_quad(e, env, scale, depth)
     else:  # pragma: no cover
         raise ExprError(f"cannot evaluate {e!r}")
     scale.feed(v)
@@ -1295,99 +1307,87 @@ def _eval_rec(e: Expr, env: dict, cache: dict, cfg: ZeroTestConfig, scale: _Scal
     return v
 
 
-def _eval_quad(node: AntiDeriv, env: dict, cfg: ZeroTestConfig, scale: _Scale,
-               depth: int) -> float:
+def _eval_quad(node: AntiDeriv, env: dict, scale: _Scale, depth: int) -> float:
     upper = env.get(node.var)
     if upper is None:
         raise ExprError(f"unassigned variable {render(node.var)}")
     if upper == 0.0:
         return 0.0
-    if depth >= cfg.max_quadrature_depth:
+    if depth >= len(_QUAD_RULES):
         raise DomainError("opaque integrals nested deeper than "
-                          f"{cfg.max_quadrature_depth} levels")
+                          f"{len(_QUAD_RULES)} levels")
     g = node.integrand
     # iterated integral over the same variable collapses to a single pass
     # with kernel (t - s)
     kernel = isinstance(g, AntiDeriv) and g.var is node.var
     if kernel:
         g = g.integrand
-    # inner integrals of nested nodes run at reduced order: full depth
-    # recursion at the configured order would cost order^depth per point
-    if depth == 0:
-        order, panels = cfg.quadrature_order, cfg.quadrature_panels
-    elif depth == 1:
-        order, panels = max(8, cfg.quadrature_order // 2), max(1, cfg.quadrature_panels // 2)
-    else:
-        order, panels = 8, 1
-    xs, ws = _gauss_nodes(order)
+    rule, panels = _QUAD_RULES[depth]
     total = 0.0
     for p in range(panels):
         a = upper * p / panels
         b = upper * (p + 1) / panels
         half = (b - a) / 2.0
         mid = (a + b) / 2.0
-        for xi, wi in zip(xs, ws):
+        for xi, wi in rule:
             s = mid + half * xi
             env2 = dict(env)
             env2[node.var] = s
-            val = _eval_rec(g, env2, {}, cfg, scale, depth + 1)
+            val = _eval_rec(g, env2, {}, scale, depth + 1)
             if kernel:
                 val *= upper - s
             total += wi * half * val
     return scale.feed(total)
 
 
-def evaluate(e: ExprLike, point: Mapping[Expr, float], cfg: ZeroTestConfig | None = None) -> float:
+def evaluate(e: ExprLike, point: Mapping[Expr, float]) -> float:
     """Floating evaluation at a point assigning every free variable.  Opaque
     integrals are evaluated by composite Gauss-Legendre quadrature over
     [0, upper limit], recursively for nested nodes."""
-    val, _ = _evaluate_scaled(as_expr(e), dict(point), cfg or _DEFAULT_CFG)
-    return val
-
-
-def _evaluate_scaled(e: Expr, env: dict, cfg: ZeroTestConfig,
-                     state: _Scale | None = None) -> tuple[float, float]:
-    scale = state if state is not None else _Scale(cfg.eval_budget)
-    scale.value = 0.0
-    v = _eval_rec(e, env, {}, cfg, scale)
-    return v, scale.value
+    return _eval_rec(as_expr(e), dict(point), {}, _Scale(_EVAL_BUDGET))
 
 
 def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
     """Decide whether `e` is identically zero.
 
-    Structural fast path: the canonical form is the literal 0.  Otherwise the
-    expression is sampled at `cfg.samples` uniform points of the box
-    (resampling on domain errors); the verdict is zero-numeric when every
-    sampled magnitude is within atol + rtol * scale, where scale is the
-    largest intermediate magnitude at that point.  A zero-numeric verdict is
-    probabilistic; nonzero verdicts carry an explicit witness.
+    Structural fast path: the canonical form is the literal 0, and any other
+    rational constant is nonzero.  Otherwise the expression is sampled at
+    `cfg.samples` uniform points of the box [-1, 1] (resampling on domain
+    errors); the verdict is zero-numeric when every sampled magnitude is
+    within atol + 1e-8 * scale, where scale is the largest intermediate
+    magnitude at that point.  A zero-numeric verdict is probabilistic;
+    nonzero verdicts carry an explicit witness.
     """
     cfg = cfg or _DEFAULT_CFG
     s = simplify(e)
     if s is ZERO:
         return ZeroStructural()
+    if s.__class__ is Rat:
+        try:
+            value = float(s.value)
+        except OverflowError:
+            value = math.inf if s.value > 0 else -math.inf
+        return NonZero(point={}, value=value)
     atoms = sorted(s.free_atoms, key=sort_key)
     rng = random.Random(cfg.seed)
-    lo, hi = cfg.box
+    lo, hi = _BOX
     evaluated = 0
-    state = _Scale(cfg.eval_budget)  # one budget for the whole call
+    scale = _Scale(_EVAL_BUDGET)  # one budget for the whole call
     for _ in range(cfg.samples):
-        result = None
-        for _ in range(cfg.max_retries_per_point):
+        for _ in range(_MAX_RETRIES_PER_POINT):
             pt = {a: rng.uniform(lo, hi) for a in atoms}
+            scale.value = 0.0
             try:
-                result = (_evaluate_scaled(s, pt, cfg, state), pt)
+                val = _eval_rec(s, pt, {}, scale)
                 break
             except BudgetExceeded:
                 return Inconclusive("evaluation budget exceeded")
             except DomainError:
                 continue
-        if result is None:
+        else:
             continue
-        (val, scale), pt = result
         evaluated += 1
-        if abs(val) > cfg.atol + cfg.rtol * scale:
+        if abs(val) > cfg.atol + _RTOL * scale.value:
             return NonZero(point=pt, value=val)
     if evaluated == 0:
         return Inconclusive("no sample point could be evaluated")

@@ -21,7 +21,6 @@ from .symexpr import (
     ExprLike,
     X,
     ZERO,
-    ZeroTestConfig,
     add,
     as_expr,
     diff,
@@ -52,26 +51,27 @@ class GenConfig:
     seed: int = 0
     max_degree: int = 3
     max_terms: int = 4
-    coeff_range: int = 6
     allow_exp: bool = False
 
     def __post_init__(self):
         if self.max_degree < 1 or self.max_terms < 1:
             raise ValueError("max_degree and max_terms must be >= 1")
-        if self.coeff_range < 1:
-            raise ValueError("coeff_range must be >= 1")
 
 
-def _rand_coeff(rng: random.Random, bound: int) -> Fraction:
-    num = rng.randint(1, bound) * rng.choice((1, -1))
-    den = rng.randint(1, bound)
+#: numerators and denominators of generated coefficients lie in 1..6
+_COEFF_RANGE = 6
+
+
+def _rand_coeff(rng: random.Random) -> Fraction:
+    num = rng.randint(1, _COEFF_RANGE) * rng.choice((1, -1))
+    den = rng.randint(1, _COEFF_RANGE)
     return Fraction(num, den)
 
 
 def _rand_poly(rng: random.Random, atoms: Sequence[Expr], cfg: GenConfig) -> Expr:
     terms = []
     for _ in range(rng.randint(1, cfg.max_terms)):
-        factors = [as_expr(_rand_coeff(rng, cfg.coeff_range))]
+        factors = [as_expr(_rand_coeff(rng))]
         for _ in range(rng.randint(1, cfg.max_degree)):
             factors.append(rng.choice(atoms))
         terms.append(mul(*factors))
@@ -88,8 +88,7 @@ def gen_expr(vars: Iterable[Expr], cfg: GenConfig) -> Expr:
     e = _rand_poly(rng, atoms, cfg)
     if cfg.allow_exp and rng.random() < 0.5:
         inner_cfg = GenConfig(seed=cfg.seed, max_degree=min(2, cfg.max_degree),
-                              max_terms=min(2, cfg.max_terms),
-                              coeff_range=cfg.coeff_range)
+                              max_terms=min(2, cfg.max_terms))
         e = add(e, exp(_rand_poly(rng, atoms, inner_cfg)))
     return e
 
@@ -103,8 +102,7 @@ def gen_params(n: int, m: int, cfg: GenConfig) -> ParamSet:
 
     def sub(atoms):
         sub_cfg = GenConfig(seed=rng.getrandbits(63), max_degree=cfg.max_degree,
-                            max_terms=cfg.max_terms, coeff_range=cfg.coeff_range,
-                            allow_exp=cfg.allow_exp)
+                            max_terms=cfg.max_terms, allow_exp=cfg.allow_exp)
         return gen_expr(atoms, sub_cfg)
 
     r_expr = sub([X] + [jet(k) for k in range(n + 1)])
@@ -141,8 +139,7 @@ class PolynomialPath:
 
 
 def el_path_oracle(L: ExprLike, n: int, u: PolynomialPath,
-                   xs: Sequence[Fraction],
-                   cfg: ZeroTestConfig | None = None) -> list[tuple[float, float]]:
+                   xs: Sequence[Fraction]) -> list[tuple[float, float]]:
     """For each sample x, return (lhs, rhs) where lhs is
     sum_k (-1)^k (d/dx)^k [dL/dp_k along u] computed by univariate calculus
     after substituting p_j -> u^(j)(x), and rhs is the jet-operator
@@ -162,10 +159,10 @@ def el_path_oracle(L: ExprLike, n: int, u: PolynomialPath,
     pairs = []
     for x0 in xs:
         xf = float(x0)
-        lhs = evaluate(lhs_expr, {X: xf}, cfg)
+        lhs = evaluate(lhs_expr, {X: xf})
         point = {X: xf}
         for j in range(2 * n + 1):
             point[jet(j)] = float(u.derivative(j)(Fraction(x0)))
-        rhs = evaluate(el, point, cfg)
+        rhs = evaluate(el, point)
         pairs.append((lhs, rhs))
     return pairs

@@ -129,52 +129,37 @@ def euler_lagrange(L: ExprLike, n: int) -> Expr:
 
 
 def construct(params: ParamSet) -> VariationalTriple:
-    """Build the solution triple (f, rho, L) from free data.
+    """Build the solution triple (f, rho, L) from free data:
 
-    For n = 2:
-
-        f = d2R p3^2 + 2 D2R p3
-            - e^R (E_2^2 II e^{-R} + f1 p2 - E_1^1 II f1 + f0)
-        L = II e^{-R} - II f1 + I f0 + D_m N
-
-    and for n >= 3:
-
-        f = n D_{n+1}R p_{2n-1} - e^R [ (-1)^n E_{2n-2}^n II e^{-R}
+        f = lead - e^R [ (-1)^n E_{2n-2}^n II e^{-R}
             + sum_{l=1..n-1} (f_l p_{2l} + (-1)^l E_{2l-1}^l II f_l) + f0 ]
         L = (-1)^n II e^{-R} + sum_l (-1)^l II f_l + I f0 + D_m N
 
-    where II is the double antiderivative from 0 in the matching jet
+    with lead = d2R p3^2 + 2 D2R p3 for n = 2 and n D_{n+1}R p_{2n-1} for
+    n >= 3, where II is the double antiderivative from 0 in the matching jet
     variable (p_n for e^{-R}, p_l for f_l) and I f0 is taken in p_0.
     """
     n, m, R, N = params.n, params.m, params.R, params.N
     rho = exp(mul(-1, R))
     q = antideriv(rho, jet(n), 2)
     f0 = params.f_lower[0]
+    sign_n = 1 if n % 2 == 0 else -1
+    bracket_parts = [mul(sign_n, euler_op(2 * n - 2, n, q)), f0]
+    l_parts = [mul(sign_n, q), antideriv(f0, jet(0), 1), total_derivative(m, N)]
+    for ell in range(1, n):
+        fl = params.f_lower[ell]
+        ffl = antideriv(fl, jet(ell), 2)
+        sign = 1 if ell % 2 == 0 else -1
+        bracket_parts.append(mul(fl, jet(2 * ell)))
+        bracket_parts.append(mul(sign, euler_op(2 * ell - 1, ell, ffl)))
+        l_parts.append(mul(sign, ffl))
     if n == 2:
-        f1 = params.f_lower[1]
-        ff1 = antideriv(f1, jet(1), 2)
-        bracket = add(euler_op(2, 2, q),
-                      mul(f1, jet(2)),
-                      mul(-1, euler_op(1, 1, ff1)),
-                      f0)
-        f = add(mul(diff(R, jet(2)), pow_int(jet(3), 2)),
-                mul(2, total_derivative(2, R), jet(3)),
-                mul(-1, exp(R), bracket))
-        L = add(q, mul(-1, ff1), antideriv(f0, jet(0), 1), total_derivative(m, N))
+        lead = add(mul(diff(R, jet(2)), pow_int(jet(3), 2)),
+                   mul(2, total_derivative(2, R), jet(3)))
     else:
-        sign_n = 1 if n % 2 == 0 else -1
-        bracket_parts = [mul(sign_n, euler_op(2 * n - 2, n, q)), f0]
-        l_parts = [mul(sign_n, q), antideriv(f0, jet(0), 1), total_derivative(m, N)]
-        for ell in range(1, n):
-            fl = params.f_lower[ell]
-            ffl = antideriv(fl, jet(ell), 2)
-            sign = 1 if ell % 2 == 0 else -1
-            bracket_parts.append(mul(fl, jet(2 * ell)))
-            bracket_parts.append(mul(sign, euler_op(2 * ell - 1, ell, ffl)))
-            l_parts.append(mul(sign, ffl))
-        f = add(mul(n, total_derivative(n + 1, R), jet(2 * n - 1)),
-                mul(-1, exp(R), add(*bracket_parts)))
-        L = add(*l_parts)
+        lead = mul(n, total_derivative(n + 1, R), jet(2 * n - 1))
+    f = add(lead, mul(-1, exp(R), add(*bracket_parts)))
+    L = add(*l_parts)
     return VariationalTriple(f=f, rho=rho, L=L, n=n, m=m)
 
 

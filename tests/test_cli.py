@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 
+import varmult
 from varmult.cli import run
 
 VERDICT_SCHEMA = {
@@ -143,6 +147,42 @@ def test_check_rejected_example():
     assert code == 1
     assert "outcome: rejected" in out
     assert "S2(k=3)" in out
+
+
+def test_check_rejects_tiny_constant_slope():
+    # S2(k=3) checks the exact constant 3/10^13, below atol but not zero
+    code, out, _ = invoke("check", "--order", "2", "--expr",
+                          "p3^2 + 1/10000000000000*p3^3", "--json")
+    assert code == 1
+    result = validate(out)["result"]
+    assert result["outcome"] == "rejected" and result["step"] == "S2(k=3)"
+    assert result["witness"] == "3/10000000000000"
+    assert result["verdict"] == {"kind": "nonzero", "point": {}, "value": 3e-13}
+
+
+def test_check_rejects_overflowing_constant_slope():
+    code, out, _ = invoke("check", "--order", "2", "--expr", "10^400*p3^3")
+    assert code == 1
+    assert "outcome: rejected" in out and "step: S2(k=3)" in out
+    assert '"value": Infinity' in out
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(varmult.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_module_entry_point():
+    proc = _python("-m", "varmult.cli", "check", "--order", "2", "--expr", "p3^3")
+    assert proc.returncode == 1
+    assert "outcome: rejected" in proc.stdout
+
+
+def test_import_does_not_load_numpy():
+    proc = _python("-c", "import sys, varmult.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_fels_trivial_example():

@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import CFG
+from varmult import symexpr
 from varmult.checker import Accepted, Inconclusive, Rejected, check
 from varmult.jetops import total_derivative
 from varmult.symexpr import (
@@ -20,7 +21,6 @@ from varmult.symexpr import (
     ExprError,
     ParseError,
     X,
-    ZeroTestConfig,
     add,
     evaluate,
     exp,
@@ -94,7 +94,7 @@ def test_derivative_shaped_exponential_integrands_close():
 # ---------------------------------------------------------------------------
 
 
-def test_budget_bounds_nested_quadrature():
+def test_budget_bounds_nested_quadrature(monkeypatch):
     # three cross-variable irreducible integral nestings exceed the depth
     # bound: each level is exp(v^2 * previous), with no closed form
     from varmult.symexpr import DomainError, antideriv
@@ -105,13 +105,15 @@ def test_budget_bounds_nested_quadrature():
     for lvl in (lvl1, lvl2, lvl3):
         assert isinstance(lvl, AntiDeriv)
     point = {X: 0.5, jet(0): 0.5, p1: 0.5, p2: 0.5}
-    assert evaluate(lvl2, point, CFG) > 0  # two levels are fine
+    assert evaluate(lvl2, point) > 0  # two levels are fine
     with pytest.raises(DomainError):
-        evaluate(lvl3, point, CFG)  # three exceed the depth bound
-    with pytest.raises(BudgetExceeded):
-        evaluate(lvl2, point, ZeroTestConfig(eval_budget=1))
+        evaluate(lvl3, point)  # three exceed the depth bound
     v = is_zero(lvl3, CFG)
     assert isinstance(v, InconclusiveVerdict)
+    monkeypatch.setattr(symexpr, "_EVAL_BUDGET", 1)
+    with pytest.raises(BudgetExceeded):
+        evaluate(lvl2, point)
+    assert is_zero(lvl2, CFG) == InconclusiveVerdict("evaluation budget exceeded")
 
 
 def test_budget_exhaustion_is_inconclusive_not_slow():
@@ -122,13 +124,6 @@ def test_budget_exhaustion_is_inconclusive_not_slow():
     report = check(construct(params).f, 3, CFG)
     assert time.perf_counter() - t0 < 60.0
     assert isinstance(report.outcome, (Accepted, Inconclusive))
-
-
-def test_config_budget_validation():
-    with pytest.raises(ValueError):
-        ZeroTestConfig(eval_budget=0)
-    with pytest.raises(ValueError):
-        ZeroTestConfig(max_quadrature_depth=0)
 
 
 # ---------------------------------------------------------------------------

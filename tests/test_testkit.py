@@ -152,4 +152,4 @@ def test_el_path_oracle_agreement_random(n, seed):
                              for _ in range(2 * n + 3)))
     xs = [Fraction(rng.randint(-8, 8), 9) for _ in range(4)]
     for lhs, rhs in el_path_oracle(lagr, n, u, xs):
-        assert abs(lhs - rhs) <= CFG.atol + CFG.rtol * max(abs(lhs), abs(rhs), 1.0)
+        assert abs(lhs - rhs) <= CFG.atol + 1e-8 * max(abs(lhs), abs(rhs), 1.0)

@@ -192,7 +192,7 @@ def test_multiplier_positive_at_samples(seed):
     rng = random.Random(seed)
     for _ in range(10):
         pt = {a: rng.uniform(-1, 1) for a in rho.free_atoms}
-        assert evaluate(rho, pt, CFG) > 0
+        assert evaluate(rho, pt) > 0
 
 
 def test_gauge_invariance():
