@@ -47,7 +47,7 @@ from .symexpr import (
     mul,
     pow_int,
 )
-from .varcore import ParamSet, VariationalTriple, construct, verify_triple
+from .varcore import ParamSet, VariationalTriple, _lagrangian, verify_triple
 
 __all__ = [
     "TraceEntry",
@@ -156,8 +156,10 @@ class _Run:
                                            verdict=t.verdict, derived=derived)
                 return
 
-    def note(self, step: str, e: Expr, text: str) -> ZeroVerdict:
-        v = is_zero(e, self.cfg)
+    def note(self, step: str, e: Expr, text: str,
+             verdict: ZeroVerdict | None = None) -> ZeroVerdict:
+        # `verdict`, when given, is the caller's is_zero(e, self.cfg)
+        v = verdict if verdict is not None else is_zero(e, self.cfg)
         self.trace.append(TraceEntry(step=step, checked=e, verdict=v,
                                      kind="note", note=text))
         return v
@@ -267,7 +269,7 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
     params = ParamSet(n=n, R=big_r,
                       f_lower=tuple(f_rec[ell] for ell in range(n)),
                       N=ZERO)
-    lagrangian = construct(params).L
+    lagrangian = _lagrangian(params)
     triple = VariationalTriple(f=f, rho=rho, L=lagrangian, n=n, m=n)
     residual = verify_triple(triple, run.cfg)
     _settle("S5", triple.L, residual)
@@ -288,7 +290,8 @@ def _note_alternate_assembly(run: _Run, big_r: Expr,
     parts.append(antideriv(add(g1, mul(-1, diff(g1, jet(1)), jet(1))), X, 1))
     alt = add(*parts)
     delta = add(big_r, mul(-1, alt))
-    if not is_zero(delta, run.cfg).is_zero:
+    verdict = is_zero(delta, run.cfg)
+    if not verdict.is_zero:
         run.note("S3", delta,
                  "alternate single-pass assembly of R disagrees with the "
-                 "recursion-consistent form; using the latter")
+                 "recursion-consistent form; using the latter", verdict)

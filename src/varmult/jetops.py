@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .symexpr import Expr, ExprLike, X, add, as_expr, diff, jet, mul, pow_int
+from .symexpr import (Expr, ExprLike, Sum, X, add, as_expr, diff, jet, max_jet, mul,
+                      pow_int)
 
 __all__ = [
     "MultiIndex",
@@ -28,16 +29,36 @@ __all__ = [
 ]
 
 
+#: D_m results keyed on (effective order, interned node), for single terms
+#: and for whole sums.  D_m and D_{m'} agree on e once both orders exceed
+#: max_jet(e), so the key caps the order at max_jet(e) + 1.  Keys and values
+#: are interned nodes, so threads racing on one key store the same value.
+_TD_CACHE: dict[tuple[int, Expr], Expr] = {}
+
+
 def total_derivative(m: int, e: ExprLike) -> Expr:
     """Apply the truncated total derivative D_m.  D_0 is d/dx; note D_m has
     no d/dp_m term, so D_m annihilates functions of p_m alone."""
     if m < 0:
         raise ValueError("total derivative order must be >= 0")
-    e = as_expr(e)
-    parts = [diff(e, X)]
-    for j in range(1, m + 1):
-        parts.append(mul(jet(j), diff(e, jet(j - 1))))
-    return add(*parts)
+    return _td(m, as_expr(e))
+
+
+def _td(m: int, e: Expr) -> Expr:
+    """D_m of e, term by term through the memo."""
+    m = min(m, max_jet(e) + 1)
+    key = (m, e)
+    out = _TD_CACHE.get(key)
+    if out is None:
+        if e.__class__ is Sum:
+            out = add(*(_td(m, t) for t in e.terms))
+        else:
+            parts = [diff(e, X)]
+            for j in range(1, m + 1):
+                parts.append(mul(jet(j), diff(e, jet(j - 1))))
+            out = add(*parts)
+        _TD_CACHE[key] = out
+    return out
 
 
 def d_pow(m: int, k: int, e: ExprLike) -> Expr:
@@ -52,16 +73,15 @@ def d_pow(m: int, k: int, e: ExprLike) -> Expr:
 
 def euler_op(m: int, n: int, e: ExprLike) -> Expr:
     """The m-th order Euler-Lagrange operator with n+1 terms,
-    sum_{k=0..n} (-1)^k D_m^k d/dp_k."""
+    sum_{k=0..n} (-1)^k D_m^k d/dp_k, in Horner form
+    d/dp_0 - D_m(d/dp_1 - D_m(... - D_m d/dp_n)): n applications of D_m."""
     if m < 0 or n < 0:
         raise ValueError("operator orders must be >= 0")
     e = as_expr(e)
-    parts = []
-    sign = 1
-    for k in range(n + 1):
-        parts.append(mul(sign, d_pow(m, k, diff(e, jet(k)))))
-        sign = -sign
-    return add(*parts)
+    out = diff(e, jet(n))
+    for k in range(n - 1, -1, -1):
+        out = add(diff(e, jet(k)), mul(-1, total_derivative(m, out)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -330,8 +330,9 @@ _INTERN: dict = {}
 def _intern(key, cls, *args) -> Expr:
     node = _INTERN.get(key)
     if node is None:
-        node = cls(*args)
-        _INTERN[key] = node
+        # setdefault, not a store: of two threads building the same node,
+        # both get the one that was inserted first
+        node = _INTERN.setdefault(key, cls(*args))
     return node
 
 
@@ -461,6 +462,21 @@ def mul(*factors: ExprLike) -> Expr:
             else:
                 remaining.append(s)
         sums = remaining
+
+    if len(sums) == 1 and not powers and not exp_terms:
+        # a rational times one sum: rescale each term's coefficient and add
+        # once, instead of a mul per term
+        s = sums[0]
+        if coeff == 1:
+            return s
+        terms = []
+        for t in s.terms:
+            if t.__class__ is Rat:
+                terms.append(rational(coeff * t.value))
+            else:
+                c, core = _coeff_core(t)
+                terms.append(_with_coeff(coeff * c, core))
+        return add(*terms)
 
     if sums:
         core = [rational(coeff)]

@@ -139,28 +139,37 @@ def construct(params: ParamSet) -> VariationalTriple:
     n >= 3, where II is the double antiderivative from 0 in the matching jet
     variable (p_n for e^{-R}, p_l for f_l) and I f0 is taken in p_0.
     """
-    n, m, R, N = params.n, params.m, params.R, params.N
+    n, m, R = params.n, params.m, params.R
     rho = exp(mul(-1, R))
-    q = antideriv(rho, jet(n), 2)
-    f0 = params.f_lower[0]
     sign_n = 1 if n % 2 == 0 else -1
-    bracket_parts = [mul(sign_n, euler_op(2 * n - 2, n, q)), f0]
-    l_parts = [mul(sign_n, q), antideriv(f0, jet(0), 1), total_derivative(m, N)]
+    bracket_parts = [mul(sign_n, euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2))),
+                     params.f_lower[0]]
     for ell in range(1, n):
         fl = params.f_lower[ell]
-        ffl = antideriv(fl, jet(ell), 2)
         sign = 1 if ell % 2 == 0 else -1
         bracket_parts.append(mul(fl, jet(2 * ell)))
-        bracket_parts.append(mul(sign, euler_op(2 * ell - 1, ell, ffl)))
-        l_parts.append(mul(sign, ffl))
+        bracket_parts.append(mul(sign, euler_op(2 * ell - 1, ell,
+                                                antideriv(fl, jet(ell), 2))))
     if n == 2:
         lead = add(mul(diff(R, jet(2)), pow_int(jet(3), 2)),
                    mul(2, total_derivative(2, R), jet(3)))
     else:
         lead = mul(n, total_derivative(n + 1, R), jet(2 * n - 1))
     f = add(lead, mul(-1, exp(R), add(*bracket_parts)))
-    L = add(*l_parts)
-    return VariationalTriple(f=f, rho=rho, L=L, n=n, m=m)
+    return VariationalTriple(f=f, rho=rho, L=_lagrangian(params), n=n, m=m)
+
+
+def _lagrangian(params: ParamSet) -> Expr:
+    """The L of `construct`, without building f."""
+    n = params.n
+    f0 = params.f_lower[0]
+    sign_n = 1 if n % 2 == 0 else -1
+    parts = [mul(sign_n, antideriv(exp(mul(-1, params.R)), jet(n), 2)),
+             antideriv(f0, jet(0), 1), total_derivative(params.m, params.N)]
+    for ell in range(1, n):
+        sign = 1 if ell % 2 == 0 else -1
+        parts.append(mul(sign, antideriv(params.f_lower[ell], jet(ell), 2)))
+    return add(*parts)
 
 
 def fels_T5(f3: ExprLike) -> Expr:
@@ -190,10 +199,11 @@ def fels_I1(f3: ExprLike) -> Expr:
     d3 = diff(f3, p3)
     d2 = diff(f3, jet(2))
     d1 = diff(f3, jet(1))
+    dd3 = ddx(d3)
     return add(d1,
-               mul(Fraction(1, 2), ddx(ddx(d3))),
+               mul(Fraction(1, 2), ddx(dd3)),
                mul(-1, ddx(d2)),
-               mul(Fraction(-3, 4), d3, ddx(d3)),
+               mul(Fraction(-3, 4), d3, dd3),
                mul(Fraction(1, 2), d2, d3),
                mul(Fraction(1, 8), pow_int(d3, 3)))
 

@@ -33,7 +33,8 @@ from varmult.symexpr import (
     sin,
 )
 from varmult.testkit import GenConfig, gen_params
-from varmult.varcore import ParamSet, construct
+from varmult import checker, varcore
+from varmult.varcore import ParamSet, VariationalTriple, construct, verify_triple
 
 p0, p1, p2, p3, p4, p5 = (jet(k) for k in range(6))
 
@@ -185,6 +186,20 @@ def test_trace_note_absent_when_assemblies_agree():
     assert not [t for t in report.trace if t.kind == "note"]
 
 
+def test_alternate_assembly_is_zero_tested_once(monkeypatch):
+    tested = []
+
+    def counting(e, cfg=None):
+        tested.append(e)
+        return is_zero(e, cfg)
+
+    monkeypatch.setattr(checker, "is_zero", counting)
+    report = check(pow_int(p3, 2), 2, CFG)
+    notes = [t for t in report.trace if t.kind == "note"]
+    assert len(notes) == 1
+    assert sum(1 for e in tested if e is notes[0].checked) == 1
+
+
 def test_check_determinism():
     f = pow_int(p3, 2)
     a = check(f, 2, CFG)
@@ -247,3 +262,37 @@ def test_accepted_reports_carry_zero_residual(seed):
     assert isinstance(report.outcome, Accepted)
     assert report.outcome.residual.is_zero
     assert all(t.verdict.is_zero for t in report.trace if t.kind == "check")
+
+
+def test_certificate_builds_only_the_lagrangian(monkeypatch):
+    # check rebuilds L alone and verifies the triple once, against the
+    # input f; it never builds the whole solution triple
+    params = gen_params(3, 3, GenConfig(seed=4246, max_degree=3, max_terms=4))
+    f = construct(params).f
+    verified = []
+
+    def no_construct(params):
+        raise AssertionError("check called construct")
+
+    def recording(t, cfg=None):
+        verified.append(t)
+        return verify_triple(t, cfg)
+
+    monkeypatch.setattr(varcore, "construct", no_construct)
+    monkeypatch.setattr(checker, "construct", no_construct, raising=False)
+    monkeypatch.setattr(checker, "verify_triple", recording)
+    report = check(f, 3, CFG)
+    assert isinstance(report.outcome, Accepted)
+    assert report.outcome.residual.is_zero
+    assert len(verified) == 1 and verified[0].f is f
+    assert verified[0].L is report.outcome.L
+
+
+def test_verify_triple_rejects_a_corrupted_lagrangian():
+    params = gen_params(2, 2, GenConfig(seed=4250, max_degree=2, max_terms=3))
+    t = construct(params)
+    assert verify_triple(t, CFG).is_zero
+    # p0*p2^2 is not a null Lagrangian, so E[L] changes
+    bad = add(t.L, mul(Fraction(1, 3), p0, pow_int(p2, 2)))
+    corrupted = VariationalTriple(f=t.f, rho=t.rho, L=bad, n=t.n, m=t.m)
+    assert isinstance(verify_triple(corrupted, CFG), NonZero)

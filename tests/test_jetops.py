@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import IDENTITY_SUITES, assert_zeroish, comb0, rand_expr
+from varmult import jetops
 from varmult.jetops import (
     MultiIndex,
     OperatorTerm,
@@ -22,6 +23,7 @@ from varmult.jetops import (
     total_derivative,
 )
 from varmult.symexpr import (
+    AntiDeriv,
     X,
     ZERO,
     add,
@@ -29,6 +31,7 @@ from varmult.symexpr import (
     diff,
     exp,
     jet,
+    max_jet,
     mul,
     pow_int,
 )
@@ -67,6 +70,58 @@ def test_euler_op_examples():
     assert euler_op(4, 2, mul(Fraction(1, 2), pow_int(p2, 2))) == p4
     a2 = antideriv(exp(mul(-1, p2)), p2, times=2)
     assert euler_op(2, 2, a2) is ZERO
+
+
+def _euler_op_as_sum(m, n, e):
+    # the operator as written, sum_k (-1)^k D_m^k d/dp_k
+    return add(*(mul((-1) ** k, d_pow(m, k, diff(e, jet(k)))) for k in range(n + 1)))
+
+
+def _with_exp_and_integral(seed):
+    # a random polynomial plus an exponential summand and an opaque
+    # integral, with max_jet 4
+    opaque = antideriv(exp(pow_int(p1, 2)), p1)
+    assert isinstance(opaque, AntiDeriv)
+    return add(rand_expr(seed, max_index=4, allow_exp=True), mul(p4, opaque))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (7, 2), (9, 3)])
+def test_euler_op_horner_matches_sum_of_powers(seed, m, n):
+    e = _with_exp_and_integral(seed)
+    assert max_jet(e) == 4  # so m runs below and above max_jet(e)
+    assert euler_op(m, n, e) == _euler_op_as_sum(m, n, e)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
+    calls = []
+    inner = jetops.total_derivative
+
+    def counting(m, e):
+        calls.append(m)
+        return inner(m, e)
+
+    monkeypatch.setattr(jetops, "total_derivative", counting)
+    e = _with_exp_and_integral(n)
+    euler_op(2 * n, n, e)
+    assert calls == [2 * n] * n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_total_derivative_memo_returns_identical_node(seed):
+    e = _with_exp_and_integral(seed)
+    top = max_jet(e)
+    for m in (1, top, top + 1, top + 3):
+        first = total_derivative(m, e)
+        assert total_derivative(m, e) is first
+        # the uncached definition, D_m = d/dx + sum_j p_j d/dp_{j-1}
+        assert first == add(diff(e, X),
+                            *(mul(jet(j), diff(e, jet(j - 1))) for j in range(1, m + 1)))
+    # past max_jet(e) + 1 every order is the same operator on e
+    assert total_derivative(top + 3, e) is total_derivative(top + 1, e)
+    for t in e.terms:
+        assert total_derivative(top + 5, t) is total_derivative(max_jet(t) + 1, t)
 
 
 # ---------------------------------------------------------------------------

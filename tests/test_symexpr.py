@@ -541,3 +541,55 @@ def test_arithmetic_sugar():
     assert (p2 ** 2 / 2) == mul(Fraction(1, 2), pow_int(p2, 2))
     assert (-p1) == mul(-1, p1)
     assert (1 / p1) == pow_int(p1, -1)
+
+
+@pytest.mark.parametrize("c", [-1, Fraction(1, 2), 3, 1])
+def test_rational_times_sum_matches_distribution(c):
+    s = add(3, mul(Fraction(-2, 3), p1, p2), pow_int(p2, 2), exp(p1), mul(5, X))
+    assert isinstance(s, Sum) and any(isinstance(t, Rat) for t in s.terms)
+    got = mul(c, s)
+    assert got is add(*(mul(c, t) for t in s.terms))
+    assert mul(s, rational(c)) is got
+    # a constant term stays a rational, never Prod(c, Rat)
+    assert rational(3 * c) in got.terms
+    if c == 1:
+        assert got is s
+
+
+def test_interning_is_thread_safe():
+    # four threads build the same fresh corpus f and the total derivative of
+    # each of its terms at once; each node must come out as one shared
+    # object (with a plain store in _intern, most runs give distinct but
+    # equal results on one of the two inputs)
+    import sys
+    import threading
+
+    from varmult.jetops import total_derivative
+
+    barrier = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def work(i):
+        barrier.wait()
+        for seed in (2, 3):
+            f = construct(gen_params(3, 3, GenConfig(seed=seed, max_degree=3,
+                                                      max_terms=4))).f
+            results[i].append((f, [total_derivative(6, t) for t in f.terms]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, (f, dts) in enumerate(results[0]):
+        assert isinstance(f, Sum) and len(dts) == len(f.terms)
+        for other in results[1:]:
+            g, others = other[k]
+            assert g is f
+            assert all(a is b for a, b in zip(others, dts))
