@@ -9,7 +9,10 @@ random data).  Output is plain text or a JSON envelope
      "input": {...}, "result": {...}, "trace": [...]}
 
 Exit codes: 0 success/accepted/zero, 1 rejected/nonzero, 2 usage or parse
-error, 3 inconclusive.  VARMULT_SEED overrides the default seed.
+error, 3 inconclusive, 4 internal error (including output that could not be
+written, such as a closed pipe).  VARMULT_SEED overrides the default seed.
+The JSON output is strict RFC 8259 JSON: a non-finite value is written as
+null.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def _cfg(seed: int | None, samples: int | None = None, tol: float | None = None)
 def _envelope(subcommand: str, input_obj: dict, result_obj: dict, trace: list) -> str:
     return json.dumps({"tool": "varmult", "version": __version__,
                        "subcommand": subcommand, "input": input_obj,
-                       "result": result_obj, "trace": trace})
+                       "result": result_obj, "trace": trace}, allow_nan=False)
 
 
 def _trace_obj(report: CheckReport) -> list:
@@ -312,10 +315,25 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
     except (_Usage, ExprError, ValueError) as exc:
         err.write(f"varmult: error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        raise  # a closed stdout is not an internal error; main() handles it
+    except Exception as exc:
+        detail = " ".join(str(exc).split())
+        err.write(f"varmult: internal error: {type(exc).__name__}: {detail}\n")
+        return 4
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone (`varmult check ... | head`); point
+        # stdout at devnull so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 4
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

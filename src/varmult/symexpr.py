@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Union
 
 __all__ = [
     "MAX_JET_INDEX",
+    "MAX_PARSE_DEPTH",
     "ExprError",
     "ParseError",
     "DomainError",
@@ -212,13 +213,15 @@ class Sum(Expr):
 
 
 class Prod(Expr):
-    __slots__ = ("factors",)
+    # _core: the product without its rational head, filled by _coeff_core
+    __slots__ = ("factors", "_core")
 
     def __init__(self, factors: tuple):
         self.factors = factors
         self.free_atoms = frozenset().union(*(f.free_atoms for f in factors))
         self._hash = hash(("prod",) + factors)
         self._key = None
+        self._core = None
 
     def _payload(self):
         return self.factors
@@ -305,7 +308,13 @@ def sort_key(e: Expr):
     if k is None:
         cls = e.__class__
         if cls is Rat:
-            k = (0, e.value)
+            # the float settles almost every comparison in C; float rounding
+            # is monotone, so only a float tie falls through to the exact value
+            v = e.value
+            try:
+                k = (0, float(v), v)
+            except OverflowError:
+                k = (0, math.inf if v > 0 else -math.inf, v)
         elif cls is Pow:
             k = (3, sort_key(e.base), e.exponent)
         elif cls is AntiDeriv:
@@ -339,9 +348,10 @@ def _intern(key, cls, *args) -> Expr:
 def rational(value) -> Expr:
     """Exact rational constant node."""
     v = value if isinstance(value, Fraction) else Fraction(value)
-    return _intern(("r", v), Rat, v)
+    return _intern(("r", v.numerator, v.denominator), Rat, v)
 
 
+_F_ONE = Fraction(1)
 ZERO = rational(0)
 ONE = rational(1)
 _MINUS_ONE = rational(-1)
@@ -374,13 +384,16 @@ def as_expr(v: ExprLike) -> Expr:
 
 def _coeff_core(t: Expr) -> tuple[Fraction, Expr]:
     """Split a canonical non-Sum term into (rational coefficient, core)."""
-    if isinstance(t, Prod):
+    if t.__class__ is Prod:
         head = t.factors[0]
-        if isinstance(head, Rat):
-            rest = t.factors[1:]
-            core = rest[0] if len(rest) == 1 else _intern(("p", rest), Prod, rest)
+        if head.__class__ is Rat:
+            core = t._core
+            if core is None:
+                rest = t.factors[1:]
+                core = rest[0] if len(rest) == 1 else _intern(("p", rest), Prod, rest)
+                t._core = core
             return head.value, core
-    return Fraction(1), t
+    return _F_ONE, t
 
 
 def _with_coeff(c: Fraction, core: Expr) -> Expr:
@@ -396,19 +409,31 @@ def _with_coeff(c: Fraction, core: Expr) -> Expr:
 
 def add(*terms: ExprLike) -> Expr:
     """Canonical sum: flattens, folds constants, combines like terms."""
-    const = Fraction(0)
-    acc: dict[Expr, Fraction] = {}
+    const = 0
+    # core -> [coefficient, the term itself while the core occurred once]
+    acc: dict[Expr, list] = {}
     stack = [as_expr(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
-        if isinstance(t, Rat):
+        cls = t.__class__
+        if cls is Rat:
             const += t.value
-        elif isinstance(t, Sum):
+        elif cls is Sum:
             stack.extend(reversed(t.terms))
         else:
             c, core = _coeff_core(t)
-            acc[core] = acc.get(core, Fraction(0)) + c
-    out = [_with_coeff(c, core) for core, c in acc.items() if c != 0]
+            slot = acc.get(core)
+            if slot is None:
+                acc[core] = [c, t]
+            else:
+                slot[0] += c
+                slot[1] = None
+    out = []
+    for core, (c, t) in acc.items():
+        if t is not None:
+            out.append(t)
+        elif c != 0:
+            out.append(_with_coeff(c, core))
     if const != 0:
         out.append(rational(const))
     if not out:
@@ -426,25 +451,43 @@ def _exp_raw(arg: Expr) -> Expr:
     return _intern(("e", arg), Exp, arg)
 
 
+def _merge_exps(exps: list[Expr]) -> list[Expr]:
+    """The exponential factors of one product, with the exponents of a common
+    core merged (exp(a)*exp(2a) -> exp(3a), exp(2)*exp(3) -> exp(5)).
+    Exponents with distinct cores cannot combine, so then the factors come
+    back unchanged; that is always the case for a single canonical product."""
+    if len(exps) > 1:
+        cores = {ONE if x.arg.__class__ is Rat else _coeff_core(x.arg)[1]
+                 for x in exps}
+        if len(cores) < len(exps):
+            total = add(*(x.arg for x in exps))
+            if total.__class__ is Sum:
+                return [_exp_raw(t) for t in total.terms]
+            return [] if total is ZERO else [_exp_raw(total)]
+    return exps
+
+
 def mul(*factors: ExprLike) -> Expr:
     """Canonical product: flattens, folds constants, merges powers and
     exponentials, and distributes over sums."""
-    coeff = Fraction(1)
+    coeff = _F_ONE
     powers: dict[Expr, int] = {}
-    exp_terms: list[Expr] = []
+    exps: list[Expr] = []
     sums: list[Expr] = []
     stack = [as_expr(f) for f in reversed(factors)]
     while stack:
         f = stack.pop()
-        if isinstance(f, Rat):
-            coeff *= f.value
-        elif isinstance(f, Prod):
+        cls = f.__class__
+        if cls is Rat:
+            # most products carry one rational: take it without multiplying
+            coeff = f.value if coeff is _F_ONE else coeff * f.value
+        elif cls is Prod:
             stack.extend(reversed(f.factors))
-        elif isinstance(f, Sum):
+        elif cls is Sum:
             sums.append(f)
-        elif isinstance(f, Exp):
-            exp_terms.append(f.arg)
-        elif isinstance(f, Pow):
+        elif cls is Exp:
+            exps.append(f)
+        elif cls is Pow:
             powers[f.base] = powers.get(f.base, 0) + f.exponent
         else:
             powers[f] = powers.get(f, 0) + 1
@@ -463,7 +506,7 @@ def mul(*factors: ExprLike) -> Expr:
                 remaining.append(s)
         sums = remaining
 
-    if len(sums) == 1 and not powers and not exp_terms:
+    if len(sums) == 1 and not powers and not exps:
         # a rational times one sum: rescale each term's coefficient and add
         # once, instead of a mul per term
         s = sums[0]
@@ -480,8 +523,9 @@ def mul(*factors: ExprLike) -> Expr:
 
     if sums:
         core = [rational(coeff)]
-        core.extend(pow_int(b, n) for b, n in powers.items() if n != 0)
-        core.extend(_exp_raw(a) for a in exp_terms)
+        core.extend(b if n == 1 else pow_int(b, n)
+                    for b, n in powers.items() if n != 0)
+        core.extend(exps)
         parts = [mul(*core)] if core else [ONE]
         for s in sums:
             parts = [mul(p, t) for p in parts for t in s.terms]
@@ -492,19 +536,13 @@ def mul(*factors: ExprLike) -> Expr:
     for b, n in powers.items():
         if n == 0:
             continue
-        r = pow_int(b, n)
+        r = b if n == 1 else pow_int(b, n)
         if r is ONE:
             continue
         if isinstance(r, (Sum, Prod, Rat, Exp)):
             redispatch = True
         pieces.append(r)
-    if exp_terms:
-        total = add(*exp_terms)
-        if total is not ZERO:
-            if isinstance(total, Sum):
-                pieces.extend(_exp_raw(t) for t in total.terms)
-            else:
-                pieces.append(_exp_raw(total))
+    pieces.extend(_merge_exps(exps))
     if redispatch:
         return mul(rational(coeff), *pieces)
     if not pieces:
@@ -911,10 +949,16 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
+#: deepest nesting of parentheses and calls that `parse` accepts; the
+#: parser and the tree walkers recurse once per level
+MAX_PARSE_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -948,16 +992,27 @@ class _Parser:
             out = mul(out, rhs if op.kind == "*" else pow_int(rhs, -1))
         return out
 
+    def nested(self, opener: _Token) -> Expr:
+        """The expression after an opening parenthesis or call."""
+        if self.depth == MAX_PARSE_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_PARSE_DEPTH} levels",
+                             opener.offset)
+        self.depth += 1
+        out = self.expr()
+        self.depth -= 1
+        return out
+
     def factor(self) -> Expr:
-        t = self.peek()
-        if t.kind == "-":
+        # a run of unary minuses is folded by parity, not by recursion
+        neg = False
+        while self.peek().kind == "-":
             self.next()
-            return mul(-1, self.factor())
+            neg = not neg
         out = self.atom()
         if self.peek().kind == "^":
             self.next()
             out = pow_int(out, self.integer())
-        return out
+        return mul(-1, out) if neg else out
 
     def integer(self) -> int:
         neg = False
@@ -994,7 +1049,7 @@ class _Parser:
         if t.kind == "num":
             return rational(t.value[0])
         if t.kind == "(":
-            out = self.expr()
+            out = self.nested(t)
             self.expect(")")
             return out
         if t.kind == "ident":
@@ -1003,12 +1058,12 @@ class _Parser:
                 return v
             if t.text in _FUNCS:
                 self.expect("(")
-                arg = self.expr()
+                arg = self.nested(t)
                 self.expect(")")
                 return _FUNCS[t.text](arg)
             if t.text == "Int":
                 self.expect("(")
-                g = self.expr()
+                g = self.nested(t)
                 self.expect(",")
                 v = self.variable()
                 self.expect(")")
@@ -1023,7 +1078,8 @@ def parse(text: str) -> Expr:
     Grammar: sums/differences of terms, terms of factors with * and /,
     factors are atoms with an optional integer exponent after ^ or a unary
     minus; atoms are rationals, decimals, x, p<k>, exp/log/sin/cos calls,
-    Int(g, v) opaque integrals, and parenthesized expressions.
+    Int(g, v) opaque integrals, and parenthesized expressions.  Parentheses
+    and calls nest at most MAX_PARSE_DEPTH deep.
     """
     p = _Parser(text)
     out = p.expr()
@@ -1135,8 +1191,8 @@ class ZeroTestConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.atol < math.inf:
+            raise ValueError("tolerances must be positive and finite")
 
 
 #: every free variable is sampled uniformly from this interval
@@ -1161,6 +1217,13 @@ class ZeroVerdict:
         return isinstance(self, (ZeroStructural, ZeroNumeric))
 
     def to_obj(self) -> dict:
+        """JSON form; RFC 8259 has no infinity, so a non-finite value is null."""
+        o = self._fields()
+        if not math.isfinite(o.get("value", 0.0)):
+            o["value"] = None
+        return o
+
+    def _fields(self) -> dict:
         if isinstance(self, ZeroStructural):
             return {"kind": "zero-structural"}
         if isinstance(self, ZeroNumeric):
@@ -1172,7 +1235,7 @@ class ZeroVerdict:
         return {"kind": "inconclusive", "reason": self.reason}
 
     def describe(self) -> str:
-        o = self.to_obj()
+        o = self._fields()
         kind = o.pop("kind")
         if not o:
             return kind

@@ -21,7 +21,7 @@ VERDICT_SCHEMA = {
         "kind": {"enum": ["zero-structural", "zero-numeric", "nonzero", "inconclusive"]},
         "points": {"type": "integer", "minimum": 1},
         "point": {"type": "object", "additionalProperties": {"type": "number"}},
-        "value": {"type": "number"},
+        "value": {"type": ["number", "null"]},
         "reason": {"type": "string"},
     },
     "additionalProperties": False,
@@ -167,11 +167,70 @@ def test_check_rejects_overflowing_constant_slope():
     assert '"value": Infinity' in out
 
 
-def _python(*args):
+def test_check_json_is_strict_for_overflowing_values():
+    # the S2(k=3) constant overflows a float: its value is null, not Infinity
+    code, out, _ = invoke("check", "--order", "2", "--expr", "10^400*p3^3",
+                          "--json")
+    assert code == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    obj = json.loads(out, parse_constant=reject)
+    assert obj["result"]["verdict"] == {"kind": "nonzero", "point": {},
+                                        "value": None}
+    validate(out)
+
+
+def test_non_finite_tolerance_is_a_usage_error():
+    for tol in ("inf", "nan"):
+        code, out, err = invoke("check", "--order", "2", "--expr", "p3^2",
+                                "--tol", tol, "--json")
+        assert code == 2 and out == "" and "finite" in err
+
+
+def test_too_deep_nesting_is_a_parse_error():
+    for opener, offset in (("(", 100), ("exp(", 400), ("-(", 201)):
+        depth = 3000 if opener == "(" else 400
+        expr = opener * depth + "p3" + ")" * depth
+        code, out, err = invoke("check", "--order", "2", f"--expr={expr}")
+        assert code == 2 and out == ""
+        assert err == ("varmult: expression error: nesting deeper than 100 "
+                       f"levels (byte {offset})\n")
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch):
+    import varmult.cli
+
+    def boom(*args):
+        raise RecursionError("maximum recursion depth\nexceeded")
+
+    monkeypatch.setattr(varmult.cli, "check", boom)
+    code, out, err = invoke("check", "--order", "2", "--expr", "p3^2")
+    assert code == 4 and out == ""
+    assert err == ("varmult: internal error: RecursionError: maximum "
+                   "recursion depth exceeded\n")
+
+
+def _python(*args, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(varmult.__file__))
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=120)
+
+
+def test_closed_stdout_exits_quietly():
+    # `varmult check ... | head` with the reader gone before the write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "varmult.cli", "check", "--order", "2",
+                       "--expr", "p3^2", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == ""
 
 
 def test_module_entry_point():

@@ -45,9 +45,11 @@ from varmult.symexpr import (
     render,
     simplify,
     sin,
+    sort_key,
     substitute,
 )
-from varmult.symexpr import _bind_zero
+from varmult import symexpr
+from varmult.symexpr import MAX_PARSE_DEPTH, DomainError, _bind_zero
 from varmult.testkit import GenConfig, gen_params
 from varmult.varcore import construct
 
@@ -97,6 +99,30 @@ def test_parse_error_cases():
         parse("foo(x)")
     with pytest.raises(ParseError):
         parse("p200")  # above the jet index bound
+
+
+# `at`: where in the opener the error points (the parenthesis or the name)
+@pytest.mark.parametrize("opener,closer,at", [("(", ")", 0), ("exp(", ")", 0),
+                                              ("-(", ")", 1),
+                                              ("Int(", ", p3)", 0)])
+def test_parse_nesting_depth_limit(opener, closer, at):
+    d = MAX_PARSE_DEPTH
+    e = parse(opener * d + "p3" + closer * d)
+    # the walkers below the parser handle the deepest accepted input
+    assert parse(render(e)) is e
+    diff(e, p3)
+    try:
+        evaluate(e, {p3: 0.5})
+    except DomainError:
+        pass  # exp(exp(...)) overflows; only a RecursionError would fail
+    with pytest.raises(ParseError) as info:
+        parse(opener * (d + 1) + "p3" + closer * (d + 1))
+    assert info.value.offset == len(opener) * d + at
+
+
+def test_parse_long_unary_minus_run():
+    assert parse("-" * 5000 + "p3") is p3
+    assert parse("-" * 5001 + "p3^2") is mul(-1, pow_int(p3, 2))
 
 
 def test_render_plain_examples():
@@ -530,6 +556,12 @@ def test_config_validation():
         ZeroTestConfig(atol=0.0)
 
 
+@pytest.mark.parametrize("atol", [math.inf, math.nan])
+def test_config_rejects_non_finite_atol(atol):
+    with pytest.raises(ValueError):
+        ZeroTestConfig(atol=atol)
+
+
 def test_as_expr_rejects_floats():
     with pytest.raises(TypeError):
         add(X, 0.5)
@@ -593,3 +625,83 @@ def test_interning_is_thread_safe():
             g, others = other[k]
             assert g is f
             assert all(a is b for a, b in zip(others, dts))
+
+
+# ---------------------------------------------------------------------------
+# canonicalization fast paths
+# ---------------------------------------------------------------------------
+
+#: rationals whose floats tie (10^17 and 10^17 + 1; 1/3 and its 16-digit
+#: decimal) or overflow a float
+_FLOAT_HARD_RATIONALS = [Fraction(10**17), Fraction(10**17 + 1), Fraction(1, 3),
+                         Fraction(3333333333333333, 10**16), Fraction(10**400),
+                         Fraction(-10**400), Fraction(10**401),
+                         Fraction(10**400 + 1, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.fractions(),
+                          st.integers(-10**420, 10**420).map(Fraction),
+                          st.sampled_from(_FLOAT_HARD_RATIONALS)), max_size=12))
+def test_rational_sort_key_orders_by_value(values):
+    nodes = [rational(v) for v in values]
+    assert [n.value for n in sorted(nodes, key=sort_key)] == sorted(values)
+
+
+def test_rational_sort_key_breaks_float_ties_exactly():
+    for a in _FLOAT_HARD_RATIONALS:
+        for b in _FLOAT_HARD_RATIONALS:
+            assert (sort_key(rational(a)) < sort_key(rational(b))) == (a < b)
+    # the key orders a constant before every other node, as before
+    assert sort_key(rational(10**401)) < sort_key(X) < sort_key(p0)
+
+
+def test_rational_interning_normalizes():
+    assert rational(Fraction(2, 4)) is rational(Fraction(1, 2))
+    assert rational(Fraction(6, 3)) is rational(2)
+
+
+def test_product_merges_exponentials_of_a_common_core():
+    assert mul(exp(p1), exp(mul(2, p1))) is exp(mul(3, p1))
+    assert mul(exp(p1), exp(mul(-1, p1))) is ONE
+    assert mul(exp(2), exp(3)) is exp(5)
+    assert mul(exp(p1), exp(p2), exp(-p1), X) is mul(X, exp(p2))
+    assert mul(exp(p1), exp(p1)) is exp(mul(2, p1))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(symexpr, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(symexpr, name, counting)
+    return calls
+
+
+def test_product_of_distinct_exponentials_does_not_add(monkeypatch):
+    factors = [exp(p1), exp(mul(2, p2)), exp(3), exp(mul(p1, p2)), X, 5]
+    expected = mul(*factors)
+    calls = _counting(monkeypatch, "add")
+    assert mul(*factors) is expected
+    assert mul(expected, p3) is mul(p3, *factors)
+    assert calls == []
+
+
+def test_add_keeps_terms_with_distinct_cores(monkeypatch):
+    terms = [mul(3, p1, p2), pow_int(p2, 2), exp(p1), mul(Fraction(-1, 2), X),
+             mul(-7, exp(p2), p1)]
+    expected = add(*terms)
+    calls = _counting(monkeypatch, "_with_coeff")
+    s = add(*terms)
+    assert s is expected and isinstance(s, Sum)
+    assert calls == []
+    assert len(s.terms) == len(terms)
+    assert all(any(t is u for u in s.terms) for t in terms)
+    # only a core that occurs twice is rebuilt, and a zero sum drops it
+    merged = add(s, mul(2, p1, p2))
+    assert calls == [(Fraction(5), mul(p1, p2))]
+    assert merged is add(mul(5, p1, p2), *terms[1:])
+    assert add(s, mul(-3, p1, p2)) is add(*terms[1:])
