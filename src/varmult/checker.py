@@ -21,7 +21,7 @@ nonzero witness rejects, and an undecidable check aborts as inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .jetops import euler_op, total_derivative
@@ -152,8 +152,7 @@ class _Run:
         for i in range(len(self.trace) - 1, -1, -1):
             t = self.trace[i]
             if t.kind == "check":
-                self.trace[i] = TraceEntry(step=t.step, checked=t.checked,
-                                           verdict=t.verdict, derived=derived)
+                self.trace[i] = replace(t, derived=derived)
                 return
 
     def note(self, step: str, e: Expr, text: str,

@@ -10,6 +10,13 @@ partial differentiation, definite antiderivatives from 0 (with an opaque
 integral node as fallback), parsing/printing, floating evaluation with
 Gauss-Legendre quadrature for opaque integrals, and a probabilistic
 zero-testing decision procedure.
+
+Nodes are hash-consed: every node is interned on construction, also one
+built by calling its class, so two structurally equal trees are the same
+object, and node equality and hashing are object identity.  A tree built by
+calling the node classes need not be canonical (`Sum((p1, p1))` is not
+`add(p1, p1)`); `simplify` maps it to its canonical form, and the other
+kernel functions expect canonical nodes.
 """
 
 from __future__ import annotations
@@ -104,22 +111,21 @@ class DomainError(ArithmeticError):
 class Expr:
     """Base class of all expression nodes.  Immutable; use the module-level
     constructors (`add`, `mul`, `exp`, ...) or the arithmetic operators to
-    build canonical expressions."""
+    build canonical expressions.  Calling a node class returns the interned
+    node of that structure, so equality and hashing are identity; the
+    fields are filled once, by `_init`, when the node is first made."""
 
-    __slots__ = ("_hash", "_key", "free_atoms")
+    __slots__ = ("_key", "free_atoms")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, *args):
+        return _intern((cls,) + args, cls, *args)
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if self.__class__ is not other.__class__ or self._hash != other._hash:
-            return False
-        return self._payload() == other._payload()
+    # a node is immutable and unique, so a copy is the node itself
+    def __copy__(self):
+        return self
 
-    def _payload(self):  # pragma: no cover - overridden everywhere
-        raise NotImplementedError
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self) -> str:
         return render(self)
@@ -160,14 +166,13 @@ class Rat(Expr):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
+    def __new__(cls, value):
+        return rational(value)
+
+    def _init(self, value: Fraction):
         self.value = value
         self.free_atoms = _EMPTY
-        self._hash = hash(("rat", value))
         self._key = None
-
-    def _payload(self):
-        return self.value
 
 
 class VarX(Expr):
@@ -175,13 +180,12 @@ class VarX(Expr):
 
     __slots__ = ()
 
-    def __init__(self):
-        self._hash = hash("var-x")
+    def __new__(cls):
+        return X
+
+    def _init(self):
         self.free_atoms = frozenset((self,))
         self._key = (1,)
-
-    def _payload(self):
-        return ()
 
 
 class Jet(Expr):
@@ -189,42 +193,33 @@ class Jet(Expr):
 
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
+    def __new__(cls, index):
+        return jet(index)
+
+    def _init(self, index: int):
         self.index = index
-        self._hash = hash(("jet", index))
         self.free_atoms = frozenset((self,))
         self._key = (2, index)
-
-    def _payload(self):
-        return self.index
 
 
 class Sum(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
+    def _init(self, terms: tuple):
         self.terms = terms
         self.free_atoms = frozenset().union(*(t.free_atoms for t in terms))
-        self._hash = hash(("sum",) + terms)
         self._key = None
-
-    def _payload(self):
-        return self.terms
 
 
 class Prod(Expr):
     # _core: the product without its rational head, filled by _coeff_core
     __slots__ = ("factors", "_core")
 
-    def __init__(self, factors: tuple):
+    def _init(self, factors: tuple):
         self.factors = factors
         self.free_atoms = frozenset().union(*(f.free_atoms for f in factors))
-        self._hash = hash(("prod",) + factors)
         self._key = None
         self._core = None
-
-    def _payload(self):
-        return self.factors
 
 
 class Pow(Expr):
@@ -232,29 +227,21 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int):
+    def _init(self, base: Expr, exponent: int):
         self.base = base
         self.exponent = exponent
         self.free_atoms = base.free_atoms
-        self._hash = hash(("pow", base, exponent))
         self._key = None
-
-    def _payload(self):
-        return (self.base, self.exponent)
 
 
 class _Unary(Expr):
     __slots__ = ("arg",)
     _tag = "?"
 
-    def __init__(self, arg: Expr):
+    def _init(self, arg: Expr):
         self.arg = arg
         self.free_atoms = arg.free_atoms
-        self._hash = hash((self._tag, arg))
         self._key = None
-
-    def _payload(self):
-        return self.arg
 
 
 class Exp(_Unary):
@@ -285,15 +272,11 @@ class AntiDeriv(Expr):
 
     __slots__ = ("integrand", "var")
 
-    def __init__(self, integrand: Expr, var: Expr):
+    def _init(self, integrand: Expr, var: Expr):
         self.integrand = integrand
         self.var = var
         self.free_atoms = integrand.free_atoms | var.free_atoms
-        self._hash = hash(("int", integrand, var))
         self._key = None
-
-    def _payload(self):
-        return (self.integrand, self.var)
 
 
 _EMPTY: frozenset = frozenset()
@@ -337,11 +320,15 @@ _INTERN: dict = {}
 
 
 def _intern(key, cls, *args) -> Expr:
+    """The one node of `key`.  A composite's key is `(cls,) + args`, the one
+    a class call looks up; a new node is made past the class's `__new__`."""
     node = _INTERN.get(key)
     if node is None:
         # setdefault, not a store: of two threads building the same node,
         # both get the one that was inserted first
-        node = _INTERN.setdefault(key, cls(*args))
+        node = object.__new__(cls)
+        node._init(*args)
+        node = _INTERN.setdefault(key, node)
     return node
 
 
@@ -390,7 +377,7 @@ def _coeff_core(t: Expr) -> tuple[Fraction, Expr]:
             core = t._core
             if core is None:
                 rest = t.factors[1:]
-                core = rest[0] if len(rest) == 1 else _intern(("p", rest), Prod, rest)
+                core = rest[0] if len(rest) == 1 else _intern((Prod, rest), Prod, rest)
                 t._core = core
             return head.value, core
     return _F_ONE, t
@@ -404,7 +391,7 @@ def _with_coeff(c: Fraction, core: Expr) -> Expr:
         fs = (head,) + core.factors
     else:
         fs = (head, core)
-    return _intern(("p", fs), Prod, fs)
+    return _intern((Prod, fs), Prod, fs)
 
 
 def add(*terms: ExprLike) -> Expr:
@@ -441,14 +428,14 @@ def add(*terms: ExprLike) -> Expr:
     if len(out) == 1:
         return out[0]
     out.sort(key=sort_key)
-    return _intern(("s", tuple(out)), Sum, tuple(out))
+    return _intern((Sum, tuple(out)), Sum, tuple(out))
 
 
 def _exp_raw(arg: Expr) -> Expr:
     # arg is a canonical non-Sum term
     if arg is ZERO:
         return ONE
-    return _intern(("e", arg), Exp, arg)
+    return _intern((Exp, arg), Exp, arg)
 
 
 def _merge_exps(exps: list[Expr]) -> list[Expr]:
@@ -552,7 +539,7 @@ def mul(*factors: ExprLike) -> Expr:
         pieces.insert(0, rational(coeff))
     if len(pieces) == 1:
         return pieces[0]
-    return _intern(("p", tuple(pieces)), Prod, tuple(pieces))
+    return _intern((Prod, tuple(pieces)), Prod, tuple(pieces))
 
 
 def pow_int(base: ExprLike, n: int) -> Expr:
@@ -585,7 +572,7 @@ def pow_int(base: ExprLike, n: int) -> Expr:
         for _ in range(n - 1):
             out = mul(out, b)
         return out
-    return _intern(("^", b, n), Pow, b, n)
+    return _intern((Pow, b, n), Pow, b, n)
 
 
 def exp(arg: ExprLike) -> Expr:
@@ -603,27 +590,27 @@ def log(arg: ExprLike) -> Expr:
     a = as_expr(arg)
     if a is ONE:
         return ZERO
-    return _intern(("l", a), Log, a)
+    return _intern((Log, a), Log, a)
 
 
 def sin(arg: ExprLike) -> Expr:
     a = as_expr(arg)
     if a is ZERO:
         return ZERO
-    return _intern(("si", a), Sin, a)
+    return _intern((Sin, a), Sin, a)
 
 
 def cos(arg: ExprLike) -> Expr:
     a = as_expr(arg)
     if a is ZERO:
         return ONE
-    return _intern(("co", a), Cos, a)
+    return _intern((Cos, a), Cos, a)
 
 
 def _ad_raw(integrand: Expr, var: Expr) -> Expr:
     if not isinstance(var, (VarX, Jet)):
         raise ExprError("integration variable must be x or a jet variable")
-    return _intern(("i", integrand, var), AntiDeriv, integrand, var)
+    return _intern((AntiDeriv, integrand, var), AntiDeriv, integrand, var)
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +853,7 @@ def _bind_zero(e: Expr, v: Expr) -> Expr:
     opaque integral over v collapses to 0 (the integral from 0 to 0)."""
     if v not in e.free_atoms:
         return e
-    if e == v or (e.__class__ is AntiDeriv and e.var is v):
+    if e is v or (e.__class__ is AntiDeriv and e.var is v):
         return ZERO
     return _rebuild(e, lambda c: _bind_zero(c, v))
 
@@ -1242,15 +1229,9 @@ class ZeroVerdict:
         return kind + " " + json.dumps(o, sort_keys=True)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ZeroStructural(ZeroVerdict):
     """The expression simplifies to the literal 0."""
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroStructural)
-
-    def __hash__(self):
-        return hash("zero-structural")
 
 
 @dataclass(frozen=True)
@@ -1260,16 +1241,12 @@ class ZeroNumeric(ZeroVerdict):
     points: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NonZero(ZeroVerdict):
     """A witness point where the magnitude exceeds the tolerance."""
 
     point: dict
     value: float
-
-    def __eq__(self, other):
-        return (isinstance(other, NonZero) and other.point == self.point
-                and other.value == self.value)
 
 
 @dataclass(frozen=True)

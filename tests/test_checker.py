@@ -18,7 +18,11 @@ from varmult.checker import (
 )
 from varmult.jetops import total_derivative
 from varmult.symexpr import (
+    Jet,
     NonZero,
+    Pow,
+    Prod,
+    VarX,
     ZERO,
     ONE,
     add,
@@ -30,6 +34,7 @@ from varmult.symexpr import (
     mul,
     pow_int,
     render,
+    simplify,
     sin,
 )
 from varmult.testkit import GenConfig, gen_params
@@ -88,6 +93,23 @@ def test_check_preconditions():
         check(p4, 2, CFG)  # f may depend on jets up to p3 only
     with pytest.raises(ValueError):
         check(ZERO, 1, CFG)
+
+
+@pytest.mark.parametrize("f,n,outcome,step", [
+    (Pow(Jet(3), 2), 2, Accepted, None),
+    (Pow(Jet(3), 3), 2, Rejected, "S2(k=3)"),
+    (Pow(Jet(1), 2), 2, Rejected, "S5"),
+    (Prod((VarX(), Jet(2))), 2, Rejected, "S5"),
+    (Pow(Jet(5), 2), 3, Rejected, "S1"),
+])
+def test_check_of_hand_built_trees(f, n, outcome, step):
+    # trees built by calling the node classes get the verdicts of their
+    # canonical forms (and check does not loop pruning a raw p3)
+    report = check(f, n, CFG)
+    assert isinstance(report.outcome, outcome)
+    assert getattr(report.outcome, "step", None) == step
+    assert (_report_fingerprint(report)
+            == _report_fingerprint(check(simplify(f), n, CFG)))
 
 
 def test_check_linear_equation_reconstruction():
@@ -296,3 +318,14 @@ def test_verify_triple_rejects_a_corrupted_lagrangian():
     bad = add(t.L, mul(Fraction(1, 3), p0, pow_int(p2, 2)))
     corrupted = VariationalTriple(f=t.f, rho=t.rho, L=bad, n=t.n, m=t.m)
     assert isinstance(verify_triple(corrupted, CFG), NonZero)
+
+
+def test_verify_triple_of_a_hand_built_lagrangian():
+    # L = p1^4 + p2^2/2 with its p1^4 built by calling the node classes:
+    # E(L) = p4 - 12*p1^2*p2, so f = 0 is rejected and f = 12*p1^2*p2 is not
+    L = add(mul(Fraction(1, 2), pow_int(p2, 2)), Pow(Jet(1), 4))
+    wrong = VariationalTriple(f=ZERO, rho=ONE, L=L, n=2, m=2)
+    assert isinstance(verify_triple(wrong, CFG), NonZero)
+    right = VariationalTriple(f=mul(12, pow_int(p1, 2), p2), rho=ONE, L=L,
+                              n=2, m=2)
+    assert verify_triple(right, CFG).is_zero

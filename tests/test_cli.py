@@ -212,12 +212,35 @@ def test_internal_error_has_its_own_exit_code(monkeypatch):
                    "recursion depth exceeded\n")
 
 
-def _python(*args, stdout=subprocess.PIPE):
-    env = dict(os.environ)
+def _python(*args, stdout=subprocess.PIPE, env=None):
+    env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(varmult.__file__))
     return subprocess.run([sys.executable, *args], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env,
                           timeout=120)
+
+
+def test_check_json_is_identical_across_hash_seeds():
+    # node identity is object identity, so nothing may order output by
+    # hash: the same input must print the same bytes in any process
+    exprs = ("p3^2",
+             "-9/4*p2 - 5/4*p1*p2*exp(3/2*x) - exp(-p0)*exp(1/2*x) + 3*p3"
+             " + x*exp(3/2*x)",
+             "-p2 - p0 + x",
+             "p3^2 - p2 + x*p0")
+    script = ("import sys\n"
+              "from varmult.cli import run\n"
+              "for e in sys.argv[1:]:\n"
+              "    run(['check', '--order', '2', '--expr=' + e, '--json'])\n")
+    outs = set()
+    for seed in ("0", "1", "12345"):
+        proc = _python("-c", script, *exprs, env={"PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
+    results = [json.loads(line)["result"]["outcome"]
+               for line in outs.pop().splitlines()]
+    assert results == ["accepted", "accepted", "accepted", "rejected"]
 
 
 def test_closed_stdout_exits_quietly():

@@ -3,6 +3,7 @@ numeric evaluation and the zero test."""
 
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 
@@ -15,12 +16,14 @@ from varmult.symexpr import (
     AntiDeriv,
     ExprError,
     Inconclusive,
+    Jet,
     NonZero,
     ParseError,
     Pow,
     Prod,
     Rat,
     Sum,
+    VarX,
     X,
     ZERO,
     ONE,
@@ -375,6 +378,19 @@ def test_simplify_of_raw_nodes():
     assert simplify(raw2) == mul(2, pow_int(p1, 2), p2)
     raw3 = Pow(Prod((p1, p1)), 2)
     assert simplify(raw3) == pow_int(p1, 4)
+    # calling a node class returns the interned node of that structure
+    assert Jet(3) is jet(3) and VarX() is X
+    assert Rat(Fraction(2)) is rational(2) and Rat(Fraction(0)) is ZERO
+    assert Pow(Jet(1), 4) is pow_int(p1, 4)
+    # ... which need not be canonical: that is what simplify is for
+    assert Sum((p1, p1)) is Sum((p1, p1)) and Sum((p1, p1)) is not mul(2, p1)
+    assert diff(pow_int(jet(3), 2), Jet(3)) is mul(2, jet(3))
+    assert substitute(Pow(Jet(3), 2), {Jet(3): 2}) is rational(4)
+    assert copy.copy(raw2) is raw2 and copy.deepcopy([raw3])[0] is raw3
+    assert simplify(Jet(3)) is jet(3)
+    assert simplify(Sum((Jet(3), jet(3)))) is mul(2, jet(3))
+    assert simplify(AntiDeriv(Jet(1), Jet(1))) is mul(Fraction(1, 2), pow_int(p1, 2))
+    assert isinstance(is_zero(Rat(Fraction(0))), ZeroStructural)
 
 
 def test_canonical_invariants():
@@ -520,6 +536,32 @@ def test_is_zero_deterministic():
     a = is_zero(mul(p1, p2), CFG)
     b = is_zero(mul(p1, p2), CFG)
     assert a == b and a.point == b.point
+
+
+class _Ordered(frozenset):
+    """A frozenset that iterates in sort order, or in reverse."""
+
+    reverse = False
+
+    def __iter__(self):
+        return iter(sorted(frozenset.__iter__(self), key=sort_key,
+                           reverse=self.reverse))
+
+
+class _Reversed(_Ordered):
+    reverse = True
+
+
+def test_is_zero_point_ignores_the_order_of_free_atoms(monkeypatch):
+    # set order follows identity hashes, that is object addresses, which
+    # differ between processes; the witness point must not depend on it
+    e = add(X, mul(2, p1), mul(3, p2), mul(5, p3))
+    points = []
+    for order in (_Ordered, _Reversed):
+        monkeypatch.setattr(e, "free_atoms", order(e.free_atoms))
+        points.append(is_zero(e, CFG).point)
+    assert points[0] == points[1]
+    assert list(points[1]) == [X, p1, p2, p3]
 
 
 def test_is_zero_retries_domain_errors():
