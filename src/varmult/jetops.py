@@ -5,6 +5,12 @@ Implements the truncated total derivative
 Euler-Lagrange operators ``E_m^n = sum_{k=0..n} (-1)^k D_m^k d/dp_k``, and
 the closed-form expansion of ``D_m^k`` over ``D_{m-1}`` in terms of
 multi-indices with exact rational coefficients.
+
+D_m is a derivation, so it is applied to a canonical term in one
+product-rule pass over the term's factors (an atom power changes one or two
+exponents, an exponential or a negative power of a sum is multiplied by the
+terms of D_m of its argument, log/sin/cos follow the chain rule), not as
+m + 1 partial derivatives each multiplied by a jet.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .symexpr import (Expr, ExprLike, Sum, X, add, as_expr, diff, jet, max_jet, mul,
-                      pow_int)
+from .symexpr import (AntiDeriv, Cos, Exp, Expr, ExprLike, Log, Pow, Sum, X, ZERO,
+                      _build_term, _split_term, add, as_expr, cos, diff, jet, max_jet,
+                      mul, pow_int, sin)
 
 __all__ = [
     "MultiIndex",
@@ -36,16 +43,22 @@ __all__ = [
 _TD_CACHE: dict[tuple[int, Expr], Expr] = {}
 
 
+def _check_orders(*orders) -> None:
+    for k in orders:
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"operator orders must be integers >= 0, got {k!r}")
+
+
 def total_derivative(m: int, e: ExprLike) -> Expr:
     """Apply the truncated total derivative D_m.  D_0 is d/dx; note D_m has
     no d/dp_m term, so D_m annihilates functions of p_m alone."""
-    if m < 0:
-        raise ValueError("total derivative order must be >= 0")
+    _check_orders(m)
     return _td(m, as_expr(e))
 
 
 def _td(m: int, e: Expr) -> Expr:
-    """D_m of e, term by term through the memo."""
+    """D_m of e, term by term through the memo; each term goes through one
+    product-rule pass over its canonical factors (`_td_term`)."""
     m = min(m, max_jet(e) + 1)
     key = (m, e)
     out = _TD_CACHE.get(key)
@@ -53,18 +66,79 @@ def _td(m: int, e: Expr) -> Expr:
         if e.__class__ is Sum:
             out = add(*(_td(m, t) for t in e.terms))
         else:
-            parts = [diff(e, X)]
-            for j in range(1, m + 1):
-                parts.append(mul(jet(j), diff(e, jet(j - 1))))
-            out = add(*parts)
+            out = add(*_td_term(m, e))
         _TD_CACHE[key] = out
     return out
 
 
+def _td_term(m: int, e: Expr) -> list[Expr]:
+    """The product rule for D_m on a canonical non-Sum term e, as a list of
+    terms to add: one per atom power and one per term of D_m of an exponent
+    or of a slope, each built directly; a log, sin, cos or opaque-integral
+    factor goes through `mul`."""
+    coeff, atoms, others = _split_term(e)
+    parts = []
+    for a, k in atoms.items():
+        # D_m x^k = k x^(k-1) and D_m p_j^k = k p_j^(k-1) p_{j+1} for j < m;
+        # p_m is a constant of D_m
+        if a is not X and a.index >= m:
+            continue
+        d = dict(atoms)
+        d[a] = k - 1
+        if a is not X:
+            nxt = jet(a.index + 1)
+            d[nxt] = d.get(nxt, 0) + 1
+        parts.append(_build_term(k * coeff, d, others))
+    for i, f in enumerate(others):
+        if f.__class__ is Exp:
+            # D exp(a) = exp(a) D a
+            scale, inner, keep = coeff, f.arg, others
+        elif f.__class__ is Pow and f.base.__class__ is Sum:
+            # D S^k = k S^(k-1) D S; canonical terms hold only k < 0
+            k = f.exponent
+            scale, inner = k * coeff, f.base
+            keep = others[:i] + others[i + 1:] + [pow_int(inner, k - 1)]
+        else:
+            rest = _build_term(coeff, atoms, others[:i] + others[i + 1:])
+            parts.append(mul(rest, _td_factor(m, f)))
+            continue
+        d_inner = _td(m, inner)
+        if d_inner is ZERO:
+            continue
+        for t in (d_inner.terms if d_inner.__class__ is Sum else (d_inner,)):
+            c, t_atoms, t_others = _split_term(t)
+            if t_others:
+                parts.append(mul(_build_term(scale, atoms, keep), t))
+                continue
+            d = dict(atoms)
+            for a, n in t_atoms.items():
+                d[a] = d.get(a, 0) + n
+            parts.append(_build_term(scale * c, d, keep))
+    return parts
+
+
+def _td_factor(m: int, f: Expr) -> Expr:
+    """D_m of a factor g^k of a canonical term, g a log, sin, cos or opaque
+    integral: the chain rule, and for an opaque integral the partial
+    derivatives d/dx + sum_j p_j d/dp_{j-1}."""
+    g, k = (f.base, f.exponent) if f.__class__ is Pow else (f, 1)
+    cls = g.__class__
+    if cls is AntiDeriv:
+        dg = add(diff(g, X), *(mul(jet(j), diff(g, jet(j - 1))) for j in range(1, m + 1)))
+    else:
+        da = _td(m, g.arg)
+        if cls is Log:
+            dg = mul(da, pow_int(g.arg, -1))
+        elif cls is Cos:
+            dg = mul(-1, sin(g.arg), da)
+        else:  # Sin
+            dg = mul(cos(g.arg), da)
+    return dg if k == 1 else mul(k, pow_int(g, k - 1), dg)
+
+
 def d_pow(m: int, k: int, e: ExprLike) -> Expr:
     """k-fold application of D_m."""
-    if k < 0:
-        raise ValueError("power must be >= 0")
+    _check_orders(m, k)
     out = as_expr(e)
     for _ in range(k):
         out = total_derivative(m, out)
@@ -75,8 +149,7 @@ def euler_op(m: int, n: int, e: ExprLike) -> Expr:
     """The m-th order Euler-Lagrange operator with n+1 terms,
     sum_{k=0..n} (-1)^k D_m^k d/dp_k, in Horner form
     d/dp_0 - D_m(d/dp_1 - D_m(... - D_m d/dp_n)): n applications of D_m."""
-    if m < 0 or n < 0:
-        raise ValueError("operator orders must be >= 0")
+    _check_orders(m, n)
     e = as_expr(e)
     out = diff(e, jet(n))
     for k in range(n - 1, -1, -1):

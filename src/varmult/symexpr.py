@@ -116,6 +116,8 @@ class Expr:
     fields are filled once, by `_init`, when the node is first made."""
 
     __slots__ = ("_key", "free_atoms")
+    #: the attributes that are the arguments of a class call, in order
+    _args: tuple = ()
 
     def __new__(cls, *args):
         return _intern((cls,) + args, cls, *args)
@@ -126,6 +128,11 @@ class Expr:
 
     def __deepcopy__(self, memo):
         return self
+
+    # unpickling calls the class, which interns: in one process
+    # pickle.loads(pickle.dumps(e)) is e
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._args)
 
     def __repr__(self) -> str:
         return render(self)
@@ -165,6 +172,7 @@ class Rat(Expr):
     """Exact rational constant."""
 
     __slots__ = ("value",)
+    _args = __slots__
 
     def __new__(cls, value):
         return rational(value)
@@ -192,6 +200,7 @@ class Jet(Expr):
     """The jet variable p_k, standing for the k-th derivative of the unknown."""
 
     __slots__ = ("index",)
+    _args = __slots__
 
     def __new__(cls, index):
         return jet(index)
@@ -204,6 +213,7 @@ class Jet(Expr):
 
 class Sum(Expr):
     __slots__ = ("terms",)
+    _args = __slots__
 
     def _init(self, terms: tuple):
         self.terms = terms
@@ -214,6 +224,7 @@ class Sum(Expr):
 class Prod(Expr):
     # _core: the product without its rational head, filled by _coeff_core
     __slots__ = ("factors", "_core")
+    _args = ("factors",)
 
     def _init(self, factors: tuple):
         self.factors = factors
@@ -226,6 +237,7 @@ class Pow(Expr):
     """Integer power with exponent outside {0, 1}."""
 
     __slots__ = ("base", "exponent")
+    _args = __slots__
 
     def _init(self, base: Expr, exponent: int):
         self.base = base
@@ -236,6 +248,7 @@ class Pow(Expr):
 
 class _Unary(Expr):
     __slots__ = ("arg",)
+    _args = __slots__
     _tag = "?"
 
     def _init(self, arg: Expr):
@@ -271,6 +284,7 @@ class AntiDeriv(Expr):
     quadrature."""
 
     __slots__ = ("integrand", "var")
+    _args = __slots__
 
     def _init(self, integrand: Expr, var: Expr):
         self.integrand = integrand
@@ -540,6 +554,46 @@ def mul(*factors: ExprLike) -> Expr:
     if len(pieces) == 1:
         return pieces[0]
     return _intern((Prod, tuple(pieces)), Prod, tuple(pieces))
+
+
+def _split_term(t: Expr) -> tuple[Fraction, dict[Expr, int], list[Expr]]:
+    """A canonical non-Sum term as (rational coefficient, atom -> exponent
+    over x and the jets, the other factors in order); `_build_term` inverts
+    it."""
+    coeff = _F_ONE
+    atoms: dict[Expr, int] = {}
+    others: list[Expr] = []
+    for f in (t.factors if t.__class__ is Prod else (t,)):
+        cls = f.__class__
+        if cls is Rat:
+            coeff = f.value
+        elif cls is VarX or cls is Jet:
+            atoms[f] = 1
+        elif cls is Pow and f.base.__class__ in (VarX, Jet):
+            atoms[f.base] = f.exponent
+        else:
+            others.append(f)
+    return coeff, atoms, others
+
+
+def _build_term(coeff: Fraction, atoms: Mapping[Expr, int], others: list[Expr]) -> Expr:
+    """The canonical product of a nonzero `coeff`, the atom powers (a zero
+    exponent drops the atom) and `others`: what `mul` returns for them, with
+    one sort and one intern.  `others` must be canonical non-atom factors
+    that merge with nothing else here, as the remaining factors of a
+    canonical term do."""
+    pieces = [a if n == 1 else _intern((Pow, a, n), Pow, a, n)
+              for a, n in atoms.items() if n]
+    pieces.extend(others)
+    if not pieces:
+        return rational(coeff)
+    pieces.sort(key=sort_key)
+    if coeff != 1:
+        pieces.insert(0, rational(coeff))
+    if len(pieces) == 1:
+        return pieces[0]
+    fs = tuple(pieces)
+    return _intern((Prod, fs), Prod, fs)
 
 
 def pow_int(base: ExprLike, n: int) -> Expr:

@@ -1,10 +1,13 @@
 """Golden canonical output.
 
 A digest over the rendered outputs of `construct` and `check` on a slice of
-the acceptance roundtrip corpus.  Every canonical form is unique, so a kernel
-change that keeps the algebra but reorders terms or factors, or changes which
-equal node a constructor returns, changes this digest.  Update the pinned
-value only for a change that means to alter canonical output.
+the acceptance roundtrip corpus.  It pins the output the current constructors
+produce, not a unique normal form: with negative powers of sums two equal
+expressions can have different canonical forms (S * S^-1 folds only where S
+meets its own inverse in one product).  A kernel change that keeps the
+algebra but reorders terms or factors, or changes which of several equal
+forms a constructor returns, changes this digest.  Update the pinned value
+only for a change that means to alter canonical output.
 """
 
 from __future__ import annotations

@@ -28,12 +28,15 @@ from varmult.symexpr import (
     ZERO,
     add,
     antideriv,
+    cos,
     diff,
     exp,
     jet,
+    log,
     max_jet,
     mul,
     pow_int,
+    sin,
 )
 
 p0, p1, p2, p3, p4 = (jet(k) for k in range(5))
@@ -49,11 +52,30 @@ def test_total_derivative_examples():
     assert total_derivative(4, p3) == p4
     got = total_derivative(2, mul(X, p0, p1))
     assert got == add(mul(p0, p1), mul(X, pow_int(p1, 2)), mul(X, p0, p2))
+    # for a slope S with dS/dp0 = S, the partial-derivative form cancels
+    # S * S^-1 and the derivation keeps D_m S whole: canonical forms with
+    # negative powers of sums are not unique, but the two agree in value
+    s = add(exp(p0), mul(X, exp(p0)))
+    e = mul(p1, pow_int(s, -2))
+    partials = add(diff(e, X), mul(p1, diff(e, p0)), mul(p2, diff(e, p1)))
+    assert_zeroish(add(total_derivative(2, e), mul(-1, partials)))
 
 
 def test_total_derivative_validates():
     with pytest.raises(ValueError):
         total_derivative(-1, p1)
+    # orders are integers: 2.5 and 1.0 are rejected, not truncated or
+    # left to fail inside range()
+    for call in (lambda: total_derivative(2.5, pow_int(p1, 2)),
+                 lambda: total_derivative(Fraction(2), p1),
+                 lambda: d_pow(2.5, 1, p1),
+                 lambda: d_pow(2, 1.0, p1),
+                 lambda: d_pow(2.5, 0, p1),
+                 lambda: euler_op(1.0, 1, p1),
+                 lambda: euler_op(2, 1.5, p1),
+                 lambda: euler_op(-1, 1, p1)):
+        with pytest.raises(ValueError, match="integers >= 0"):
+            call()
 
 
 def test_d_pow_examples():
@@ -108,11 +130,27 @@ def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
     assert calls == [2 * n] * n
 
 
+def _td_branches(seed):
+    # one summand per case of the product-rule pass in jetops._td_term
+    return [
+        mul(rand_expr(seed + 10, max_index=3), pow_int(p2, -2)),  # negative atom power
+        mul(p4, p1, pow_int(p3, 2)),  # p_m next to lower jets
+        mul(p0, exp(mul(Fraction(1, 2), X, p1, pow_int(p2, 2)))),  # exp of a monomial
+        mul(X, exp(mul(p1, exp(p0)))),  # D_m of the exponent holds an exp
+        antideriv(exp(add(mul(p1, p2), mul(p0, p2), p0)), p2, times=2),  # S^-1, S^-2
+        antideriv(exp(add(mul(p1, p2), p0)), p2, times=2),  # p1^-1, p1^-2
+        mul(p3, pow_int(add(1, exp(p1)), -1)),  # D_m of the slope holds an exp
+        mul(log(p1), sin(p0), cos(mul(X, p3))),
+        mul(pow_int(log(p2), 2), pow_int(sin(p1), -1)),
+    ]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_total_derivative_memo_returns_identical_node(seed):
-    e = _with_exp_and_integral(seed)
+    e = add(_with_exp_and_integral(seed), *_td_branches(seed))
     top = max_jet(e)
-    for m in (1, top, top + 1, top + 3):
+    assert top == 4
+    for m in (0, 1, top - 1, top, top + 1, top + 3):
         first = total_derivative(m, e)
         assert total_derivative(m, e) is first
         # the uncached definition, D_m = d/dx + sum_j p_j d/dp_{j-1}

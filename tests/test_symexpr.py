@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -391,6 +395,37 @@ def test_simplify_of_raw_nodes():
     assert simplify(Sum((Jet(3), jet(3)))) is mul(2, jet(3))
     assert simplify(AntiDeriv(Jet(1), Jet(1))) is mul(Fraction(1, 2), pow_int(p1, 2))
     assert isinstance(is_zero(Rat(Fraction(0))), ZeroStructural)
+
+
+#: one node of every class, the last a product holding all of them
+_EACH_CLASS = (rational(Fraction(-3, 4)), X, p2, add(p1, X), pow_int(p1, -2),
+               exp(p1), log(p0), sin(p1), cos(p2), antideriv(exp(pow_int(p1, 2)), p1),
+               parse("3/4*x*p1^-2*exp(p1)*log(p0)*sin(p1)*cos(p2)*Int(exp(p1^2), p1)"
+                     "*(1 + p3)^-1"))
+
+
+def test_every_node_survives_pickling():
+    assert {type(e) for e in _EACH_CLASS} == set(symexpr._RANKS)
+    # unpickling goes through the class call, so it returns the interned node
+    for e in _EACH_CLASS:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(e, protocol)) is e
+    raw = Sum((p1, p1))  # a non-canonical node keeps its structure
+    assert pickle.loads(pickle.dumps(raw)) is raw
+
+
+def test_pickled_node_rebuilds_in_a_fresh_process():
+    e = add(*_EACH_CLASS)
+    script = ("import pickle, sys\n"
+              "from varmult import render\n"
+              "e = pickle.loads(sys.stdin.buffer.read())\n"
+              "print(render(e))\n"
+              "print(render(e, 'json'))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symexpr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(e),
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == f"{render(e)}\n{render(e, 'json')}\n"
 
 
 def test_canonical_invariants():
