@@ -27,6 +27,7 @@ from . import __version__
 from .checker import Accepted, CheckReport, Rejected, check
 from .jetops import total_derivative
 from .symexpr import (
+    MAX_JET_INDEX,
     Expr,
     ExprError,
     NonZero,
@@ -60,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide variationality of u^(2n) = f")
     p_check.add_argument("--order", type=int, required=True, metavar="N",
-                         help="half-order n >= 2 of the equation u^(2n) = f")
+                         help=f"half-order 2 <= n <= {_MAX_ORDER} of the "
+                              "equation u^(2n) = f")
     p_check.add_argument("--expr", required=True, metavar="F",
                          help="right-hand side f in x, p0..p(2n-1)")
     p_check.add_argument("--json", action="store_true")
@@ -97,6 +99,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: the equation u^(2n) = f has jets up to p_{2n}
+_MAX_ORDER = MAX_JET_INDEX // 2
+
+
+def _order(args) -> int:
+    """The --order of a subcommand, within 2 <= n <= _MAX_ORDER."""
+    n = args.order
+    if n < 2:
+        raise _Usage("--order must be >= 2")
+    if n > _MAX_ORDER:
+        raise _Usage(f"--order must be <= {_MAX_ORDER}")
+    return n
+
+
 def _cfg(seed: int | None, samples: int | None = None, tol: float | None = None) -> ZeroTestConfig:
     kw = {}
     if seed is not None:
@@ -128,9 +144,7 @@ def _trace_obj(report: CheckReport) -> list:
 
 
 def _run_check(args, out) -> int:
-    n = args.order
-    if n < 2:
-        raise _Usage("--order must be >= 2")
+    n = _order(args)
     f = parse(args.expr)
     cfg = _cfg(args.seed, args.samples, args.tol)
     report = check(f, n, cfg)
@@ -188,9 +202,7 @@ def _parse_lower(args, n: int) -> tuple[Expr, ...]:
 
 
 def _run_construct(args, out) -> int:
-    n = args.order
-    if n < 2:
-        raise _Usage("--order must be >= 2")
+    n = _order(args)
     m = args.lagrangian_order if args.lagrangian_order is not None else n
     params = ParamSet(n=n, R=parse(args.R), f_lower=_parse_lower(args, n),
                       N=parse(args.N), m=m)
@@ -229,9 +241,7 @@ def _run_fels(args, out) -> int:
 
 
 def _run_verify(args, out) -> int:
-    n = args.order
-    if n < 2:
-        raise _Usage("--order must be >= 2")
+    n = _order(args)
     try:
         triple = VariationalTriple(f=parse(args.expr), rho=parse(args.rho),
                                    L=parse(args.lagrangian), n=n, m=n)
@@ -253,9 +263,7 @@ def _run_verify(args, out) -> int:
 
 
 def _run_roundtrip(args, out) -> int:
-    n = args.order
-    if n < 2:
-        raise _Usage("--order must be >= 2")
+    n = _order(args)
     if args.trials < 1:
         raise _Usage("--trials must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()

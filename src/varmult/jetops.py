@@ -19,9 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .symexpr import (AntiDeriv, Cos, Exp, Expr, ExprLike, Log, Pow, Sum, X, ZERO,
-                      _build_term, _split_term, add, as_expr, cos, diff, jet, max_jet,
-                      mul, pow_int, sin)
+from .symexpr import (AntiDeriv, Cos, Exp, Expr, ExprLike, Log, Pow, Sum, X,
+                      _accumulate, _build_core, _coeff_core, _finish, _pairs,
+                      _split_term, _times_sum, add, as_expr, cos, diff, jet,
+                      max_jet, mul, pow_int, sin)
 
 __all__ = [
     "MultiIndex",
@@ -36,11 +37,11 @@ __all__ = [
 ]
 
 
-#: D_m results keyed on (effective order, interned node), for single terms
-#: and for whole sums.  D_m and D_{m'} agree on e once both orders exceed
-#: max_jet(e), so the key caps the order at max_jet(e) + 1.  Keys and values
-#: are interned nodes, so threads racing on one key store the same value.
-_TD_CACHE: dict[tuple[int, Expr], Expr] = {}
+#: D_m results keyed on (effective order, interned node): for a single term
+#: its (coefficient, core) pairs, for a sum its canonical node.  D_m and
+#: D_{m'} agree on e once both orders exceed max_jet(e), so the key caps the
+#: order at max_jet(e) + 1.  Threads racing on one key store equal values.
+_TD_CACHE: dict[tuple[int, Expr], object] = {}
 
 
 def _check_orders(*orders) -> None:
@@ -57,27 +58,35 @@ def total_derivative(m: int, e: ExprLike) -> Expr:
 
 
 def _td(m: int, e: Expr) -> Expr:
-    """D_m of e, term by term through the memo; each term goes through one
-    product-rule pass over its canonical factors (`_td_term`)."""
+    """D_m of e: the pairs of all its terms (`_td_term`) added in one
+    accumulator, so only terms that survive the sum are built."""
     m = min(m, max_jet(e) + 1)
+    if e.__class__ is not Sum:
+        return _finish(_accumulate({}, _td_term(m, e)))
     key = (m, e)
     out = _TD_CACHE.get(key)
     if out is None:
-        if e.__class__ is Sum:
-            out = add(*(_td(m, t) for t in e.terms))
-        else:
-            out = add(*_td_term(m, e))
+        acc: dict = {}
+        for t in e.terms:
+            _accumulate(acc, _td_term(m, t))
+        out = _finish(acc)
         _TD_CACHE[key] = out
     return out
 
 
-def _td_term(m: int, e: Expr) -> list[Expr]:
-    """The product rule for D_m on a canonical non-Sum term e, as a list of
-    terms to add: one per atom power and one per term of D_m of an exponent
-    or of a slope, each built directly; a log, sin, cos or opaque-integral
-    factor goes through `mul`."""
+def _td_term(m: int, e: Expr) -> tuple:
+    """The product rule for D_m on a canonical non-Sum term e, memoized, as
+    (coefficient, core) pairs: one per atom power, and the term with the
+    factor differentiated away times each term of D_m of that factor's
+    argument (an exponent, a slope, or the argument of a log, sin, cos or
+    opaque integral)."""
+    m = min(m, max_jet(e) + 1)
+    key = (m, e)
+    out = _TD_CACHE.get(key)
+    if out is not None:
+        return out
     coeff, atoms, others = _split_term(e)
-    parts = []
+    pairs = []
     for a, k in atoms.items():
         # D_m x^k = k x^(k-1) and D_m p_j^k = k p_j^(k-1) p_{j+1} for j < m;
         # p_m is a constant of D_m
@@ -88,33 +97,25 @@ def _td_term(m: int, e: Expr) -> list[Expr]:
         if a is not X:
             nxt = jet(a.index + 1)
             d[nxt] = d.get(nxt, 0) + 1
-        parts.append(_build_term(k * coeff, d, others))
+        pairs.append((k * coeff, _build_core(d, others)))
+    acc = _accumulate({}, pairs)
     for i, f in enumerate(others):
         if f.__class__ is Exp:
             # D exp(a) = exp(a) D a
-            scale, inner, keep = coeff, f.arg, others
+            scale, core, d_inner = coeff, _coeff_core(e)[1], _td_term(m, f.arg)
         elif f.__class__ is Pow and f.base.__class__ is Sum:
             # D S^k = k S^(k-1) D S; canonical terms hold only k < 0
             k = f.exponent
-            scale, inner = k * coeff, f.base
-            keep = others[:i] + others[i + 1:] + [pow_int(inner, k - 1)]
+            scale = k * coeff
+            core = _build_core(atoms, others[:i] + others[i + 1:] + [pow_int(f.base, k - 1)])
+            d_inner = _pairs(_td(m, f.base))
         else:
-            rest = _build_term(coeff, atoms, others[:i] + others[i + 1:])
-            parts.append(mul(rest, _td_factor(m, f)))
-            continue
-        d_inner = _td(m, inner)
-        if d_inner is ZERO:
-            continue
-        for t in (d_inner.terms if d_inner.__class__ is Sum else (d_inner,)):
-            c, t_atoms, t_others = _split_term(t)
-            if t_others:
-                parts.append(mul(_build_term(scale, atoms, keep), t))
-                continue
-            d = dict(atoms)
-            for a, n in t_atoms.items():
-                d[a] = d.get(a, 0) + n
-            parts.append(_build_term(scale * c, d, keep))
-    return parts
+            scale, core = coeff, _build_core(atoms, others[:i] + others[i + 1:])
+            d_inner = _pairs(_td_factor(m, f))
+        _times_sum(acc, scale, core, d_inner)
+    out = tuple((c, core) for core, c in acc.items() if c)
+    _TD_CACHE[key] = out
+    return out
 
 
 def _td_factor(m: int, f: Expr) -> Expr:
@@ -147,13 +148,17 @@ def d_pow(m: int, k: int, e: ExprLike) -> Expr:
 
 def euler_op(m: int, n: int, e: ExprLike) -> Expr:
     """The m-th order Euler-Lagrange operator with n+1 terms,
-    sum_{k=0..n} (-1)^k D_m^k d/dp_k, in Horner form
-    d/dp_0 - D_m(d/dp_1 - D_m(... - D_m d/dp_n)): n applications of D_m."""
+    sum_{k=0..n} (-1)^k D_m^k d/dp_k, in Horner form with the signs on the
+    partial derivatives: s_n = (-1)^n d/dp_n e, s_k = (-1)^k d/dp_k e +
+    D_m s_{k+1}, and the result is s_0; n applications of D_m."""
     _check_orders(m, n)
     e = as_expr(e)
-    out = diff(e, jet(n))
-    for k in range(n - 1, -1, -1):
-        out = add(diff(e, jet(k)), mul(-1, total_derivative(m, out)))
+    out = None
+    for k in range(n, -1, -1):
+        d = diff(e, jet(k))
+        if k % 2:
+            d = mul(-1, d)
+        out = d if out is None else add(d, total_derivative(m, out))
     return out
 
 

@@ -294,6 +294,7 @@ class AntiDeriv(Expr):
 
 
 _EMPTY: frozenset = frozenset()
+_ATOM_CLASSES = (VarX, Jet)
 
 _RANKS = {Rat: 0, VarX: 1, Jet: 2, Pow: 3, Exp: 4, Log: 5, Sin: 6, Cos: 7,
           AntiDeriv: 8, Prod: 9, Sum: 10}
@@ -384,8 +385,10 @@ def as_expr(v: ExprLike) -> Expr:
 
 
 def _coeff_core(t: Expr) -> tuple[Fraction, Expr]:
-    """Split a canonical non-Sum term into (rational coefficient, core)."""
-    if t.__class__ is Prod:
+    """Split a canonical non-Sum term into (rational coefficient, core); the
+    core of a rational constant is ONE."""
+    cls = t.__class__
+    if cls is Prod:
         head = t.factors[0]
         if head.__class__ is Rat:
             core = t._core
@@ -394,55 +397,91 @@ def _coeff_core(t: Expr) -> tuple[Fraction, Expr]:
                 core = rest[0] if len(rest) == 1 else _intern((Prod, rest), Prod, rest)
                 t._core = core
             return head.value, core
+    elif cls is Rat:
+        return t.value, ONE
     return _F_ONE, t
 
 
 def _with_coeff(c: Fraction, core: Expr) -> Expr:
+    """The canonical term of a nonzero coefficient and a core; inverts
+    `_coeff_core`."""
+    if core is ONE:
+        return rational(c)
     if c == 1:
         return core
     head = rational(c)
-    if isinstance(core, Prod):
+    if core.__class__ is Prod:
         fs = (head,) + core.factors
     else:
         fs = (head, core)
-    return _intern((Prod, fs), Prod, fs)
+    t = _intern((Prod, fs), Prod, fs)
+    t._core = core
+    return t
 
 
-def add(*terms: ExprLike) -> Expr:
-    """Canonical sum: flattens, folds constants, combines like terms."""
-    const = 0
-    # core -> [coefficient, the term itself while the core occurred once]
-    acc: dict[Expr, list] = {}
-    stack = [as_expr(t) for t in reversed(terms)]
-    while stack:
-        t = stack.pop()
-        cls = t.__class__
-        if cls is Rat:
-            const += t.value
-        elif cls is Sum:
-            stack.extend(reversed(t.terms))
-        else:
-            c, core = _coeff_core(t)
-            slot = acc.get(core)
-            if slot is None:
-                acc[core] = [c, t]
-            else:
-                slot[0] += c
-                slot[1] = None
+def _pairs(e: Expr) -> list[tuple[Fraction, Expr]]:
+    """The (coefficient, core) pairs of the terms of a canonical expression."""
+    return [_coeff_core(t) for t in (e.terms if e.__class__ is Sum else (e,))]
+
+
+def _accumulate(acc: dict[Expr, Fraction], pairs) -> dict[Expr, Fraction]:
+    """Add (coefficient, core) pairs to the accumulator core -> coefficient."""
+    for c, core in pairs:
+        prev = acc.get(core)
+        acc[core] = c if prev is None else prev + c
+    return acc
+
+
+def _finish(acc: dict[Expr, Fraction], whole: dict[Expr, Expr] | None = None) -> Expr:
+    """The canonical sum of an accumulator core -> rational coefficient: zero
+    coefficients drop, the core ONE is the constant term, and the terms are
+    sorted and interned once.  `whole` maps a core to its term when that is
+    already built (in `add`, an input term whose core occurred once)."""
     out = []
-    for core, (c, t) in acc.items():
-        if t is not None:
+    if whole is None:
+        for core, c in acc.items():
+            if c:
+                out.append(_with_coeff(c, core))
+    else:
+        for core, c in acc.items():
+            t = whole[core]
+            if t is None:
+                if not c:
+                    continue
+                t = _with_coeff(c, core)
             out.append(t)
-        elif c != 0:
-            out.append(_with_coeff(c, core))
-    if const != 0:
-        out.append(rational(const))
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
     out.sort(key=sort_key)
-    return _intern((Sum, tuple(out)), Sum, tuple(out))
+    fs = tuple(out)
+    return _intern((Sum, fs), Sum, fs)
+
+
+def add(*terms: ExprLike) -> Expr:
+    """Canonical sum: flattens, folds constants, combines like terms."""
+    # core -> coefficient, and core -> the term itself while the core has
+    # occurred once, so that a term nothing merges with is kept as it is
+    acc: dict[Expr, Fraction] = {}
+    whole: dict[Expr, Expr | None] = {}
+    stack = [as_expr(t) for t in reversed(terms)]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Sum:
+            stack.extend(reversed(t.terms))
+            continue
+        if t is ZERO:
+            continue
+        c, core = _coeff_core(t)
+        prev = acc.get(core)
+        if prev is None:
+            acc[core] = c
+            whole[core] = t
+        else:
+            acc[core] = prev + c
+            whole[core] = None
+    return _finish(acc, whole)
 
 
 def _exp_raw(arg: Expr) -> Expr:
@@ -458,8 +497,7 @@ def _merge_exps(exps: list[Expr]) -> list[Expr]:
     Exponents with distinct cores cannot combine, so then the factors come
     back unchanged; that is always the case for a single canonical product."""
     if len(exps) > 1:
-        cores = {ONE if x.arg.__class__ is Rat else _coeff_core(x.arg)[1]
-                 for x in exps}
+        cores = {_coeff_core(x.arg)[1] for x in exps}
         if len(cores) < len(exps):
             total = add(*(x.arg for x in exps))
             if total.__class__ is Sum:
@@ -470,7 +508,10 @@ def _merge_exps(exps: list[Expr]) -> list[Expr]:
 
 def mul(*factors: ExprLike) -> Expr:
     """Canonical product: flattens, folds constants, merges powers and
-    exponentials, and distributes over sums."""
+    exponentials, and distributes over sums.  The factors other than sums
+    make one term, which is multiplied by the terms of each sum in turn
+    (`_times_sum`); the products are summed by core in one accumulator, and
+    only the terms that survive are built."""
     coeff = _F_ONE
     powers: dict[Expr, int] = {}
     exps: list[Expr] = []
@@ -507,30 +548,22 @@ def mul(*factors: ExprLike) -> Expr:
                 remaining.append(s)
         sums = remaining
 
-    if len(sums) == 1 and not powers and not exps:
-        # a rational times one sum: rescale each term's coefficient and add
-        # once, instead of a mul per term
-        s = sums[0]
-        if coeff == 1:
-            return s
-        terms = []
-        for t in s.terms:
-            if t.__class__ is Rat:
-                terms.append(rational(coeff * t.value))
-            else:
-                c, core = _coeff_core(t)
-                terms.append(_with_coeff(coeff * c, core))
-        return add(*terms)
-
     if sums:
-        core = [rational(coeff)]
-        core.extend(b if n == 1 else pow_int(b, n)
-                    for b, n in powers.items() if n != 0)
-        core.extend(exps)
-        parts = [mul(*core)] if core else [ONE]
+        if len(sums) == 1 and coeff == 1 and not powers and not exps:
+            return sums[0]
+        if powers or exps:
+            head = mul(rational(coeff), *exps,
+                       *(b if n == 1 else pow_int(b, n) for b, n in powers.items() if n))
+            pairs = _pairs(head)
+        else:
+            pairs = [(coeff, ONE)]
         for s in sums:
-            parts = [mul(p, t) for p in parts for t in s.terms]
-        return add(*parts)
+            acc: dict[Expr, Fraction] = {}
+            terms = _pairs(s)
+            for c, core in pairs:
+                _times_sum(acc, c, core, terms)
+            pairs = [(c, core) for core, c in acc.items() if c]
+        return _finish(acc)
 
     pieces: list[Expr] = []
     redispatch = False
@@ -569,31 +602,95 @@ def _split_term(t: Expr) -> tuple[Fraction, dict[Expr, int], list[Expr]]:
             coeff = f.value
         elif cls is VarX or cls is Jet:
             atoms[f] = 1
-        elif cls is Pow and f.base.__class__ in (VarX, Jet):
+        elif cls is Pow and f.base.__class__ in _ATOM_CLASSES:
             atoms[f.base] = f.exponent
         else:
             others.append(f)
     return coeff, atoms, others
 
 
-def _build_term(coeff: Fraction, atoms: Mapping[Expr, int], others: list[Expr]) -> Expr:
-    """The canonical product of a nonzero `coeff`, the atom powers (a zero
-    exponent drops the atom) and `others`: what `mul` returns for them, with
-    one sort and one intern.  `others` must be canonical non-atom factors
-    that merge with nothing else here, as the remaining factors of a
-    canonical term do."""
+def _build_core(atoms: Mapping[Expr, int], others: list[Expr]) -> Expr:
+    """The canonical coefficient-free product of the atom powers (a zero
+    exponent drops the atom) and `others`, with one sort and one intern; ONE
+    when nothing is left.  `others` must be canonical non-atom factors that
+    merge with nothing else here, as the remaining factors of a canonical
+    term do."""
     pieces = [a if n == 1 else _intern((Pow, a, n), Pow, a, n)
               for a, n in atoms.items() if n]
     pieces.extend(others)
     if not pieces:
-        return rational(coeff)
-    pieces.sort(key=sort_key)
-    if coeff != 1:
-        pieces.insert(0, rational(coeff))
+        return ONE
     if len(pieces) == 1:
         return pieces[0]
+    pieces.sort(key=sort_key)
     fs = tuple(pieces)
     return _intern((Prod, fs), Prod, fs)
+
+
+def _times_sum(acc: dict[Expr, Fraction], c0: Fraction, core0: Expr,
+               terms: list[tuple[Fraction, Expr]]) -> None:
+    """Add the product of the term c0*core0 with each (coefficient, core)
+    pair of `terms` to the accumulator `acc`, as `mul` would make it.  The
+    factor is split once; per term the atom exponents add up and exponentials
+    of a common core merge (a cancelled one drops), so each product is built
+    with one sort and one intern.  Only a term that shares a slope (a power
+    of a sum) or a log, sin, cos or integral base with the factor goes
+    through `mul`."""
+    if core0 is ONE:
+        _accumulate(acc, [(c0 * c, core) for c, core in terms])
+        return
+    _, f_atoms, others = _split_term(core0)
+    f_exps: dict[Expr, tuple[Fraction, Expr]] = {}  # exponent core -> (coefficient, exp)
+    f_rest: list[Expr] = []
+    f_bases = set()
+    for f in others:
+        if f.__class__ is Exp:
+            a, k = _coeff_core(f.arg)
+            f_exps[k] = (a, f)
+        else:
+            f_rest.append(f)
+            f_bases.add(f.base if f.__class__ is Pow else f)
+    for c, core in terms:
+        c = c0 * c
+        if core is ONE:
+            out = core0
+        else:
+            atoms = f_atoms.copy()
+            pieces = f_rest.copy()
+            exps = f_exps
+            for f in (core.factors if core.__class__ is Prod else (core,)):
+                cls = f.__class__
+                if cls is VarX or cls is Jet:
+                    atoms[f] = atoms.get(f, 0) + 1
+                elif cls is Pow and f.base.__class__ in _ATOM_CLASSES:
+                    atoms[f.base] = atoms.get(f.base, 0) + f.exponent
+                elif cls is Exp and exps:
+                    a, k = _coeff_core(f.arg)
+                    hit = exps.get(k)
+                    if hit is None:
+                        pieces.append(f)
+                        continue
+                    # exp(a*k) * exp(b*k) = exp((a + b)*k), 1 when a + b = 0
+                    if exps is f_exps:
+                        exps = f_exps.copy()
+                    del exps[k]
+                    a += hit[0]
+                    if a:
+                        pieces.append(_exp_raw(_with_coeff(a, k)))
+                elif (f.base if cls is Pow else f) in f_bases:
+                    # a shared slope or function base: powers merge in `mul`
+                    out = None
+                    break
+                else:
+                    pieces.append(f)
+            else:
+                pieces.extend(x for _, x in exps.values())
+                out = _build_core(atoms, pieces)
+            if out is None:
+                _accumulate(acc, _pairs(mul(rational(c), core0, core)))
+                continue
+        prev = acc.get(out)
+        acc[out] = c if prev is None else prev + c
 
 
 def pow_int(base: ExprLike, n: int) -> Expr:
@@ -768,14 +865,7 @@ def antideriv(e: ExprLike, v: Expr, times: int = 1) -> Expr:
 
 def _core_coeff_map(e: Expr) -> dict[Expr, Fraction]:
     """Canonical expression as a map core -> rational coefficient."""
-    out: dict[Expr, Fraction] = {}
-    for t in (e.terms if isinstance(e, Sum) else (e,)):
-        if isinstance(t, Rat):
-            out[ONE] = t.value
-        else:
-            c, core = _coeff_core(t)
-            out[core] = c
-    return out
+    return {core: c for c, core in _pairs(e)}
 
 
 def _rat_multiple(u: Expr, a: Expr) -> Fraction | None:
@@ -1297,7 +1387,8 @@ class ZeroNumeric(ZeroVerdict):
 
 @dataclass(frozen=True)
 class NonZero(ZeroVerdict):
-    """A witness point where the magnitude exceeds the tolerance."""
+    """A witness point where the magnitude exceeds the tolerance (for a
+    Laurent polynomial that is not 0, where it could be found)."""
 
     point: dict
     value: float
@@ -1466,7 +1557,12 @@ def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
     errors); the verdict is zero-numeric when every sampled magnitude is
     within atol + 1e-8 * scale, where scale is the largest intermediate
     magnitude at that point.  A zero-numeric verdict is probabilistic;
-    nonzero verdicts carry an explicit witness.
+    nonzero verdicts carry an explicit witness.  A Laurent polynomial in x
+    and the jets (no exp, log, sin, cos or integral) is decided exactly: its
+    canonical form is unique, so when it is not 0 but every sample is within
+    tolerance (say, it underflows), the verdict is nonzero, with a witness
+    found along the ray through the first sample (`_ray_witness`), which may
+    lie outside the box.
     """
     cfg = cfg or _DEFAULT_CFG
     s = simplify(e)
@@ -1482,6 +1578,7 @@ def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
     rng = random.Random(cfg.seed)
     lo, hi = _BOX
     evaluated = 0
+    first = None
     scale = _Scale(_EVAL_BUDGET)  # one budget for the whole call
     for _ in range(cfg.samples):
         for _ in range(_MAX_RETRIES_PER_POINT):
@@ -1499,6 +1596,54 @@ def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
         evaluated += 1
         if abs(val) > cfg.atol + _RTOL * scale.value:
             return NonZero(point=pt, value=val)
+        if first is None:
+            first = (pt, val)
     if evaluated == 0:
         return Inconclusive("no sample point could be evaluated")
+    if _is_laurent(s):
+        # the canonical form of a Laurent polynomial is unique, so one that
+        # is not the literal 0 is nonzero, however small its samples are
+        return _ray_witness(s, first, cfg, scale)
     return ZeroNumeric(points=evaluated)
+
+
+#: steps of 2^(1/8) outward and inward along the ray through a sample point
+#: that `_ray_witness` tries
+_RAY_STEPS = 64
+
+
+def _ray_witness(s: Expr, first: tuple[dict, float], cfg: ZeroTestConfig,
+                 scale: _Scale) -> NonZero:
+    """The witness for a Laurent polynomial `s` that is not 0 but within
+    tolerance at every sample point: the first point t*p, for p the first
+    sample and t = 2^(k/8), 2^(-k/8), k = 1, 2, ..., where the value clears
+    the tolerance.  Along the ray, s is a Laurent polynomial in t, so unless
+    it is constant there its highest or lowest power takes over far enough
+    out or in.  When no step clears it (or the budget runs out), the first
+    sample is the witness."""
+    p, value = first
+    for t in (2.0 ** (sign * k / 8) for k in range(1, _RAY_STEPS + 1) for sign in (1, -1)):
+        pt = {a: v * t for a, v in p.items()}
+        scale.value = 0.0
+        try:
+            val = _eval_rec(s, pt, {}, scale)
+        except BudgetExceeded:
+            break
+        except DomainError:
+            continue
+        if abs(val) > cfg.atol + _RTOL * scale.value:
+            return NonZero(point=pt, value=val)
+    return NonZero(point=p, value=value)
+
+
+def _is_laurent(s: Expr) -> bool:
+    """Whether the canonical `s` is a Laurent polynomial over the rationals
+    in x and the jets: sums and products of rationals, x, jets and their
+    integer powers only."""
+    for t in (s.terms if s.__class__ is Sum else (s,)):
+        for f in (t.factors if t.__class__ is Prod else (t,)):
+            cls = f.__class__
+            if not (cls is Rat or cls in _ATOM_CLASSES
+                    or (cls is Pow and f.base.__class__ in _ATOM_CLASSES)):
+                return False
+    return True

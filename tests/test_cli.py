@@ -167,6 +167,20 @@ def test_check_rejects_overflowing_constant_slope():
     assert '"value": Infinity' in out
 
 
+def test_check_rejects_underflowing_polynomial_slope():
+    # S2(k=3) checks 498501000*p3^997, which is within atol at every sample
+    # point of the box; a Laurent polynomial that is not 0 is nonzero
+    code, out, _ = invoke("check", "--order", "2", "--expr", "p3^1000", "--json")
+    assert code == 1
+    result = validate(out)["result"]
+    assert result["outcome"] == "rejected" and result["step"] == "S2(k=3)"
+    assert result["witness"] == "498501000*p3^997"
+    verdict = result["verdict"]
+    assert verdict["kind"] == "nonzero" and list(verdict["point"]) == ["p3"]
+    p3 = verdict["point"]["p3"]
+    assert verdict["value"] == 498501000 * p3 ** 997 and verdict["value"] > 1e-9
+
+
 def test_check_json_is_strict_for_overflowing_values():
     # the S2(k=3) constant overflows a float: its value is null, not Infinity
     code, out, _ = invoke("check", "--order", "2", "--expr", "10^400*p3^3",
@@ -361,6 +375,14 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _, err = invoke("check", "--order", "1", "--expr", "0")
     assert code == 2
+    # the top jet p_{2n} must exist: n <= MAX_JET_INDEX // 2 = 32
+    for argv in (["check", "--expr", "p3"], ["construct"],
+                 ["verify", "--expr", "p3", "--rho", "1", "--lagrangian", "0"],
+                 ["roundtrip", "--trials", "1"]):
+        code, out, err = invoke(argv[0], "--order", "99999", *argv[1:])
+        assert (code, out, err) == (2, "", "varmult: error: --order must be <= 32\n"), argv
+        code, _, err = invoke(argv[0], "--order", "33", *argv[1:])
+        assert code == 2 and "--order must be <= 32" in err, argv
     code, _, err = invoke("construct", "--order", "2", "--R", "0",
                           "--f", "5=p1")
     assert code == 2 and "--f 5" in err

@@ -24,6 +24,7 @@ from varmult.jetops import (
 )
 from varmult.symexpr import (
     AntiDeriv,
+    ONE,
     X,
     ZERO,
     add,
@@ -52,6 +53,8 @@ def test_total_derivative_examples():
     assert total_derivative(4, p3) == p4
     got = total_derivative(2, mul(X, p0, p1))
     assert got == add(mul(p0, p1), mul(X, pow_int(p1, 2)), mul(X, p0, p2))
+    assert total_derivative(2, add(mul(X, p1), mul(-1, p0))) is mul(X, p2)
+    assert total_derivative(0, add(X, 5)) is ONE
     # for a slope S with dS/dp0 = S, the partial-derivative form cancels
     # S * S^-1 and the derivation keeps D_m S whole: canonical forms with
     # negative powers of sums are not unique, but the two agree in value
@@ -142,6 +145,8 @@ def _td_branches(seed):
         mul(p3, pow_int(add(1, exp(p1)), -1)),  # D_m of the slope holds an exp
         mul(log(p1), sin(p0), cos(mul(X, p3))),
         mul(pow_int(log(p2), 2), pow_int(sin(p1), -1)),
+        mul(X, p1), mul(-1, p0),  # D_m: p1 + x*p2 - p1, a zero coefficient drops
+        X,  # D_m x = 1, the core ONE
     ]
 
 

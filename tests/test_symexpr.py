@@ -553,6 +553,29 @@ def test_is_zero_exact_constants():
     assert is_zero(rational(-(10 ** 400)), CFG) == NonZero(point={}, value=-math.inf)
 
 
+def test_is_zero_decides_laurent_polynomials_exactly():
+    # at the default seed every sample of these is within atol of 0 (the
+    # first underflows), but a Laurent polynomial whose canonical form is not
+    # 0 is nonzero
+    e = mul(498501000, pow_int(p3, 997))
+    v = is_zero(e)
+    # the witness is found along the ray through the first sample, outside
+    # the box, where the value clears the tolerance
+    assert isinstance(v, NonZero) and set(v.point) == {p3}
+    assert abs(v.point[p3]) > 1 and abs(v.value) > ZeroTestConfig().atol
+    assert evaluate(e, v.point) == v.value
+    # a tiny coefficient stays below the relative tolerance all along the
+    # ray: the first sample is the witness
+    e = mul(Fraction(1, 10 ** 20), pow_int(p3, 997))
+    v = is_zero(e)
+    assert isinstance(v, NonZero) and set(v.point) == {p3}
+    assert -1 <= v.point[p3] <= 1 and evaluate(e, v.point) == v.value
+    assert symexpr._is_laurent(add(3, mul(X, pow_int(p1, -2))))
+    # a negative power of a sum, or an exponential, leaves the fragment
+    assert not symexpr._is_laurent(mul(X, pow_int(add(1, p1), -1)))
+    assert not symexpr._is_laurent(add(p1, exp(p2)))
+
+
 def test_is_zero_numeric_path():
     # exp(x)*exp(-x) - 1 cancels structurally; sin^2 + cos^2 - 1 does not,
     # the numeric path must accept it
@@ -782,3 +805,64 @@ def test_add_keeps_terms_with_distinct_cores(monkeypatch):
     assert calls == [(Fraction(5), mul(p1, p2))]
     assert merged is add(mul(5, p1, p2), *terms[1:])
     assert add(s, mul(-3, p1, p2)) is add(*terms[1:])
+
+
+# ---------------------------------------------------------------------------
+# distribution of a product over sums
+# ---------------------------------------------------------------------------
+
+_SLOPE = add(1, exp(p0))
+
+#: factors of the random terms below: atom powers that cancel against each
+#: other, exponentials whose cores collide and cancel (rational exponents
+#: too), 1/S and 1/S^2 for a sum S, and log powers, which only `mul` merges
+_FACTORS = [X, p1, p2, pow_int(p1, -1), pow_int(p2, 2), pow_int(X, -2),
+            exp(p1), exp(mul(-1, p1)), exp(mul(2, p1)), exp(mul(Fraction(1, 2), p1)),
+            exp(3), exp(-3), exp(rational(Fraction(1, 2))),
+            exp(mul(p1, p2)), exp(mul(-1, p1, p2)),
+            pow_int(_SLOPE, -1), pow_int(_SLOPE, -2),
+            log(p1), pow_int(log(p1), 2), pow_int(log(p1), -1)]
+
+
+def _random_term(rng):
+    c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+    if rng.random() < 0.2:
+        return rational(c)  # a constant term
+    return mul(c, *rng.sample(_FACTORS, rng.randint(1, 3)))
+
+
+def _random_sum(rng):
+    s = add(*(_random_term(rng) for _ in range(rng.randint(2, 6))))
+    return s if isinstance(s, Sum) else add(s, X)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_product_over_sums_matches_term_by_term_products(seed):
+    import random
+
+    rng = random.Random(seed)
+    a = _random_term(rng)
+    s1, s2 = _random_sum(rng), _random_sum(rng)
+    assert mul(a, s1) is add(*(mul(a, t) for t in s1.terms))
+    assert mul(a, s1, s2) is add(*(mul(a, t, u) for t in s1.terms for u in s2.terms))
+
+
+def test_product_over_a_sum_hand_picked_cases():
+    s = add(3, mul(2, exp(mul(-1, p1)), exp(-3), p1), mul(log(p1), exp(mul(p1, p2))),
+            mul(Fraction(1, 2), pow_int(_SLOPE, -1), X),
+            mul(p2, exp(mul(2, p1)), exp(rational(Fraction(1, 2)))))
+    a = mul(-2, exp(p1), exp(3), pow_int(p1, -1), log(p1), pow_int(_SLOPE, -2))
+    got = mul(a, s)
+    assert got is add(*(mul(a, t) for t in s.terms))
+    assert set(got.terms) == {
+        mul(-6, exp(p1), exp(3), pow_int(p1, -1), log(p1), pow_int(_SLOPE, -2)),
+        # both exponentials cancel, and p1^-1 against p1
+        mul(-4, log(p1), pow_int(_SLOPE, -2)),
+        # a shared log and a shared slope merge into powers
+        mul(-2, exp(p1), exp(3), exp(mul(p1, p2)), pow_int(p1, -1),
+            pow_int(log(p1), 2), pow_int(_SLOPE, -2)),
+        mul(-1, X, exp(p1), exp(3), pow_int(p1, -1), log(p1), pow_int(_SLOPE, -3)),
+        # exponentials of a common core merge without cancelling
+        mul(-2, p2, exp(mul(3, p1)), exp(rational(Fraction(7, 2))), pow_int(p1, -1),
+            log(p1), pow_int(_SLOPE, -2)),
+    }
