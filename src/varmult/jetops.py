@@ -6,11 +6,9 @@ Euler-Lagrange operators ``E_m^n = sum_{k=0..n} (-1)^k D_m^k d/dp_k``, and
 the closed-form expansion of ``D_m^k`` over ``D_{m-1}`` in terms of
 multi-indices with exact rational coefficients.
 
-D_m is a derivation, so it is applied to a canonical term in one
-product-rule pass over the term's factors (an atom power changes one or two
-exponents, an exponential or a negative power of a sum is multiplied by the
-terms of D_m of its argument, log/sin/cos follow the chain rule), not as
-m + 1 partial derivatives each multiplied by a jet.
+D_m is a derivation of the jet ring, like a partial derivative: both are
+applied by the kernel's one product-rule pass (`symexpr._derive`), which
+differs between them only in the image of an atom.
 """
 
 from __future__ import annotations
@@ -19,10 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .symexpr import (AntiDeriv, Cos, Exp, Expr, ExprLike, Log, Pow, Sum, X,
-                      _accumulate, _build_core, _coeff_core, _finish, _pairs,
-                      _split_term, _times_sum, add, as_expr, cos, diff, jet,
-                      max_jet, mul, pow_int, sin)
+from .symexpr import Expr, ExprLike, _derive, add, as_expr, diff, jet, mul, pow_int
 
 __all__ = [
     "MultiIndex",
@@ -37,13 +32,6 @@ __all__ = [
 ]
 
 
-#: D_m results keyed on (effective order, interned node): for a single term
-#: its (coefficient, core) pairs, for a sum its canonical node.  D_m and
-#: D_{m'} agree on e once both orders exceed max_jet(e), so the key caps the
-#: order at max_jet(e) + 1.  Threads racing on one key store equal values.
-_TD_CACHE: dict[tuple[int, Expr], object] = {}
-
-
 def _check_orders(*orders) -> None:
     for k in orders:
         if not isinstance(k, int) or k < 0:
@@ -54,87 +42,8 @@ def total_derivative(m: int, e: ExprLike) -> Expr:
     """Apply the truncated total derivative D_m.  D_0 is d/dx; note D_m has
     no d/dp_m term, so D_m annihilates functions of p_m alone."""
     _check_orders(m)
-    return _td(m, as_expr(e))
-
-
-def _td(m: int, e: Expr) -> Expr:
-    """D_m of e: the pairs of all its terms (`_td_term`) added in one
-    accumulator, so only terms that survive the sum are built."""
-    m = min(m, max_jet(e) + 1)
-    if e.__class__ is not Sum:
-        return _finish(_accumulate({}, _td_term(m, e)))
-    key = (m, e)
-    out = _TD_CACHE.get(key)
-    if out is None:
-        acc: dict = {}
-        for t in e.terms:
-            _accumulate(acc, _td_term(m, t))
-        out = _finish(acc)
-        _TD_CACHE[key] = out
-    return out
-
-
-def _td_term(m: int, e: Expr) -> tuple:
-    """The product rule for D_m on a canonical non-Sum term e, memoized, as
-    (coefficient, core) pairs: one per atom power, and the term with the
-    factor differentiated away times each term of D_m of that factor's
-    argument (an exponent, a slope, or the argument of a log, sin, cos or
-    opaque integral)."""
-    m = min(m, max_jet(e) + 1)
-    key = (m, e)
-    out = _TD_CACHE.get(key)
-    if out is not None:
-        return out
-    coeff, atoms, others = _split_term(e)
-    pairs = []
-    for a, k in atoms.items():
-        # D_m x^k = k x^(k-1) and D_m p_j^k = k p_j^(k-1) p_{j+1} for j < m;
-        # p_m is a constant of D_m
-        if a is not X and a.index >= m:
-            continue
-        d = dict(atoms)
-        d[a] = k - 1
-        if a is not X:
-            nxt = jet(a.index + 1)
-            d[nxt] = d.get(nxt, 0) + 1
-        pairs.append((k * coeff, _build_core(d, others)))
-    acc = _accumulate({}, pairs)
-    for i, f in enumerate(others):
-        if f.__class__ is Exp:
-            # D exp(a) = exp(a) D a
-            scale, core, d_inner = coeff, _coeff_core(e)[1], _td_term(m, f.arg)
-        elif f.__class__ is Pow and f.base.__class__ is Sum:
-            # D S^k = k S^(k-1) D S; canonical terms hold only k < 0
-            k = f.exponent
-            scale = k * coeff
-            core = _build_core(atoms, others[:i] + others[i + 1:] + [pow_int(f.base, k - 1)])
-            d_inner = _pairs(_td(m, f.base))
-        else:
-            scale, core = coeff, _build_core(atoms, others[:i] + others[i + 1:])
-            d_inner = _pairs(_td_factor(m, f))
-        _times_sum(acc, scale, core, d_inner)
-    out = tuple((c, core) for core, c in acc.items() if c)
-    _TD_CACHE[key] = out
-    return out
-
-
-def _td_factor(m: int, f: Expr) -> Expr:
-    """D_m of a factor g^k of a canonical term, g a log, sin, cos or opaque
-    integral: the chain rule, and for an opaque integral the partial
-    derivatives d/dx + sum_j p_j d/dp_{j-1}."""
-    g, k = (f.base, f.exponent) if f.__class__ is Pow else (f, 1)
-    cls = g.__class__
-    if cls is AntiDeriv:
-        dg = add(diff(g, X), *(mul(jet(j), diff(g, jet(j - 1))) for j in range(1, m + 1)))
-    else:
-        da = _td(m, g.arg)
-        if cls is Log:
-            dg = mul(da, pow_int(g.arg, -1))
-        elif cls is Cos:
-            dg = mul(-1, sin(g.arg), da)
-        else:  # Sin
-            dg = mul(cos(g.arg), da)
-    return dg if k == 1 else mul(k, pow_int(g, k - 1), dg)
+    # int(m): the kernel tells D_m from d/dv by the class int, not bool
+    return _derive(int(m), as_expr(e))
 
 
 def d_pow(m: int, k: int, e: ExprLike) -> Expr:

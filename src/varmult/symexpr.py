@@ -6,10 +6,12 @@ canonical by construction: sums and products are flattened, constants are
 folded into exact rationals, products are fully distributed over sums, and
 exponentials are kept split so that ``exp(a)*exp(b)`` and ``exp(a + b)``
 reach the same normal form.  On top of the algebra the module provides
-partial differentiation, definite antiderivatives from 0 (with an opaque
-integral node as fallback), parsing/printing, floating evaluation with
-Gauss-Legendre quadrature for opaque integrals, and a probabilistic
-zero-testing decision procedure.
+derivations (the partial derivative `diff` and the truncated total
+derivative that `jetops.total_derivative` exposes share one memoized
+product-rule pass over canonical terms, `_derive`), definite
+antiderivatives from 0 (with an opaque integral node as fallback),
+parsing/printing, floating evaluation with Gauss-Legendre quadrature for
+opaque integrals, and a probabilistic zero-testing decision procedure.
 
 Nodes are hash-consed: every node is interned on construction, also one
 built by calling its class, so two structurally equal trees are the same
@@ -591,8 +593,8 @@ def mul(*factors: ExprLike) -> Expr:
 
 def _split_term(t: Expr) -> tuple[Fraction, dict[Expr, int], list[Expr]]:
     """A canonical non-Sum term as (rational coefficient, atom -> exponent
-    over x and the jets, the other factors in order); `_build_term` inverts
-    it."""
+    over x and the jets, the other factors in order); `_build_core` makes
+    the core back."""
     coeff = _F_ONE
     atoms: dict[Expr, int] = {}
     others: list[Expr] = []
@@ -768,7 +770,11 @@ def _ad_raw(integrand: Expr, var: Expr) -> Expr:
 # Calculus
 # ---------------------------------------------------------------------------
 
-_DIFF_CACHE: dict[tuple[Expr, Expr], Expr] = {}
+#: derivation results keyed on (d, interned node): for a single term its
+#: (coefficient, core) pairs, for a sum its canonical node.  `d` is an atom
+#: for a partial derivative and an int m for D_m, so the two kinds of key
+#: never collide.  Threads racing on one key store equal values.
+_DERIV_CACHE: dict[tuple[object, Expr], object] = {}
 
 
 def _require_atom(v: Expr) -> Expr:
@@ -781,52 +787,128 @@ def diff(e: ExprLike, v: Expr, times: int = 1) -> Expr:
     """Exact partial derivative of `e` with respect to `v`, applied `times`
     times.  x and all jet variables are mutually independent."""
     _require_atom(v)
+    if not isinstance(times, int) or times < 0:
+        raise ExprError(f"times must be an integer >= 0, got {times!r}")
     out = as_expr(e)
     for _ in range(times):
-        out = _diff1(out, v)
+        out = _derive(v, out)
     return out
 
 
-def _diff1(e: Expr, v: Expr) -> Expr:
-    if v not in e.free_atoms:
+def _derive(d, e: Expr) -> Expr:
+    """The derivation `d` applied to the canonical `e`: the partial
+    derivative d/dv for an atom `d` = v, the truncated total derivative
+    D_m = d/dx + p_1 d/dp_0 + ... + p_m d/dp_{m-1} for an int `d` = m.  The
+    pairs of all terms (`_derive_term`) are added in one accumulator, so
+    only terms that survive the sum are built."""
+    if d.__class__ is int:
+        # D_m and D_m' agree on e once both orders exceed max_jet(e)
+        d = min(d, max_jet(e) + 1)
+    elif d not in e.free_atoms:
         return ZERO
-    key = (e, v)
-    out = _DIFF_CACHE.get(key)
+    if e.__class__ is not Sum:
+        return _finish(_accumulate({}, _derive_term(d, e)))
+    key = (d, e)
+    out = _DERIV_CACHE.get(key)
+    if out is None:
+        acc: dict[Expr, Fraction] = {}
+        for t in e.terms:
+            _accumulate(acc, _derive_term(d, t))
+        out = _finish(acc)
+        _DERIV_CACHE[key] = out
+    return out
+
+
+def _image(d, a: Expr) -> Expr:
+    """The derivation `d` of the atom `a`: d/dv maps v to 1, D_m maps x to 1
+    and p_j to p_{j+1} for j < m; every other atom goes to 0."""
+    if d.__class__ is not int:
+        return ONE if a is d else ZERO
+    if a is X:
+        return ONE
+    return jet(a.index + 1) if a.index < d else ZERO
+
+
+def _derive_term(d, t: Expr) -> tuple:
+    """The product rule for `d` on a canonical non-Sum term t, memoized, as
+    (coefficient, core) pairs: one per atom power, and the term with the
+    factor differentiated away times each term of the derivative of that
+    factor's argument (an exponent, a slope, or the argument of a log, sin,
+    cos or opaque integral)."""
+    if d.__class__ is int:
+        d = min(d, max_jet(t) + 1)
+    elif d not in t.free_atoms:
+        return ()
+    key = (d, t)
+    out = _DERIV_CACHE.get(key)
     if out is not None:
         return out
-    cls = e.__class__
-    if cls is VarX or cls is Jet:
-        out = ONE
-    elif cls is Sum:
-        out = add(*(_diff1(t, v) for t in e.terms))
-    elif cls is Prod:
-        parts = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            if v in f.free_atoms:
-                parts.append(mul(*fs[:i], _diff1(f, v), *fs[i + 1:]))
-        out = add(*parts)
-    elif cls is Pow:
-        out = mul(e.exponent, pow_int(e.base, e.exponent - 1), _diff1(e.base, v))
-    elif cls is Exp:
-        out = mul(e, _diff1(e.arg, v))
-    elif cls is Log:
-        out = mul(_diff1(e.arg, v), pow_int(e.arg, -1))
-    elif cls is Sin:
-        out = mul(cos(e.arg), _diff1(e.arg, v))
-    elif cls is Cos:
-        out = mul(_MINUS_ONE, sin(e.arg), _diff1(e.arg, v))
-    elif cls is AntiDeriv:
-        if v is e.var:
-            out = e.integrand
+    coeff, atoms, others = _split_term(t)
+    pairs = []
+    for a, k in atoms.items():
+        # a^k goes to k a^(k-1) times the image of a
+        img = _image(d, a)
+        if img is ZERO:
+            continue
+        powers = dict(atoms)
+        powers[a] = k - 1
+        if img is not ONE:
+            powers[img] = powers.get(img, 0) + 1
+        pairs.append((k * coeff, _build_core(powers, others)))
+    acc = _accumulate({}, pairs)
+    for i, f in enumerate(others):
+        if f.__class__ is Exp:
+            # d exp(a) = exp(a) d a
+            d_inner = _derive_term(d, f.arg)
+            if d_inner:
+                _times_sum(acc, coeff, _coeff_core(t)[1], d_inner)
+        elif f.__class__ is Pow and f.base.__class__ is Sum:
+            # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
+            k = f.exponent
+            ds = _derive(d, f.base)
+            if ds is f.base:
+                # S^(k-1) * S folds back to S^k, as in `mul`
+                _accumulate(acc, ((k * coeff, _coeff_core(t)[1]),))
+            elif ds is not ZERO:
+                core = _build_core(atoms, others[:i] + others[i + 1:] + [pow_int(f.base, k - 1)])
+                _times_sum(acc, k * coeff, core, _pairs(ds))
         else:
-            # differentiation under the integral sign; valid because the
-            # lower limit is the constant 0
-            out = _anti1(_diff1(e.integrand, v), e.var)
-    else:  # pragma: no cover
-        raise ExprError(f"cannot differentiate {e!r}")
-    _DIFF_CACHE[key] = out
+            dg = _derive_factor(d, f)
+            if dg is not ZERO:
+                _times_sum(acc, coeff, _build_core(atoms, others[:i] + others[i + 1:]), _pairs(dg))
+    out = tuple((c, core) for core, c in acc.items() if c)
+    _DERIV_CACHE[key] = out
     return out
+
+
+def _derive_factor(d, f: Expr) -> Expr:
+    """The derivation `d` of a factor g^k of a canonical term, g a log, sin,
+    cos or opaque integral: the chain rule, and for an opaque integral the
+    sum over its atoms a of d(a) times its partial derivative in a."""
+    g, k = (f.base, f.exponent) if f.__class__ is Pow else (f, 1)
+    cls = g.__class__
+    if cls is AntiDeriv:
+        parts = []
+        for a in sorted(g.free_atoms, key=sort_key):
+            img = _image(d, a)
+            if img is ZERO:
+                continue
+            # differentiation under the integral sign is valid because the
+            # lower limit is the constant 0
+            da = g.integrand if a is g.var else _anti1(_derive(a, g.integrand), g.var)
+            parts.append(mul(img, da))
+        dg = add(*parts)
+    else:
+        da = _derive(d, g.arg)
+        if da is ZERO:
+            return ZERO
+        if cls is Log:
+            dg = mul(da, pow_int(g.arg, -1))
+        elif cls is Cos:
+            dg = mul(_MINUS_ONE, sin(g.arg), da)
+        else:  # Sin
+            dg = mul(cos(g.arg), da)
+    return dg if k == 1 or dg is ZERO else mul(k, pow_int(g, k - 1), dg)
 
 
 def _linear_coeff(term: Expr, v: Expr) -> Expr | None:
@@ -1320,8 +1402,8 @@ class ZeroTestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if not isinstance(self.samples, int) or self.samples < 1:
+            raise ValueError(f"samples must be an integer >= 1, got {self.samples!r}")
         if not 0 < self.atol < math.inf:
             raise ValueError("tolerances must be positive and finite")
 

@@ -5,6 +5,16 @@ granular tests and the acceptance module."""
 from __future__ import annotations
 
 from varmult.symexpr import (
+    AntiDeriv,
+    Cos,
+    Exp,
+    Jet,
+    Log,
+    Pow,
+    Prod,
+    Rat,
+    Sin,
+    Sum,
     X,
     ZeroNumeric,
     ZeroStructural,
@@ -34,6 +44,32 @@ def rand_expr(seed, max_index=6, degree=3, terms=3, allow_exp=False):
     vars_ = [X] + [jet(k) for k in range(max_index + 1)]
     return gen_expr(vars_, GenConfig(seed=seed, max_degree=degree,
                                      max_terms=terms, allow_exp=allow_exp))
+
+
+def to_sympy(e, sympy, x, jet_image):
+    """The jet expression e as a sympy expression, with x read as `x` and
+    p_k as `jet_image(k)` (say a symbol, or the k-th derivative of u(x)).
+    An opaque integral becomes `sympy.Integral` from 0."""
+    def rec(e):
+        if isinstance(e, Rat):
+            return sympy.Rational(e.value.numerator, e.value.denominator)
+        if e is X:
+            return x
+        if isinstance(e, Jet):
+            return jet_image(e.index)
+        if isinstance(e, Sum):
+            return sympy.Add(*(rec(t) for t in e.terms))
+        if isinstance(e, Prod):
+            return sympy.Mul(*(rec(f) for f in e.factors))
+        if isinstance(e, Pow):
+            return rec(e.base) ** e.exponent
+        if isinstance(e, AntiDeriv):
+            var, t = rec(e.var), sympy.Dummy("t")
+            return sympy.Integral(rec(e.integrand).subs(var, t), (t, 0, var))
+        funcs = {Exp: sympy.exp, Log: sympy.log, Sin: sympy.sin, Cos: sympy.cos}
+        return funcs[type(e)](rec(e.arg))
+
+    return rec(e)
 
 
 def comb0(n: int, r: int) -> int:

@@ -4,12 +4,15 @@ operator-identity property suites."""
 
 from __future__ import annotations
 
+import ast
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import IDENTITY_SUITES, assert_zeroish, comb0, rand_expr
+from conftest import IDENTITY_SUITES, assert_zeroish, comb0, rand_expr, to_sympy
 from varmult import jetops
 from varmult.jetops import (
     MultiIndex,
@@ -31,13 +34,16 @@ from varmult.symexpr import (
     antideriv,
     cos,
     diff,
+    evaluate,
     exp,
     jet,
     log,
     max_jet,
     mul,
     pow_int,
+    render,
     sin,
+    sort_key,
 )
 
 p0, p1, p2, p3, p4 = (jet(k) for k in range(5))
@@ -134,7 +140,7 @@ def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
 
 
 def _td_branches(seed):
-    # one summand per case of the product-rule pass in jetops._td_term
+    # one summand per case of the product-rule pass in symexpr._derive_term
     return [
         mul(rand_expr(seed + 10, max_index=3), pow_int(p2, -2)),  # negative atom power
         mul(p4, p1, pow_int(p3, 2)),  # p_m next to lower jets
@@ -145,6 +151,7 @@ def _td_branches(seed):
         mul(p3, pow_int(add(1, exp(p1)), -1)),  # D_m of the slope holds an exp
         mul(log(p1), sin(p0), cos(mul(X, p3))),
         mul(pow_int(log(p2), 2), pow_int(sin(p1), -1)),
+        antideriv(exp(mul(p0, pow_int(p1, 2))), p1),  # opaque, with a parameter
         mul(X, p1), mul(-1, p0),  # D_m: p1 + x*p2 - p1, a zero coefficient drops
         X,  # D_m x = 1, the core ONE
     ]
@@ -158,13 +165,55 @@ def test_total_derivative_memo_returns_identical_node(seed):
     for m in (0, 1, top - 1, top, top + 1, top + 3):
         first = total_derivative(m, e)
         assert total_derivative(m, e) is first
-        # the uncached definition, D_m = d/dx + sum_j p_j d/dp_{j-1}
+        # consistency check against D_m = d/dx + sum_j p_j d/dp_{j-1}: the
+        # partial derivatives run the same derivation pass, so this is no
+        # independent oracle (test_diff_matches_sympy is one)
         assert first == add(diff(e, X),
                             *(mul(jet(j), diff(e, jet(j - 1))) for j in range(1, m + 1)))
     # past max_jet(e) + 1 every order is the same operator on e
     assert total_derivative(top + 3, e) is total_derivative(top + 1, e)
     for t in e.terms:
         assert total_derivative(top + 5, t) is total_derivative(max_jet(t) + 1, t)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_diff_matches_sympy(seed):
+    # differential test of the product-rule pass against an independent
+    # implementation: sympy's derivative of every branch expression, in each
+    # of its free atoms, compared at rational points where every log
+    # argument and every negative power's base is positive
+    sympy = pytest.importorskip("sympy")
+    sym = {X: sympy.Symbol("x"), **{jet(k): sympy.Symbol(f"p{k}") for k in range(5)}}
+    rng = random.Random(seed)
+    points = [{a: Fraction(rng.randint(2, 9), 10) for a in sym} for _ in range(3)]
+    for e in [_with_exp_and_integral(seed), *_td_branches(seed)]:
+        theirs = to_sympy(e, sympy, sym[X], lambda k: sym[jet(k)])
+        for v in sorted(e.free_atoms, key=sort_key):
+            ours = diff(e, v)
+            d_theirs = sympy.diff(theirs, sym[v])
+            for pt in points:
+                got = evaluate(ours, {a: float(c) for a, c in pt.items()})
+                want = float(d_theirs.subs({sym[a]: sympy.Rational(c) for a, c in pt.items()})
+                             .evalf(30))
+                assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (e, v, pt)
+
+
+def test_dm_keeps_the_slope_fold():
+    # D_3 T = T for T = exp(x) + p3*exp(x): S^(k-1) * S folds back to S^k
+    # in the derivation, as it does in `mul`
+    t = add(exp(X), mul(p3, exp(X)))
+    assert render(total_derivative(3, pow_int(t, -1))) == "-(exp(x) + p3*exp(x))^-1"
+
+
+def test_jetops_reaches_the_kernel_only_through_derive():
+    # the derivation lives in the kernel: jetops imports no private symexpr
+    # name but the derivation pass itself
+    tree = ast.parse(Path(jetops.__file__).read_text())
+    private = {a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] == "symexpr"
+               for a in node.names if a.name.startswith("_")}
+    assert private == {"_derive"}
 
 
 # ---------------------------------------------------------------------------

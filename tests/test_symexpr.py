@@ -209,6 +209,22 @@ def test_diff_requires_variable():
         diff(p1, add(X, p1))
 
 
+@pytest.mark.parametrize("times", [-1, 2.5, Fraction(1)])
+def test_diff_validates_times(times):
+    # a negative count is not the identity and a non-integer one is not a
+    # bare TypeError from range()
+    with pytest.raises(ExprError, match="integer >= 0"):
+        diff(pow_int(p1, 3), p1, times=times)
+    assert diff(pow_int(p1, 3), p1, times=0) is pow_int(p1, 3)
+
+
+def test_diff_keeps_the_slope_fold():
+    # dS/dp1 = S for S = exp(p1) + x*exp(p1), and S^-2 * S folds back to
+    # S^-1 in the derivation, as it does in `mul`
+    s = add(exp(p1), mul(X, exp(p1)))
+    assert render(diff(pow_int(s, -1), p1)) == "-(exp(p1) + x*exp(p1))^-1"
+
+
 # ---------------------------------------------------------------------------
 # antideriv
 # ---------------------------------------------------------------------------
@@ -656,6 +672,14 @@ def test_config_validation():
         ZeroTestConfig(atol=0.0)
 
 
+@pytest.mark.parametrize("samples", [2.5, 2.0, "3", None])
+def test_config_rejects_non_integer_samples(samples):
+    # rejected at construction, not as a TypeError from range() in the
+    # first is_zero
+    with pytest.raises(ValueError, match="integer >= 1"):
+        ZeroTestConfig(samples=samples)
+
+
 @pytest.mark.parametrize("atol", [math.inf, math.nan])
 def test_config_rejects_non_finite_atol(atol):
     with pytest.raises(ValueError):
@@ -689,10 +713,11 @@ def test_rational_times_sum_matches_distribution(c):
 
 
 def test_interning_is_thread_safe():
-    # four threads build the same fresh corpus f and the total derivative of
-    # each of its terms at once; each node must come out as one shared
-    # object (with a plain store in _intern, most runs give distinct but
-    # equal results on one of the two inputs)
+    # four threads build the same fresh corpus f, and the total derivative
+    # and the partial derivatives of each of its terms at once, so that both
+    # kinds of derivation race on the one memo; each node must come out as
+    # one shared object (with a plain store in _intern, most runs give
+    # distinct but equal results on one of the two inputs)
     import sys
     import threading
 
@@ -706,7 +731,9 @@ def test_interning_is_thread_safe():
         for seed in (2, 3):
             f = construct(gen_params(3, 3, GenConfig(seed=seed, max_degree=3,
                                                       max_terms=4))).f
-            results[i].append((f, [total_derivative(6, t) for t in f.terms]))
+            results[i].append((f, [d for t in f.terms
+                                   for d in (total_derivative(6, t),
+                                             *(diff(t, jet(k)) for k in range(6)))]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -720,7 +747,7 @@ def test_interning_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for k, (f, dts) in enumerate(results[0]):
-        assert isinstance(f, Sum) and len(dts) == len(f.terms)
+        assert isinstance(f, Sum) and len(dts) == 7 * len(f.terms)
         for other in results[1:]:
             g, others = other[k]
             assert g is f

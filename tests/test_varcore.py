@@ -7,15 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CFG, assert_zeroish
+from conftest import CFG, assert_zeroish, to_sympy
 from varmult.jetops import total_derivative
 from varmult.symexpr import (
-    Jet,
     NonZero,
-    Pow,
-    Prod,
-    Rat,
-    Sum,
     X,
     ZERO,
     ONE,
@@ -105,24 +100,6 @@ def test_euler_lagrange_kills_total_derivatives():
     assert euler_lagrange(total_derivative(2, n_expr), 2) is ZERO
 
 
-def _to_sympy(e, sympy, x, u):
-    """The polynomial jet expression e with p_k read as the k-th derivative
-    of u(x)."""
-    if isinstance(e, Rat):
-        return sympy.Rational(e.value.numerator, e.value.denominator)
-    if e is X:
-        return x
-    if isinstance(e, Jet):
-        return u.diff(x, e.index)
-    if isinstance(e, Sum):
-        return sympy.Add(*(_to_sympy(t, sympy, x, u) for t in e.terms))
-    if isinstance(e, Prod):
-        return sympy.Mul(*(_to_sympy(f, sympy, x, u) for f in e.factors))
-    if isinstance(e, Pow):
-        return _to_sympy(e.base, sympy, x, u) ** e.exponent
-    raise TypeError(f"not a polynomial: {e!r}")
-
-
 @pytest.mark.parametrize("n,seed", [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4),
                                     (3, 5), (4, 6), (4, 7)])
 def test_euler_lagrange_matches_sympy(n, seed):
@@ -137,8 +114,8 @@ def test_euler_lagrange_matches_sympy(n, seed):
                     GenConfig(seed=seed, max_degree=4, max_terms=6))
     # the extra z*u adds z to the Euler-Lagrange expression, so that sympy
     # keeps the equation even when the rest of it is a constant
-    (eq,) = euler_equations(_to_sympy(lagr, sympy, x, u) + z * u, u, x)
-    ours = _to_sympy(euler_lagrange(lagr, n), sympy, x, u)
+    (eq,) = euler_equations(to_sympy(lagr, sympy, x, lambda k: u.diff(x, k)) + z * u, u, x)
+    ours = to_sympy(euler_lagrange(lagr, n), sympy, x, lambda k: u.diff(x, k))
     assert sympy.expand(eq.lhs - eq.rhs - z - ours) == 0
 
 
