@@ -21,9 +21,9 @@ nonzero witness rejects, and an undecidable check aborts as inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from ._record import Record, replace
 from .jetops import euler_op, total_derivative
 from .symexpr import (
     Expr,
@@ -60,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(Record):
     """One recorded event: a vanishing check (kind "check") or an advisory
     comparison (kind "note")."""
 
@@ -73,8 +72,7 @@ class TraceEntry:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class Accepted:
+class Accepted(Record):
     R: Expr
     rho: Expr
     f_lower: tuple[Expr, ...]
@@ -82,21 +80,18 @@ class Accepted:
     residual: ZeroVerdict
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(Record):
     step: str
     witness: Expr
     verdict: ZeroVerdict
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Record):
     step: str
     witness: Expr
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     outcome: Accepted | Rejected | Inconclusive
     trace: tuple[TraceEntry, ...]
 

@@ -14,9 +14,9 @@ differs between them only in the image of an atom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .symexpr import Expr, ExprLike, _derive, add, as_expr, diff, jet, mul, pow_int
 
 __all__ = [
@@ -71,8 +71,7 @@ def euler_op(m: int, n: int, e: ExprLike) -> Expr:
     return out
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(Record):
     """Multi-index I = (i_{m-1}, ..., i_0) with the descending labeling:
     entry j (1-based from the left) is the exponent of d/dp_{m-j}."""
 
@@ -128,8 +127,7 @@ class MultiIndex:
         return MultiIndex(tuple(e))
 
 
-@dataclass(frozen=True)
-class OperatorTerm:
+class OperatorTerm(Record):
     """One term a * p_m^{pm_power} * D_{m-1}^{d_power} * d^I of the expansion
     of D_m^k, with m = len(index)."""
 

@@ -26,9 +26,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
+
+from ._record import Record
 
 __all__ = [
     "MAX_JET_INDEX",
@@ -937,8 +938,8 @@ def antideriv(e: ExprLike, v: Expr, times: int = 1) -> Expr:
     exponentials linear in `v`; anything else becomes an opaque integral
     node.  The result always vanishes at v = 0."""
     _require_atom(v)
-    if times not in (1, 2):
-        raise ExprError("antideriv supports times = 1 or 2")
+    if not isinstance(times, int) or times not in (1, 2):
+        raise ExprError(f"antideriv supports times = 1 or 2, got {times!r}")
     out = as_expr(e)
     for _ in range(times):
         out = _anti1(out, v)
@@ -1392,8 +1393,7 @@ def render(e: ExprLike, format: str = "plain") -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroTestConfig:
+class ZeroTestConfig(Record):
     """Configuration of the probabilistic zero test: the number of sample
     points, the absolute tolerance and the seed of the sampler."""
 
@@ -1420,7 +1420,7 @@ _MAX_RETRIES_PER_POINT = 50
 _EVAL_BUDGET = 2_000_000
 
 
-class ZeroVerdict:
+class ZeroVerdict(Record):
     """Outcome of the zero decision procedure."""
 
     __slots__ = ()
@@ -1455,19 +1455,16 @@ class ZeroVerdict:
         return kind + " " + json.dumps(o, sort_keys=True)
 
 
-@dataclass(frozen=True)
 class ZeroStructural(ZeroVerdict):
     """The expression simplifies to the literal 0."""
 
 
-@dataclass(frozen=True)
 class ZeroNumeric(ZeroVerdict):
     """Within tolerance of 0 at every sampled point."""
 
     points: int
 
 
-@dataclass(frozen=True)
 class NonZero(ZeroVerdict):
     """A witness point where the magnitude exceeds the tolerance (for a
     Laurent polynomial that is not 0, where it could be found)."""
@@ -1476,7 +1473,6 @@ class NonZero(ZeroVerdict):
     value: float
 
 
-@dataclass(frozen=True)
 class Inconclusive(ZeroVerdict):
     """No sample point could be evaluated."""
 
@@ -1505,11 +1501,30 @@ def _gauss_legendre(order: int) -> tuple[tuple[float, float], ...]:
     return tuple(rule)
 
 
-#: (rule, panels) per nesting level of opaque integrals: order 32 on 4
-#: panels outside, 16 on 2 inside, since full-order recursion would cost
-#: order^depth per point.  Integrals nested deeper than this table (after
-#: same-variable flattening) fail evaluation.
-_QUAD_RULES = ((_gauss_legendre(32), 4), (_gauss_legendre(16), 2))
+class _QuadRules:
+    """(rule, panels) per nesting level of opaque integrals: order 32 on 4
+    panels outside, 16 on 2 inside, since full-order recursion would cost
+    order^depth per point.  Integrals nested deeper than this table (after
+    same-variable flattening) fail evaluation.  A rule is computed on first
+    use, since only evaluating an opaque integral needs one."""
+
+    _LEVELS = ((32, 4), (16, 2))
+
+    def __init__(self):
+        self._rules: dict[int, tuple[tuple[float, float], ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self._LEVELS)
+
+    def __getitem__(self, depth: int):
+        order, panels = self._LEVELS[depth]
+        rule = self._rules.get(order)
+        if rule is None:
+            rule = self._rules[order] = _gauss_legendre(order)
+        return rule, panels
+
+
+_QUAD_RULES = _QuadRules()
 
 
 class BudgetExceeded(DomainError):

@@ -11,10 +11,10 @@ jet-operator route.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .jetops import euler_op
 from .symexpr import (
     Expr,
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Record):
     """Shape of generated random expressions."""
 
     seed: int = 0
@@ -111,8 +110,7 @@ def gen_params(n: int, m: int, cfg: GenConfig) -> ParamSet:
     return ParamSet(n=n, R=r_expr, f_lower=f_lower, N=gauge, m=m)
 
 
-@dataclass(frozen=True)
-class PolynomialPath:
+class PolynomialPath(Record):
     """A fixed polynomial u(x) = sum coeffs[i] x^i with exact rational
     coefficients, used to compare Euler-Lagrange routes along u."""
 

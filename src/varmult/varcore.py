@@ -13,9 +13,9 @@ against the defining identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .jetops import euler_op, total_derivative
 from .symexpr import (
     Expr,
@@ -48,8 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(Record):
     """Free data parameterizing the solution family for half-order n:
     R with jets up to p_n, the sequence (f_0, ..., f_{n-1}) with jets of f_l
     up to p_l, the gauge N with jets up to p_{n-1}, and the Lagrangian order
@@ -82,8 +81,7 @@ class ParamSet:
             raise ValueError(f"N may depend on jets up to p{self.n - 1} only")
 
 
-@dataclass(frozen=True)
-class VariationalTriple:
+class VariationalTriple(Record):
     """A candidate solution (f, rho, L) of the multiplier identity for the
     equation p_{2n} = f with a Lagrangian of order m."""
 
@@ -210,6 +208,10 @@ def fels_I1(f3: ExprLike) -> Expr:
 
 def verify_triple(t: VariationalTriple, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
     """Check the defining identity E_{2m}^m L - rho (p_{2n} - f) = 0."""
-    residual = add(euler_op(2 * t.m, t.m, t.L),
-                   mul(-1, t.rho, add(jet(2 * t.n), mul(-1, t.f))))
-    return is_zero(residual, cfg)
+    return is_zero(_residual(t), cfg)
+
+
+def _residual(t: VariationalTriple) -> Expr:
+    # rho (f - p_{2n}) negates one jet rather than every term of f
+    return add(euler_op(2 * t.m, t.m, t.L),
+               mul(t.rho, add(t.f, mul(-1, jet(2 * t.n)))))

@@ -268,6 +268,14 @@ def test_antideriv_times_validation():
         antideriv(p1, p1, times=3)
 
 
+@pytest.mark.parametrize("times", [1.0, Fraction(1), 3, "1"])
+def test_antideriv_times_must_be_the_int_1_or_2(times):
+    # like diff, a count that is not an int is an ExprError, not a
+    # TypeError from range
+    with pytest.raises(ExprError, match="times = 1 or 2"):
+        antideriv(jet(1), jet(1), times=times)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_antideriv_diff_inverse(seed):
     e = rand_expr(seed, max_index=3, allow_exp=True)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CFG, assert_zeroish, to_sympy
-from varmult.jetops import total_derivative
+from varmult.jetops import euler_op, total_derivative
 from varmult.symexpr import (
     NonZero,
     X,
@@ -35,6 +35,7 @@ from varmult.varcore import (
     fels_T5,
     verify_triple,
 )
+from varmult.varcore import _residual
 
 p0, p1, p2, p3, p4, p5, p6 = (jet(k) for k in range(7))
 
@@ -259,3 +260,18 @@ def test_verify_corrupted_triple():
     # while adding the null term p1 = D p0 changes nothing
     gauged = VariationalTriple(f=t.f, rho=t.rho, L=add(t.L, p1), n=2, m=2)
     assert verify_triple(gauged, CFG).is_zero
+
+
+@pytest.mark.parametrize("n, seed, allow_exp", [
+    (2, 20_000, False), (3, 30_002, False), (4, 40_000, False), (4, 40_002, False),
+    (2, 20_002, True), (3, 30_001, True),
+])
+def test_residual_is_the_node_of_the_negated_f_formula(n, seed, allow_exp):
+    # rho (f - p_{2n}) and -rho (p_{2n} - f) build the same interned node;
+    # with allow_exp the R of these seeds holds an exponential
+    cfg = GenConfig(seed=seed, max_degree=2 if allow_exp else 3,
+                    max_terms=2 if allow_exp else 4, allow_exp=allow_exp)
+    t = construct(gen_params(n, n, cfg))
+    negated = add(euler_op(2 * t.m, t.m, t.L),
+                  mul(-1, t.rho, add(jet(2 * t.n), mul(-1, t.f))))
+    assert _residual(t) is negated
