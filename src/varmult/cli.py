@@ -303,13 +303,35 @@ class _Usage(Exception):
     pass
 
 
+#: the options whose value is an expression, which may begin with "-"
+_EXPR_OPTIONS = ("--expr", "--R", "--N", "--rho", "--lagrangian")
+
+
+def _attach_expr_values(argv: Sequence[str]) -> list[str]:
+    """argv with each expression option given as --opt=value when its value
+    begins with a single "-": argparse would read `--expr -p3^2` as an
+    option missing its argument."""
+    out = []
+    i = 0
+    while i < len(argv):
+        a = argv[i]
+        if (a in _EXPR_OPTIONS and i + 1 < len(argv) and argv[i + 1].startswith("-")
+                and not argv[i + 1].startswith("--")):
+            out.append(f"{a}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(a)
+            i += 1
+    return out
+
+
 def run(argv: Sequence[str], out=None, err=None) -> int:
     """Dispatch a CLI invocation; returns the exit code."""
     out = out or sys.stdout
     err = err or sys.stderr
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_expr_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"check": _run_check, "construct": _run_construct,

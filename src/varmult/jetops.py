@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .symexpr import Expr, ExprLike, _derive, add, as_expr, diff, jet, mul, pow_int
+from .symexpr import ONE, ZERO, Expr, ExprLike, _derive, add, as_expr, diff, jet, mul, pow_int
 
 __all__ = [
     "MultiIndex",
@@ -60,6 +60,14 @@ def euler_op(m: int, n: int, e: ExprLike) -> Expr:
     sum_{k=0..n} (-1)^k D_m^k d/dp_k, in Horner form with the signs on the
     partial derivatives: s_n = (-1)^n d/dp_n e, s_k = (-1)^k d/dp_k e +
     D_m s_{k+1}, and the result is s_0; n applications of D_m."""
+    return _euler_op(m, n, e, ())
+
+
+def _euler_op(m: int, n: int, e: ExprLike, plus: tuple) -> Expr:
+    """`euler_op(m, n, e)` plus the products a*b of the pairs (a, b) of
+    `plus`, each a a canonical term that holds no power of b: they are
+    added in the accumulator of the last D_m step (`symexpr._derive`), so a
+    result that cancels builds neither s_0 nor the products."""
     _check_orders(m, n)
     e = as_expr(e)
     out = None
@@ -67,6 +75,8 @@ def euler_op(m: int, n: int, e: ExprLike) -> Expr:
         d = diff(e, jet(k))
         if k % 2:
             d = mul(-1, d)
+        if k == 0 and plus:
+            return _derive(int(m), ZERO if out is None else out, ((ONE, d),) + plus)
         out = d if out is None else add(d, total_derivative(m, out))
     return out
 

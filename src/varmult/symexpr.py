@@ -12,6 +12,9 @@ product-rule pass over canonical terms, `_derive`), definite
 antiderivatives from 0 (with an opaque integral node as fallback),
 parsing/printing, floating evaluation with Gauss-Legendre quadrature for
 opaque integrals, and a probabilistic zero-testing decision procedure.
+Sums, products and derivations compute on flat terms (coefficient,
+monomial, other factors; see `_flat`) and build a node only for each term
+that survives.
 
 Nodes are hash-consed: every node is interned on construction, also one
 built by calling its class, so two structurally equal trees are the same
@@ -27,6 +30,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import add as _plus
 from typing import Callable, Mapping, Union
 
 from ._record import Record
@@ -220,20 +224,22 @@ class Sum(Expr):
 
     def _init(self, terms: tuple):
         self.terms = terms
-        self.free_atoms = frozenset().union(*(t.free_atoms for t in terms))
+        fa = frozenset().union(*(t.free_atoms for t in terms))
+        self.free_atoms = _ATOMSETS.setdefault(fa, fa)
         self._key = None
 
 
 class Prod(Expr):
-    # _core: the product without its rational head, filled by _coeff_core
-    __slots__ = ("factors", "_core")
+    # _flat: the product as a flat term, filled by _flat and _term
+    __slots__ = ("factors", "_flat")
     _args = ("factors",)
 
     def _init(self, factors: tuple):
         self.factors = factors
-        self.free_atoms = frozenset().union(*(f.free_atoms for f in factors))
+        fa = frozenset().union(*(f.free_atoms for f in factors))
+        self.free_atoms = _ATOMSETS.setdefault(fa, fa)
         self._key = None
-        self._core = None
+        self._flat = None
 
 
 class Pow(Expr):
@@ -299,6 +305,12 @@ class AntiDeriv(Expr):
 _EMPTY: frozenset = frozenset()
 _ATOM_CLASSES = (VarX, Jet)
 
+#: every distinct atom set of a sum or product, so that nodes with equal
+#: sets share one frozenset (the corpus has a few hundred), and the
+#: `max_jet` of each atom set
+_ATOMSETS: dict[frozenset, frozenset] = {}
+_MAX_JETS: dict[frozenset, int] = {}
+
 _RANKS = {Rat: 0, VarX: 1, Jet: 2, Pow: 3, Exp: 4, Log: 5, Sin: 6, Cos: 7,
           AntiDeriv: 8, Prod: 9, Sum: 10}
 
@@ -321,9 +333,9 @@ def sort_key(e: Expr):
         elif cls is AntiDeriv:
             k = (8, sort_key(e.integrand), sort_key(e.var))
         elif cls is Prod:
-            k = (9, tuple(sort_key(f) for f in e.factors))
+            k = (9, tuple(map(sort_key, e.factors)))
         elif cls is Sum:
-            k = (10, tuple(sort_key(t) for t in e.terms))
+            k = (10, tuple(map(sort_key, e.terms)))
         else:  # Exp/Log/Sin/Cos
             k = (_RANKS[cls], sort_key(e.arg))
         e._key = k
@@ -352,6 +364,11 @@ def _intern(key, cls, *args) -> Expr:
 
 def rational(value) -> Expr:
     """Exact rational constant node."""
+    if value.__class__ is int:
+        # a coefficient is an int while integral: find its node unconverted
+        node = _INTERN.get(("r", value, 1))
+        if node is not None:
+            return node
     v = value if isinstance(value, Fraction) else Fraction(value)
     return _intern(("r", v.numerator, v.denominator), Rat, v)
 
@@ -387,72 +404,118 @@ def as_expr(v: ExprLike) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_core(t: Expr) -> tuple[Fraction, Expr]:
-    """Split a canonical non-Sum term into (rational coefficient, core); the
-    core of a rational constant is ONE."""
-    cls = t.__class__
-    if cls is Prod:
-        head = t.factors[0]
-        if head.__class__ is Rat:
-            core = t._core
-            if core is None:
-                rest = t.factors[1:]
-                core = rest[0] if len(rest) == 1 else _intern((Prod, rest), Prod, rest)
-                t._core = core
-            return head.value, core
-    elif cls is Rat:
-        return t.value, ONE
-    return _F_ONE, t
+# A canonical non-Sum term is handled as a flat term (c, mono, others): its
+# rational coefficient, an int while it is integral; its monomial, the
+# exponents of x, p0, p1, ... as a tuple with no trailing zero, so that
+# multiplying monomials adds tuples; and its other factors in canonical
+# order.  An accumulator maps the key (mono, others) of like terms to their
+# summed coefficient, and `_term` builds only the terms that survive it.
 
 
-def _with_coeff(c: Fraction, core: Expr) -> Expr:
-    """The canonical term of a nonzero coefficient and a core; inverts
-    `_coeff_core`."""
-    if core is ONE:
-        return rational(c)
-    if c == 1:
-        return core
-    head = rational(c)
-    if core.__class__ is Prod:
-        fs = (head,) + core.factors
-    else:
-        fs = (head, core)
+def _coeff(c):
+    """A rational coefficient as an int when it is integral."""
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+
+
+def _index(a: Expr) -> int:
+    """The monomial position of the atom a: 0 for x, k + 1 for p_k."""
+    return 0 if a is X else a.index + 1
+
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two monomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    m = tuple(map(_plus, a, b))
+    if len(a) > len(b):
+        return m + a[len(b):]
+    while m and not m[-1]:
+        m = m[:-1]
+    return m
+
+
+def _flat(t: Expr) -> tuple:
+    """The flat term (c, mono, others) of a canonical non-Sum term, cached on
+    a product."""
+    if t.__class__ is Prod and t._flat is not None:
+        return t._flat
+    c, powers, others = 1, {}, []
+    for f in (t.factors if t.__class__ is Prod else (t,)):
+        cls = f.__class__
+        if cls is Rat:
+            c = _coeff(f.value)
+        elif cls is VarX or cls is Jet:
+            powers[_index(f)] = 1
+        elif cls is Pow and f.base.__class__ in _ATOM_CLASSES:
+            powers[_index(f.base)] = f.exponent
+        else:
+            others.append(f)
+    mono = [0] * (max(powers, default=-1) + 1)
+    for i, k in powers.items():
+        mono[i] = k
+    ft = (c, tuple(mono), tuple(others))
+    if t.__class__ is Prod:
+        t._flat = ft
+    return ft
+
+
+def _flats(e: Expr) -> list[tuple]:
+    """The flat terms of a canonical expression."""
+    return [_flat(t) for t in e.terms] if e.__class__ is Sum else [_flat(e)]
+
+
+def _term(c, mono: tuple, others: tuple) -> Expr:
+    """The canonical term of a flat term with c != 0, interned once: the
+    coefficient, then x and the jets, then their powers, then the others,
+    which is the `sort_key` order; inverts `_flat`."""
+    c = _coeff(c)
+    fs = []
+    pows = []
+    for i, k in enumerate(mono):
+        if k:
+            a = X if not i else _intern(("j", i - 1), Jet, i - 1)
+            if k == 1:
+                fs.append(a)
+            else:
+                pows.append(_intern((Pow, a, k), Pow, a, k))
+    fs += pows
+    fs += others
+    if c != 1:
+        fs.insert(0, rational(c))
+    if not fs:
+        return ONE
+    if len(fs) == 1:
+        return fs[0]
+    fs = tuple(fs)
     t = _intern((Prod, fs), Prod, fs)
-    t._core = core
+    if t._flat is None:
+        t._flat = (c, mono, others)
     return t
 
 
-def _pairs(e: Expr) -> list[tuple[Fraction, Expr]]:
-    """The (coefficient, core) pairs of the terms of a canonical expression."""
-    return [_coeff_core(t) for t in (e.terms if e.__class__ is Sum else (e,))]
+def _put(acc: dict, flats) -> None:
+    """Add flat terms to the accumulator (mono, others) -> coefficient."""
+    for c, m, o in flats:
+        key = (m, o)
+        prev = acc.get(key)
+        acc[key] = c if prev is None else prev + c
 
 
-def _accumulate(acc: dict[Expr, Fraction], pairs) -> dict[Expr, Fraction]:
-    """Add (coefficient, core) pairs to the accumulator core -> coefficient."""
-    for c, core in pairs:
-        prev = acc.get(core)
-        acc[core] = c if prev is None else prev + c
-    return acc
-
-
-def _finish(acc: dict[Expr, Fraction], whole: dict[Expr, Expr] | None = None) -> Expr:
-    """The canonical sum of an accumulator core -> rational coefficient: zero
-    coefficients drop, the core ONE is the constant term, and the terms are
-    sorted and interned once.  `whole` maps a core to its term when that is
-    already built (in `add`, an input term whose core occurred once)."""
+def _finish(acc: dict, whole: dict | None = None) -> Expr:
+    """The canonical sum of an accumulator: zero coefficients drop, and the
+    surviving terms are built, sorted and interned once.  `whole` maps a key
+    to its term when that is already built (in `add`, an input term whose
+    key occurred once)."""
     out = []
-    if whole is None:
-        for core, c in acc.items():
-            if c:
-                out.append(_with_coeff(c, core))
-    else:
-        for core, c in acc.items():
-            t = whole[core]
-            if t is None:
-                if not c:
-                    continue
-                t = _with_coeff(c, core)
-            out.append(t)
+    for key, c in acc.items():
+        t = whole[key] if whole else None
+        if t is None:
+            if not c:
+                continue
+            t = _term(c, *key)
+        out.append(t)
     if not out:
         return ZERO
     if len(out) == 1:
@@ -464,10 +527,10 @@ def _finish(acc: dict[Expr, Fraction], whole: dict[Expr, Expr] | None = None) ->
 
 def add(*terms: ExprLike) -> Expr:
     """Canonical sum: flattens, folds constants, combines like terms."""
-    # core -> coefficient, and core -> the term itself while the core has
+    # key -> coefficient, and key -> the term itself while the key has
     # occurred once, so that a term nothing merges with is kept as it is
-    acc: dict[Expr, Fraction] = {}
-    whole: dict[Expr, Expr | None] = {}
+    acc: dict = {}
+    whole: dict = {}
     stack = [as_expr(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
@@ -476,14 +539,15 @@ def add(*terms: ExprLike) -> Expr:
             continue
         if t is ZERO:
             continue
-        c, core = _coeff_core(t)
-        prev = acc.get(core)
+        c, m, o = _flat(t)
+        key = (m, o)
+        prev = acc.get(key)
         if prev is None:
-            acc[core] = c
-            whole[core] = t
+            acc[key] = c
+            whole[key] = t
         else:
-            acc[core] = prev + c
-            whole[core] = None
+            acc[key] = prev + c
+            whole[key] = None
     return _finish(acc, whole)
 
 
@@ -500,7 +564,7 @@ def _merge_exps(exps: list[Expr]) -> list[Expr]:
     Exponents with distinct cores cannot combine, so then the factors come
     back unchanged; that is always the case for a single canonical product."""
     if len(exps) > 1:
-        cores = {_coeff_core(x.arg)[1] for x in exps}
+        cores = {_flat(x.arg)[1:] for x in exps}
         if len(cores) < len(exps):
             total = add(*(x.arg for x in exps))
             if total.__class__ is Sum:
@@ -513,8 +577,8 @@ def mul(*factors: ExprLike) -> Expr:
     """Canonical product: flattens, folds constants, merges powers and
     exponentials, and distributes over sums.  The factors other than sums
     make one term, which is multiplied by the terms of each sum in turn
-    (`_times_sum`); the products are summed by core in one accumulator, and
-    only the terms that survive are built."""
+    (`_times_sum`); the products are summed as flat terms in one
+    accumulator, and only the terms that survive are built."""
     coeff = _F_ONE
     powers: dict[Expr, int] = {}
     exps: list[Expr] = []
@@ -555,17 +619,16 @@ def mul(*factors: ExprLike) -> Expr:
         if len(sums) == 1 and coeff == 1 and not powers and not exps:
             return sums[0]
         if powers or exps:
-            head = mul(rational(coeff), *exps,
-                       *(b if n == 1 else pow_int(b, n) for b, n in powers.items() if n))
-            pairs = _pairs(head)
+            flats = _flats(mul(rational(coeff), *exps,
+                               *(b if n == 1 else pow_int(b, n) for b, n in powers.items() if n)))
         else:
-            pairs = [(coeff, ONE)]
+            flats = [_flat(rational(coeff))]
         for s in sums:
-            acc: dict[Expr, Fraction] = {}
-            terms = _pairs(s)
-            for c, core in pairs:
-                _times_sum(acc, c, core, terms)
-            pairs = [(c, core) for core, c in acc.items() if c]
+            acc: dict = {}
+            terms = _flats(s)
+            for c, m, o in flats:
+                _times_sum(acc, c, m, o, terms)
+            flats = [(c, m, o) for (m, o), c in acc.items() if c]
         return _finish(acc)
 
     pieces: list[Expr] = []
@@ -592,108 +655,59 @@ def mul(*factors: ExprLike) -> Expr:
     return _intern((Prod, tuple(pieces)), Prod, tuple(pieces))
 
 
-def _split_term(t: Expr) -> tuple[Fraction, dict[Expr, int], list[Expr]]:
-    """A canonical non-Sum term as (rational coefficient, atom -> exponent
-    over x and the jets, the other factors in order); `_build_core` makes
-    the core back."""
-    coeff = _F_ONE
-    atoms: dict[Expr, int] = {}
-    others: list[Expr] = []
-    for f in (t.factors if t.__class__ is Prod else (t,)):
-        cls = f.__class__
-        if cls is Rat:
-            coeff = f.value
-        elif cls is VarX or cls is Jet:
-            atoms[f] = 1
-        elif cls is Pow and f.base.__class__ in _ATOM_CLASSES:
-            atoms[f.base] = f.exponent
-        else:
-            others.append(f)
-    return coeff, atoms, others
-
-
-def _build_core(atoms: Mapping[Expr, int], others: list[Expr]) -> Expr:
-    """The canonical coefficient-free product of the atom powers (a zero
-    exponent drops the atom) and `others`, with one sort and one intern; ONE
-    when nothing is left.  `others` must be canonical non-atom factors that
-    merge with nothing else here, as the remaining factors of a canonical
-    term do."""
-    pieces = [a if n == 1 else _intern((Pow, a, n), Pow, a, n)
-              for a, n in atoms.items() if n]
-    pieces.extend(others)
-    if not pieces:
-        return ONE
-    if len(pieces) == 1:
-        return pieces[0]
-    pieces.sort(key=sort_key)
-    fs = tuple(pieces)
-    return _intern((Prod, fs), Prod, fs)
-
-
-def _times_sum(acc: dict[Expr, Fraction], c0: Fraction, core0: Expr,
-               terms: list[tuple[Fraction, Expr]]) -> None:
-    """Add the product of the term c0*core0 with each (coefficient, core)
-    pair of `terms` to the accumulator `acc`, as `mul` would make it.  The
-    factor is split once; per term the atom exponents add up and exponentials
-    of a common core merge (a cancelled one drops), so each product is built
-    with one sort and one intern.  Only a term that shares a slope (a power
-    of a sum) or a log, sin, cos or integral base with the factor goes
-    through `mul`."""
-    if core0 is ONE:
-        _accumulate(acc, [(c0 * c, core) for c, core in terms])
-        return
-    _, f_atoms, others = _split_term(core0)
-    f_exps: dict[Expr, tuple[Fraction, Expr]] = {}  # exponent core -> (coefficient, exp)
+def _times_sum(acc: dict, c0, m0: tuple, o0: tuple, terms) -> None:
+    """Add the product of the flat term (c0, m0, o0) with each flat term of
+    `terms` to the accumulator `acc`, as `mul` would make it: monomials
+    multiply, and exponentials of a common core merge (a cancelled one
+    drops).  Only a term that shares a slope (a power of a sum) or a log,
+    sin, cos or integral base with the factor goes through `mul`."""
+    f_exps: dict[tuple, tuple] = {}  # exponent key -> (coefficient, exp)
     f_rest: list[Expr] = []
     f_bases = set()
-    for f in others:
+    for f in o0:
         if f.__class__ is Exp:
-            a, k = _coeff_core(f.arg)
-            f_exps[k] = (a, f)
+            a, em, eo = _flat(f.arg)
+            f_exps[em, eo] = (a, f)
         else:
             f_rest.append(f)
             f_bases.add(f.base if f.__class__ is Pow else f)
-    for c, core in terms:
-        c = c0 * c
-        if core is ONE:
-            out = core0
-        else:
-            atoms = f_atoms.copy()
+    for c1, m, o in terms:
+        others = o or o0
+        if o and o0:
             pieces = f_rest.copy()
             exps = f_exps
-            for f in (core.factors if core.__class__ is Prod else (core,)):
+            for f in o:
                 cls = f.__class__
-                if cls is VarX or cls is Jet:
-                    atoms[f] = atoms.get(f, 0) + 1
-                elif cls is Pow and f.base.__class__ in _ATOM_CLASSES:
-                    atoms[f.base] = atoms.get(f.base, 0) + f.exponent
-                elif cls is Exp and exps:
-                    a, k = _coeff_core(f.arg)
-                    hit = exps.get(k)
+                if cls is Exp and exps:
+                    a, em, eo = _flat(f.arg)
+                    hit = exps.get((em, eo))
                     if hit is None:
                         pieces.append(f)
                         continue
                     # exp(a*k) * exp(b*k) = exp((a + b)*k), 1 when a + b = 0
                     if exps is f_exps:
                         exps = f_exps.copy()
-                    del exps[k]
+                    del exps[em, eo]
                     a += hit[0]
                     if a:
-                        pieces.append(_exp_raw(_with_coeff(a, k)))
+                        pieces.append(_exp_raw(_term(a, em, eo)))
                 elif (f.base if cls is Pow else f) in f_bases:
                     # a shared slope or function base: powers merge in `mul`
-                    out = None
+                    _put(acc, _flats(mul(_term(c0, m0, o0), _term(c1, m, o))))
+                    others = None
                     break
                 else:
                     pieces.append(f)
             else:
                 pieces.extend(x for _, x in exps.values())
-                out = _build_core(atoms, pieces)
-            if out is None:
-                _accumulate(acc, _pairs(mul(rational(c), core0, core)))
+                pieces.sort(key=sort_key)
+                others = tuple(pieces)
+            if others is None:
                 continue
-        prev = acc.get(out)
-        acc[out] = c if prev is None else prev + c
+        c = _coeff(c0 * c1)
+        key = (_mono_mul(m0, m), others)
+        prev = acc.get(key)
+        acc[key] = c if prev is None else prev + c
 
 
 def pow_int(base: ExprLike, n: int) -> Expr:
@@ -772,7 +786,7 @@ def _ad_raw(integrand: Expr, var: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 #: derivation results keyed on (d, interned node): for a single term its
-#: (coefficient, core) pairs, for a sum its canonical node.  `d` is an atom
+#: flat terms, for a sum its canonical node.  `d` is an atom
 #: for a partial derivative and an int m for D_m, so the two kinds of key
 #: never collide.  Threads racing on one key store equal values.
 _DERIV_CACHE: dict[tuple[object, Expr], object] = {}
@@ -796,27 +810,31 @@ def diff(e: ExprLike, v: Expr, times: int = 1) -> Expr:
     return out
 
 
-def _derive(d, e: Expr) -> Expr:
+def _derive(d, e: Expr, plus: tuple = ()) -> Expr:
     """The derivation `d` applied to the canonical `e`: the partial
     derivative d/dv for an atom `d` = v, the truncated total derivative
     D_m = d/dx + p_1 d/dp_0 + ... + p_m d/dp_{m-1} for an int `d` = m.  The
-    pairs of all terms (`_derive_term`) are added in one accumulator, so
-    only terms that survive the sum are built."""
+    flat terms of all terms (`_derive_term`) are added in one accumulator, so
+    only terms that survive the sum are built.  Each pair (a, b) of `plus`
+    adds the product a*b of a canonical term and expression to the result,
+    in the same accumulator: a result that cancels builds no sum at all.
+    The terms are those of `mul(a, b)` when a holds no power of b."""
     if d.__class__ is int:
         # D_m and D_m' agree on e once both orders exceed max_jet(e)
         d = min(d, max_jet(e) + 1)
-    elif d not in e.free_atoms:
+    elif d not in e.free_atoms and not plus:
         return ZERO
-    if e.__class__ is not Sum:
-        return _finish(_accumulate({}, _derive_term(d, e)))
-    key = (d, e)
-    out = _DERIV_CACHE.get(key)
+    memo = e.__class__ is Sum and not plus
+    out = _DERIV_CACHE.get((d, e)) if memo else None
     if out is None:
-        acc: dict[Expr, Fraction] = {}
-        for t in e.terms:
-            _accumulate(acc, _derive_term(d, t))
+        acc: dict = {}
+        for t in (e.terms if e.__class__ is Sum else (e,)):
+            _put(acc, _derive_term(d, t))
+        for a, b in plus:
+            _times_sum(acc, *_flat(a), _flats(b))
         out = _finish(acc)
-        _DERIV_CACHE[key] = out
+        if memo:
+            _DERIV_CACHE[d, e] = out
     return out
 
 
@@ -832,10 +850,10 @@ def _image(d, a: Expr) -> Expr:
 
 def _derive_term(d, t: Expr) -> tuple:
     """The product rule for `d` on a canonical non-Sum term t, memoized, as
-    (coefficient, core) pairs: one per atom power, and the term with the
-    factor differentiated away times each term of the derivative of that
-    factor's argument (an exponent, a slope, or the argument of a log, sin,
-    cos or opaque integral)."""
+    flat terms: one per atom power, and the term with the factor
+    differentiated away times each term of the derivative of that factor's
+    argument (an exponent, a slope, or the argument of a log, sin, cos or
+    opaque integral)."""
     if d.__class__ is int:
         d = min(d, max_jet(t) + 1)
     elif d not in t.free_atoms:
@@ -844,40 +862,44 @@ def _derive_term(d, t: Expr) -> tuple:
     out = _DERIV_CACHE.get(key)
     if out is not None:
         return out
-    coeff, atoms, others = _split_term(t)
-    pairs = []
-    for a, k in atoms.items():
-        # a^k goes to k a^(k-1) times the image of a
-        img = _image(d, a)
-        if img is ZERO:
+    coeff, mono, others = _flat(t)
+    acc: dict = {}
+    at = None if d.__class__ is int else _index(d)
+    for i, k in enumerate(mono):
+        # a^k goes to k a^(k-1) times the image of a: 1 for v under d/dv and
+        # for x under D_m, p_{j+1} for p_j under D_m when j < m, else 0
+        if not k or (i > d if at is None else i != at):
             continue
-        powers = dict(atoms)
-        powers[a] = k - 1
-        if img is not ONE:
-            powers[img] = powers.get(img, 0) + 1
-        pairs.append((k * coeff, _build_core(powers, others)))
-    acc = _accumulate({}, pairs)
+        m = list(mono)
+        m[i] = k - 1
+        if at is None and i:
+            m += [0] * (i + 2 - len(m))
+            m[i + 1] += 1
+        while m and not m[-1]:
+            m.pop()
+        _put(acc, ((_coeff(k * coeff), tuple(m), others),))
     for i, f in enumerate(others):
         if f.__class__ is Exp:
             # d exp(a) = exp(a) d a
             d_inner = _derive_term(d, f.arg)
             if d_inner:
-                _times_sum(acc, coeff, _coeff_core(t)[1], d_inner)
+                _times_sum(acc, coeff, mono, others, d_inner)
         elif f.__class__ is Pow and f.base.__class__ is Sum:
             # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
             k = f.exponent
             ds = _derive(d, f.base)
             if ds is f.base:
                 # S^(k-1) * S folds back to S^k, as in `mul`
-                _accumulate(acc, ((k * coeff, _coeff_core(t)[1]),))
+                _put(acc, ((k * coeff, mono, others),))
             elif ds is not ZERO:
-                core = _build_core(atoms, others[:i] + others[i + 1:] + [pow_int(f.base, k - 1)])
-                _times_sum(acc, k * coeff, core, _pairs(ds))
+                # S^(k-1) takes the place of S^k in the canonical order
+                lower = others[:i] + (pow_int(f.base, k - 1),) + others[i + 1:]
+                _times_sum(acc, k * coeff, mono, lower, _flats(ds))
         else:
             dg = _derive_factor(d, f)
             if dg is not ZERO:
-                _times_sum(acc, coeff, _build_core(atoms, others[:i] + others[i + 1:]), _pairs(dg))
-    out = tuple((c, core) for core, c in acc.items() if c)
+                _times_sum(acc, coeff, mono, others[:i] + others[i + 1:], _flats(dg))
+    out = tuple((_coeff(c), m, o) for (m, o), c in acc.items() if c)
     _DERIV_CACHE[key] = out
     return out
 
@@ -915,21 +937,11 @@ def _derive_factor(d, f: Expr) -> Expr:
 def _linear_coeff(term: Expr, v: Expr) -> Expr | None:
     """For a canonical non-Sum `term`, return a with term == a*v and a free
     of v, else None."""
-    if term is v:
-        return ONE
-    if isinstance(term, Prod):
-        cof = []
-        seen = False
-        for f in term.factors:
-            if f is v:
-                seen = True
-            elif v in f.free_atoms:
-                return None
-            else:
-                cof.append(f)
-        if seen:
-            return mul(*cof)
-    return None
+    c, m, o = _flat(term)
+    i = _index(v)
+    if i >= len(m) or m[i] != 1 or any(v in f.free_atoms for f in o):
+        return None
+    return _term(c, _mono_mul(m, (0,) * i + (-1,)), o)
 
 
 def antideriv(e: ExprLike, v: Expr, times: int = 1) -> Expr:
@@ -946,26 +958,14 @@ def antideriv(e: ExprLike, v: Expr, times: int = 1) -> Expr:
     return out
 
 
-def _core_coeff_map(e: Expr) -> dict[Expr, Fraction]:
-    """Canonical expression as a map core -> rational coefficient."""
-    return {core: c for c, core in _pairs(e)}
-
-
 def _rat_multiple(u: Expr, a: Expr) -> Fraction | None:
     """The rational c with u == c * a structurally, or None."""
-    if u is a:
-        return Fraction(1)
-    um, am = _core_coeff_map(u), _core_coeff_map(a)
+    um = {(m, o): c for c, m, o in _flats(u)}
+    am = {(m, o): c for c, m, o in _flats(a)}
     if um.keys() != am.keys():
         return None
-    ratio = None
-    for core, ca in am.items():
-        r = um[core] / ca
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
+    ratios = {Fraction(um[key], c) for key, c in am.items()}
+    return ratios.pop() if len(ratios) == 1 else None
 
 
 def _anti1(e: Expr, v: Expr) -> Expr:
@@ -1094,8 +1094,11 @@ def simplify(e: ExprLike) -> Expr:
 def max_jet(e: ExprLike) -> int:
     """Largest jet index occurring syntactically, -1 if none.  A conservative
     over-approximation of true dependence."""
-    e = as_expr(e)
-    return max((a.index for a in e.free_atoms if isinstance(a, Jet)), default=-1)
+    fa = as_expr(e).free_atoms
+    top = _MAX_JETS.get(fa)
+    if top is None:
+        top = _MAX_JETS[fa] = max((a.index for a in fa if a.__class__ is Jet), default=-1)
+    return top
 
 
 def free_jets(e: ExprLike) -> frozenset:
@@ -1734,13 +1737,6 @@ def _ray_witness(s: Expr, first: tuple[dict, float], cfg: ZeroTestConfig,
 
 
 def _is_laurent(s: Expr) -> bool:
-    """Whether the canonical `s` is a Laurent polynomial over the rationals
-    in x and the jets: sums and products of rationals, x, jets and their
-    integer powers only."""
-    for t in (s.terms if s.__class__ is Sum else (s,)):
-        for f in (t.factors if t.__class__ is Prod else (t,)):
-            cls = f.__class__
-            if not (cls is Rat or cls in _ATOM_CLASSES
-                    or (cls is Pow and f.base.__class__ in _ATOM_CLASSES)):
-                return False
-    return True
+    """Whether the canonical `s` is a Laurent polynomial in x and the jets
+    over the rationals: none of its flat terms has other factors."""
+    return not any(o for _, _, o in _flats(s))

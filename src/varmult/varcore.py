@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .jetops import euler_op, total_derivative
+from .jetops import _euler_op, euler_op, total_derivative
 from .symexpr import (
     Expr,
     ExprLike,
@@ -212,6 +212,7 @@ def verify_triple(t: VariationalTriple, cfg: ZeroTestConfig | None = None) -> Ze
 
 
 def _residual(t: VariationalTriple) -> Expr:
-    # rho (f - p_{2n}) negates one jet rather than every term of f
-    return add(euler_op(2 * t.m, t.m, t.L),
-               mul(t.rho, add(t.f, mul(-1, jet(2 * t.n)))))
+    # E L + rho f - rho p_{2n}, summed in the accumulator of the last D_m step
+    # of E L: a certificate that cancels builds neither E L nor rho f
+    return _euler_op(2 * t.m, t.m, t.L,
+                     ((t.rho, t.f), (t.rho, mul(-1, jet(2 * t.n)))))

@@ -391,6 +391,25 @@ def test_usage_error_exit_code():
         assert code == 2 and "--f" in err, bad
 
 
+def test_expression_values_may_begin_with_a_minus():
+    # argparse alone reads "-p3^2" as an option and exits 2
+    code, out, err = invoke("check", "--order", "2", "--expr", "-p3^2")
+    assert code == 0 and "outcome: accepted" in out
+    assert invoke("check", "--order", "2", "--expr=-p3^2") == (code, out, err)
+    code, out, _ = invoke("construct", "--order", "2", "--R", "-p1")
+    assert code == 0 and "rho: exp(p1)" in out
+    code, out, _ = invoke("construct", "--order", "2", "--N", "-p1")
+    assert code == 0 and "L: " in out
+    code, _, _ = invoke("verify", "--order", "2", "--expr", "-p2", "--rho", "1",
+                        "--lagrangian", "-1/2*p1^2 + 1/2*p2^2")
+    assert code == 0
+    code, _, err = invoke("verify", "--order", "2", "--expr", "0", "--rho", "-1",
+                          "--lagrangian", "0")
+    assert code == 2 and "rho" in err
+    # a missing value is still a usage error
+    assert invoke("check", "--order", "2", "--expr")[0] == 2
+
+
 def test_verify_rejects_bad_multiplier_shape():
     code, _, err = invoke("verify", "--order", "2", "--expr", "0",
                           "--rho", "p1", "--lagrangian", "p2^2/2")

@@ -829,15 +829,16 @@ def test_add_keeps_terms_with_distinct_cores(monkeypatch):
     terms = [mul(3, p1, p2), pow_int(p2, 2), exp(p1), mul(Fraction(-1, 2), X),
              mul(-7, exp(p2), p1)]
     expected = add(*terms)
-    calls = _counting(monkeypatch, "_with_coeff")
+    calls = _counting(monkeypatch, "_term")
     s = add(*terms)
     assert s is expected and isinstance(s, Sum)
     assert calls == []
     assert len(s.terms) == len(terms)
     assert all(any(t is u for u in s.terms) for t in terms)
-    # only a core that occurs twice is rebuilt, and a zero sum drops it
+    # only a core that occurs twice is rebuilt, and a zero sum drops it;
+    # p1*p2 is the monomial with exponent 1 at the positions of p1 and p2
     merged = add(s, mul(2, p1, p2))
-    assert calls == [(Fraction(5), mul(p1, p2))]
+    assert calls == [(5, (0, 0, 1, 1), ())]
     assert merged is add(mul(5, p1, p2), *terms[1:])
     assert add(s, mul(-3, p1, p2)) is add(*terms[1:])
 
@@ -859,15 +860,15 @@ _FACTORS = [X, p1, p2, pow_int(p1, -1), pow_int(p2, 2), pow_int(X, -2),
             log(p1), pow_int(log(p1), 2), pow_int(log(p1), -1)]
 
 
-def _random_term(rng):
+def _random_term(rng, pool=_FACTORS):
     c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
     if rng.random() < 0.2:
         return rational(c)  # a constant term
-    return mul(c, *rng.sample(_FACTORS, rng.randint(1, 3)))
+    return mul(c, *rng.sample(pool, rng.randint(1, 3)))
 
 
-def _random_sum(rng):
-    s = add(*(_random_term(rng) for _ in range(rng.randint(2, 6))))
+def _random_sum(rng, pool=_FACTORS):
+    s = add(*(_random_term(rng, pool) for _ in range(rng.randint(2, 6))))
     return s if isinstance(s, Sum) else add(s, X)
 
 
@@ -901,3 +902,94 @@ def test_product_over_a_sum_hand_picked_cases():
         mul(-2, p2, exp(mul(3, p1)), exp(rational(Fraction(7, 2))), pow_int(p1, -1),
             log(p1), pow_int(_SLOPE, -2)),
     }
+
+
+#: the factors above plus sin, cos and their powers, and opaque integrals
+#: (one with a parameter), whose powers also merge only in `mul`
+_FUZZ_FACTORS = _FACTORS + [
+    sin(p1), pow_int(sin(p1), 2), cos(mul(X, p2)), pow_int(cos(mul(X, p2)), -1),
+    antideriv(exp(mul(p0, pow_int(p1, 2))), p1), antideriv(exp(pow_int(p2, 2)), p2),
+    exp(mul(2, p1, p2)), pow_int(p2, -1)]
+
+
+def test_fuzzed_products_and_sums_render_as_the_term_by_term_reference():
+    # the reference multiplies single terms only and sums the products with
+    # `add`, so it never takes the accumulator path of a product over a sum
+    import functools
+    import random
+
+    assert all(isinstance(f, AntiDeriv) for f in _FUZZ_FACTORS[-4:-2])
+    for seed in range(300):
+        rng = random.Random(seed)
+        a = _random_term(rng, _FUZZ_FACTORS)
+        s1, s2 = _random_sum(rng, _FUZZ_FACTORS), _random_sum(rng, _FUZZ_FACTORS)
+        got = mul(a, s1, s2)
+        ref = add(*(mul(a, t, u) for t in s1.terms for u in s2.terms))
+        assert render(got) == render(ref), seed
+        assert got is ref, seed
+        terms = [_random_term(rng, _FUZZ_FACTORS) for _ in range(rng.randint(2, 8))]
+        assert render(add(*terms)) == render(functools.reduce(add, terms, ZERO)), seed
+
+
+# ---------------------------------------------------------------------------
+# flat terms: exact coefficients, shared atom sets
+# ---------------------------------------------------------------------------
+
+
+def test_nodes_with_equal_atom_sets_share_one_frozenset():
+    s = add(mul(p1, pow_int(p2, 3)), mul(5, X))
+    t = mul(X, p1, exp(p2))
+    u = add(mul(-1, X), mul(7, p2, exp(p1)))
+    assert len({id(s), id(t), id(u)}) == 3
+    assert s.free_atoms == t.free_atoms == u.free_atoms == {X, p1, p2}
+    assert s.free_atoms is t.free_atoms is u.free_atoms
+
+
+def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
+    from varmult.checker import check
+    from varmult.varcore import construct
+
+    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
+    assert len(t.f.terms) == 3261
+    assert check(t.f, 4, CFG).outcome.residual.is_zero
+    rats = [e for e in list(symexpr._INTERN.values()) if e.__class__ is Rat]
+    assert len(rats) > 100
+    assert all(type(e.value) is Fraction for e in rats)
+    # a flat coefficient is an int exactly when it is integral, also in the
+    # derivation memo, where sums of fractions can come out integral
+    coeffs = [c for c, _, _ in symexpr._flats(t.f)]
+    assert any(type(c) is int for c in coeffs) and any(type(c) is Fraction for c in coeffs)
+    coeffs += [c for v in list(symexpr._DERIV_CACHE.values()) if isinstance(v, tuple)
+               for c, _, _ in v]
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in coeffs)
+
+
+def test_rational_multiple_of_integral_coefficients_is_exact():
+    u = add(mul(6, p1), mul(4, X))
+    a = add(mul(3, p1), mul(2, X))
+    for num, den, want in ((u, a, 2), (a, u, Fraction(1, 2))):
+        r = symexpr._rat_multiple(num, den)
+        assert type(r) is Fraction and r == want
+    # a float quotient would round 10^30 + 1
+    big = 10 ** 30 + 1
+    assert symexpr._rat_multiple(mul(big, p1), mul(3, p1)) == Fraction(big, 3)
+    assert symexpr._rat_multiple(u, add(mul(3, p1), X)) is None
+    # the antiderivative that uses it: 4 exp(2 p1) integrates to 2 (exp(2 p1) - 1)
+    got = antideriv(mul(4, exp(mul(2, p1))), p1)
+    assert got is mul(2, add(exp(mul(2, p1)), -1))
+    assert render(got) == "-2 + 2*exp(2*p1)"
+
+
+def test_fraction_coefficients_that_cancel_to_integers():
+    s = add(mul(Fraction(1, 2), p1), mul(Fraction(3, 2), p1))
+    assert s is mul(2, p1) and render(s) == "2*p1"
+    prod = mul(Fraction(2, 3), add(mul(Fraction(3, 2), p1), mul(Fraction(3, 4), X)))
+    assert render(prod) == "p1 + 1/2*x"
+    assert [type(c) for c, _, _ in symexpr._flats(prod)] == [int, Fraction]
+    # a sum of fractions that comes out integral: the built term caches an int
+    u = add(mul(Fraction(1, 2), X, jet(9), jet(11)), mul(Fraction(3, 2), X, jet(9), jet(11)))
+    assert u is mul(2, X, jet(9), jet(11)) and type(symexpr._flat(u)[0]) is int
+    # 2 * 1/2 drops the head: the derivative is the bare atom
+    assert diff(mul(Fraction(1, 2), pow_int(p1, 2)), p1) is p1
+    assert render(mul(Fraction(3, 7), Fraction(14, 3), exp(p1))) == "2*exp(p1)"

@@ -275,3 +275,36 @@ def test_residual_is_the_node_of_the_negated_f_formula(n, seed, allow_exp):
     negated = add(euler_op(2 * t.m, t.m, t.L),
                   mul(-1, t.rho, add(jet(2 * t.n), mul(-1, t.f))))
     assert _residual(t) is negated
+
+
+@pytest.mark.parametrize("n, seed, allow_exp", [
+    (2, 20_000, False), (3, 30_002, False), (4, 40_000, False), (4, 40_002, False),
+    (2, 20_002, True), (3, 30_001, True),
+])
+def test_fused_residual_is_the_node_of_the_unfused_sum(n, seed, allow_exp):
+    # the residual sums rho f and rho p_{2n} into the last D_m step of E L;
+    # it is the node of E L + rho (f - p_{2n}) built in full, also for a
+    # corrupted Lagrangian, whose verdict (point and value) is unchanged
+    cfg = GenConfig(seed=seed, max_degree=2 if allow_exp else 3,
+                    max_terms=2 if allow_exp else 4, allow_exp=allow_exp)
+    t = construct(gen_params(n, n, cfg))
+    bad = VariationalTriple(f=t.f, rho=t.rho, n=t.n, m=t.m,
+                            L=add(t.L, mul(Fraction(1, 3), p0, pow_int(jet(t.m), 2))))
+    for triple in (t, bad):
+        unfused = add(euler_op(2 * triple.m, triple.m, triple.L),
+                      mul(triple.rho, add(triple.f, mul(-1, jet(2 * triple.n)))))
+        assert _residual(triple) is unfused
+    assert verify_triple(t, CFG).is_zero
+    assert verify_triple(bad, CFG) == is_zero(unfused, CFG)
+    assert isinstance(verify_triple(bad, CFG), NonZero)
+
+
+def test_a_residual_that_cancels_builds_no_euler_lagrange_sum():
+    from varmult.symexpr import _INTERN
+
+    # a parameter seed no other test uses, so E L is not interned already
+    t = construct(gen_params(3, 3, GenConfig(seed=30_917, max_degree=3, max_terms=4)))
+    assert _residual(t) is ZERO
+    before = set(_INTERN.values())
+    el = euler_op(2 * t.m, t.m, t.L)
+    assert len(el.terms) > 10 and el not in before
