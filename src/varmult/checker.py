@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record, replace
-from .jetops import euler_op, total_derivative
+from .jetops import _euler_op, euler_op, total_derivative
 from .symexpr import (
     Expr,
     ExprError,
@@ -235,9 +235,12 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
     rho = exp(mul(-1, big_r))
     d2_top = diff(d_top, top)
     sign_n = 1 if n % 2 == 0 else -1
-    h = add(mul(-1, rho,
-                add(f, mul(-1, d_top, top), mul(Fraction(1, 2), d2_top, pow_int(top, 2)))),
-            mul(-sign_n, euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2))))
+    # -rho Y - (-1)^n E as -(-1)^n (E + (-1)^n rho Y): the sign goes on the
+    # small sum, and rho Y, whose terms cancel E's, is summed into E's last
+    # D_m step without being built
+    y = add(f, mul(-1, d_top, top), mul(Fraction(1, 2), d2_top, pow_int(top, 2)))
+    h = mul(-sign_n, _euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2),
+                               ((mul(sign_n, rho), y),)))
 
     # S4: strip f_{n-1}, ..., f_1
     f_rec: dict[int, Expr] = {}

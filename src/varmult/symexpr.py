@@ -16,12 +16,14 @@ Sums, products and derivations compute on flat terms (coefficient,
 monomial, other factors; see `_flat`) and build a node only for each term
 that survives.
 
-Nodes are hash-consed: every node is interned on construction, also one
-built by calling its class, so two structurally equal trees are the same
-object, and node equality and hashing are object identity.  A tree built by
-calling the node classes need not be canonical (`Sum((p1, p1))` is not
-`add(p1, p1)`); `simplify` maps it to its canonical form, and the other
-kernel functions expect canonical nodes.
+Nodes are hash-consed: every node is interned on construction, so two
+structurally equal trees are the same object, and node equality and hashing
+are object identity.  Every node is canonical: a node-class call is its
+canonical constructor (`Sum(terms)` is `add(*terms)`, `Pow(b, n)` is
+`pow_int(b, n)`, `AntiDeriv(g, v)` is `antideriv(g, v)`; see `_MAKE`), so it
+may return another class (`Sum((p1, p1))` is `2*p1`, a `Prod`).  Every
+interned node is a fixed point of its own class call, so unpickling, which
+calls the class, returns it.
 """
 
 from __future__ import annotations
@@ -116,10 +118,10 @@ class DomainError(ArithmeticError):
 
 
 class Expr:
-    """Base class of all expression nodes.  Immutable; use the module-level
-    constructors (`add`, `mul`, `exp`, ...) or the arithmetic operators to
-    build canonical expressions.  Calling a node class returns the interned
-    node of that structure, so equality and hashing are identity; the
+    """Base class of all expression nodes.  Immutable and interned, so
+    equality and hashing are identity.  Build nodes with the module-level
+    constructors (`add`, `mul`, `exp`, ...), the arithmetic operators, or a
+    class call, which is the class's canonical constructor (`_MAKE`); the
     fields are filled once, by `_init`, when the node is first made."""
 
     __slots__ = ("_key", "free_atoms")
@@ -127,7 +129,7 @@ class Expr:
     _args: tuple = ()
 
     def __new__(cls, *args):
-        return _intern((cls,) + args, cls, *args)
+        return _MAKE[cls](*args)
 
     # a node is immutable and unique, so a copy is the node itself
     def __copy__(self):
@@ -136,8 +138,8 @@ class Expr:
     def __deepcopy__(self, memo):
         return self
 
-    # unpickling calls the class, which interns: in one process
-    # pickle.loads(pickle.dumps(e)) is e
+    # unpickling calls the class, whose canonical constructor has every node
+    # as a fixed point: in one process pickle.loads(pickle.dumps(e)) is e
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, f) for f in self._args)
 
@@ -181,9 +183,6 @@ class Rat(Expr):
     __slots__ = ("value",)
     _args = __slots__
 
-    def __new__(cls, value):
-        return rational(value)
-
     def _init(self, value: Fraction):
         self.value = value
         self.free_atoms = _EMPTY
@@ -195,9 +194,6 @@ class VarX(Expr):
 
     __slots__ = ()
 
-    def __new__(cls):
-        return X
-
     def _init(self):
         self.free_atoms = frozenset((self,))
         self._key = (1,)
@@ -208,9 +204,6 @@ class Jet(Expr):
 
     __slots__ = ("index",)
     _args = __slots__
-
-    def __new__(cls, index):
-        return jet(index)
 
     def _init(self, index: int):
         self.index = index
@@ -350,8 +343,9 @@ _INTERN: dict = {}
 
 
 def _intern(key, cls, *args) -> Expr:
-    """The one node of `key`.  A composite's key is `(cls,) + args`, the one
-    a class call looks up; a new node is made past the class's `__new__`."""
+    """The one node of `key`, for the canonical constructors only: a new
+    node is made past the class's `__new__`, so `args` must already be
+    canonical.  A composite's key is `(cls,) + args`."""
     node = _INTERN.get(key)
     if node is None:
         # setdefault, not a store: of two threads building the same node,
@@ -958,6 +952,12 @@ def antideriv(e: ExprLike, v: Expr, times: int = 1) -> Expr:
     return out
 
 
+#: the canonical constructor that a call of each node class stands for
+_MAKE = {Rat: rational, VarX: lambda: X, Jet: jet, Sum: lambda terms: add(*terms),
+         Prod: lambda factors: mul(*factors), Pow: pow_int, Exp: exp, Log: log,
+         Sin: sin, Cos: cos, AntiDeriv: antideriv}
+
+
 def _rat_multiple(u: Expr, a: Expr) -> Fraction | None:
     """The rational c with u == c * a structurally, or None."""
     um = {(m, o): c for c, m, o in _flats(u)}
@@ -1026,7 +1026,8 @@ def substitute(e: ExprLike, bindings: Mapping[Expr, ExprLike]) -> Expr:
 
 def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     """Apply `f` to each child of `e` and rebuild the node through the
-    canonical constructors; atoms come back unchanged."""
+    canonical constructors; atoms come back unchanged.  The tree walk of
+    `substitute` and `_bind_zero`."""
     cls = e.__class__
     if cls is Sum:
         return add(*(f(t) for t in e.terms))
@@ -1034,14 +1035,8 @@ def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
         return mul(*(f(t) for t in e.factors))
     if cls is Pow:
         return pow_int(f(e.base), e.exponent)
-    if cls is Exp:
-        return exp(f(e.arg))
-    if cls is Log:
-        return log(f(e.arg))
-    if cls is Sin:
-        return sin(f(e.arg))
-    if cls is Cos:
-        return cos(f(e.arg))
+    if isinstance(e, _Unary):
+        return cls(f(e.arg))
     if cls is AntiDeriv:
         return _anti1(f(e.integrand), e.var)
     return e
@@ -1086,9 +1081,9 @@ def _bind_zero(e: Expr, v: Expr) -> Expr:
 
 
 def simplify(e: ExprLike) -> Expr:
-    """Canonical form of `e`.  Idempotent and value-preserving; expressions
-    built through this module's constructors are already canonical."""
-    return _rebuild(as_expr(e), simplify)
+    """Canonical form of `e`: every node is canonical already, so this is
+    `as_expr`, and walks nothing."""
+    return as_expr(e)
 
 
 def max_jet(e: ExprLike) -> int:
@@ -1459,7 +1454,7 @@ class ZeroVerdict(Record):
 
 
 class ZeroStructural(ZeroVerdict):
-    """The expression simplifies to the literal 0."""
+    """The expression is the literal 0."""
 
 
 class ZeroNumeric(ZeroVerdict):
@@ -1651,21 +1646,20 @@ def evaluate(e: ExprLike, point: Mapping[Expr, float]) -> float:
 def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
     """Decide whether `e` is identically zero.
 
-    Structural fast path: the canonical form is the literal 0, and any other
-    rational constant is nonzero.  Otherwise the expression is sampled at
-    `cfg.samples` uniform points of the box [-1, 1] (resampling on domain
-    errors); the verdict is zero-numeric when every sampled magnitude is
-    within atol + 1e-8 * scale, where scale is the largest intermediate
-    magnitude at that point.  A zero-numeric verdict is probabilistic;
-    nonzero verdicts carry an explicit witness.  A Laurent polynomial in x
-    and the jets (no exp, log, sin, cos or integral) is decided exactly: its
-    canonical form is unique, so when it is not 0 but every sample is within
-    tolerance (say, it underflows), the verdict is nonzero, with a witness
-    found along the ray through the first sample (`_ray_witness`), which may
-    lie outside the box.
-    """
+    Every node is canonical, so nothing is simplified first.  Structural
+    fast path: `e` is the literal 0, and any other rational constant is
+    nonzero.  Otherwise `e` is sampled at `cfg.samples` uniform points of the
+    box [-1, 1] (resampling on domain errors); the verdict is zero-numeric
+    when every sampled magnitude is within atol + 1e-8 * scale, where scale
+    is the largest intermediate magnitude at that point.  A zero-numeric
+    verdict is probabilistic; nonzero verdicts carry an explicit witness.  A
+    Laurent polynomial in x and the jets (no exp, log, sin, cos or integral)
+    is decided exactly: its canonical form is unique, so when it is not 0 but
+    every sample is within tolerance (say, it underflows), the verdict is
+    nonzero, with a witness found along the ray through the first sample
+    (`_ray_witness`), which may lie outside the box."""
     cfg = cfg or _DEFAULT_CFG
-    s = simplify(e)
+    s = as_expr(e)
     if s is ZERO:
         return ZeroStructural()
     if s.__class__ is Rat:

@@ -140,20 +140,21 @@ def construct(params: ParamSet) -> VariationalTriple:
     n, m, R = params.n, params.m, params.R
     rho = exp(mul(-1, R))
     sign_n = 1 if n % 2 == 0 else -1
-    bracket_parts = [mul(sign_n, euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2))),
-                     params.f_lower[0]]
+    rest = [params.f_lower[0]]
     for ell in range(1, n):
         fl = params.f_lower[ell]
         sign = 1 if ell % 2 == 0 else -1
-        bracket_parts.append(mul(fl, jet(2 * ell)))
-        bracket_parts.append(mul(sign, euler_op(2 * ell - 1, ell,
-                                                antideriv(fl, jet(ell), 2))))
+        rest.append(mul(fl, jet(2 * ell)))
+        rest.append(mul(sign, euler_op(2 * ell - 1, ell, antideriv(fl, jet(ell), 2))))
     if n == 2:
         lead = add(mul(diff(R, jet(2)), pow_int(jet(3), 2)),
                    mul(2, total_derivative(2, R), jet(3)))
     else:
         lead = mul(n, total_derivative(n + 1, R), jet(2 * n - 1))
-    f = add(lead, mul(-1, exp(R), add(*bracket_parts)))
+    # -e^R ((-1)^n E + rest) as -(-1)^n e^R (E + (-1)^n rest): the sign goes
+    # on the small rest, not on every term of E
+    E = euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2))
+    f = add(lead, mul(-sign_n, exp(R), add(E, mul(sign_n, add(*rest)))))
     return VariationalTriple(f=f, rho=rho, L=_lagrangian(params), n=n, m=m)
 
 

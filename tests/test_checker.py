@@ -38,7 +38,7 @@ from varmult.symexpr import (
     sin,
 )
 from varmult.testkit import GenConfig, gen_params
-from varmult import checker, varcore
+from varmult import checker, symexpr, varcore
 from varmult.varcore import ParamSet, VariationalTriple, construct, verify_triple
 
 p0, p1, p2, p3, p4, p5 = (jet(k) for k in range(6))
@@ -101,10 +101,15 @@ def test_check_preconditions():
     (Pow(Jet(1), 2), 2, Rejected, "S5"),
     (Prod((VarX(), Jet(2))), 2, Rejected, "S5"),
     (Pow(Jet(5), 2), 3, Rejected, "S1"),
+    # p3^3, p3^4 and p3^3 as products of powers: read as a raw product, each
+    # would pass S2(k=3) as p3 does
+    (Prod((Jet(3), Pow(Jet(3), 2))), 2, Rejected, "S2(k=3)"),
+    (Prod((Pow(Jet(3), 2), Pow(Jet(3), 2))), 2, Rejected, "S2(k=3)"),
+    (Prod((Pow(Jet(3), 2), Jet(3))), 2, Rejected, "S2(k=3)"),
 ])
 def test_check_of_hand_built_trees(f, n, outcome, step):
-    # trees built by calling the node classes get the verdicts of their
-    # canonical forms (and check does not loop pruning a raw p3)
+    # a class call is its canonical constructor, so a tree built by calling
+    # the node classes gets the verdict of the expression it stands for
     report = check(f, n, CFG)
     assert isinstance(report.outcome, outcome)
     assert getattr(report.outcome, "step", None) == step
@@ -308,6 +313,23 @@ def test_certificate_builds_only_the_lagrangian(monkeypatch):
     assert report.outcome.residual.is_zero
     assert len(verified) == 1 and verified[0].f is f
     assert verified[0].L is report.outcome.L
+
+
+def test_zero_test_rebuilds_no_node(monkeypatch):
+    # every node is canonical, so is_zero samples its input as it is: the
+    # checked and derived expressions of a corpus trial give the verdicts
+    # of the trace without a single rebuilt node
+    params = gen_params(3, 3, GenConfig(seed=30001, max_degree=3, max_terms=4))
+    report = check(construct(params).f, 3, CFG)
+    assert isinstance(report.outcome, Accepted)
+
+    def no_rebuild(e, f):
+        raise AssertionError("is_zero rebuilt a node")
+
+    monkeypatch.setattr(symexpr, "_rebuild", no_rebuild)
+    assert [is_zero(t.checked, CFG) for t in report.trace] == [t.verdict for t in report.trace]
+    derived = [t.derived for t in report.trace if t.derived not in (None, ZERO)]
+    assert any(isinstance(is_zero(g, CFG), NonZero) for g in derived)
 
 
 def test_verify_triple_rejects_a_corrupted_lagrangian():

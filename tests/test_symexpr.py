@@ -406,12 +406,13 @@ def test_simplify_of_raw_nodes():
     assert simplify(raw2) == mul(2, pow_int(p1, 2), p2)
     raw3 = Pow(Prod((p1, p1)), 2)
     assert simplify(raw3) == pow_int(p1, 4)
-    # calling a node class returns the interned node of that structure
+    # calling a node class is calling its canonical constructor
     assert Jet(3) is jet(3) and VarX() is X
     assert Rat(Fraction(2)) is rational(2) and Rat(Fraction(0)) is ZERO
     assert Pow(Jet(1), 4) is pow_int(p1, 4)
-    # ... which need not be canonical: that is what simplify is for
-    assert Sum((p1, p1)) is Sum((p1, p1)) and Sum((p1, p1)) is not mul(2, p1)
+    # ... so it may return a node of another class
+    assert Sum((p1, p1)) is mul(2, p1) and isinstance(Sum((p1, p1)), Prod)
+    assert diff(Prod((p1, p1)), p1) is mul(2, p1)
     assert diff(pow_int(jet(3), 2), Jet(3)) is mul(2, jet(3))
     assert substitute(Pow(Jet(3), 2), {Jet(3): 2}) is rational(4)
     assert copy.copy(raw2) is raw2 and copy.deepcopy([raw3])[0] is raw3
@@ -434,8 +435,7 @@ def test_every_node_survives_pickling():
     for e in _EACH_CLASS:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(e, protocol)) is e
-    raw = Sum((p1, p1))  # a non-canonical node keeps its structure
-    assert pickle.loads(pickle.dumps(raw)) is raw
+    assert pickle.loads(pickle.dumps(Sum((p1, p1)))) is mul(2, p1)
 
 
 def test_pickled_node_rebuilds_in_a_fresh_process():
@@ -450,6 +450,25 @@ def test_pickled_node_rebuilds_in_a_fresh_process():
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == f"{render(e)}\n{render(e, 'json')}\n"
+
+
+def test_every_interned_node_is_a_fixed_point_of_its_class_call():
+    # unpickling and the identity `simplify` rely on it; in a fresh process,
+    # so that the table holds the nodes of the heaviest corpus trial only
+    script = ("from varmult import GenConfig, check, construct, gen_params\n"
+              "from varmult.symexpr import _INTERN\n"
+              "t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3,"
+              " max_terms=4)))\n"
+              "assert check(t.f, 4).accepted\n"
+              "nodes = list(_INTERN.values())\n"
+              "print(len(nodes), sum(type(v)(*(getattr(v, a) for a in v._args)) is not v"
+              " for v in nodes))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symexpr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    interned, moved = map(int, proc.stdout.split())
+    assert interned > 5_000 and moved == 0
 
 
 def test_canonical_invariants():
@@ -497,7 +516,7 @@ def test_simplify_value_preserving_hypothesis(seed):
 
 def test_evaluate_examples():
     assert evaluate(pow_int(p2, 2), {p2: 3.0}) == 9.0
-    assert abs(evaluate(AntiDeriv(ONE, p2), {p2: 2.0}) - 2.0) <= 1e-12
+    assert abs(evaluate(symexpr._ad_raw(ONE, p2), {p2: 2.0}) - 2.0) <= 1e-12
     got = evaluate(antideriv(exp(mul(-1, pow_int(p2, 2))), p2), {p2: 1.0})
     # reference: erf-based closed form
     expected = math.sqrt(math.pi) / 2 * math.erf(1.0)
@@ -506,13 +525,15 @@ def test_evaluate_examples():
 
 def test_evaluate_exponential_integral_quadrature():
     # force the opaque path for an integrand with a known closed form
-    node = AntiDeriv(exp(mul(-1, p2)), p2)
+    node = symexpr._ad_raw(exp(mul(-1, p2)), p2)
+    assert isinstance(node, AntiDeriv)
     got = evaluate(node, {p2: 1.0})
     assert abs(got - (1 - math.exp(-1))) <= 1e-10
 
 
 def test_evaluate_linear_integrand_exact():
-    node = AntiDeriv(ONE, p2)
+    node = symexpr._ad_raw(ONE, p2)
+    assert isinstance(node, AntiDeriv)
     for t in (-1.0, -0.3, 0.0, 0.7, 1.0):
         assert abs(evaluate(node, {p2: t}) - t) <= 1e-12
 
@@ -520,8 +541,8 @@ def test_evaluate_linear_integrand_exact():
 def test_evaluate_nested_double_integral():
     # II exp(-p2^2): compare against one-dimensional reduction
     # int_0^t (t-s) exp(-s^2) ds at t = 1
-    inner = AntiDeriv(exp(mul(-1, pow_int(p2, 2))), p2)
-    outer = AntiDeriv(inner, p2)
+    inner = symexpr._ad_raw(exp(mul(-1, pow_int(p2, 2))), p2)
+    outer = symexpr._ad_raw(inner, p2)
     got = evaluate(outer, {p2: 1.0})
     expected = math.sqrt(math.pi) / 2 * math.erf(1.0) - (1 - math.exp(-1.0)) / 2
     assert abs(got - expected) <= 1e-10
@@ -868,8 +889,13 @@ def _random_term(rng, pool=_FACTORS):
 
 
 def _random_sum(rng, pool=_FACTORS):
-    s = add(*(_random_term(rng, pool) for _ in range(rng.randint(2, 6))))
-    return s if isinstance(s, Sum) else add(s, X)
+    # a draw whose terms cancel to one term gets x added; one that is still
+    # not a sum (the terms cancel to 0, or to a multiple of x) is redrawn
+    while True:
+        s = add(*(_random_term(rng, pool) for _ in range(rng.randint(2, 6))))
+        s = s if isinstance(s, Sum) else add(s, X)
+        if isinstance(s, Sum):
+            return s
 
 
 @pytest.mark.parametrize("seed", range(40))
