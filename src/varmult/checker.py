@@ -236,11 +236,13 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
     d2_top = diff(d_top, top)
     sign_n = 1 if n % 2 == 0 else -1
     # -rho Y - (-1)^n E as -(-1)^n (E + (-1)^n rho Y): the sign goes on the
-    # small sum, and rho Y, whose terms cancel E's, is summed into E's last
-    # D_m step without being built
-    y = add(f, mul(-1, d_top, top), mul(Fraction(1, 2), d2_top, pow_int(top, 2)))
+    # small sum, and rho Y = rho (f - d_top p_top + 1/2 d2_top p_top^2),
+    # whose terms cancel E's, is summed into E's last D_m step as three
+    # products without being built
+    a = mul(sign_n, rho)
     h = mul(-sign_n, _euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2),
-                               ((mul(sign_n, rho), y),)))
+                               ((a, f), (mul(-1, a, top), d_top),
+                                (mul(Fraction(1, 2), a, pow_int(top, 2)), d2_top))))
 
     # S4: strip f_{n-1}, ..., f_1
     f_rec: dict[int, Expr] = {}

@@ -63,21 +63,24 @@ def euler_op(m: int, n: int, e: ExprLike) -> Expr:
     return _euler_op(m, n, e, ())
 
 
-def _euler_op(m: int, n: int, e: ExprLike, plus: tuple) -> Expr:
-    """`euler_op(m, n, e)` plus the products a*b of the pairs (a, b) of
-    `plus`, each a a canonical term that holds no power of b: they are
-    added in the accumulator of the last D_m step (`symexpr._derive`), so a
-    result that cancels builds neither s_0 nor the products."""
+def _euler_op(m: int, n: int, e: ExprLike, plus: tuple, scale: Expr = ONE) -> Expr:
+    """`scale * euler_op(m, n, e)`, scale a canonical term, plus the
+    products a*b of the pairs (a, b) of `plus`, each a a canonical term that
+    holds no power of b.  Every Horner step builds one sum: the partial
+    derivative goes into the accumulator of its D_m step
+    (`symexpr._derive`), and so do the scale and the pairs in the last step,
+    so a result that cancels builds neither s_0 nor the products."""
     _check_orders(m, n)
     e = as_expr(e)
+    m = int(m)
     out = None
     for k in range(n, -1, -1):
         d = diff(e, jet(k))
         if k % 2:
             d = mul(-1, d)
         if k == 0 and plus:
-            return _derive(int(m), ZERO if out is None else out, ((ONE, d),) + plus)
-        out = d if out is None else add(d, total_derivative(m, out))
+            return _derive(m, ZERO if out is None else out, ((scale, d),) + plus, scale)
+        out = d if out is None else _derive(m, out, ((ONE, d),))
     return out
 
 

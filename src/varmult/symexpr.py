@@ -752,6 +752,8 @@ def log(arg: ExprLike) -> Expr:
     a = as_expr(arg)
     if a is ONE:
         return ZERO
+    if a.__class__ is Rat and a.value <= 0:
+        raise ExprError(f"log of the nonpositive constant {a.value}")
     return _intern((Log, a), Log, a)
 
 
@@ -782,8 +784,10 @@ def _ad_raw(integrand: Expr, var: Expr) -> Expr:
 #: derivation results keyed on (d, interned node): for a single term its
 #: flat terms, for a sum its canonical node.  `d` is an atom
 #: for a partial derivative and an int m for D_m, so the two kinds of key
-#: never collide.  Threads racing on one key store equal values.
-_DERIV_CACHE: dict[tuple[object, Expr], object] = {}
+#: never collide.  A derivation with `plus` pairs is keyed on (d, e, plus,
+#: scale), and an antiderivative of e in v on ("anti", e, v), so neither
+#: meets a 2-tuple key.  Threads racing on one key store equal values.
+_DERIV_CACHE: dict[tuple, object] = {}
 
 
 def _require_atom(v: Expr) -> Expr:
@@ -804,7 +808,7 @@ def diff(e: ExprLike, v: Expr, times: int = 1) -> Expr:
     return out
 
 
-def _derive(d, e: Expr, plus: tuple = ()) -> Expr:
+def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
     """The derivation `d` applied to the canonical `e`: the partial
     derivative d/dv for an atom `d` = v, the truncated total derivative
     D_m = d/dx + p_1 d/dp_0 + ... + p_m d/dp_{m-1} for an int `d` = m.  The
@@ -812,23 +816,31 @@ def _derive(d, e: Expr, plus: tuple = ()) -> Expr:
     only terms that survive the sum are built.  Each pair (a, b) of `plus`
     adds the product a*b of a canonical term and expression to the result,
     in the same accumulator: a result that cancels builds no sum at all.
-    The terms are those of `mul(a, b)` when a holds no power of b."""
+    The terms are those of `mul(a, b)` when a holds no power of b.  A
+    canonical term `scale`, given with `plus`, multiplies the derivative
+    (not the pairs) after its like terms have merged, so each merged term
+    is multiplied once."""
     if d.__class__ is int:
         # D_m and D_m' agree on e once both orders exceed max_jet(e)
         d = min(d, max_jet(e) + 1)
     elif d not in e.free_atoms and not plus:
         return ZERO
-    memo = e.__class__ is Sum and not plus
-    out = _DERIV_CACHE.get((d, e)) if memo else None
+    key = (d, e, plus, scale) if plus else (d, e)
+    memo = bool(plus) or e.__class__ is Sum
+    out = _DERIV_CACHE.get(key) if memo else None
     if out is None:
         acc: dict = {}
         for t in (e.terms if e.__class__ is Sum else (e,)):
             _put(acc, _derive_term(d, t))
+        if scale is not ONE:
+            flats = [(c, m, o) for (m, o), c in acc.items() if c]
+            acc = {}
+            _times_sum(acc, *_flat(scale), flats)
         for a, b in plus:
             _times_sum(acc, *_flat(a), _flats(b))
         out = _finish(acc)
         if memo:
-            _DERIV_CACHE[d, e] = out
+            _DERIV_CACHE[key] = out
     return out
 
 
@@ -969,6 +981,15 @@ def _rat_multiple(u: Expr, a: Expr) -> Fraction | None:
 
 
 def _anti1(e: Expr, v: Expr) -> Expr:
+    """The antiderivative of e over v from 0, memoized."""
+    key = ("anti", e, v)
+    out = _DERIV_CACHE.get(key)
+    if out is None:
+        out = _DERIV_CACHE[key] = _anti1_raw(e, v)
+    return out
+
+
+def _anti1_raw(e: Expr, v: Expr) -> Expr:
     if v not in e.free_atoms:
         return mul(e, v)
     # group by the v-dependent part so that derivative-shaped integrands

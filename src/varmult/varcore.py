@@ -21,6 +21,7 @@ from .symexpr import (
     Expr,
     ExprLike,
     Exp,
+    ONE,
     Prod,
     Rat,
     ZeroTestConfig,
@@ -151,10 +152,11 @@ def construct(params: ParamSet) -> VariationalTriple:
                    mul(2, total_derivative(2, R), jet(3)))
     else:
         lead = mul(n, total_derivative(n + 1, R), jet(2 * n - 1))
-    # -e^R ((-1)^n E + rest) as -(-1)^n e^R (E + (-1)^n rest): the sign goes
-    # on the small rest, not on every term of E
-    E = euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2))
-    f = add(lead, mul(-sign_n, exp(R), add(E, mul(sign_n, add(*rest)))))
+    # lead - (-1)^n e^R E - e^R rest in the accumulator of E's last D_m
+    # step, which scales E's merged terms by -(-1)^n e^R: only f is built
+    e_r = exp(R)
+    f = _euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2),
+                  ((mul(-1, e_r), add(*rest)), (ONE, lead)), mul(-sign_n, e_r))
     return VariationalTriple(f=f, rho=rho, L=_lagrangian(params), n=n, m=m)
 
 

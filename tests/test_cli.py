@@ -298,6 +298,18 @@ def test_check_inconclusive_exit_code():
     assert code == 3
 
 
+def test_log_of_a_nonpositive_constant_is_an_input_error():
+    # log(-1) and log(0) are no real constants: exit 2, not a verdict
+    for argv in (("check", "--order", "2", "--expr", "log(-1)*p3^2"),
+                 ("check", "--order", "2", "--expr", "log(0)"),
+                 ("construct", "--order", "2", "--R=log(-1)*p1")):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "") and "nonpositive constant" in err
+    # a log of a negative sum is no constant: still inconclusive
+    code, out, _ = invoke("check", "--order", "2", "--expr", "p3^3*log(-2 - p1^2)")
+    assert code == 3 and "outcome: inconclusive" in out
+
+
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------

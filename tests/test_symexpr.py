@@ -276,6 +276,22 @@ def test_antideriv_times_must_be_the_int_1_or_2(times):
         antideriv(jet(1), jet(1), times=times)
 
 
+def test_antideriv_is_memoized_in_the_derivation_memo(monkeypatch):
+    # an integrand no other test builds, so the first call integrates
+    e = add(mul(7, p1, exp(mul(3, p2))), mul(Fraction(5, 11), X, pow_int(p2, 3)),
+            exp(mul(-1, pow_int(p2, 2))))
+    first = antideriv(e, p2, 2)
+    once = antideriv(e, p2)
+    assert symexpr._DERIV_CACHE[("anti", e, p2)] is once
+    assert symexpr._DERIV_CACHE[("anti", once, p2)] is first
+
+    def fail(*args):
+        raise AssertionError("antideriv integrated a memoized integrand again")
+
+    monkeypatch.setattr(symexpr, "_anti_group", fail)
+    assert antideriv(e, p2, 2) is first
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_antideriv_diff_inverse(seed):
     e = rand_expr(seed, max_index=3, allow_exp=True)
@@ -322,6 +338,20 @@ def test_opaque_double_integral_vanishes_at_zero():
 # ---------------------------------------------------------------------------
 # substitute
 # ---------------------------------------------------------------------------
+
+
+def test_log_of_a_nonpositive_constant_is_an_error():
+    # log of a rational <= 0 is no real constant
+    for bad in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ExprError, match="nonpositive"):
+            log(bad)
+    with pytest.raises(ExprError, match="nonpositive"):
+        substitute(log(p0), {p0: 0})
+    with pytest.raises(ExprError, match="nonpositive"):
+        parse("log(-1)*p3^2")
+    assert log(1) is ZERO and isinstance(log(Fraction(1, 2)), symexpr.Log)
+    # a sum that is negative everywhere is not a constant: it stays a node
+    assert isinstance(log(add(-2, mul(-1, pow_int(p1, 2)))), symexpr.Log)
 
 
 def test_substitute_examples():
@@ -742,9 +772,10 @@ def test_rational_times_sum_matches_distribution(c):
 
 
 def test_interning_is_thread_safe():
-    # four threads build the same fresh corpus f, and the total derivative
-    # and the partial derivatives of each of its terms at once, so that both
-    # kinds of derivation race on the one memo; each node must come out as
+    # four threads build the same fresh corpus f, and the total derivative,
+    # the partial derivatives and a double antiderivative of each of its
+    # terms at once, so that both kinds of derivation and the antiderivatives
+    # race on the one memo; each node must come out as
     # one shared object (with a plain store in _intern, most runs give
     # distinct but equal results on one of the two inputs)
     import sys
@@ -762,7 +793,8 @@ def test_interning_is_thread_safe():
                                                       max_terms=4))).f
             results[i].append((f, [d for t in f.terms
                                    for d in (total_derivative(6, t),
-                                             *(diff(t, jet(k)) for k in range(6)))]))
+                                             *(diff(t, jet(k)) for k in range(6)),
+                                             antideriv(t, jet(seed), 2))]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -776,7 +808,7 @@ def test_interning_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for k, (f, dts) in enumerate(results[0]):
-        assert isinstance(f, Sum) and len(dts) == 7 * len(f.terms)
+        assert isinstance(f, Sum) and len(dts) == 8 * len(f.terms)
         for other in results[1:]:
             g, others = other[k]
             assert g is f

@@ -11,11 +11,13 @@ from conftest import CFG, assert_zeroish, to_sympy
 from varmult.jetops import euler_op, total_derivative
 from varmult.symexpr import (
     NonZero,
+    Sum,
     X,
     ZERO,
     ONE,
     ZeroStructural,
     add,
+    antideriv,
     diff,
     evaluate,
     exp,
@@ -297,6 +299,69 @@ def test_fused_residual_is_the_node_of_the_unfused_sum(n, seed, allow_exp):
     assert verify_triple(t, CFG).is_zero
     assert verify_triple(bad, CFG) == is_zero(unfused, CFG)
     assert isinstance(verify_triple(bad, CFG), NonZero)
+
+
+def _unfused_f(params):
+    # the f of `construct` built step by step: E, the bracket, its product
+    # with e^R and the sum with the lead are each a full sum
+    n, R = params.n, params.R
+    sign_n = (-1) ** n
+    rest = [params.f_lower[0]]
+    for ell in range(1, n):
+        fl = params.f_lower[ell]
+        rest.append(mul(fl, jet(2 * ell)))
+        rest.append(mul((-1) ** ell, euler_op(2 * ell - 1, ell, antideriv(fl, jet(ell), 2))))
+    if n == 2:
+        lead = add(mul(diff(R, p2), pow_int(p3, 2)), mul(2, total_derivative(2, R), p3))
+    else:
+        lead = mul(n, total_derivative(n + 1, R), jet(2 * n - 1))
+    E = euler_op(2 * n - 2, n, antideriv(exp(mul(-1, R)), jet(n), 2))
+    return add(lead, mul(-sign_n, exp(R), add(E, mul(sign_n, add(*rest)))))
+
+
+@pytest.mark.parametrize("params", [
+    *(gen_params(n, n, GenConfig(seed=seed, max_degree=2 if allow_exp else 3,
+                                 max_terms=2 if allow_exp else 4, allow_exp=allow_exp))
+      for n, seed, allow_exp in [(2, 20_000, False), (3, 30_002, False),
+                                 (4, 40_000, False), (4, 40_002, False),
+                                 (2, 20_002, True), (3, 30_001, True)]),
+    gen_params(3, 5, GenConfig(seed=35_001, max_degree=3, max_terms=4)),
+    # exponentials in R, which is quadratic in p3: II e^{-R} is opaque
+    ParamSet(n=3, R=add(mul(p1, exp(p0)), mul(X, p2, pow_int(p3, 2))),
+             f_lower=(mul(X, p0), pow_int(p1, 2), mul(p1, p2)), N=p1),
+], ids=["n2-20000", "n3-30002", "n4-40000", "n4-40002", "n2-20002-exp",
+        "n3-30001-exp", "m5-n3", "exp-R-quadratic-in-p3"])
+def test_fused_f_is_the_node_of_the_unfused_formula(params):
+    # construct sums the lead, e^R times the rest and the scaled E into the
+    # accumulator of E's last D_m step; that is the node of the formula
+    # built sum by sum
+    t = construct(params)
+    assert t.f is _unfused_f(params)
+    assert verify_triple(t, CFG).is_zero
+
+
+def test_construct_and_check_build_each_large_sum_once(monkeypatch):
+    # with a cold derivation memo, the n=4 corpus trial with the 3261-term f
+    # interns one sum of 1000 terms or more (f) in construct, and none in
+    # the check of that f (new or not: every call of _intern counts)
+    from varmult import symexpr
+    from varmult.checker import check
+
+    calls = []
+    inner = symexpr._intern
+
+    def counting(key, cls, *args):
+        if cls is Sum and len(args[0]) >= 1000:
+            calls.append(len(args[0]))
+        return inner(key, cls, *args)
+
+    monkeypatch.setattr(symexpr, "_DERIV_CACHE", {})
+    monkeypatch.setattr(symexpr, "_intern", counting)
+    t = construct(gen_params(4, 4, GenConfig(seed=40_002, max_degree=3, max_terms=4)))
+    assert calls == [len(t.f.terms)] == [3261]
+    calls.clear()
+    assert check(t.f, 4, CFG).accepted
+    assert calls == []
 
 
 def test_a_residual_that_cancels_builds_no_euler_lagrange_sum():
