@@ -14,7 +14,9 @@ parsing/printing, floating evaluation with Gauss-Legendre quadrature for
 opaque integrals, and a probabilistic zero-testing decision procedure.
 Sums, products and derivations compute on flat terms (coefficient,
 monomial, other factors; see `_flat`) and build a node only for each term
-that survives.
+that survives.  One routine, `_times_sum`, multiplies terms: `mul` and the
+derivations both multiply through it, and it merges the powers of a common
+base and the exponentials of a common core.
 
 Nodes are hash-consed: every node is interned on construction, so two
 structurally equal trees are the same object, and node equality and hashing
@@ -32,6 +34,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import cache
 from operator import add as _plus
 from typing import Callable, Mapping, Union
 
@@ -124,7 +127,8 @@ class Expr:
     class call, which is the class's canonical constructor (`_MAKE`); the
     fields are filled once, by `_init`, when the node is first made."""
 
-    __slots__ = ("_key", "free_atoms")
+    # _flat: a non-Sum node as a flat term, filled by _flat and _term
+    __slots__ = ("_key", "free_atoms", "_flat")
     #: the attributes that are the arguments of a class call, in order
     _args: tuple = ()
 
@@ -223,16 +227,14 @@ class Sum(Expr):
 
 
 class Prod(Expr):
-    # _flat: the product as a flat term, filled by _flat and _term
-    __slots__ = ("factors", "_flat")
-    _args = ("factors",)
+    __slots__ = ("factors",)
+    _args = __slots__
 
     def _init(self, factors: tuple):
         self.factors = factors
         fa = frozenset().union(*(f.free_atoms for f in factors))
         self.free_atoms = _ATOMSETS.setdefault(fa, fa)
         self._key = None
-        self._flat = None
 
 
 class Pow(Expr):
@@ -351,6 +353,7 @@ def _intern(key, cls, *args) -> Expr:
         # setdefault, not a store: of two threads building the same node,
         # both get the one that was inserted first
         node = object.__new__(cls)
+        node._flat = None
         node._init(*args)
         node = _INTERN.setdefault(key, node)
     return node
@@ -367,7 +370,6 @@ def rational(value) -> Expr:
     return _intern(("r", v.numerator, v.denominator), Rat, v)
 
 
-_F_ONE = Fraction(1)
 ZERO = rational(0)
 ONE = rational(1)
 _MINUS_ONE = rational(-1)
@@ -432,8 +434,8 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
 
 def _flat(t: Expr) -> tuple:
     """The flat term (c, mono, others) of a canonical non-Sum term, cached on
-    a product."""
-    if t.__class__ is Prod and t._flat is not None:
+    the node."""
+    if t._flat is not None:
         return t._flat
     c, powers, others = 1, {}, []
     for f in (t.factors if t.__class__ is Prod else (t,)):
@@ -449,9 +451,7 @@ def _flat(t: Expr) -> tuple:
     mono = [0] * (max(powers, default=-1) + 1)
     for i, k in powers.items():
         mono[i] = k
-    ft = (c, tuple(mono), tuple(others))
-    if t.__class__ is Prod:
-        t._flat = ft
+    t._flat = ft = (c, tuple(mono), tuple(others))
     return ft
 
 
@@ -552,152 +552,113 @@ def _exp_raw(arg: Expr) -> Expr:
     return _intern((Exp, arg), Exp, arg)
 
 
-def _merge_exps(exps: list[Expr]) -> list[Expr]:
-    """The exponential factors of one product, with the exponents of a common
-    core merged (exp(a)*exp(2a) -> exp(3a), exp(2)*exp(3) -> exp(5)).
-    Exponents with distinct cores cannot combine, so then the factors come
-    back unchanged; that is always the case for a single canonical product."""
-    if len(exps) > 1:
-        cores = {_flat(x.arg)[1:] for x in exps}
-        if len(cores) < len(exps):
-            total = add(*(x.arg for x in exps))
-            if total.__class__ is Sum:
-                return [_exp_raw(t) for t in total.terms]
-            return [] if total is ZERO else [_exp_raw(total)]
-    return exps
-
-
 def mul(*factors: ExprLike) -> Expr:
     """Canonical product: flattens, folds constants, merges powers and
     exponentials, and distributes over sums.  The factors other than sums
-    make one term, which is multiplied by the terms of each sum in turn
-    (`_times_sum`); the products are summed as flat terms in one
+    multiply into one flat term: coefficients and monomials directly, other
+    factors through `_times_sum`, the kernel's one product of terms.  A sum
+    cancels against a negative power of itself (S * S^-k = S^(1-k)); the
+    term is then multiplied by the terms of each remaining sum in turn
+    (`_times_sum`), the products are summed as flat terms in one
     accumulator, and only the terms that survive are built."""
-    coeff = _F_ONE
-    powers: dict[Expr, int] = {}
-    exps: list[Expr] = []
-    sums: list[Expr] = []
-    stack = [as_expr(f) for f in reversed(factors)]
-    while stack:
-        f = stack.pop()
-        cls = f.__class__
-        if cls is Rat:
-            # most products carry one rational: take it without multiplying
-            coeff = f.value if coeff is _F_ONE else coeff * f.value
-        elif cls is Prod:
-            stack.extend(reversed(f.factors))
-        elif cls is Sum:
+    c, m, o = 1, (), ()
+    sums = []
+    for f in factors:
+        f = as_expr(f)
+        if f.__class__ is Sum:
             sums.append(f)
-        elif cls is Exp:
-            exps.append(f)
-        elif cls is Pow:
-            powers[f.base] = powers.get(f.base, 0) + f.exponent
-        else:
-            powers[f] = powers.get(f, 0) + 1
-    if coeff == 0:
-        return ZERO
-
-    if sums and powers:
-        # cancel sum factors against their own negative powers before
-        # distributing, so that S * S^-1 folds exactly
-        remaining = []
+            continue
+        c1, m1, o1 = _flat(f)
+        if c1 != 1:
+            if not c1:
+                return ZERO
+            c = c1 if c == 1 else c * c1
+        if m1:
+            m = _mono_mul(m, m1)
+        if o1:
+            o = _times(o, o1) if o else o1
+    if o and sums:
+        rest = []
         for s in sums:
-            n = powers.get(s, 0)
-            if n < 0:
-                powers[s] = n + 1
+            if any(f.__class__ is Pow and f.base is s for f in o):
+                # as a factor, s is its own base with exponent 1
+                o = _times(o, (s,))
             else:
-                remaining.append(s)
-        sums = remaining
+                rest.append(s)
+        sums = rest
+    if not sums:
+        return _term(c, m, o)
+    if len(sums) == 1 and c == 1 and not m and not o:
+        return sums[0]
+    flats = [(c, m, o)]
+    for s in sums:
+        acc: dict = {}
+        terms = _flats(s)
+        for ft in flats:
+            _times_sum(acc, *ft, terms)
+        flats = [(c, m, o) for (m, o), c in acc.items() if c]
+    return _finish(acc)
 
-    if sums:
-        if len(sums) == 1 and coeff == 1 and not powers and not exps:
-            return sums[0]
-        if powers or exps:
-            flats = _flats(mul(rational(coeff), *exps,
-                               *(b if n == 1 else pow_int(b, n) for b, n in powers.items() if n)))
-        else:
-            flats = [_flat(rational(coeff))]
-        for s in sums:
-            acc: dict = {}
-            terms = _flats(s)
-            for c, m, o in flats:
-                _times_sum(acc, c, m, o, terms)
-            flats = [(c, m, o) for (m, o), c in acc.items() if c]
-        return _finish(acc)
 
-    pieces: list[Expr] = []
-    redispatch = False
-    for b, n in powers.items():
-        if n == 0:
-            continue
-        r = b if n == 1 else pow_int(b, n)
-        if r is ONE:
-            continue
-        if isinstance(r, (Sum, Prod, Rat, Exp)):
-            redispatch = True
-        pieces.append(r)
-    pieces.extend(_merge_exps(exps))
-    if redispatch:
-        return mul(rational(coeff), *pieces)
-    if not pieces:
-        return rational(coeff)
-    pieces.sort(key=sort_key)
-    if coeff != 1:
-        pieces.insert(0, rational(coeff))
-    if len(pieces) == 1:
-        return pieces[0]
-    return _intern((Prod, tuple(pieces)), Prod, tuple(pieces))
+def _times(o0: tuple, o1: tuple) -> tuple:
+    """The other factors of the product of two terms with the other factors
+    o0 and o1 (and coefficient and monomial 1)."""
+    acc: dict = {}
+    _times_sum(acc, 1, (), o0, ((1, (), o1),))
+    return next(iter(acc))[1]
 
 
 def _times_sum(acc: dict, c0, m0: tuple, o0: tuple, terms) -> None:
     """Add the product of the flat term (c0, m0, o0) with each flat term of
-    `terms` to the accumulator `acc`, as `mul` would make it: monomials
-    multiply, and exponentials of a common core merge (a cancelled one
-    drops).  Only a term that shares a slope (a power of a sum) or a log,
-    sin, cos or integral base with the factor goes through `mul`."""
-    f_exps: dict[tuple, tuple] = {}  # exponent key -> (coefficient, exp)
-    f_rest: list[Expr] = []
-    f_bases = set()
+    `terms` to the accumulator `acc`: the kernel's one product of terms.
+    Coefficients and monomials multiply, and other factors of a common base
+    merge: the integer exponents of a log, sin, cos, integral or slope (a
+    power of a sum) add, and so do the coefficients of exponentials of a
+    common core, exp(a*k) * exp(b*k) = exp((a + b)*k).  A factor whose
+    exponent adds up to 0 drops."""
+    # base -> (exponent, factor); the base of an exponential is the key
+    # (mono, others) of its exponent, which no node equals
+    bases: dict = {}
     for f in o0:
-        if f.__class__ is Exp:
+        cls = f.__class__
+        if cls is Exp:
             a, em, eo = _flat(f.arg)
-            f_exps[em, eo] = (a, f)
+            bases[em, eo] = (a, f)
+        elif cls is Pow:
+            bases[f.base] = (f.exponent, f)
         else:
-            f_rest.append(f)
-            f_bases.add(f.base if f.__class__ is Pow else f)
+            bases[f] = (1, f)
     for c1, m, o in terms:
         others = o or o0
         if o and o0:
-            pieces = f_rest.copy()
-            exps = f_exps
+            pieces = []
+            left = bases
             for f in o:
                 cls = f.__class__
-                if cls is Exp and exps:
+                if cls is Exp:
                     a, em, eo = _flat(f.arg)
-                    hit = exps.get((em, eo))
-                    if hit is None:
-                        pieces.append(f)
-                        continue
-                    # exp(a*k) * exp(b*k) = exp((a + b)*k), 1 when a + b = 0
-                    if exps is f_exps:
-                        exps = f_exps.copy()
-                    del exps[em, eo]
-                    a += hit[0]
-                    if a:
-                        pieces.append(_exp_raw(_term(a, em, eo)))
-                elif (f.base if cls is Pow else f) in f_bases:
-                    # a shared slope or function base: powers merge in `mul`
-                    _put(acc, _flats(mul(_term(c0, m0, o0), _term(c1, m, o))))
-                    others = None
-                    break
+                    b = (em, eo)
+                elif cls is Pow:
+                    b, a = f.base, f.exponent
                 else:
+                    b, a = f, 1
+                hit = left.get(b)
+                if hit is None:
                     pieces.append(f)
-            else:
-                pieces.extend(x for _, x in exps.values())
-                pieces.sort(key=sort_key)
-                others = tuple(pieces)
-            if others is None:
-                continue
+                    continue
+                if left is bases:
+                    left = bases.copy()
+                del left[b]
+                a += hit[0]
+                if not a:
+                    continue
+                if cls is Exp:
+                    pieces.append(_exp_raw(_term(a, em, eo)))
+                else:
+                    pieces.append(b if a == 1 else _intern((Pow, b, a), Pow, b, a))
+            pieces.extend(x for _, x in left.values())
+            pieces.sort(key=sort_key)
+            others = tuple(pieces)
         c = _coeff(c0 * c1)
         key = (_mono_mul(m0, m), others)
         prev = acc.get(key)
@@ -754,6 +715,16 @@ def log(arg: ExprLike) -> Expr:
         return ZERO
     if a.__class__ is Rat and a.value <= 0:
         raise ExprError(f"log of the nonpositive constant {a.value}")
+    if not a.free_atoms and a.__class__ is not Rat:
+        # a constant such as -exp(1): its value decides, unless it is within
+        # rounding of 0 or its evaluation overflows
+        scale = _Scale(_EVAL_BUDGET)
+        try:
+            v = _eval_rec(a, {}, {}, scale)
+        except DomainError:
+            v = 0.0
+        if v < -_RTOL * scale.value:
+            raise ExprError(f"log of the negative constant {render(a)}")
     return _intern((Log, a), Log, a)
 
 
@@ -1501,9 +1472,12 @@ class Inconclusive(ZeroVerdict):
 _DEFAULT_CFG = ZeroTestConfig()
 
 
+@cache
 def _gauss_legendre(order: int) -> tuple[tuple[float, float], ...]:
     """Nodes and weights of the `order`-point Gauss-Legendre rule on
-    [-1, 1], ascending, by Newton iteration on the three-term recurrence."""
+    [-1, 1], ascending, by Newton iteration on the three-term recurrence;
+    computed on first use, since only evaluating an opaque integral needs
+    one."""
     rule = []
     for i in range(order):
         x = -math.cos(math.pi * (i + 0.75) / (order + 0.5))
@@ -1520,30 +1494,11 @@ def _gauss_legendre(order: int) -> tuple[tuple[float, float], ...]:
     return tuple(rule)
 
 
-class _QuadRules:
-    """(rule, panels) per nesting level of opaque integrals: order 32 on 4
-    panels outside, 16 on 2 inside, since full-order recursion would cost
-    order^depth per point.  Integrals nested deeper than this table (after
-    same-variable flattening) fail evaluation.  A rule is computed on first
-    use, since only evaluating an opaque integral needs one."""
-
-    _LEVELS = ((32, 4), (16, 2))
-
-    def __init__(self):
-        self._rules: dict[int, tuple[tuple[float, float], ...]] = {}
-
-    def __len__(self) -> int:
-        return len(self._LEVELS)
-
-    def __getitem__(self, depth: int):
-        order, panels = self._LEVELS[depth]
-        rule = self._rules.get(order)
-        if rule is None:
-            rule = self._rules[order] = _gauss_legendre(order)
-        return rule, panels
-
-
-_QUAD_RULES = _QuadRules()
+#: (order, panels) of the rule per nesting level of opaque integrals: order
+#: 32 on 4 panels outside, 16 on 2 inside, since full-order recursion would
+#: cost order^depth per point.  Integrals nested deeper than this table
+#: (after same-variable flattening) fail evaluation.
+_QUAD_LEVELS = ((32, 4), (16, 2))
 
 
 class BudgetExceeded(DomainError):
@@ -1630,16 +1585,17 @@ def _eval_quad(node: AntiDeriv, env: dict, scale: _Scale, depth: int) -> float:
         raise ExprError(f"unassigned variable {render(node.var)}")
     if upper == 0.0:
         return 0.0
-    if depth >= len(_QUAD_RULES):
+    if depth >= len(_QUAD_LEVELS):
         raise DomainError("opaque integrals nested deeper than "
-                          f"{len(_QUAD_RULES)} levels")
+                          f"{len(_QUAD_LEVELS)} levels")
     g = node.integrand
     # iterated integral over the same variable collapses to a single pass
     # with kernel (t - s)
     kernel = isinstance(g, AntiDeriv) and g.var is node.var
     if kernel:
         g = g.integrand
-    rule, panels = _QUAD_RULES[depth]
+    order, panels = _QUAD_LEVELS[depth]
+    rule = _gauss_legendre(order)
     total = 0.0
     for p in range(panels):
         a = upper * p / panels

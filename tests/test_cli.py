@@ -310,6 +310,18 @@ def test_log_of_a_nonpositive_constant_is_an_input_error():
     assert code == 3 and "outcome: inconclusive" in out
 
 
+def test_log_of_a_negative_constant_is_an_input_error():
+    # a constant that is not rational is no real log argument either when
+    # its value is negative: exit 2, not a verdict
+    for text in ("log(-exp(1))*p3^2", "log(1 - exp(1))*p3^2", "log(cos(4))*p3^2"):
+        code, out, err = invoke("check", "--order", "2", "--expr", text)
+        assert (code, out) == (2, "") and "negative constant" in err, text
+    # a positive one, or one within rounding of 0, is a constant as before
+    for text in ("log(1 + exp(1))*p3^2", "log(exp(1/10^20) - 1)"):
+        code, out, _ = invoke("check", "--order", "2", "--expr", text)
+        assert code == 0 and "outcome: accepted" in out, text
+
+
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------

@@ -354,6 +354,18 @@ def test_log_of_a_nonpositive_constant_is_an_error():
     assert isinstance(log(add(-2, mul(-1, pow_int(p1, 2)))), symexpr.Log)
 
 
+def test_log_of_a_negative_constant_is_an_error():
+    # a constant with no free atoms is evaluated: a negative value is an error
+    for bad in ("-exp(1)", "1 - exp(1)", "cos(4)", "-exp(1)*log(2)"):
+        with pytest.raises(ExprError, match="negative constant"):
+            parse(f"log({bad})")
+    with pytest.raises(ExprError, match="negative constant"):
+        substitute(log(add(p1, exp(1))), {p1: -3})
+    # positive, within rounding of 0, or overflowing: a node as before
+    for ok in ("1 + exp(1)", "exp(1/10^20) - 1", "-exp(1000)", "exp(-1)"):
+        assert isinstance(parse(f"log({ok})"), symexpr.Log), ok
+
+
 def test_substitute_examples():
     assert substitute(mul(p1, p2), {p1: X}) == mul(X, p2)
     assert substitute(pow_int(p2, 2), {p2: 0}) is ZERO
@@ -594,9 +606,10 @@ def test_evaluate_domain_errors():
 @pytest.mark.parametrize("level", [0, 1])
 def test_quadrature_rules_match_numpy(level):
     np = pytest.importorskip("numpy")
-    from varmult.symexpr import _QUAD_RULES
+    from varmult.symexpr import _QUAD_LEVELS, _gauss_legendre
 
-    rule, _ = _QUAD_RULES[level]
+    order, _ = _QUAD_LEVELS[level]
+    rule = _gauss_legendre(order)
     xs, ws = np.polynomial.legendre.leggauss(len(rule))
     assert len(rule) == (32, 16)[level]
     for (x, w), x_ref, w_ref in zip(rule, xs, ws):
@@ -882,6 +895,7 @@ def test_add_keeps_terms_with_distinct_cores(monkeypatch):
     terms = [mul(3, p1, p2), pow_int(p2, 2), exp(p1), mul(Fraction(-1, 2), X),
              mul(-7, exp(p2), p1)]
     expected = add(*terms)
+    twice = mul(2, p1, p2)
     calls = _counting(monkeypatch, "_term")
     s = add(*terms)
     assert s is expected and isinstance(s, Sum)
@@ -890,7 +904,7 @@ def test_add_keeps_terms_with_distinct_cores(monkeypatch):
     assert all(any(t is u for u in s.terms) for t in terms)
     # only a core that occurs twice is rebuilt, and a zero sum drops it;
     # p1*p2 is the monomial with exponent 1 at the positions of p1 and p2
-    merged = add(s, mul(2, p1, p2))
+    merged = add(s, twice)
     assert calls == [(5, (0, 0, 1, 1), ())]
     assert merged is add(mul(5, p1, p2), *terms[1:])
     assert add(s, mul(-3, p1, p2)) is add(*terms[1:])
@@ -904,7 +918,7 @@ _SLOPE = add(1, exp(p0))
 
 #: factors of the random terms below: atom powers that cancel against each
 #: other, exponentials whose cores collide and cancel (rational exponents
-#: too), 1/S and 1/S^2 for a sum S, and log powers, which only `mul` merges
+#: too), 1/S and 1/S^2 for a sum S, and log powers, whose exponents add
 _FACTORS = [X, p1, p2, pow_int(p1, -1), pow_int(p2, 2), pow_int(X, -2),
             exp(p1), exp(mul(-1, p1)), exp(mul(2, p1)), exp(mul(Fraction(1, 2), p1)),
             exp(3), exp(-3), exp(rational(Fraction(1, 2))),
@@ -963,7 +977,7 @@ def test_product_over_a_sum_hand_picked_cases():
 
 
 #: the factors above plus sin, cos and their powers, and opaque integrals
-#: (one with a parameter), whose powers also merge only in `mul`
+#: (one with a parameter), whose exponents add too
 _FUZZ_FACTORS = _FACTORS + [
     sin(p1), pow_int(sin(p1), 2), cos(mul(X, p2)), pow_int(cos(mul(X, p2)), -1),
     antideriv(exp(mul(p0, pow_int(p1, 2))), p1), antideriv(exp(pow_int(p2, 2)), p2),
@@ -972,7 +986,9 @@ _FUZZ_FACTORS = _FACTORS + [
 
 def test_fuzzed_products_and_sums_render_as_the_term_by_term_reference():
     # the reference multiplies single terms only and sums the products with
-    # `add`, so it never takes the accumulator path of a product over a sum
+    # `add`, so it never takes the accumulator path of a product over a sum;
+    # it multiplies through the same routine, so the test below checks the
+    # products against floats
     import functools
     import random
 
@@ -987,6 +1003,71 @@ def test_fuzzed_products_and_sums_render_as_the_term_by_term_reference():
         assert got is ref, seed
         terms = [_random_term(rng, _FUZZ_FACTORS) for _ in range(rng.randint(2, 8))]
         assert render(add(*terms)) == render(functools.reduce(add, terms, ZERO)), seed
+
+
+def test_fuzzed_products_match_the_product_of_the_values():
+    # an oracle that shares no code with the product: the value of
+    # mul(a, s1, s2) is the product of the three values, at points with
+    # p1 > 1 so that log(p1) is defined and not 0, and x, p2 away from 0
+    import random
+
+    for seed in range(300):
+        rng = random.Random(seed)
+        a = _random_term(rng, _FUZZ_FACTORS)
+        s1, s2 = _random_sum(rng, _FUZZ_FACTORS), _random_sum(rng, _FUZZ_FACTORS)
+        got = mul(a, s1, s2)
+        for _ in range(2):
+            pt = {X: rng.uniform(0.5, 1), p0: rng.uniform(-1, 1),
+                  p1: rng.uniform(1.5, 2.5), p2: rng.uniform(0.5, 1)}
+            want = evaluate(a, pt) * evaluate(s1, pt) * evaluate(s2, pt)
+            # the sums may cancel: measure the error against the product of
+            # the sums of the terms' magnitudes
+            size = abs(evaluate(a, pt))
+            for s in (s1, s2):
+                size *= sum(abs(evaluate(t, pt)) for t in s.terms)
+            assert abs(evaluate(got, pt) - want) <= 1e-9 * size, seed
+
+
+def test_products_merge_the_powers_of_each_kind_of_base():
+    integral = antideriv(exp(pow_int(p2, 2)), p2)
+    assert isinstance(integral, AntiDeriv)
+    # a sin, a cos and a slope cancel against their own inverse powers
+    assert mul(pow_int(sin(p1), 2), pow_int(sin(p1), -2)) is ONE
+    assert mul(pow_int(cos(mul(X, p2)), -1), cos(mul(X, p2))) is ONE
+    assert mul(pow_int(_SLOPE, -1), _SLOPE) is ONE
+    # two powers of one opaque integral merge
+    cube = mul(integral, pow_int(integral, 2))
+    assert cube is pow_int(integral, 3) and render(cube) == "Int(exp(p2^2), p2)^3"
+    # S * S^-2 is S^-1
+    assert mul(_SLOPE, pow_int(_SLOPE, -2)) is pow_int(_SLOPE, -1)
+    # exponentials of a common core merge
+    half = exp(mul(Fraction(1, 2), p1))
+    assert mul(half, half) is exp(p1)
+    assert mul(exp(p1), exp(mul(-1, p1))) is ONE
+    # the same merges in a product over a sum
+    assert mul(pow_int(sin(p1), -2), add(p2, pow_int(sin(p1), 2))) is add(
+        1, mul(p2, pow_int(sin(p1), -2)))
+    assert mul(half, add(X, half)) is add(exp(p1), mul(X, half))
+    assert mul(integral, add(1, pow_int(integral, -1))) is add(1, integral)
+
+
+def test_times_sum_calls_neither_mul_nor_add():
+    # `_times_sum` is the kernel's one product of terms: it builds what it
+    # needs itself, so `mul` (which calls it) is never called back, nor
+    # `add`, by it or by any module function it reaches
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(symexpr.__file__).read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["_times_sum"]
+    while todo:
+        name = todo.pop()
+        if name in funcs and name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)]
+    assert {"_times_sum", "_term", "_exp_raw"} <= reached
+    assert not reached & {"mul", "add"}
 
 
 # ---------------------------------------------------------------------------
