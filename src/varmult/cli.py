@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from .checker import Accepted, CheckReport, Rejected, check
@@ -170,12 +170,12 @@ def _run_check(args, out) -> int:
     else:
         out.write(f"outcome: {result['outcome']}\n")
         if isinstance(o, Accepted):
-            out.write(f"R: {render(o.R)}\nrho: {render(o.rho)}\n")
-            for ell, g in enumerate(o.f_lower):
-                out.write(f"f{ell}: {render(g)}\n")
-            out.write(f"L: {render(o.L)}\nresidual: {o.residual.describe()}\n")
+            out.write(f"R: {result['R']}\nrho: {result['rho']}\n")
+            for ell, g in enumerate(result["f_lower"]):
+                out.write(f"f{ell}: {g}\n")
+            out.write(f"L: {result['L']}\nresidual: {o.residual.describe()}\n")
         else:
-            out.write(f"step: {o.step}\nwitness: {render(o.witness)}\n")
+            out.write(f"step: {o.step}\nwitness: {result['witness']}\n")
             if isinstance(o, Rejected):
                 out.write(f"verdict: {o.verdict.describe()}\n")
         for t in report.trace:
@@ -216,7 +216,7 @@ def _run_construct(args, out) -> int:
                              "N": args.N},
                             result, []) + "\n")
     else:
-        out.write(f"f: {render(t.f)}\nrho: {render(t.rho)}\nL: {render(t.L)}\n")
+        out.write(f"f: {result['f']}\nrho: {result['rho']}\nL: {result['L']}\n")
     return 0
 
 
@@ -235,8 +235,8 @@ def _run_fels(args, out) -> int:
         out.write(_envelope("fels", {"expr": args.expr, "seed": cfg.seed},
                             result, []) + "\n")
     else:
-        out.write(f"T5: {render(t5)}\nT5 verdict: {v5.describe()}\n")
-        out.write(f"I1: {render(i1)}\nI1 verdict: {v1.describe()}\n")
+        out.write(f"T5: {result['T5']}\nT5 verdict: {v5.describe()}\n")
+        out.write(f"I1: {result['I1']}\nI1 verdict: {v1.describe()}\n")
     return 0 if both_zero else 1
 
 

@@ -18,6 +18,11 @@ that survives.  One routine, `_times_sum`, multiplies terms: `mul` and the
 derivations both multiply through it, and it merges the powers of a common
 base and the exponentials of a common core.
 
+Text is read by one regular expression (`_TOKEN`) and a recursive-descent
+parser that multiplies the factors of a term with one `mul` call unless one
+of them is a sum.  The printer builds no node: a negative term of a sum
+prints as " - " and the rest of its own rendering.
+
 Nodes are hash-consed: every node is interned on construction, so two
 structurally equal trees are the same object, and node equality and hashing
 are object identity.  Every node is canonical: a node-class call is its
@@ -33,10 +38,11 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from operator import add as _plus
-from typing import Callable, Mapping, Union
 
 from ._record import Record
 
@@ -94,9 +100,6 @@ __all__ = [
 #: Largest admissible jet index.  High enough for any reasonable equation
 #: order while catching runaway index arithmetic early.
 MAX_JET_INDEX = 64
-
-ExprLike = Union["Expr", int, Fraction]
-
 
 class ExprError(ValueError):
     """Invalid expression construction or operation."""
@@ -179,6 +182,9 @@ class Expr:
 
     def __neg__(self) -> "Expr":
         return mul(-1, self)
+
+
+ExprLike = Expr | int | Fraction
 
 
 class Rat(Expr):
@@ -716,14 +722,20 @@ def log(arg: ExprLike) -> Expr:
     if a.__class__ is Rat and a.value <= 0:
         raise ExprError(f"log of the nonpositive constant {a.value}")
     if not a.free_atoms and a.__class__ is not Rat:
-        # a constant such as -exp(1): its value decides, unless it is within
-        # rounding of 0 or its evaluation overflows
-        scale = _Scale(_EVAL_BUDGET)
-        try:
-            v = _eval_rec(a, {}, {}, scale)
-        except DomainError:
-            v = 0.0
-        if v < -_RTOL * scale.value:
+        # a constant such as -exp(1)
+        if a.__class__ is not Sum and all(f.__class__ is Exp for f in _flat(a)[2]):
+            # a coefficient times exponentials has the coefficient's sign,
+            # which evaluation cannot tell once exp overflows
+            negative = _flat(a)[0] < 0
+        else:
+            # the value decides, unless it is within rounding of 0 or its
+            # evaluation overflows
+            scale = _Scale(_EVAL_BUDGET)
+            try:
+                negative = _eval_rec(a, {}, {}, scale) < -_RTOL * scale.value
+            except DomainError:
+                negative = False
+        if negative:
             raise ExprError(f"log of the negative constant {render(a)}")
     return _intern((Log, a), Log, a)
 
@@ -1098,58 +1110,37 @@ def free_jets(e: ExprLike) -> frozenset:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_FUNCS = {"exp": exp, "log": log, "sin": sin, "cos": cos}
+#: the calls of the grammar; Int(g, v) takes a variable as well
+_FUNCS = {"exp": exp, "log": log, "sin": sin, "cos": cos, "Int": _anti1}
+
+#: one token per match, after a run of the ASCII characters that
+#: `str.isspace` accepts: a number (digits and an optional fraction part), an
+#: identifier, an operator, any other character (an error), or the end
+_TOKEN = re.compile(r"""[\t-\r\x1c-\x1f ]*(?:
+    (?P<num>[0-9]\d*(?:\.\d+)?)
+    |(?P<ident>[A-Za-z_]\w*)
+    |(?P<op>[-+*/^(),])
+    |(?P<bad>.)
+    |(?P<eof>\Z))""", re.S | re.X)
 
 
-class _Token:
-    __slots__ = ("kind", "text", "offset", "value")
-
-    def __init__(self, kind, text, offset, value=None):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-        self.value = value
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """The tokens (kind, text, offset, value) of `text`: kind "num" with an
+    int value (a Fraction for a decimal), "ident", an operator character as
+    its own kind, and a closing "eof"."""
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if not c.isascii():
-            raise ParseError(f"non-ASCII character {c!r}", len(text[:i].encode()))
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            lexeme = text[i:j]
-            is_int = True
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                lexeme = text[i:j]
-                is_int = False
-            toks.append(_Token("num", lexeme, i, (Fraction(lexeme), is_int)))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^(),":
-            toks.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    toks.append(_Token("eof", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        s = m[kind]
+        i = m.start(kind)
+        if kind == "num":
+            toks.append((kind, s, i, Fraction(s) if "." in s else int(s)))
+        elif kind == "bad":
+            if s.isascii():
+                raise ParseError(f"unexpected character {s!r}", i)
+            raise ParseError(f"non-ASCII character {s!r}", len(text[:i].encode()))
+        else:
+            toks.append((s if kind == "op" else kind, s, i, None))
     return toks
 
 
@@ -1164,43 +1155,47 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, kind: str) -> _Token:
-        t = self.next()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}", t.offset)
-        return t
+    def expect(self, kind: str) -> None:
+        found, text, offset, _ = self.next()
+        if found != kind:
+            raise ParseError(f"expected {kind!r}, found {text or 'end of input'!r}", offset)
 
     def expr(self) -> Expr:
         # one add over all terms: adding term by term would re-flatten and
         # re-sort the partial sum at every step
         terms = [self.term()]
-        while self.peek().kind in "+-":
-            op = self.next()
+        while self.peek()[0] in "+-":
+            op = self.next()[0]
             rhs = self.term()
-            terms.append(rhs if op.kind == "+" else mul(-1, rhs))
+            terms.append(rhs if op == "+" else mul(-1, rhs))
         return add(*terms)
 
     def term(self) -> Expr:
-        out = self.factor()
-        while self.peek().kind in "*/":
-            op = self.next()
+        factors = [self.factor()]
+        while self.peek()[0] in "*/":
+            op = self.next()[0]
             rhs = self.factor()
-            out = mul(out, rhs if op.kind == "*" else pow_int(rhs, -1))
-        return out
+            factors.append(rhs if op == "*" else pow_int(rhs, -1))
+        if len(factors) > 1 and not any(f.__class__ is Sum for f in factors):
+            # one product, not one per partial product: `mul` multiplies
+            # non-sum factors left to right already
+            return mul(*factors)
+        # a product with a sum goes left to right: one call would cancel
+        # (p1+1)*x/(p1+1) to x, which parses to two terms
+        return reduce(mul, factors)
 
-    def nested(self, opener: _Token) -> Expr:
+    def nested(self, opener: tuple) -> Expr:
         """The expression after an opening parenthesis or call."""
         if self.depth == MAX_PARSE_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_PARSE_DEPTH} levels",
-                             opener.offset)
+            raise ParseError(f"nesting deeper than {MAX_PARSE_DEPTH} levels", opener[2])
         self.depth += 1
         out = self.expr()
         self.depth -= 1
@@ -1209,71 +1204,63 @@ class _Parser:
     def factor(self) -> Expr:
         # a run of unary minuses is folded by parity, not by recursion
         neg = False
-        while self.peek().kind == "-":
+        while self.peek()[0] == "-":
             self.next()
             neg = not neg
         out = self.atom()
-        if self.peek().kind == "^":
+        if self.peek()[0] == "^":
             self.next()
             out = pow_int(out, self.integer())
         return mul(-1, out) if neg else out
 
     def integer(self) -> int:
-        neg = False
-        t = self.next()
-        if t.kind == "-":
-            neg = True
-            t = self.next()
-        if t.kind != "num" or not t.value[1]:
-            raise ParseError("exponent must be an integer literal", t.offset)
-        n = int(t.value[0])
-        return -n if neg else n
+        kind, _, offset, value = self.next()
+        neg = kind == "-"
+        if neg:
+            kind, _, offset, value = self.next()
+        if kind != "num" or value.__class__ is not int:
+            raise ParseError("exponent must be an integer literal", offset)
+        return -value if neg else value
 
-    def variable(self) -> Expr:
-        t = self.next()
-        e = self._ident_to_var(t)
-        if e is None:
-            raise ParseError(f"expected a variable (x or p<k>), found {t.text!r}", t.offset)
-        return e
-
-    def _ident_to_var(self, t: _Token) -> Expr | None:
-        if t.kind != "ident":
+    def _ident_to_var(self, t: tuple) -> Expr | None:
+        kind, text, offset, _ = t
+        if kind != "ident":
             return None
-        if t.text == "x":
+        if text == "x":
             return X
-        if t.text[0] == "p" and t.text[1:].isdigit():
-            k = int(t.text[1:])
+        if text[0] == "p" and text[1:].isdigit():
+            k = int(text[1:])
             if k > MAX_JET_INDEX:
-                raise ParseError(f"jet index {k} exceeds the maximum {MAX_JET_INDEX}", t.offset)
+                raise ParseError(f"jet index {k} exceeds the maximum {MAX_JET_INDEX}", offset)
             return jet(k)
         return None
 
     def atom(self) -> Expr:
         t = self.next()
-        if t.kind == "num":
-            return rational(t.value[0])
-        if t.kind == "(":
+        kind, text, offset, value = t
+        if kind == "num":
+            return rational(value)
+        if kind == "(":
             out = self.nested(t)
             self.expect(")")
             return out
-        if t.kind == "ident":
+        if kind == "ident":
             v = self._ident_to_var(t)
             if v is not None:
                 return v
-            if t.text in _FUNCS:
-                self.expect("(")
-                arg = self.nested(t)
-                self.expect(")")
-                return _FUNCS[t.text](arg)
-            if t.text == "Int":
-                self.expect("(")
-                g = self.nested(t)
+            if text not in _FUNCS:
+                raise ParseError(f"unknown identifier {text!r}", offset)
+            self.expect("(")
+            args = [self.nested(t)]
+            if text == "Int":
                 self.expect(",")
-                v = self.variable()
-                self.expect(")")
-                return _anti1(g, v)
-            raise ParseError(f"unknown identifier {t.text!r}", t.offset)
-        raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.offset)
+                t = self.next()
+                args.append(self._ident_to_var(t))
+                if args[1] is None:
+                    raise ParseError(f"expected a variable (x or p<k>), found {t[1]!r}", t[2])
+            self.expect(")")
+            return _FUNCS[text](*args)
+        raise ParseError(f"unexpected {text or 'end of input'!r}", offset)
 
 
 def parse(text: str) -> Expr:
@@ -1287,9 +1274,9 @@ def parse(text: str) -> Expr:
     """
     p = _Parser(text)
     out = p.expr()
-    t = p.peek()
-    if t.kind != "eof":
-        raise ParseError(f"unexpected trailing {t.text!r}", t.offset)
+    kind, text, offset, _ = p.peek()
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing {text!r}", offset)
     return out
 
 
@@ -1298,19 +1285,10 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _is_negative_term(t: Expr) -> bool:
-    if isinstance(t, Rat):
-        return t.value < 0
-    if isinstance(t, Prod) and isinstance(t.factors[0], Rat):
-        return t.factors[0].value < 0
-    return False
-
-
 def _render_atomish(e: Expr) -> str:
+    # a rational is bracketed unless it prints as digits alone
     s = _render(e)
-    if isinstance(e, (Sum, Prod)) or (isinstance(e, Rat) and (e.value < 0 or e.value.denominator != 1)):
-        return f"({s})"
-    return s
+    return f"({s})" if e.__class__ in (Sum, Prod) or (e.__class__ is Rat and not s.isdigit()) else s
 
 
 def _render(e: Expr) -> str:
@@ -1322,23 +1300,20 @@ def _render(e: Expr) -> str:
     if cls is Jet:
         return f"p{e.index}"
     if cls is Sum:
+        # a term renders with a leading "-" exactly when its coefficient is
+        # negative, so its negation is the rest of its rendering
         parts = [_render(e.terms[0])]
         for t in e.terms[1:]:
-            if _is_negative_term(t):
-                parts.append(" - " + _render(mul(-1, t)))
-            else:
-                parts.append(" + " + _render(t))
+            s = _render(t)
+            parts.append(" - " + s[1:] if s[0] == "-" else " + " + s)
         return "".join(parts)
     if cls is Prod:
         fs = e.factors
         prefix = ""
-        if isinstance(fs[0], Rat):
+        if fs[0].__class__ is Rat:
             c = fs[0].value
             fs = fs[1:]
-            if c == -1:
-                prefix = "-"
-            else:
-                prefix = str(c) + "*"
+            prefix = "-" if c == -1 else f"{c}*"
         return prefix + "*".join(_render_atomish(f) for f in fs)
     if cls is Pow:
         return f"{_render_atomish(e.base)}^{e.exponent}"

@@ -11,8 +11,8 @@ jet-operator route.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from ._record import Record
 from .jetops import euler_op

@@ -281,6 +281,15 @@ def test_import_does_not_load_numpy():
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
+def test_import_loads_no_typing():
+    # -S: no site, so nothing but varmult's own imports counts; annotations
+    # come from collections.abc and ExprLike is a run-time union
+    proc = _python("-S", "-c", "import sys, varmult.cli; print(sorted(m for m in "
+                   "('typing', 'dataclasses', 'numpy') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_fels_trivial_example():
     code, out, _ = invoke("fels", "--expr", "0")
     assert code == 0
@@ -318,6 +327,17 @@ def test_log_of_a_negative_constant_is_an_input_error():
         assert (code, out) == (2, "") and "negative constant" in err, text
     # a positive one, or one within rounding of 0, is a constant as before
     for text in ("log(1 + exp(1))*p3^2", "log(exp(1/10^20) - 1)"):
+        code, out, _ = invoke("check", "--order", "2", "--expr", text)
+        assert code == 0 and "outcome: accepted" in out, text
+
+
+def test_log_of_an_overflowing_negative_constant_is_an_input_error():
+    # a coefficient times exponentials has the coefficient's sign, also when
+    # the value overflows a float
+    for text in ("log(-exp(1000))*p3^2", "log(-3*exp(1000)*exp(2))*p3^2"):
+        code, out, err = invoke("check", "--order", "2", "--expr", text)
+        assert (code, out) == (2, "") and "negative constant" in err, text
+    for text in ("log(exp(1000))*p3^2", "log(exp(-1000))*p3^2"):
         code, out, _ = invoke("check", "--order", "2", "--expr", text)
         assert code == 0 and "outcome: accepted" in out, text
 

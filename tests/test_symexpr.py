@@ -4,6 +4,7 @@ numeric evaluation and the zero test."""
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import os
 import pickle
@@ -61,6 +62,7 @@ from varmult.testkit import GenConfig, gen_params
 from varmult.varcore import construct
 
 p0, p1, p2, p3 = jet(0), jet(1), jet(2), jet(3)
+p5, p6 = jet(5), jet(6)
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +93,132 @@ def test_parse_decimals_are_exact():
     assert parse("2.25*x") == mul(Fraction(9, 4), X)
 
 
+#: text -> (message, offset) of its ParseError; the offset counts bytes, so
+#: a non-ASCII character after one in an identifier is off its index
+_PARSE_ERRORS = {
+    "": ("unexpected 'end of input'", 0),
+    "p2^x": ("exponent must be an integer literal", 3),
+    "p2^1.5": ("exponent must be an integer literal", 3),
+    "p2^-x": ("exponent must be an integer literal", 4),
+    "sin(": ("unexpected 'end of input'", 4),
+    "(p1": ("expected ')', found 'end of input'", 3),
+    "p1 p2": ("unexpected trailing 'p2'", 3),
+    "p1)": ("unexpected trailing ')'", 2),
+    "p1 +": ("unexpected 'end of input'", 4),
+    "* p1": ("unexpected '*'", 0),
+    "foo(x)": ("unknown identifier 'foo'", 0),
+    "exp p1": ("expected '(', found 'p1'", 4),
+    "p200": ("jet index 200 exceeds the maximum 64", 0),
+    "p65": ("jet index 65 exceeds the maximum 64", 0),
+    "1.": ("unexpected character '.'", 1),
+    "1 ! 2": ("unexpected character '!'", 2),
+    "Int(p1, 2)": ("expected a variable (x or p<k>), found '2'", 8),
+    "Int(p1; p2)": ("unexpected character ';'", 6),
+    "x + \u00e9": ("non-ASCII character '\u00e9'", 4),
+    "x\u00e9 + \u00fc": ("non-ASCII character '\u00fc'", 6),
+    "p1\xa0+ p2": ("non-ASCII character '\\xa0'", 2),
+}
+
+
 def test_parse_error_cases():
-    with pytest.raises(ParseError):
-        parse("p2^x")  # exponent not an integer literal
-    with pytest.raises(ParseError):
-        parse("p2^1.5")
-    with pytest.raises(ParseError):
-        parse("sin(")
-    with pytest.raises(ParseError):
-        parse("(p1")
-    with pytest.raises(ParseError):
-        parse("p1 p2")  # trailing junk
-    with pytest.raises(ParseError):
-        parse("foo(x)")
-    with pytest.raises(ParseError):
-        parse("p200")  # above the jet index bound
+    for text, (message, offset) in _PARSE_ERRORS.items():
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (byte {offset})", text
+        assert info.value.offset == offset, text
+
+
+def test_parse_skips_every_ascii_space():
+    # str.isspace accepts \x1c-\x1f as well as \t\n\v\f\r and the space
+    spaces = [chr(i) for i in range(128) if chr(i).isspace()]
+    assert len(spaces) == 10
+    assert parse("p1\x1c+ p2") is add(p1, p2)
+    for c in spaces:
+        assert parse(f"{c}p1{c}*{c}2{c}+{c}p2{c}") is add(mul(2, p1), p2), repr(c)
+
+
+def test_tokens_carry_exact_values():
+    toks = symexpr._tokenize("12*0.25")
+    assert [t[0] for t in toks] == ["num", "*", "num", "eof"]
+    assert toks[0][3] == 12 and toks[0][3].__class__ is int
+    assert toks[2][3] == Fraction(1, 4) and toks[2][3].__class__ is Fraction
+    assert [t[2] for t in toks] == [0, 2, 3, 7]
+
+
+def test_parse_builds_one_product_per_term(monkeypatch):
+    # the partial products of a term are not interned: one Prod for k factors
+    made = []
+    intern = symexpr._intern
+
+    def counting(key, cls, *args):
+        made.append(cls)
+        return intern(key, cls, *args)
+
+    monkeypatch.setattr(symexpr, "_intern", counting)
+    e = parse("7/11*p40*p41^3*exp(p42)*x^-2*sin(p43)")
+    assert made.count(Prod) == 1
+    assert e is mul(Fraction(7, 11), jet(40), pow_int(jet(41), 3), exp(jet(42)),
+                    pow_int(X, -2), sin(jet(43)))
+
+
+def test_parse_multiplies_a_product_with_a_sum_left_to_right():
+    s = add(p1, 1)
+    cases = {
+        # one call would cancel the sum to x
+        "(p1+1)*x/(p1+1)": ([s, X, pow_int(s, -1)], "x*p1*(1 + p1)^-1 + x*(1 + p1)^-1"),
+        "x/(p1+1)*(p1+1)": ([X, pow_int(s, -1), s], "x"),
+        "-(p1+1)*p2/(p1+1)": ([mul(-1, s), p2, pow_int(s, -1)],
+                              "-p1*p2*(1 + p1)^-1 - p2*(1 + p1)^-1"),
+        # the sign stays inside the divisor
+        "x/-(p1+1)": ([X, pow_int(mul(-1, s), -1)], "x*(-1 - p1)^-1"),
+    }
+    for text, (factors, plain) in cases.items():
+        e = parse(text)
+        assert e is functools.reduce(mul, factors), text
+        assert render(e) == plain, text
+
+
+def test_fuzzed_product_texts_parse_to_the_left_fold_of_their_factors():
+    import random
+
+    pool = ["x", "p1", "p2^2", "p1^-1", "3", "0.5", "-p2", "exp(p1)", "exp(-p1)",
+            "exp(2*p1)", "log(p1)", "log(p1)^-2", "sin(p2)", "Int(exp(p2^2), p2)",
+            "(1 + p1)", "(1 + p1)^-1", "(1 + exp(p0))^-2", "-(1 + p1)", "(x - p2)"]
+    for seed in range(300):
+        rng = random.Random(seed)
+        texts = [rng.choice(pool) for _ in range(rng.randint(2, 6))]
+        ops = [rng.choice("**/") for _ in texts[1:]]
+        factors = [parse(texts[0])]
+        for op, t in zip(ops, texts[1:]):
+            factors.append(parse(t) if op == "*" else pow_int(parse(t), -1))
+        text = texts[0] + "".join(op + t for op, t in zip(ops, texts[1:]))
+        assert parse(text) is functools.reduce(mul, factors), text
+
+
+def test_render_builds_no_node():
+    # negative terms print as " - " and the rest of their own rendering
+    s = add(p1, mul(-7, p5), mul(Fraction(-3, 13), X, exp(p5), pow_int(p6, 3)),
+            mul(-1, pow_int(add(1, p5), -1), p6), rational(Fraction(-5, 17)))
+    before = len(symexpr._INTERN)
+    assert render(s) == "-5/17 + p1 - 7*p5 - p6*(1 + p5)^-1 - 3/13*x*p6^3*exp(p5)"
+    assert repr(s) == render(s)
+    assert len(symexpr._INTERN) == before
+
+
+def test_render_calls_no_kernel_constructor():
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(symexpr.__file__).read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["_render"]
+    while todo:
+        name = todo.pop()
+        if name in funcs and name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)]
+    assert {"_render", "_render_atomish"} <= reached
+    assert not reached & {"add", "mul", "pow_int", "_term", "_intern"}
 
 
 # `at`: where in the opener the error points (the parenthesis or the name)
@@ -356,13 +469,13 @@ def test_log_of_a_nonpositive_constant_is_an_error():
 
 def test_log_of_a_negative_constant_is_an_error():
     # a constant with no free atoms is evaluated: a negative value is an error
-    for bad in ("-exp(1)", "1 - exp(1)", "cos(4)", "-exp(1)*log(2)"):
+    for bad in ("-exp(1)", "1 - exp(1)", "cos(4)", "-exp(1)*log(2)", "-exp(1000)"):
         with pytest.raises(ExprError, match="negative constant"):
             parse(f"log({bad})")
     with pytest.raises(ExprError, match="negative constant"):
         substitute(log(add(p1, exp(1))), {p1: -3})
     # positive, within rounding of 0, or overflowing: a node as before
-    for ok in ("1 + exp(1)", "exp(1/10^20) - 1", "-exp(1000)", "exp(-1)"):
+    for ok in ("1 + exp(1)", "exp(1/10^20) - 1", "exp(-1)"):
         assert isinstance(parse(f"log({ok})"), symexpr.Log), ok
 
 
