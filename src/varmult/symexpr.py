@@ -12,11 +12,13 @@ product-rule pass over canonical terms, `_derive`), definite
 antiderivatives from 0 (with an opaque integral node as fallback),
 parsing/printing, floating evaluation with Gauss-Legendre quadrature for
 opaque integrals, and a probabilistic zero-testing decision procedure.
-Sums, products and derivations compute on flat terms (coefficient,
-monomial, other factors; see `_flat`) and build a node only for each term
-that survives.  One routine, `_times_sum`, multiplies terms: `mul` and the
-derivations both multiply through it, and it merges the powers of a common
-base and the exponentials of a common core.
+Sums, products and derivations compute on flat terms (an int numerator over
+an int denominator, a monomial, other factors; see `_flat`), sum integer
+numerators over one denominator per sum, and build a node only for each
+term that survives: no Fraction arithmetic runs in them.  One routine,
+`_times_sum`, multiplies terms: `mul` and the derivations both multiply
+through it, and it merges the powers of a common base and the exponentials
+of a common core.
 
 Text is read by one regular expression (`_TOKEN`) and a recursive-descent
 parser that multiplies the factors of a term with one `mul` call unless one
@@ -130,8 +132,9 @@ class Expr:
     class call, which is the class's canonical constructor (`_MAKE`); the
     fields are filled once, by `_init`, when the node is first made."""
 
-    # _flat: a non-Sum node as a flat term, filled by _flat and _term
-    __slots__ = ("_key", "free_atoms", "_flat")
+    # _flat, _den: a non-Sum node as a flat term and the denominator of its
+    # coefficient, filled by _flat and _term
+    __slots__ = ("_key", "free_atoms", "_flat", "_den")
     #: the attributes that are the arguments of a class call, in order
     _args: tuple = ()
 
@@ -365,13 +368,19 @@ def _intern(key, cls, *args) -> Expr:
     return node
 
 
+def _rat(n: int, d: int) -> Expr:
+    """The rational constant n/d, for coprime ints n and d > 0: the node is
+    looked up first, so a Fraction is made only for a new node."""
+    node = _INTERN.get(("r", n, d))
+    if node is None:
+        node = _intern(("r", n, d), Rat, Fraction(n, d))
+    return node
+
+
 def rational(value) -> Expr:
     """Exact rational constant node."""
     if value.__class__ is int:
-        # a coefficient is an int while integral: find its node unconverted
-        node = _INTERN.get(("r", value, 1))
-        if node is not None:
-            return node
+        return _rat(value, 1)
     v = value if isinstance(value, Fraction) else Fraction(value)
     return _intern(("r", v.numerator, v.denominator), Rat, v)
 
@@ -406,17 +415,20 @@ def as_expr(v: ExprLike) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-# A canonical non-Sum term is handled as a flat term (c, mono, others): its
-# rational coefficient, an int while it is integral; its monomial, the
-# exponents of x, p0, p1, ... as a tuple with no trailing zero, so that
-# multiplying monomials adds tuples; and its other factors in canonical
-# order.  An accumulator maps the key (mono, others) of like terms to their
-# summed coefficient, and `_term` builds only the terms that survive it.
-
-
-def _coeff(c):
-    """A rational coefficient as an int when it is integral."""
-    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+# A canonical non-Sum term is handled as a flat term (n, mono, others) over
+# a denominator d: its rational coefficient n/d, as coprime ints with d > 0;
+# its monomial, the exponents of x, p0, p1, ... as a tuple with no trailing
+# zero, so that multiplying monomials adds tuples; and its other factors in
+# canonical order.  A node keeps d beside its flat term (`_den`), so an
+# integral coefficient is one int, and a list of flat terms (den, ft, ...)
+# holds numerators over one denominator (`_flats` splits a sum into one list
+# per denominator, so that no flat term is copied).  An accumulator maps the
+# key (mono, others) of like terms to their summed numerator over one
+# denominator: the lcm of the denominators of everything that enters it,
+# fixed before the first term does, so it is never rescaled.  `_finish`
+# reduces each surviving numerator once and builds only the terms that
+# survive, and `_term` makes a Fraction only for a new Rat node: the kernel
+# does no Fraction arithmetic.
 
 
 def _index(a: Expr) -> int:
@@ -439,15 +451,16 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
 
 
 def _flat(t: Expr) -> tuple:
-    """The flat term (c, mono, others) of a canonical non-Sum term, cached on
-    the node."""
-    if t._flat is not None:
-        return t._flat
-    c, powers, others = 1, {}, []
+    """The flat term (n, mono, others) of a canonical non-Sum term, cached on
+    the node with its denominator `t._den`."""
+    ft = t._flat
+    if ft is not None:
+        return ft
+    n, d, powers, others = 1, 1, {}, []
     for f in (t.factors if t.__class__ is Prod else (t,)):
         cls = f.__class__
         if cls is Rat:
-            c = _coeff(f.value)
+            n, d = f.value.numerator, f.value.denominator
         elif cls is VarX or cls is Jet:
             powers[_index(f)] = 1
         elif cls is Pow and f.base.__class__ in _ATOM_CLASSES:
@@ -457,20 +470,34 @@ def _flat(t: Expr) -> tuple:
     mono = [0] * (max(powers, default=-1) + 1)
     for i, k in powers.items():
         mono[i] = k
-    t._flat = ft = (c, tuple(mono), tuple(others))
+    # _den first: a thread that sees _flat set reads a set _den
+    t._den = d
+    t._flat = ft = (n, tuple(mono), tuple(others))
     return ft
 
 
-def _flats(e: Expr) -> list[tuple]:
-    """The flat terms of a canonical expression."""
-    return [_flat(t) for t in e.terms] if e.__class__ is Sum else [_flat(e)]
+def _flats(e: Expr) -> list[list]:
+    """The flat terms of a canonical expression as lists [den, ft, ...], one
+    per denominator, so that they hold the nodes' own flat terms."""
+    if e.__class__ is not Sum:
+        ft = _flat(e)
+        return [[e._den, ft]]
+    lists: dict = {}
+    for t in e.terms:
+        ft = _flat(t)
+        lst = lists.get(t._den)
+        if lst is None:
+            lists[t._den] = [t._den, ft]
+        else:
+            lst.append(ft)
+    return list(lists.values())
 
 
-def _term(c, mono: tuple, others: tuple) -> Expr:
-    """The canonical term of a flat term with c != 0, interned once: the
-    coefficient, then x and the jets, then their powers, then the others,
-    which is the `sort_key` order; inverts `_flat`."""
-    c = _coeff(c)
+def _term(n: int, d: int, mono: tuple, others: tuple) -> Expr:
+    """The canonical term of a flat term with coefficient n/d != 0 (coprime,
+    d > 0), interned once: the coefficient, then x and the jets, then their
+    powers, then the others, which is the `sort_key` order; inverts
+    `_flat`."""
     fs = []
     pows = []
     for i, k in enumerate(mono):
@@ -482,8 +509,8 @@ def _term(c, mono: tuple, others: tuple) -> Expr:
                 pows.append(_intern((Pow, a, k), Pow, a, k))
     fs += pows
     fs += others
-    if c != 1:
-        fs.insert(0, rational(c))
+    if n != 1 or d != 1:
+        fs.insert(0, _rat(n, d))
     if not fs:
         return ONE
     if len(fs) == 1:
@@ -491,30 +518,39 @@ def _term(c, mono: tuple, others: tuple) -> Expr:
     fs = tuple(fs)
     t = _intern((Prod, fs), Prod, fs)
     if t._flat is None:
-        t._flat = (c, mono, others)
+        t._den = d
+        t._flat = (n, mono, others)
     return t
 
 
-def _put(acc: dict, flats) -> None:
-    """Add flat terms to the accumulator (mono, others) -> coefficient."""
-    for c, m, o in flats:
+def _put(acc: dict, den: int, terms: tuple) -> None:
+    """Add a list of flat terms to the accumulator (mono, others) ->
+    numerator over den, a multiple of the list's denominator."""
+    it = iter(terms)
+    k = den // next(it)
+    for c, m, o in it:
         key = (m, o)
         prev = acc.get(key)
+        c *= k
         acc[key] = c if prev is None else prev + c
 
 
-def _finish(acc: dict, whole: dict | None = None) -> Expr:
-    """The canonical sum of an accumulator: zero coefficients drop, and the
-    surviving terms are built, sorted and interned once.  `whole` maps a key
-    to its term when that is already built (in `add`, an input term whose
-    key occurred once)."""
+def _finish(acc: dict, den: int, whole: dict | None = None) -> Expr:
+    """The canonical sum of an accumulator over `den`: zero numerators drop,
+    and the surviving terms are reduced, built, sorted and interned once.
+    `whole` maps a key to its term when that is already built (in `add`, an
+    input term whose key occurred once)."""
     out = []
     for key, c in acc.items():
         t = whole[key] if whole else None
         if t is None:
             if not c:
                 continue
-            t = _term(c, *key)
+            if den == 1:
+                t = _term(c, 1, *key)
+            else:
+                g = math.gcd(c, den)
+                t = _term(c // g, den // g, *key)
         out.append(t)
     if not out:
         return ZERO
@@ -527,19 +563,24 @@ def _finish(acc: dict, whole: dict | None = None) -> Expr:
 
 def add(*terms: ExprLike) -> Expr:
     """Canonical sum: flattens, folds constants, combines like terms."""
-    # key -> coefficient, and key -> the term itself while the key has
-    # occurred once, so that a term nothing merges with is kept as it is
-    acc: dict = {}
-    whole: dict = {}
+    ts = []
     stack = [as_expr(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
         if t.__class__ is Sum:
             stack.extend(reversed(t.terms))
-            continue
-        if t is ZERO:
-            continue
-        c, m, o = _flat(t)
+        elif t is not ZERO:
+            _flat(t)
+            ts.append(t)
+    den = math.lcm(*[t._den for t in ts])
+    # key -> numerator, and key -> the term itself while the key has
+    # occurred once, so that a term nothing merges with is kept as it is
+    acc: dict = {}
+    whole: dict = {}
+    for t in ts:
+        c, m, o = t._flat
+        if t._den != den:
+            c *= den // t._den
         key = (m, o)
         prev = acc.get(key)
         if prev is None:
@@ -548,7 +589,7 @@ def add(*terms: ExprLike) -> Expr:
         else:
             acc[key] = prev + c
             whole[key] = None
-    return _finish(acc, whole)
+    return _finish(acc, den, whole)
 
 
 def _exp_raw(arg: Expr) -> Expr:
@@ -567,22 +608,28 @@ def mul(*factors: ExprLike) -> Expr:
     term is then multiplied by the terms of each remaining sum in turn
     (`_times_sum`), the products are summed as flat terms in one
     accumulator, and only the terms that survive are built."""
-    c, m, o = 1, (), ()
+    n, d, m, o = 1, 1, (), ()
     sums = []
     for f in factors:
         f = as_expr(f)
         if f.__class__ is Sum:
             sums.append(f)
             continue
-        c1, m1, o1 = _flat(f)
-        if c1 != 1:
-            if not c1:
+        n1, m1, o1 = _flat(f)
+        if n1 != 1:
+            if not n1:
                 return ZERO
-            c = c1 if c == 1 else c * c1
+            n *= n1
+        if f._den != 1:
+            d *= f._den
         if m1:
             m = _mono_mul(m, m1)
         if o1:
             o = _times(o, o1) if o else o1
+    if d != 1:
+        g = math.gcd(n, d)
+        n //= g
+        d //= g
     if o and sums:
         rest = []
         for s in sums:
@@ -593,48 +640,55 @@ def mul(*factors: ExprLike) -> Expr:
                 rest.append(s)
         sums = rest
     if not sums:
-        return _term(c, m, o)
-    if len(sums) == 1 and c == 1 and not m and not o:
+        return _term(n, d, m, o)
+    if len(sums) == 1 and n == 1 and d == 1 and not m and not o:
         return sums[0]
-    flats = [(c, m, o)]
+    q, items = d, ((n, m, o),)
     for s in sums:
+        lists = _flats(s)
+        den = q * math.lcm(*[lst[0] for lst in lists])
         acc: dict = {}
-        terms = _flats(s)
-        for ft in flats:
-            _times_sum(acc, *ft, terms)
-        flats = [(c, m, o) for (m, o), c in acc.items() if c]
-    return _finish(acc)
+        for ft in items:
+            for lst in lists:
+                _times_sum(acc, den, ft, q, lst)
+        q, items = den, [(c, m, o) for (m, o), c in acc.items() if c]
+    return _finish(acc, den)
 
 
 def _times(o0: tuple, o1: tuple) -> tuple:
     """The other factors of the product of two terms with the other factors
     o0 and o1 (and coefficient and monomial 1)."""
     acc: dict = {}
-    _times_sum(acc, 1, (), o0, ((1, (), o1),))
+    _times_sum(acc, 1, (1, (), o0), 1, (1, (1, (), o1)))
     return next(iter(acc))[1]
 
 
-def _times_sum(acc: dict, c0, m0: tuple, o0: tuple, terms) -> None:
-    """Add the product of the flat term (c0, m0, o0) with each flat term of
-    `terms` to the accumulator `acc`: the kernel's one product of terms.
+def _times_sum(acc: dict, den: int, ft: tuple, d0: int, terms: tuple) -> None:
+    """Add the product of the flat term `ft` over d0 with each flat term of
+    the list `terms` to the accumulator `acc` over `den`, a multiple of d0
+    times the list's denominator: the kernel's one product of terms.
     Coefficients and monomials multiply, and other factors of a common base
     merge: the integer exponents of a log, sin, cos, integral or slope (a
     power of a sum) add, and so do the coefficients of exponentials of a
-    common core, exp(a*k) * exp(b*k) = exp((a + b)*k).  A factor whose
-    exponent adds up to 0 drops."""
-    # base -> (exponent, factor); the base of an exponential is the key
-    # (mono, others) of its exponent, which no node equals
+    common core, exp(a*k) * exp(b*k) = exp((a + b)*k), as int pairs.  A
+    factor whose exponent adds up to 0 drops."""
+    c0, m0, o0 = ft
+    it = iter(terms)
+    c0 *= den // (d0 * next(it))
+    # base -> (exponent numerator, denominator, factor); the base of an
+    # exponential is the key (mono, others) of its exponent, which no node
+    # equals
     bases: dict = {}
     for f in o0:
         cls = f.__class__
         if cls is Exp:
             a, em, eo = _flat(f.arg)
-            bases[em, eo] = (a, f)
+            bases[em, eo] = (a, f.arg._den, f)
         elif cls is Pow:
-            bases[f.base] = (f.exponent, f)
+            bases[f.base] = (f.exponent, 1, f)
         else:
-            bases[f] = (1, f)
-    for c1, m, o in terms:
+            bases[f] = (1, 1, f)
+    for c1, m, o in it:
         others = o or o0
         if o and o0:
             pieces = []
@@ -655,17 +709,22 @@ def _times_sum(acc: dict, c0, m0: tuple, o0: tuple, terms) -> None:
                 if left is bases:
                     left = bases.copy()
                 del left[b]
-                a += hit[0]
-                if not a:
-                    continue
                 if cls is Exp:
-                    pieces.append(_exp_raw(_term(a, em, eo)))
-                else:
+                    # a/da + hit: the exponent coefficients add as pairs
+                    da = f.arg._den
+                    a = a * hit[1] + hit[0] * da
+                    if a:
+                        da *= hit[1]
+                        g = math.gcd(a, da)
+                        pieces.append(_exp_raw(_term(a // g, da // g, em, eo)))
+                    continue
+                a += hit[0]
+                if a:
                     pieces.append(b if a == 1 else _intern((Pow, b, a), Pow, b, a))
-            pieces.extend(x for _, x in left.values())
+            pieces.extend(h[2] for h in left.values())
             pieces.sort(key=sort_key)
             others = tuple(pieces)
-        c = _coeff(c0 * c1)
+        c = c0 * c1
         key = (_mono_mul(m0, m), others)
         prev = acc.get(key)
         acc[key] = c if prev is None else prev + c
@@ -689,7 +748,10 @@ def pow_int(base: ExprLike, n: int) -> Expr:
             if n < 0:
                 raise ExprError("division by zero")
             return ZERO
-        return rational(b.value ** n)
+        p, q = b.value.numerator, b.value.denominator
+        if n < 0:
+            p, q, n = (-q, -p, -n) if p < 0 else (q, p, -n)
+        return _rat(p ** n, q ** n)
     if isinstance(b, Prod):
         return mul(*(pow_int(f, n) for f in b.factors))
     if isinstance(b, Pow):
@@ -812,16 +874,24 @@ def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
     memo = bool(plus) or e.__class__ is Sum
     out = _DERIV_CACHE.get(key) if memo else None
     if out is None:
+        # the accumulator's denominator is fixed first, as the lcm of all
+        # that enter it, so it is never rescaled
+        parts = [_derive_term(d, t) for t in (e.terms if e.__class__ is Sum else (e,))]
+        pairs = [(_flat(a), a._den, lst) for a, b in plus for lst in _flats(b)]
+        sft = _flat(scale)
+        den = math.lcm(*[p[0] for p in parts])
+        top = math.lcm(den * scale._den, *[da * lst[0] for _, da, lst in pairs])
         acc: dict = {}
-        for t in (e.terms if e.__class__ is Sum else (e,)):
-            _put(acc, _derive_term(d, t))
+        for p in parts:
+            _put(acc, top if scale is ONE else den, p)
         if scale is not ONE:
-            flats = [(c, m, o) for (m, o), c in acc.items() if c]
+            items = [den]
+            items += [(c, m, o) for (m, o), c in acc.items() if c]
             acc = {}
-            _times_sum(acc, *_flat(scale), flats)
-        for a, b in plus:
-            _times_sum(acc, *_flat(a), _flats(b))
-        out = _finish(acc)
+            _times_sum(acc, top, sft, scale._den, items)
+        for aft, da, lst in pairs:
+            _times_sum(acc, top, aft, da, lst)
+        out = _finish(acc, top)
         if memo:
             _DERIV_CACHE[key] = out
     return out
@@ -837,23 +907,60 @@ def _image(d, a: Expr) -> Expr:
     return jet(a.index + 1) if a.index < d else ZERO
 
 
+#: the lists of flat terms of 0 and of 1
+_NO_TERMS = (1,)
+_ONE_TERMS = (1, (1, (), ()))
+
+
 def _derive_term(d, t: Expr) -> tuple:
     """The product rule for `d` on a canonical non-Sum term t, memoized, as
-    flat terms: one per atom power, and the term with the factor
+    a list of flat terms (den, ft, ...) with no factor common to den and all
+    numerators: one per atom power, and the term with the factor
     differentiated away times each term of the derivative of that factor's
     argument (an exponent, a slope, or the argument of a log, sin, cos or
     opaque integral)."""
     if d.__class__ is int:
         d = min(d, max_jet(t) + 1)
     elif d not in t.free_atoms:
-        return ()
+        return _NO_TERMS
     key = (d, t)
     out = _DERIV_CACHE.get(key)
     if out is not None:
         return out
-    coeff, mono, others = _flat(t)
+    ft = _flat(t)
+    coeff, mono, others = ft
+    q = t._den
+    # the parts of the other factors, each a flat term over q times flat
+    # terms, collected first so that the denominator of the accumulator is
+    # their lcm from the start
+    parts = []
+    for i, f in enumerate(others):
+        if f.__class__ is Exp:
+            # d exp(a) = exp(a) d a
+            d_inner = _derive_term(d, f.arg)
+            if len(d_inner) > 1:
+                parts.append((ft, d_inner))
+        elif f.__class__ is Pow and f.base.__class__ is Sum:
+            # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
+            k = f.exponent
+            ds = _derive(d, f.base)
+            if ds is f.base:
+                # S^(k-1) * S folds back to S^k, as in `mul`
+                parts.append(((k * coeff, mono, others), _ONE_TERMS))
+            elif ds is not ZERO:
+                # S^(k-1) takes the place of S^k in the canonical order
+                lower = others[:i] + (pow_int(f.base, k - 1),) + others[i + 1:]
+                left = (k * coeff, mono, lower)
+                parts += [(left, lst) for lst in _flats(ds)]
+        else:
+            dg = _derive_factor(d, f)
+            if dg is not ZERO:
+                left = (coeff, mono, others[:i] + others[i + 1:])
+                parts += [(left, lst) for lst in _flats(dg)]
+    den = q * math.lcm(*[terms[0] for _, terms in parts])
     acc: dict = {}
     at = None if d.__class__ is int else _index(d)
+    lift = den // q
     for i, k in enumerate(mono):
         # a^k goes to k a^(k-1) times the image of a: 1 for v under d/dv and
         # for x under D_m, p_{j+1} for p_j under D_m when j < m, else 0
@@ -866,29 +973,12 @@ def _derive_term(d, t: Expr) -> tuple:
             m[i + 1] += 1
         while m and not m[-1]:
             m.pop()
-        _put(acc, ((_coeff(k * coeff), tuple(m), others),))
-    for i, f in enumerate(others):
-        if f.__class__ is Exp:
-            # d exp(a) = exp(a) d a
-            d_inner = _derive_term(d, f.arg)
-            if d_inner:
-                _times_sum(acc, coeff, mono, others, d_inner)
-        elif f.__class__ is Pow and f.base.__class__ is Sum:
-            # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
-            k = f.exponent
-            ds = _derive(d, f.base)
-            if ds is f.base:
-                # S^(k-1) * S folds back to S^k, as in `mul`
-                _put(acc, ((k * coeff, mono, others),))
-            elif ds is not ZERO:
-                # S^(k-1) takes the place of S^k in the canonical order
-                lower = others[:i] + (pow_int(f.base, k - 1),) + others[i + 1:]
-                _times_sum(acc, k * coeff, mono, lower, _flats(ds))
-        else:
-            dg = _derive_factor(d, f)
-            if dg is not ZERO:
-                _times_sum(acc, coeff, mono, others[:i] + others[i + 1:], _flats(dg))
-    out = tuple((_coeff(c), m, o) for (m, o), c in acc.items() if c)
+        mk = (tuple(m), others)
+        acc[mk] = acc.get(mk, 0) + k * coeff * lift
+    for left, terms in parts:
+        _times_sum(acc, den, left, q, terms)
+    g = math.gcd(den, *acc.values()) if den != 1 else 1
+    out = (den // g, *[(c // g, m, o) for (m, o), c in acc.items() if c])
     _DERIV_CACHE[key] = out
     return out
 
@@ -930,7 +1020,7 @@ def _linear_coeff(term: Expr, v: Expr) -> Expr | None:
     i = _index(v)
     if i >= len(m) or m[i] != 1 or any(v in f.free_atoms for f in o):
         return None
-    return _term(c, _mono_mul(m, (0,) * i + (-1,)), o)
+    return _term(c, term._den, _mono_mul(m, (0,) * i + (-1,)), o)
 
 
 def antideriv(e: ExprLike, v: Expr, times: int = 1) -> Expr:
@@ -954,12 +1044,12 @@ _MAKE = {Rat: rational, VarX: lambda: X, Jet: jet, Sum: lambda terms: add(*terms
 
 
 def _rat_multiple(u: Expr, a: Expr) -> Fraction | None:
-    """The rational c with u == c * a structurally, or None."""
-    um = {(m, o): c for c, m, o in _flats(u)}
-    am = {(m, o): c for c, m, o in _flats(a)}
+    """The rational c with u == c * a structurally, or None, for a != 0."""
+    um = {(m, o): (c, lst[0]) for lst in _flats(u) for c, m, o in lst[1:]}
+    am = {(m, o): (c, lst[0]) for lst in _flats(a) for c, m, o in lst[1:]}
     if um.keys() != am.keys():
         return None
-    ratios = {Fraction(um[key], c) for key, c in am.items()}
+    ratios = {Fraction(um[key][0] * da, um[key][1] * ca) for key, (ca, da) in am.items()}
     return ratios.pop() if len(ratios) == 1 else None
 
 
@@ -997,7 +1087,7 @@ def _anti_group(u: Expr, core: Expr, v: Expr) -> Expr:
         return mul(u, _HALF, pow_int(v, 2))
     if isinstance(core, Pow) and core.base is v and core.exponent >= 2:
         j = core.exponent
-        return mul(u, rational(Fraction(1, j + 1)), pow_int(v, j + 1))
+        return mul(u, _rat(1, j + 1), pow_int(v, j + 1))
     factors = core.factors if isinstance(core, Prod) else (core,)
     if all(isinstance(d, Exp) for d in factors):
         coeffs = []
@@ -1114,11 +1204,12 @@ def free_jets(e: ExprLike) -> frozenset:
 _FUNCS = {"exp": exp, "log": log, "sin": sin, "cos": cos, "Int": _anti1}
 
 #: one token per match, after a run of the ASCII characters that
-#: `str.isspace` accepts: a number (digits and an optional fraction part), an
-#: identifier, an operator, any other character (an error), or the end
+#: `str.isspace` accepts: a number (ASCII digits and an optional fraction
+#: part), an identifier (ASCII letters, digits and underscores), an
+#: operator, any other character (an error), or the end
 _TOKEN = re.compile(r"""[\t-\r\x1c-\x1f ]*(?:
-    (?P<num>[0-9]\d*(?:\.\d+)?)
-    |(?P<ident>[A-Za-z_]\w*)
+    (?P<num>[0-9]+(?:\.[0-9]+)?)
+    |(?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     |(?P<op>[-+*/^(),])
     |(?P<bad>.)
     |(?P<eof>\Z))""", re.S | re.X)
@@ -1138,7 +1229,8 @@ def _tokenize(text: str) -> list[tuple]:
         elif kind == "bad":
             if s.isascii():
                 raise ParseError(f"unexpected character {s!r}", i)
-            raise ParseError(f"non-ASCII character {s!r}", len(text[:i].encode()))
+            # every token before it is ASCII, so its index is its byte offset
+            raise ParseError(f"non-ASCII character {s!r}", i)
         else:
             toks.append((s if kind == "op" else kind, s, i, None))
     return toks
@@ -1173,24 +1265,27 @@ class _Parser:
         # re-sort the partial sum at every step
         terms = [self.term()]
         while self.peek()[0] in "+-":
-            op = self.next()[0]
-            rhs = self.term()
-            terms.append(rhs if op == "+" else mul(-1, rhs))
+            terms.append(self.term(self.next()[0] == "-"))
         return add(*terms)
 
-    def term(self) -> Expr:
+    def term(self, negate: bool = False) -> Expr:
+        """A product of factors, negated for a subtracted term."""
         factors = [self.factor()]
         while self.peek()[0] in "*/":
             op = self.next()[0]
             rhs = self.factor()
             factors.append(rhs if op == "*" else pow_int(rhs, -1))
-        if len(factors) > 1 and not any(f.__class__ is Sum for f in factors):
-            # one product, not one per partial product: `mul` multiplies
-            # non-sum factors left to right already
-            return mul(*factors)
+        if not any(f.__class__ is Sum for f in factors):
+            # one product, not one per partial product, which takes the sign
+            # of a subtracted term, so that its positive twin is not built:
+            # `mul` multiplies non-sum factors left to right already
+            if negate:
+                return mul(-1, *factors)
+            return mul(*factors) if len(factors) > 1 else factors[0]
         # a product with a sum goes left to right: one call would cancel
         # (p1+1)*x/(p1+1) to x, which parses to two terms
-        return reduce(mul, factors)
+        out = reduce(mul, factors)
+        return mul(-1, out) if negate else out
 
     def nested(self, opener: tuple) -> Expr:
         """The expression after an opening parenthesis or call."""
@@ -1228,7 +1323,7 @@ class _Parser:
             return None
         if text == "x":
             return X
-        if text[0] == "p" and text[1:].isdigit():
+        if text[0] == "p" and text[1:].isascii() and text[1:].isdecimal():
             k = int(text[1:])
             if k > MAX_JET_INDEX:
                 raise ParseError(f"jet index {k} exceeds the maximum {MAX_JET_INDEX}", offset)
@@ -1685,4 +1780,4 @@ def _ray_witness(s: Expr, first: tuple[dict, float], cfg: ZeroTestConfig,
 def _is_laurent(s: Expr) -> bool:
     """Whether the canonical `s` is a Laurent polynomial in x and the jets
     over the rationals: none of its flat terms has other factors."""
-    return not any(o for _, _, o in _flats(s))
+    return not any(_flat(t)[2] for t in (s.terms if s.__class__ is Sum else (s,)))

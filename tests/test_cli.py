@@ -414,6 +414,17 @@ def test_parse_error_exit_code_and_offset():
     assert "byte 2" in err
 
 
+def test_non_ascii_digit_is_a_parse_error():
+    # only ASCII digits make numbers and jet indices: each text fails at the
+    # first non-ASCII character, which is also its byte offset
+    for text, offset in (("1\u0663*p3^2", 1), ("p1\u0663*p3^2", 2),
+                         ("p1\u00b2 + p3^2", 2), ("p\u00b2 + p3^2", 1)):
+        code, out, err = invoke("check", "--order", "2", f"--expr={text}")
+        assert (code, out) == (2, ""), text
+        assert err == (f"varmult: expression error: non-ASCII character "
+                       f"{text[offset]!r} (byte {offset})\n"), text
+
+
 def test_usage_error_exit_code():
     code, _, _ = invoke("check", "--order", "2")  # missing --expr
     assert code == 2

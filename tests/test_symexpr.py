@@ -8,6 +8,7 @@ import functools
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CFG, assert_zeroish, rand_expr
+from conftest import CFG, assert_zeroish, rand_expr, to_sympy
 from varmult.symexpr import (
     AntiDeriv,
     ExprError,
@@ -57,6 +58,7 @@ from varmult.symexpr import (
     substitute,
 )
 from varmult import symexpr
+from varmult.checker import check
 from varmult.symexpr import MAX_PARSE_DEPTH, DomainError, _bind_zero
 from varmult.testkit import GenConfig, gen_params
 from varmult.varcore import construct
@@ -93,8 +95,8 @@ def test_parse_decimals_are_exact():
     assert parse("2.25*x") == mul(Fraction(9, 4), X)
 
 
-#: text -> (message, offset) of its ParseError; the offset counts bytes, so
-#: a non-ASCII character after one in an identifier is off its index
+#: text -> (message, offset) of its ParseError; the offset counts bytes,
+#: and the first non-ASCII character ends the tokens, so it is its index
 _PARSE_ERRORS = {
     "": ("unexpected 'end of input'", 0),
     "p2^x": ("exponent must be an integer literal", 3),
@@ -115,8 +117,14 @@ _PARSE_ERRORS = {
     "Int(p1, 2)": ("expected a variable (x or p<k>), found '2'", 8),
     "Int(p1; p2)": ("unexpected character ';'", 6),
     "x + \u00e9": ("non-ASCII character '\u00e9'", 4),
-    "x\u00e9 + \u00fc": ("non-ASCII character '\u00fc'", 6),
+    # an identifier is ASCII: it ends before the first non-ASCII character
+    "x\u00e9 + \u00fc": ("non-ASCII character '\u00e9'", 1),
     "p1\xa0+ p2": ("non-ASCII character '\\xa0'", 2),
+    # numbers and jet indices take ASCII digits only
+    "1\u0663": ("non-ASCII character '\u0663'", 1),
+    "p1\u0663": ("non-ASCII character '\u0663'", 2),
+    "p1\u00b2": ("non-ASCII character '\u00b2'", 2),
+    "p\u00b2": ("non-ASCII character '\u00b2'", 1),
 }
 
 
@@ -159,6 +167,27 @@ def test_parse_builds_one_product_per_term(monkeypatch):
     assert made.count(Prod) == 1
     assert e is mul(Fraction(7, 11), jet(40), pow_int(jet(41), 3), exp(jet(42)),
                     pow_int(X, -2), sin(jet(43)))
+
+
+def test_parse_builds_no_positive_twin_of_a_negative_term(monkeypatch):
+    # a subtracted term takes its sign in its own product, so the positive
+    # product is never asked of the intern table
+    f = construct(gen_params(4, 4, GenConfig(seed=40003, max_degree=3, max_terms=4))).f
+    text = render(f)
+    asked = set()
+    intern = symexpr._intern
+
+    def recording(key, cls, *args):
+        asked.add(key)
+        return intern(key, cls, *args)
+
+    monkeypatch.setattr(symexpr, "_intern", recording)
+    assert parse(text) is f
+    monkeypatch.undo()
+    twins = [mul(-1, t) for t in f.terms if symexpr._flat(t)[0] < 0]
+    twins = [t for t in twins if t.__class__ is Prod]
+    assert len(twins) > 100
+    assert not any((Prod, t.factors) in asked for t in twins)
 
 
 def test_parse_multiplies_a_product_with_a_sum_left_to_right():
@@ -1018,9 +1047,16 @@ def test_add_keeps_terms_with_distinct_cores(monkeypatch):
     # only a core that occurs twice is rebuilt, and a zero sum drops it;
     # p1*p2 is the monomial with exponent 1 at the positions of p1 and p2
     merged = add(s, twice)
-    assert calls == [(5, (0, 0, 1, 1), ())]
+    assert calls == [(5, 1, (0, 0, 1, 1), ())]
     assert merged is add(mul(5, p1, p2), *terms[1:])
     assert add(s, mul(-3, p1, p2)) is add(*terms[1:])
+    # -1/2*x + 1/3*x: the numerators meet over the common denominator 6, and
+    # the one term built gets the coprime pair (numerator, denominator)
+    sixth = add(*terms[:3], mul(Fraction(-1, 6), X), terms[4])
+    third = mul(Fraction(1, 3), X)
+    del calls[:]
+    assert add(s, third) is sixth
+    assert calls == [(-1, 6, (1,), ())]
 
 
 # ---------------------------------------------------------------------------
@@ -1207,14 +1243,49 @@ def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
     rats = [e for e in list(symexpr._INTERN.values()) if e.__class__ is Rat]
     assert len(rats) > 100
     assert all(type(e.value) is Fraction for e in rats)
-    # a flat coefficient is an int exactly when it is integral, also in the
-    # derivation memo, where sums of fractions can come out integral
-    coeffs = [c for c, _, _ in symexpr._flats(t.f)]
-    assert any(type(c) is int for c in coeffs) and any(type(c) is Fraction for c in coeffs)
-    coeffs += [c for v in list(symexpr._DERIV_CACHE.values()) if isinstance(v, tuple)
-               for c, _, _ in v]
-    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in coeffs)
+    # a node's flat coefficient is the coprime int pair (numerator, _den),
+    # denominator >= 1, equal to the value of its Rat factor
+    pairs = [(symexpr._flat(u)[0], u._den) for u in t.f.terms]
+    assert all(type(n) is int and type(d) is int and d >= 1 and math.gcd(n, d) == 1
+               for n, d in pairs)
+    assert any(d == 1 for _, d in pairs) and any(d > 1 for _, d in pairs)
+    heads = [u.factors[0].value if u.factors[0].__class__ is Rat else 1 for u in t.f.terms]
+    assert heads == [Fraction(n, d) for n, d in pairs]
+    # a list of flat terms (den, ft, ...) shares one denominator, and no
+    # factor is common to it and all the numerators: a sum's lists, one per
+    # denominator of its terms, and the derivation memo's, where sums of
+    # fractions can come out integral
+    lists = symexpr._flats(t.f)
+    assert sorted(lst[0] for lst in lists) == sorted({d for _, d in pairs})
+    lists += [v for v in list(symexpr._DERIV_CACHE.values()) if isinstance(v, tuple)]
+    assert len(lists) > 100 and any(lst[0] > 1 for lst in lists)
+    for den, *fts in lists:
+        assert type(den) is int and den >= 1 and all(type(c) is int for c, _, _ in fts)
+        assert math.gcd(den, *[c for c, _, _ in fts]) == 1
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                        "__rmul__", "__neg__", "__truediv__")
+
+
+def test_construct_and_check_do_no_fraction_arithmetic(monkeypatch):
+    # coefficients are int pairs in the kernel: a Fraction is only made, for
+    # a new Rat node, never added, multiplied or negated
+    params = [(n, gen_params(n, n, GenConfig(seed=seed, max_degree=3, max_terms=4)))
+              for n, seed in ((3, 30002), (4, 40003))]
+    calls = []
+    for name in _FRACTION_ARITHMETIC:
+        def counting(*args, _inner=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    assert -Fraction(1, 3) * 3 + 1 == 0 and calls == ["__neg__", "__mul__", "__add__"]
+    del calls[:]
+    for n, p in params:
+        t = construct(p)
+        assert check(t.f, n, CFG).accepted
+    assert calls == []
 
 
 def test_rational_multiple_of_integral_coefficients_is_exact():
@@ -1233,15 +1304,79 @@ def test_rational_multiple_of_integral_coefficients_is_exact():
     assert render(got) == "-2 + 2*exp(2*p1)"
 
 
+#: factors of the sympy oracle's terms: atom powers that cancel, and
+#: exponentials whose exponents add as rationals; `sympy.expand` brings
+#: products and derivatives of them to one normal form
+_ORACLE_FACTORS = [X, p1, p2, pow_int(p1, 2), pow_int(p2, -1), exp(p1), exp(mul(-1, p1)),
+                   exp(mul(Fraction(1, 2), p1)), exp(mul(Fraction(-5, 6), p1)),
+                   exp(mul(Fraction(3, 4), p1, p2))]
+
+
+def _oracle_coeff(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 12))
+
+
+def _oracle_terms(rng):
+    """Random terms, with a like term over a new denominator, like terms
+    that sum to an integral coefficient, or a term and its negative."""
+    terms = [mul(_oracle_coeff(rng), *rng.sample(_ORACLE_FACTORS, rng.randint(0, 3)))
+             for _ in range(rng.randint(1, 4))]
+    core = mul(*rng.sample(_ORACLE_FACTORS, rng.randint(0, 2)))
+    kind = rng.randrange(4)
+    if kind == 1:
+        terms += [mul(Fraction(1, 7), core), mul(Fraction(5, 11), core)]
+    elif kind == 2:
+        c = _oracle_coeff(rng)
+        terms += [mul(c, core), mul(rng.randint(-3, 3) - c, core)]
+    elif kind == 3:
+        terms.append(mul(-1, terms[0]))
+    rng.shuffle(terms)
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_add_mul_diff_match_sympy_exactly(seed):
+    sympy = pytest.importorskip("sympy")
+    sym = {X: sympy.Symbol("x"), p1: sympy.Symbol("p1"), p2: sympy.Symbol("p2")}
+
+    def ours(e):
+        return to_sympy(e, sympy, sym[X], lambda k: sym[jet(k)])
+
+    def same(e, expected):
+        assert sympy.expand(ours(e) - expected) == 0, (render(e), expected)
+        assert (e is ZERO) == (sympy.expand(expected) == 0), render(e)
+
+    rng = random.Random(seed)
+    a, b = _oracle_terms(rng), _oracle_terms(rng)
+    sa, sb = add(*a), add(*b)
+    same(sa, sympy.Add(*map(ours, a)))
+    same(add(sa, mul(-1, sa)), 0)
+    same(mul(sa, sb), ours(sa) * ours(sb))
+    c = _oracle_coeff(rng)
+    same(mul(c, sa, b[0]), sympy.Rational(c.numerator, c.denominator) * ours(sa) * ours(b[0]))
+    for v in (X, p1, p2):
+        same(diff(sa, v, 2), sympy.diff(ours(sa), sym[v], 2))
+        same(diff(mul(sa, sb), v), sympy.diff(ours(sa) * ours(sb), sym[v]))
+    for e in (sa, mul(sa, sb)):
+        for t in (e.terms if isinstance(e, Sum) else (e,)):
+            n, d = symexpr._flat(t)[0], t._den
+            assert d >= 1 and math.gcd(n, d) == 1
+
+
 def test_fraction_coefficients_that_cancel_to_integers():
     s = add(mul(Fraction(1, 2), p1), mul(Fraction(3, 2), p1))
     assert s is mul(2, p1) and render(s) == "2*p1"
     prod = mul(Fraction(2, 3), add(mul(Fraction(3, 2), p1), mul(Fraction(3, 4), X)))
     assert render(prod) == "p1 + 1/2*x"
-    assert [type(c) for c, _, _ in symexpr._flats(prod)] == [int, Fraction]
-    # a sum of fractions that comes out integral: the built term caches an int
+    # each term's coprime pair, and the terms as one list per denominator
+    assert [(symexpr._flat(u)[0], u._den) for u in prod.terms] == [(1, 1), (1, 2)]
+    assert symexpr._flats(prod) == [[1, (1, (0, 0, 1), ())], [2, (1, (1,), ())]]
+    # a sum of fractions that comes out integral: the built term caches the
+    # pair (2, 1)
     u = add(mul(Fraction(1, 2), X, jet(9), jet(11)), mul(Fraction(3, 2), X, jet(9), jet(11)))
-    assert u is mul(2, X, jet(9), jet(11)) and type(symexpr._flat(u)[0]) is int
+    assert u is mul(2, X, jet(9), jet(11))
+    assert symexpr._flat(u)[0] == 2 and u._den == 1
+    assert all(type(v) is Fraction for v in (symexpr._rat(2, 1).value, Rat(Fraction(7, 3)).value))
     # 2 * 1/2 drops the head: the derivative is the bare atom
     assert diff(mul(Fraction(1, 2), pow_int(p1, 2)), p1) is p1
     assert render(mul(Fraction(3, 7), Fraction(14, 3), exp(p1))) == "2*exp(p1)"
