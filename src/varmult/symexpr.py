@@ -18,7 +18,7 @@ numerators over one denominator per sum, and build a node only for each
 term that survives: no Fraction arithmetic runs in them.  One routine,
 `_times_sum`, multiplies terms: `mul` and the derivations both multiply
 through it, and it merges the powers of a common base and the exponentials
-of a common core.
+of a common core, memoized on the pair of factor tuples (`_times`).
 
 Text is read by one regular expression (`_TOKEN`) and a recursive-descent
 parser that multiplies the factors of a term with one `mul` call unless one
@@ -51,6 +51,7 @@ from ._record import Record
 __all__ = [
     "MAX_JET_INDEX",
     "MAX_PARSE_DEPTH",
+    "MAX_RATIONAL_DIGITS",
     "ExprError",
     "ParseError",
     "DomainError",
@@ -102,6 +103,14 @@ __all__ = [
 #: Largest admissible jet index.  High enough for any reasonable equation
 #: order while catching runaway index arithmetic early.
 MAX_JET_INDEX = 64
+
+#: Most decimal digits in the numerator or the denominator of a rational
+#: constant, and in an exponent: a longer one is an `ExprError` (a
+#: `ParseError` in text), raised by `pow_int` before it computes a power.
+#: Python converts an int of up to 4300 digits to text by default, so every
+#: constant prints.
+MAX_RATIONAL_DIGITS = 4000
+_RAT_BOUND = 10 ** MAX_RATIONAL_DIGITS
 
 class ExprError(ValueError):
     """Invalid expression construction or operation."""
@@ -370,9 +379,12 @@ def _intern(key, cls, *args) -> Expr:
 
 def _rat(n: int, d: int) -> Expr:
     """The rational constant n/d, for coprime ints n and d > 0: the node is
-    looked up first, so a Fraction is made only for a new node."""
+    looked up first, so a Fraction is made only for a new node, and its
+    digits are bounded (`MAX_RATIONAL_DIGITS`)."""
     node = _INTERN.get(("r", n, d))
     if node is None:
+        if not -_RAT_BOUND < n < _RAT_BOUND or d >= _RAT_BOUND:
+            raise ExprError(f"rational constant with more than {MAX_RATIONAL_DIGITS} digits")
         node = _intern(("r", n, d), Rat, Fraction(n, d))
     return node
 
@@ -382,7 +394,7 @@ def rational(value) -> Expr:
     if value.__class__ is int:
         return _rat(value, 1)
     v = value if isinstance(value, Fraction) else Fraction(value)
-    return _intern(("r", v.numerator, v.denominator), Rat, v)
+    return _rat(v.numerator, v.denominator)
 
 
 ZERO = rational(0)
@@ -428,7 +440,11 @@ def as_expr(v: ExprLike) -> Expr:
 # fixed before the first term does, so it is never rescaled.  `_finish`
 # reduces each surviving numerator once and builds only the terms that
 # survive, and `_term` makes a Fraction only for a new Rat node: the kernel
-# does no Fraction arithmetic.
+# does no Fraction arithmetic.  A product is interned on its flat term and
+# denominator, (Prod, n, d, mono, others), its only key, so building a term
+# that exists is one lookup; and the merge of two terms' other factors
+# (`_times`) is memoized on the pair of their tuples, since nearly every
+# product repeats a few exponentials and slopes.
 
 
 def _index(a: Expr) -> int:
@@ -497,7 +513,12 @@ def _term(n: int, d: int, mono: tuple, others: tuple) -> Expr:
     """The canonical term of a flat term with coefficient n/d != 0 (coprime,
     d > 0), interned once: the coefficient, then x and the jets, then their
     powers, then the others, which is the `sort_key` order; inverts
-    `_flat`."""
+    `_flat`.  A product is interned on its flat term, so an existing one is
+    one lookup."""
+    key = (Prod, n, d, mono, others)
+    t = _INTERN.get(key)
+    if t is not None:
+        return t
     fs = []
     pows = []
     for i, k in enumerate(mono):
@@ -515,8 +536,7 @@ def _term(n: int, d: int, mono: tuple, others: tuple) -> Expr:
         return ONE
     if len(fs) == 1:
         return fs[0]
-    fs = tuple(fs)
-    t = _intern((Prod, fs), Prod, fs)
+    t = _intern(key, Prod, tuple(fs))
     if t._flat is None:
         t._den = d
         t._flat = (n, mono, others)
@@ -657,24 +677,15 @@ def mul(*factors: ExprLike) -> Expr:
 
 def _times(o0: tuple, o1: tuple) -> tuple:
     """The other factors of the product of two terms with the other factors
-    o0 and o1 (and coefficient and monomial 1)."""
-    acc: dict = {}
-    _times_sum(acc, 1, (1, (), o0), 1, (1, (1, (), o1)))
-    return next(iter(acc))[1]
-
-
-def _times_sum(acc: dict, den: int, ft: tuple, d0: int, terms: tuple) -> None:
-    """Add the product of the flat term `ft` over d0 with each flat term of
-    the list `terms` to the accumulator `acc` over `den`, a multiple of d0
-    times the list's denominator: the kernel's one product of terms.
-    Coefficients and monomials multiply, and other factors of a common base
-    merge: the integer exponents of a log, sin, cos, integral or slope (a
+    o0 and o1, memoized on the pair (`_MERGES`): factors of a common base
+    merge, the integer exponents of a log, sin, cos, integral or slope (a
     power of a sum) add, and so do the coefficients of exponentials of a
     common core, exp(a*k) * exp(b*k) = exp((a + b)*k), as int pairs.  A
     factor whose exponent adds up to 0 drops."""
-    c0, m0, o0 = ft
-    it = iter(terms)
-    c0 *= den // (d0 * next(it))
+    key = (o0, o1)
+    out = _MERGES.get(key)
+    if out is not None:
+        return out
     # base -> (exponent numerator, denominator, factor); the base of an
     # exponential is the key (mono, others) of its exponent, which no node
     # equals
@@ -688,42 +699,48 @@ def _times_sum(acc: dict, den: int, ft: tuple, d0: int, terms: tuple) -> None:
             bases[f.base] = (f.exponent, 1, f)
         else:
             bases[f] = (1, 1, f)
+    pieces = []
+    for f in o1:
+        cls = f.__class__
+        if cls is Exp:
+            a, em, eo = _flat(f.arg)
+            b = (em, eo)
+        elif cls is Pow:
+            b, a = f.base, f.exponent
+        else:
+            b, a = f, 1
+        hit = bases.pop(b, None)
+        if hit is None:
+            pieces.append(f)
+        elif cls is Exp:
+            # a/da + hit: the exponent coefficients add as pairs
+            da = f.arg._den
+            a = a * hit[1] + hit[0] * da
+            if a:
+                da *= hit[1]
+                g = math.gcd(a, da)
+                pieces.append(_exp_raw(_term(a // g, da // g, em, eo)))
+        else:
+            a += hit[0]
+            if a:
+                pieces.append(b if a == 1 else _intern((Pow, b, a), Pow, b, a))
+    pieces.extend(h[2] for h in bases.values())
+    pieces.sort(key=sort_key)
+    # threads racing on one pair store equal tuples
+    return _MERGES.setdefault(key, tuple(pieces))
+
+
+def _times_sum(acc: dict, den: int, ft: tuple, d0: int, terms: tuple) -> None:
+    """Add the product of the flat term `ft` over d0 with each flat term of
+    the list `terms` to the accumulator `acc` over `den`, a multiple of d0
+    times the list's denominator: the kernel's one product of terms.
+    Coefficients and monomials multiply, and the other factors merge
+    (`_times`)."""
+    c0, m0, o0 = ft
+    it = iter(terms)
+    c0 *= den // (d0 * next(it))
     for c1, m, o in it:
-        others = o or o0
-        if o and o0:
-            pieces = []
-            left = bases
-            for f in o:
-                cls = f.__class__
-                if cls is Exp:
-                    a, em, eo = _flat(f.arg)
-                    b = (em, eo)
-                elif cls is Pow:
-                    b, a = f.base, f.exponent
-                else:
-                    b, a = f, 1
-                hit = left.get(b)
-                if hit is None:
-                    pieces.append(f)
-                    continue
-                if left is bases:
-                    left = bases.copy()
-                del left[b]
-                if cls is Exp:
-                    # a/da + hit: the exponent coefficients add as pairs
-                    da = f.arg._den
-                    a = a * hit[1] + hit[0] * da
-                    if a:
-                        da *= hit[1]
-                        g = math.gcd(a, da)
-                        pieces.append(_exp_raw(_term(a // g, da // g, em, eo)))
-                    continue
-                a += hit[0]
-                if a:
-                    pieces.append(b if a == 1 else _intern((Pow, b, a), Pow, b, a))
-            pieces.extend(h[2] for h in left.values())
-            pieces.sort(key=sort_key)
-            others = tuple(pieces)
+        others = _times(o0, o) if o and o0 else o or o0
         c = c0 * c1
         key = (_mono_mul(m0, m), others)
         prev = acc.get(key)
@@ -739,6 +756,8 @@ def pow_int(base: ExprLike, n: int) -> Expr:
         n = int(n)
     if not isinstance(n, int):
         raise ExprError(f"exponent must be an integer, got {n!r}")
+    if not -_RAT_BOUND < n < _RAT_BOUND:
+        raise ExprError(f"exponent with more than {MAX_RATIONAL_DIGITS} digits")
     if n == 0:
         return ONE
     if n == 1:
@@ -751,6 +770,11 @@ def pow_int(base: ExprLike, n: int) -> Expr:
         p, q = b.value.numerator, b.value.denominator
         if n < 0:
             p, q, n = (-q, -p, -n) if p < 0 else (q, p, -n)
+        # the digits of p^n and q^n, bounded before they are computed (an
+        # int compares exactly with a float, however large it is)
+        top = max(-p, p, q)
+        if top > 1 and n > MAX_RATIONAL_DIGITS / math.log10(top):
+            raise ExprError(f"power of {b.value} with more than {MAX_RATIONAL_DIGITS} digits")
         return _rat(p ** n, q ** n)
     if isinstance(b, Prod):
         return mul(*(pow_int(f, n) for f in b.factors))
@@ -825,6 +849,15 @@ def _ad_raw(integrand: Expr, var: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Calculus
 # ---------------------------------------------------------------------------
+
+# The kernel's two memos.  Both hold only values that are functions of
+# interned nodes, which are equal exactly when they are the same object, so
+# either is always safe to clear (the next call recomputes the same nodes);
+# the intern table itself is not.
+
+#: the merged other factors of two terms (`_times`), keyed on the pair of
+#: their other-factor tuples.
+_MERGES: dict[tuple, tuple] = {}
 
 #: derivation results keyed on (d, interned node): for a single term its
 #: flat terms, for a sum its canonical node.  `d` is an atom
@@ -1225,6 +1258,8 @@ def _tokenize(text: str) -> list[tuple]:
         s = m[kind]
         i = m.start(kind)
         if kind == "num":
+            if len(s) > MAX_RATIONAL_DIGITS + ("." in s):
+                raise ParseError(f"number with more than {MAX_RATIONAL_DIGITS} digits", i)
             toks.append((kind, s, i, Fraction(s) if "." in s else int(s)))
         elif kind == "bad":
             if s.isascii():

@@ -8,8 +8,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
+import pytest
 
 import varmult
 from varmult.cli import run
@@ -405,6 +407,30 @@ def test_fixed_seed_is_byte_deterministic():
     rt = [invoke("roundtrip", "--order", "2", "--trials", "2", "--seed", "5",
                  "--json") for _ in range(2)]
     assert rt[0] == rt[1]
+
+
+def test_oversized_rationals_are_input_errors():
+    # a constant has at most 4000 digits: a power is refused before it is
+    # computed, a longer literal at its offset, and a longer result before
+    # `check` runs, so each ends at once in exit 2 with a message
+    for text, message in (
+            ("2^9999999999", "error: power of 2 with more than 4000 digits"),
+            ("p3^2 + 2^999999", "error: power of 2 with more than 4000 digits"),
+            ("p3^2 + 10^3999*10^3999", "error: rational constant with more than 4000 digits"),
+            ("p3^2 + " + "7" * 5000, "expression error: number with more than 4000 digits (byte 7)")):
+        start = time.perf_counter()
+        code, out, err = invoke("check", "--order", "2", f"--expr={text}")
+        assert (code, out, err) == (2, "", f"varmult: {message}\n"), text[:30]
+        assert time.perf_counter() - start < 10
+
+
+@pytest.mark.xfail(strict=True, reason="false accept: S2(k=3) is zero-numeric because "
+                   "every sampled value underflows to 0")
+@pytest.mark.parametrize("text", ["exp(p3)^100000", "exp(100000*p3)",
+                                  "(p3+1)^-99999999999999999999"])
+def test_check_rejects_a_slope_whose_samples_underflow(text):
+    code, out, _ = invoke("check", "--order", "2", "--expr", text)
+    assert code == 1 and "outcome: rejected" in out and "step: S2(k=3)" in out
 
 
 def test_parse_error_exit_code_and_offset():

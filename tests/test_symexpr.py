@@ -171,23 +171,25 @@ def test_parse_builds_one_product_per_term(monkeypatch):
 
 def test_parse_builds_no_positive_twin_of_a_negative_term(monkeypatch):
     # a subtracted term takes its sign in its own product, so the positive
-    # product is never asked of the intern table
+    # product is never asked of `_term`, which interns a product on its flat
+    # term
     f = construct(gen_params(4, 4, GenConfig(seed=40003, max_degree=3, max_terms=4))).f
     text = render(f)
     asked = set()
-    intern = symexpr._intern
+    term = symexpr._term
 
-    def recording(key, cls, *args):
-        asked.add(key)
-        return intern(key, cls, *args)
+    def recording(*flat):
+        asked.add(flat)
+        return term(*flat)
 
-    monkeypatch.setattr(symexpr, "_intern", recording)
+    monkeypatch.setattr(symexpr, "_term", recording)
     assert parse(text) is f
     monkeypatch.undo()
     twins = [mul(-1, t) for t in f.terms if symexpr._flat(t)[0] < 0]
     twins = [t for t in twins if t.__class__ is Prod]
     assert len(twins) > 100
-    assert not any((Prod, t.factors) in asked for t in twins)
+    assert len(asked) > len(twins)
+    assert not any((t._flat[0], t._den, *t._flat[1:]) in asked for t in twins)
 
 
 def test_parse_multiplies_a_product_with_a_sum_left_to_right():
@@ -940,6 +942,9 @@ def test_interning_is_thread_safe():
 
     barrier = threading.Barrier(4)
     results = [[] for _ in range(4)]
+    # the memos are caches, safe to empty: the threads fill them again
+    symexpr._MERGES.clear()
+    symexpr._DERIV_CACHE.clear()
 
     def work(i):
         barrier.wait()
@@ -962,6 +967,7 @@ def test_interning_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert len(symexpr._MERGES) > 50
     for k, (f, dts) in enumerate(results[0]):
         assert isinstance(f, Sum) and len(dts) == 8 * len(f.terms)
         for other in results[1:]:
@@ -1002,6 +1008,34 @@ def test_rational_sort_key_breaks_float_ties_exactly():
 def test_rational_interning_normalizes():
     assert rational(Fraction(2, 4)) is rational(Fraction(1, 2))
     assert rational(Fraction(6, 3)) is rational(2)
+
+
+def test_rational_digits_are_bounded():
+    # MAX_RATIONAL_DIGITS bounds numerators, denominators and exponents; a
+    # power is refused before it is computed, a literal before it is read
+    import time
+
+    top = 10 ** symexpr.MAX_RATIONAL_DIGITS
+    assert rational(top - 1).value == top - 1
+    assert rational(Fraction(-1, top - 1)).value == Fraction(-1, top - 1)
+    assert pow_int(10, symexpr.MAX_RATIONAL_DIGITS - 1).value == top // 10
+    assert pow_int(-1, 10**400 + 1) is rational(-1) and pow_int(1, -10**400) is ONE
+    start = time.perf_counter()
+    for make in (lambda: rational(top), lambda: rational(-top), lambda: rational(Fraction(1, top)),
+                 lambda: pow_int(2, 10**10), lambda: pow_int(Fraction(2, 3), -10**10),
+                 lambda: pow_int(2, 10**400), lambda: pow_int(Fraction(-1, 2), 3 * 10**3999),
+                 lambda: pow_int(10, symexpr.MAX_RATIONAL_DIGITS), lambda: mul(top - 1, 10),
+                 lambda: pow_int(X, top), lambda: pow_int(pow_int(X, top - 1), 10)):
+        with pytest.raises(ExprError, match="more than 4000 digits"):
+            make()
+    assert time.perf_counter() - start < 5
+    digits = "9" * symexpr.MAX_RATIONAL_DIGITS
+    assert parse(digits + "*p1").factors[0].value == top - 1
+    assert parse("0." + digits[1:]).value == Fraction(top // 10 - 1, top // 10)
+    for text, offset in (("p1 + 1" + digits, 5), ("p1 + 1." + digits, 5), ("x^1" + digits, 2)):
+        with pytest.raises(ParseError, match="number with more than 4000 digits") as info:
+            parse(text)
+        assert info.value.offset == offset
 
 
 def test_product_merges_exponentials_of_a_common_core():
@@ -1262,6 +1296,29 @@ def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
     for den, *fts in lists:
         assert type(den) is int and den >= 1 and all(type(c) is int for c, _, _ in fts)
         assert math.gcd(den, *[c for c, _, _ in fts]) == 1
+
+
+def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
+    # a product's one key is its flat term with its denominator, so no two
+    # products have the same factors; the merge memo and the derivation
+    # memo hold functions of interned nodes, so emptying them between
+    # `construct` and `check` changes no node of the report
+    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
+    symexpr._MERGES.clear()
+    symexpr._DERIV_CACHE.clear()
+    cold = check(t.f, 4, CFG)
+    assert symexpr._MERGES and symexpr._DERIV_CACHE
+    warm = check(t.f, 4, CFG)
+    assert cold.accepted and warm == cold
+    assert all(getattr(warm.outcome, k) is getattr(cold.outcome, k) for k in ("R", "rho", "L"))
+    assert all(a is b for a, b in zip(warm.outcome.f_lower, cold.outcome.f_lower))
+    prods = [(k, e) for k, e in list(symexpr._INTERN.items()) if e.__class__ is Prod]
+    assert len(prods) > 1000
+    for key, e in prods:
+        n, mono, others = e._flat
+        assert key == (Prod, n, e._den, mono, others)
+        assert mul(*e.factors) is e
+    assert len({e.factors for _, e in prods}) == len(prods)
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
