@@ -12,10 +12,11 @@ product-rule pass over canonical terms, `_derive`), definite
 antiderivatives from 0 (with an opaque integral node as fallback),
 parsing/printing, floating evaluation with Gauss-Legendre quadrature for
 opaque integrals, and a probabilistic zero-testing decision procedure.
-Sums, products and derivations compute on flat terms (an int numerator over
-an int denominator, a monomial, other factors; see `_flat`), sum integer
-numerators over one denominator per sum, and build a node only for each
-term that survives: no Fraction arithmetic runs in them.  One routine,
+Sums, products, derivations and antiderivatives compute on flat terms (an
+int numerator over an int denominator, a monomial, other factors), which
+every node but a sum carries from construction (`_flat`, `_den`), sum
+integer numerators over one denominator per sum, and build a node only for
+each term that survives: no Fraction arithmetic runs in them.  One routine,
 `_times_sum`, multiplies terms: `mul` and the derivations both multiply
 through it, and it merges the powers of a common base and the exponentials
 of a common core, memoized on the pair of factor tuples (`_times`).
@@ -142,7 +143,8 @@ class Expr:
     fields are filled once, by `_init`, when the node is first made."""
 
     # _flat, _den: a non-Sum node as a flat term and the denominator of its
-    # coefficient, filled by _flat and _term
+    # coefficient, set by `_init` (a Sum's `_flat` is None; `_term`, the only
+    # maker of products, hands a product its own)
     __slots__ = ("_key", "free_atoms", "_flat", "_den")
     #: the attributes that are the arguments of a class call, in order
     _args: tuple = ()
@@ -209,6 +211,8 @@ class Rat(Expr):
         self.value = value
         self.free_atoms = _EMPTY
         self._key = None
+        self._flat = (value.numerator, (), ())
+        self._den = value.denominator
 
 
 class VarX(Expr):
@@ -219,6 +223,8 @@ class VarX(Expr):
     def _init(self):
         self.free_atoms = frozenset((self,))
         self._key = (1,)
+        self._flat = (1, (1,), ())
+        self._den = 1
 
 
 class Jet(Expr):
@@ -231,6 +237,8 @@ class Jet(Expr):
         self.index = index
         self.free_atoms = frozenset((self,))
         self._key = (2, index)
+        self._flat = (1, (0,) * (index + 1) + (1,), ())
+        self._den = 1
 
 
 class Sum(Expr):
@@ -242,17 +250,20 @@ class Sum(Expr):
         fa = frozenset().union(*(t.free_atoms for t in terms))
         self.free_atoms = _ATOMSETS.setdefault(fa, fa)
         self._key = None
+        self._flat = None
 
 
 class Prod(Expr):
     __slots__ = ("factors",)
     _args = __slots__
 
-    def _init(self, factors: tuple):
+    def _init(self, factors: tuple, flat: tuple, den: int):
         self.factors = factors
         fa = frozenset().union(*(f.free_atoms for f in factors))
         self.free_atoms = _ATOMSETS.setdefault(fa, fa)
         self._key = None
+        self._flat = flat
+        self._den = den
 
 
 class Pow(Expr):
@@ -266,6 +277,11 @@ class Pow(Expr):
         self.exponent = exponent
         self.free_atoms = base.free_atoms
         self._key = None
+        if base.__class__ in (VarX, Jet):
+            self._flat = (1, (0,) * _index(base) + (exponent,), ())
+        else:
+            self._flat = (1, (), (self,))
+        self._den = 1
 
 
 class _Unary(Expr):
@@ -277,6 +293,8 @@ class _Unary(Expr):
         self.arg = arg
         self.free_atoms = arg.free_atoms
         self._key = None
+        self._flat = (1, (), (self,))
+        self._den = 1
 
 
 class Exp(_Unary):
@@ -313,10 +331,11 @@ class AntiDeriv(Expr):
         self.var = var
         self.free_atoms = integrand.free_atoms | var.free_atoms
         self._key = None
+        self._flat = (1, (), (self,))
+        self._den = 1
 
 
 _EMPTY: frozenset = frozenset()
-_ATOM_CLASSES = (VarX, Jet)
 
 #: every distinct atom set of a sum or product, so that nodes with equal
 #: sets share one frozenset (the corpus has a few hundred), and the
@@ -369,9 +388,8 @@ def _intern(key, cls, *args) -> Expr:
     node = _INTERN.get(key)
     if node is None:
         # setdefault, not a store: of two threads building the same node,
-        # both get the one that was inserted first
+        # both get the one that was inserted first, which `_init` completed
         node = object.__new__(cls)
-        node._flat = None
         node._init(*args)
         node = _INTERN.setdefault(key, node)
     return node
@@ -400,14 +418,14 @@ def rational(value) -> Expr:
 ZERO = rational(0)
 ONE = rational(1)
 _MINUS_ONE = rational(-1)
-_HALF = rational(Fraction(1, 2))
 
 X = _intern(("x",), VarX)
 
 
 def jet(k: int) -> Expr:
     """The jet variable p_k."""
-    if not isinstance(k, int) or k < 0:
+    # a bool is an int that would be interned under the key of p0 or p1
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ExprError(f"jet index must be a nonnegative integer, got {k!r}")
     if k > MAX_JET_INDEX:
         raise ExprError(f"jet index {k} exceeds the maximum {MAX_JET_INDEX}")
@@ -431,20 +449,23 @@ def as_expr(v: ExprLike) -> Expr:
 # a denominator d: its rational coefficient n/d, as coprime ints with d > 0;
 # its monomial, the exponents of x, p0, p1, ... as a tuple with no trailing
 # zero, so that multiplying monomials adds tuples; and its other factors in
-# canonical order.  A node keeps d beside its flat term (`_den`), so an
-# integral coefficient is one int, and a list of flat terms (den, ft, ...)
-# holds numerators over one denominator (`_flats` splits a sum into one list
-# per denominator, so that no flat term is copied).  An accumulator maps the
-# key (mono, others) of like terms to their summed numerator over one
-# denominator: the lcm of the denominators of everything that enters it,
-# fixed before the first term does, so it is never rescaled.  `_finish`
-# reduces each surviving numerator once and builds only the terms that
-# survive, and `_term` makes a Fraction only for a new Rat node: the kernel
-# does no Fraction arithmetic.  A product is interned on its flat term and
-# denominator, (Prod, n, d, mono, others), its only key, so building a term
-# that exists is one lookup; and the merge of two terms' other factors
-# (`_times`) is memoized on the pair of their tuples, since nearly every
-# product repeats a few exponentials and slopes.
+# canonical order.  Every non-Sum node carries its flat term and d from
+# construction (`_flat`, `_den`, set by `_init`; `_term`, the only maker of
+# products, hands a product its own), so no routine walks a product's
+# factors to recover them, and a node is complete before it is published in
+# the intern table.  An integral coefficient is one int, and a list of flat
+# terms (den, ft, ...) holds numerators over one denominator (`_flats`
+# splits a sum into one list per denominator, so that no flat term is
+# copied).  An accumulator maps the key (mono, others) of like terms to
+# their summed numerator over one denominator: the lcm of the denominators
+# of everything that enters it, fixed before the first term does, so it is
+# never rescaled.  `_finish` reduces each surviving numerator once and
+# builds only the terms that survive, and `_term` makes a Fraction only for
+# a new Rat node: the kernel does no Fraction arithmetic.  A product is
+# interned on its flat term and denominator, (Prod, n, d, mono, others), its
+# only key, so building a term that exists is one lookup; and the merge of
+# two terms' other factors (`_times`) is memoized on the pair of their
+# tuples, since nearly every product repeats a few exponentials and slopes.
 
 
 def _index(a: Expr) -> int:
@@ -466,55 +487,27 @@ def _mono_mul(a: tuple, b: tuple) -> tuple:
     return m
 
 
-def _flat(t: Expr) -> tuple:
-    """The flat term (n, mono, others) of a canonical non-Sum term, cached on
-    the node with its denominator `t._den`."""
-    ft = t._flat
-    if ft is not None:
-        return ft
-    n, d, powers, others = 1, 1, {}, []
-    for f in (t.factors if t.__class__ is Prod else (t,)):
-        cls = f.__class__
-        if cls is Rat:
-            n, d = f.value.numerator, f.value.denominator
-        elif cls is VarX or cls is Jet:
-            powers[_index(f)] = 1
-        elif cls is Pow and f.base.__class__ in _ATOM_CLASSES:
-            powers[_index(f.base)] = f.exponent
-        else:
-            others.append(f)
-    mono = [0] * (max(powers, default=-1) + 1)
-    for i, k in powers.items():
-        mono[i] = k
-    # _den first: a thread that sees _flat set reads a set _den
-    t._den = d
-    t._flat = ft = (n, tuple(mono), tuple(others))
-    return ft
-
-
 def _flats(e: Expr) -> list[list]:
     """The flat terms of a canonical expression as lists [den, ft, ...], one
     per denominator, so that they hold the nodes' own flat terms."""
     if e.__class__ is not Sum:
-        ft = _flat(e)
-        return [[e._den, ft]]
+        return [[e._den, e._flat]]
     lists: dict = {}
     for t in e.terms:
-        ft = _flat(t)
         lst = lists.get(t._den)
         if lst is None:
-            lists[t._den] = [t._den, ft]
+            lists[t._den] = [t._den, t._flat]
         else:
-            lst.append(ft)
+            lst.append(t._flat)
     return list(lists.values())
 
 
 def _term(n: int, d: int, mono: tuple, others: tuple) -> Expr:
     """The canonical term of a flat term with coefficient n/d != 0 (coprime,
     d > 0), interned once: the coefficient, then x and the jets, then their
-    powers, then the others, which is the `sort_key` order; inverts
-    `_flat`.  A product is interned on its flat term, so an existing one is
-    one lookup."""
+    powers, then the others, which is the `sort_key` order; inverts the
+    node's `_flat`.  A product is interned on its flat term, so an existing
+    one is one lookup."""
     key = (Prod, n, d, mono, others)
     t = _INTERN.get(key)
     if t is not None:
@@ -536,11 +529,7 @@ def _term(n: int, d: int, mono: tuple, others: tuple) -> Expr:
         return ONE
     if len(fs) == 1:
         return fs[0]
-    t = _intern(key, Prod, tuple(fs))
-    if t._flat is None:
-        t._den = d
-        t._flat = (n, mono, others)
-    return t
+    return _intern(key, Prod, tuple(fs), (n, mono, others), d)
 
 
 def _put(acc: dict, den: int, terms: tuple) -> None:
@@ -590,7 +579,6 @@ def add(*terms: ExprLike) -> Expr:
         if t.__class__ is Sum:
             stack.extend(reversed(t.terms))
         elif t is not ZERO:
-            _flat(t)
             ts.append(t)
     den = math.lcm(*[t._den for t in ts])
     # key -> numerator, and key -> the term itself while the key has
@@ -635,7 +623,7 @@ def mul(*factors: ExprLike) -> Expr:
         if f.__class__ is Sum:
             sums.append(f)
             continue
-        n1, m1, o1 = _flat(f)
+        n1, m1, o1 = f._flat
         if n1 != 1:
             if not n1:
                 return ZERO
@@ -693,7 +681,7 @@ def _times(o0: tuple, o1: tuple) -> tuple:
     for f in o0:
         cls = f.__class__
         if cls is Exp:
-            a, em, eo = _flat(f.arg)
+            a, em, eo = f.arg._flat
             bases[em, eo] = (a, f.arg._den, f)
         elif cls is Pow:
             bases[f.base] = (f.exponent, 1, f)
@@ -703,7 +691,7 @@ def _times(o0: tuple, o1: tuple) -> tuple:
     for f in o1:
         cls = f.__class__
         if cls is Exp:
-            a, em, eo = _flat(f.arg)
+            a, em, eo = f.arg._flat
             b = (em, eo)
         elif cls is Pow:
             b, a = f.base, f.exponent
@@ -809,10 +797,10 @@ def log(arg: ExprLike) -> Expr:
         raise ExprError(f"log of the nonpositive constant {a.value}")
     if not a.free_atoms and a.__class__ is not Rat:
         # a constant such as -exp(1)
-        if a.__class__ is not Sum and all(f.__class__ is Exp for f in _flat(a)[2]):
+        if a.__class__ is not Sum and all(f.__class__ is Exp for f in a._flat[2]):
             # a coefficient times exponentials has the coefficient's sign,
             # which evaluation cannot tell once exp overflows
-            negative = _flat(a)[0] < 0
+            negative = a._flat[0] < 0
         else:
             # the value decides, unless it is within rounding of 0 or its
             # evaluation overflows
@@ -910,8 +898,7 @@ def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
         # the accumulator's denominator is fixed first, as the lcm of all
         # that enter it, so it is never rescaled
         parts = [_derive_term(d, t) for t in (e.terms if e.__class__ is Sum else (e,))]
-        pairs = [(_flat(a), a._den, lst) for a, b in plus for lst in _flats(b)]
-        sft = _flat(scale)
+        pairs = [(a._flat, a._den, lst) for a, b in plus for lst in _flats(b)]
         den = math.lcm(*[p[0] for p in parts])
         top = math.lcm(den * scale._den, *[da * lst[0] for _, da, lst in pairs])
         acc: dict = {}
@@ -921,23 +908,13 @@ def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
             items = [den]
             items += [(c, m, o) for (m, o), c in acc.items() if c]
             acc = {}
-            _times_sum(acc, top, sft, scale._den, items)
+            _times_sum(acc, top, scale._flat, scale._den, items)
         for aft, da, lst in pairs:
             _times_sum(acc, top, aft, da, lst)
         out = _finish(acc, top)
         if memo:
             _DERIV_CACHE[key] = out
     return out
-
-
-def _image(d, a: Expr) -> Expr:
-    """The derivation `d` of the atom `a`: d/dv maps v to 1, D_m maps x to 1
-    and p_j to p_{j+1} for j < m; every other atom goes to 0."""
-    if d.__class__ is not int:
-        return ONE if a is d else ZERO
-    if a is X:
-        return ONE
-    return jet(a.index + 1) if a.index < d else ZERO
 
 
 #: the lists of flat terms of 0 and of 1
@@ -960,7 +937,7 @@ def _derive_term(d, t: Expr) -> tuple:
     out = _DERIV_CACHE.get(key)
     if out is not None:
         return out
-    ft = _flat(t)
+    ft = t._flat
     coeff, mono, others = ft
     q = t._den
     # the parts of the other factors, each a flat term over q times flat
@@ -1025,7 +1002,7 @@ def _derive_factor(d, f: Expr) -> Expr:
     if cls is AntiDeriv:
         parts = []
         for a in sorted(g.free_atoms, key=sort_key):
-            img = _image(d, a)
+            img = _derive(d, a)
             if img is ZERO:
                 continue
             # differentiation under the integral sign is valid because the
@@ -1044,16 +1021,6 @@ def _derive_factor(d, f: Expr) -> Expr:
         else:  # Sin
             dg = mul(cos(g.arg), da)
     return dg if k == 1 or dg is ZERO else mul(k, pow_int(g, k - 1), dg)
-
-
-def _linear_coeff(term: Expr, v: Expr) -> Expr | None:
-    """For a canonical non-Sum `term`, return a with term == a*v and a free
-    of v, else None."""
-    c, m, o = _flat(term)
-    i = _index(v)
-    if i >= len(m) or m[i] != 1 or any(v in f.free_atoms for f in o):
-        return None
-    return _term(c, term._den, _mono_mul(m, (0,) * i + (-1,)), o)
 
 
 def antideriv(e: ExprLike, v: Expr, times: int = 1) -> Expr:
@@ -1087,51 +1054,51 @@ def _rat_multiple(u: Expr, a: Expr) -> Fraction | None:
 
 
 def _anti1(e: Expr, v: Expr) -> Expr:
-    """The antiderivative of e over v from 0, memoized."""
+    """The antiderivative of e over v from 0, memoized.  The terms are
+    grouped by their v-dependent part (`_split`), so that derivative-shaped
+    integrands like (a + b) * exp((a + b) v) integrate without a symbolic
+    division."""
     key = ("anti", e, v)
     out = _DERIV_CACHE.get(key)
     if out is None:
-        out = _DERIV_CACHE[key] = _anti1_raw(e, v)
+        if v not in e.free_atoms:
+            out = mul(e, v)
+        else:
+            groups: dict[tuple, list[Expr]] = {}
+            for t in (e.terms if e.__class__ is Sum else (e,)):
+                k, dep, u = _split(t, v)
+                groups.setdefault((k, dep), []).append(u)
+            out = add(*(_anti_group(add(*us), k, dep, v)
+                        for (k, dep), us in groups.items()))
+        _DERIV_CACHE[key] = out
     return out
 
 
-def _anti1_raw(e: Expr, v: Expr) -> Expr:
-    if v not in e.free_atoms:
-        return mul(e, v)
-    # group by the v-dependent part so that derivative-shaped integrands
-    # like (a + b) * exp((a + b) v) integrate without a symbolic division
-    groups: dict[Expr, list[Expr]] = {}
-    for t in (e.terms if isinstance(e, Sum) else (e,)):
-        fs = t.factors if isinstance(t, Prod) else (t,)
-        dep = [f for f in fs if v in f.free_atoms]
-        indep = [f for f in fs if v not in f.free_atoms]
-        core = mul(*dep) if dep else ONE
-        groups.setdefault(core, []).append(mul(*indep))
-    return add(*(_anti_group(add(*us), core, v)
-                 for core, us in groups.items()))
+def _split(t: Expr, v: Expr) -> tuple:
+    """A canonical non-Sum term t as u * v^k * dep: the exponent k, the
+    tuple dep of its other factors that hold v, and the term u free of v."""
+    c, m, o = t._flat
+    i = _index(v)
+    k = m[i] if i < len(m) else 0
+    if k:
+        m = _mono_mul(m, (0,) * i + (-k,))
+    dep = tuple(f for f in o if v in f.free_atoms)
+    rest = tuple(f for f in o if v not in f.free_atoms)
+    return k, dep, _term(c, t._den, m, rest)
 
 
-def _anti_group(u: Expr, core: Expr, v: Expr) -> Expr:
-    """Antiderivative over v of u * core where u is free of v and core is a
-    canonical product of v-dependent factors (or 1)."""
-    if core is ONE:
-        return mul(u, v)
-    if core is v:
-        return mul(u, _HALF, pow_int(v, 2))
-    if isinstance(core, Pow) and core.base is v and core.exponent >= 2:
-        j = core.exponent
-        return mul(u, _rat(1, j + 1), pow_int(v, j + 1))
-    factors = core.factors if isinstance(core, Prod) else (core,)
-    if all(isinstance(d, Exp) for d in factors):
-        coeffs = []
-        for d in factors:
-            c = _linear_coeff(d.arg, v)
-            if c is None:
-                coeffs = None
-                break
-            coeffs.append(c)
-        if coeffs is not None:
-            slope = add(*coeffs)
+def _anti_group(u: Expr, k: int, dep: tuple, v: Expr) -> Expr:
+    """Antiderivative over v of u * v^k * dep, for u free of v and dep the
+    other factors of a canonical term that hold v: a power rule, a product
+    of exponentials linear in v, or an opaque integral."""
+    if not dep and k >= 0:
+        return mul(u, _rat(1, k + 1), pow_int(v, k + 1))
+    core = _term(1, 1, (0,) * _index(v) + (k,) if k else (), dep)
+    if not k and all(f.__class__ is Exp for f in dep):
+        # each exponent as slope * v^j * (factors that hold v)
+        parts = [_split(f.arg, v) for f in dep]
+        if all(j == 1 and not fdep for j, fdep, _ in parts):
+            slope = add(*[p[2] for p in parts])
             if slope is not ZERO:
                 ratio = _rat_multiple(u, slope)
                 if ratio is not None:
@@ -1815,4 +1782,4 @@ def _ray_witness(s: Expr, first: tuple[dict, float], cfg: ZeroTestConfig,
 def _is_laurent(s: Expr) -> bool:
     """Whether the canonical `s` is a Laurent polynomial in x and the jets
     over the rationals: none of its flat terms has other factors."""
-    return not any(_flat(t)[2] for t in (s.terms if s.__class__ is Sum else (s,)))
+    return not any(t._flat[2] for t in (s.terms if s.__class__ is Sum else (s,)))

@@ -185,7 +185,7 @@ def test_parse_builds_no_positive_twin_of_a_negative_term(monkeypatch):
     monkeypatch.setattr(symexpr, "_term", recording)
     assert parse(text) is f
     monkeypatch.undo()
-    twins = [mul(-1, t) for t in f.terms if symexpr._flat(t)[0] < 0]
+    twins = [mul(-1, t) for t in f.terms if t._flat[0] < 0]
     twins = [t for t in twins if t.__class__ is Prod]
     assert len(twins) > 100
     assert len(asked) > len(twins)
@@ -405,6 +405,36 @@ def test_antideriv_opaque_fallback():
     assert got2 == mul(3, X, got)
     # negative powers have no antiderivative from 0; they stay opaque
     assert isinstance(antideriv(pow_int(p2, -2), p2), AntiDeriv)
+
+
+@pytest.mark.parametrize("text,times,expected", [
+    # u * v^k: the power rule for k >= 0, an opaque integral for k < 0
+    ("x*p1*p2^-2", 1, "x*p1*Int(p2^-2, p2)"),
+    ("x*p1*p2^-1", 1, "x*p1*Int(p2^-1, p2)"),
+    ("x*p1", 1, "x*p1*p2"),
+    ("x*p1*p2", 1, "1/2*x*p1*p2^2"),
+    ("x*p1*p2^2", 1, "1/3*x*p1*p2^3"),
+    ("x*p1*p2^3", 1, "1/4*x*p1*p2^4"),
+    # exponentials linear in v: a rational ratio of u to the slope ...
+    ("2*exp(3*p2)", 1, "-2/3 + 2/3*exp(3*p2)"),
+    ("(x + p1)*exp(x*p2 + p1*p2)", 1, "-1 + exp(x*p2)*exp(p1*p2)"),
+    ("p1/2*exp(-p2/3)", 2, "-9/2*p1 + 3/2*p1*p2 + 9/2*p1*exp(-1/3*p2)"),
+    # ... and a symbolic one
+    ("p1*exp(x*p2)", 1, "-p1*x^-1 + p1*x^-1*exp(x*p2)"),
+    ("x*exp(x*p2)*exp(p1*p2)", 1,
+     "-x*(x + p1)^-1 + x*(x + p1)^-1*exp(x*p2)*exp(p1*p2)"),
+    # an exponential not linear in v, or v-dependent factors that are not
+    # all exponentials, stay opaque
+    ("x*exp(p2^2)", 1, "x*Int(exp(p2^2), p2)"),
+    ("x*exp(x*p2)*exp(p2^2)", 1, "x*Int(exp(p2^2)*exp(x*p2), p2)"),
+    ("p2*exp(p2)", 1, "Int(p2*exp(p2), p2)"),
+    ("exp(p2*p1)*log(p2 + 1)", 1, "Int(exp(p1*p2)*log(1 + p2), p2)"),
+    ("1 + p2 - 3*x*p2^2 + p1*exp(-p2) + exp(p2^2) + (x + 1)^-1*p2^-2", 1,
+     "p1 + p2 + Int(exp(p2^2), p2) - x*p2^3 - p1*exp(-p2) + 1/2*p2^2"
+     " + (1 + x)^-1*Int(p2^-2, p2)"),
+])
+def test_antideriv_branches(text, times, expected):
+    assert render(antideriv(parse(text), p2, times)) == expected
 
 
 def test_antideriv_times_validation():
@@ -881,6 +911,25 @@ def test_jet_bound():
         jet(-1)
 
 
+def test_a_bool_jet_index_is_rejected():
+    # in a fresh process, so that no p1 is interned yet: jet(True) would
+    # take the key of p1, and every later p1 would print as pTrue
+    script = ("from varmult.symexpr import ExprError, jet, parse, render\n"
+              "for k in (True, False):\n"
+              "    try:\n"
+              "        jet(k)\n"
+              "    except ExprError:\n"
+              "        pass\n"
+              "    else:\n"
+              "        raise SystemExit(f'jet({k}) was accepted')\n"
+              "print(render(parse('p1^2 + p1')), render(jet(0)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symexpr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert proc.stdout == "p1 + p1^2 p0\n"
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ZeroTestConfig(samples=0)
@@ -945,6 +994,9 @@ def test_interning_is_thread_safe():
     # the memos are caches, safe to empty: the threads fill them again
     symexpr._MERGES.clear()
     symexpr._DERIV_CACHE.clear()
+    # the intern table keeps insertion order: the nodes past `before` are
+    # the ones the threads made
+    before = len(symexpr._INTERN)
 
     def work(i):
         barrier.wait()
@@ -968,6 +1020,11 @@ def test_interning_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(symexpr._MERGES) > 50
+    # a node is complete when it is published: each non-Sum node carries
+    # its flat term
+    made = list(symexpr._INTERN.values())[before:]
+    assert len(made) > 1000
+    assert all((e._flat is None) == (e.__class__ is Sum) for e in made)
     for k, (f, dts) in enumerate(results[0]):
         assert isinstance(f, Sum) and len(dts) == 8 * len(f.terms)
         for other in results[1:]:
@@ -1279,7 +1336,7 @@ def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
     assert all(type(e.value) is Fraction for e in rats)
     # a node's flat coefficient is the coprime int pair (numerator, _den),
     # denominator >= 1, equal to the value of its Rat factor
-    pairs = [(symexpr._flat(u)[0], u._den) for u in t.f.terms]
+    pairs = [(u._flat[0], u._den) for u in t.f.terms]
     assert all(type(n) is int and type(d) is int and d >= 1 and math.gcd(n, d) == 1
                for n, d in pairs)
     assert any(d == 1 for _, d in pairs) and any(d > 1 for _, d in pairs)
@@ -1319,6 +1376,37 @@ def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
         assert key == (Prod, n, e._den, mono, others)
         assert mul(*e.factors) is e
     assert len({e.factors for _, e in prods}) == len(prods)
+
+
+def _reference_flat(e):
+    """The flat term and denominator of a non-Sum node, read off its factors
+    without the kernel."""
+    n, d, powers, others = 1, 1, {}, []
+    for f in (e.factors if e.__class__ is Prod else (e,)):
+        if f.__class__ is Rat:
+            n, d = f.value.numerator, f.value.denominator
+        elif f.__class__ in (VarX, Jet):
+            powers[0 if f is X else f.index + 1] = 1
+        elif f.__class__ is Pow and f.base.__class__ in (VarX, Jet):
+            powers[0 if f.base is X else f.base.index + 1] = f.exponent
+        else:
+            others.append(f)
+    mono = [0] * (max(powers, default=-1) + 1)
+    for i, k in powers.items():
+        mono[i] = k
+    return (n, tuple(mono), tuple(others)), d
+
+
+def test_every_node_carries_its_flat_term_from_birth():
+    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
+    assert check(t.f, 4, CFG).accepted
+    nodes = list(symexpr._INTERN.values())
+    assert len(nodes) > 5000
+    for e in nodes:
+        if e.__class__ is Sum:
+            assert e._flat is None
+        else:
+            assert (e._flat, e._den) == _reference_flat(e), render(e)
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
@@ -1416,7 +1504,7 @@ def test_add_mul_diff_match_sympy_exactly(seed):
         same(diff(mul(sa, sb), v), sympy.diff(ours(sa) * ours(sb), sym[v]))
     for e in (sa, mul(sa, sb)):
         for t in (e.terms if isinstance(e, Sum) else (e,)):
-            n, d = symexpr._flat(t)[0], t._den
+            n, d = t._flat[0], t._den
             assert d >= 1 and math.gcd(n, d) == 1
 
 
@@ -1426,13 +1514,13 @@ def test_fraction_coefficients_that_cancel_to_integers():
     prod = mul(Fraction(2, 3), add(mul(Fraction(3, 2), p1), mul(Fraction(3, 4), X)))
     assert render(prod) == "p1 + 1/2*x"
     # each term's coprime pair, and the terms as one list per denominator
-    assert [(symexpr._flat(u)[0], u._den) for u in prod.terms] == [(1, 1), (1, 2)]
+    assert [(u._flat[0], u._den) for u in prod.terms] == [(1, 1), (1, 2)]
     assert symexpr._flats(prod) == [[1, (1, (0, 0, 1), ())], [2, (1, (1,), ())]]
     # a sum of fractions that comes out integral: the built term caches the
     # pair (2, 1)
     u = add(mul(Fraction(1, 2), X, jet(9), jet(11)), mul(Fraction(3, 2), X, jet(9), jet(11)))
     assert u is mul(2, X, jet(9), jet(11))
-    assert symexpr._flat(u)[0] == 2 and u._den == 1
+    assert u._flat[0] == 2 and u._den == 1
     assert all(type(v) is Fraction for v in (symexpr._rat(2, 1).value, Rat(Fraction(7, 3)).value))
     # 2 * 1/2 drops the head: the derivative is the bare atom
     assert diff(mul(Fraction(1, 2), pow_int(p1, 2)), p1) is p1
