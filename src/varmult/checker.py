@@ -110,26 +110,17 @@ def expected_check_count(n: int) -> int:
     return (n - 2) + (n + 1) + 1 + (n * (n + 1)) // 2 - 1 + 1
 
 
-class _Reject(Exception):
-    def __init__(self, step: str, witness: Expr, verdict: ZeroVerdict):
-        self.step = step
-        self.witness = witness
-        self.verdict = verdict
-
-
-class _Abort(Exception):
-    def __init__(self, step: str, witness: Expr):
-        self.step = step
-        self.witness = witness
+class _Stop(Exception):
+    """Ends a check early; its one argument is the outcome."""
 
 
 def _settle(step: str, witness: Expr, verdict: ZeroVerdict) -> None:
-    """Return if `verdict` is zero; reject on a nonzero witness, else abort."""
+    """Return if `verdict` is zero; reject on a nonzero witness, else stop."""
     if verdict.is_zero:
         return
     if isinstance(verdict, NonZero):
-        raise _Reject(step, witness, verdict)
-    raise _Abort(step, witness)
+        raise _Stop(Rejected(step=step, witness=witness, verdict=verdict))
+    raise _Stop(Inconclusive(step=step, witness=witness))
 
 
 class _Run:
@@ -180,7 +171,7 @@ class _Run:
             try:
                 out = _bind_zero(out, jet(k))
             except ExprError:
-                raise _Abort(step, out) from None
+                raise _Stop(Inconclusive(step=step, witness=out)) from None
 
 
 def check(f: ExprLike, n: int, cfg: ZeroTestConfig | None = None) -> CheckReport:
@@ -195,10 +186,8 @@ def check(f: ExprLike, n: int, cfg: ZeroTestConfig | None = None) -> CheckReport
     run = _Run(cfg)
     try:
         outcome = _run_steps(f, n, run)
-    except _Reject as r:
-        outcome = Rejected(step=r.step, witness=r.witness, verdict=r.verdict)
-    except _Abort as a:
-        outcome = Inconclusive(step=a.step, witness=a.witness)
+    except _Stop as stop:
+        outcome = stop.args[0]
     return CheckReport(outcome=outcome, trace=tuple(run.trace))
 
 
@@ -215,20 +204,20 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
 
     # S2: peel the multiplier exponent order by order
     g_snapshots: dict[int, Expr] = {n + 1: g}
-    r_acc: Expr = ZERO
+    r_parts: list[Expr] = []
     for k in range(n + 1, 0, -1):
         pk = jet(k)
-        run.probe(f"S2(k={k})", diff(g, pk, times=2))
         alpha = diff(g, pk)
+        run.probe(f"S2(k={k})", diff(alpha, pk))
         a1 = antideriv(alpha, jet(k - 1), 1)
-        r_acc = add(r_acc, a1)
+        r_parts.append(a1)
         g = add(g, mul(-1, alpha, pk), mul(-1, total_derivative(k - 1, a1)))
         g_snapshots[k - 1] = g
         run.attach(g)
 
     # S3: g_0 is pure x; assemble R and the first remainder
     run.probe("S3", diff(g, jet(0)))
-    big_r = run.restrict("S3", add(r_acc, antideriv(g, X, 1)), n)
+    big_r = run.restrict("S3", add(*r_parts, antideriv(g, X, 1)), n)
     run.attach(big_r)
     _note_alternate_assembly(run, big_r, g_snapshots, n)
 

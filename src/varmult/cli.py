@@ -34,6 +34,7 @@ from .symexpr import (
     ParseError,
     ZERO,
     ZeroTestConfig,
+    ZeroVerdict,
     add,
     is_zero,
     mul,
@@ -114,16 +115,19 @@ def _order(args) -> int:
 
 
 def _cfg(seed: int | None, samples: int | None = None, tol: float | None = None) -> ZeroTestConfig:
-    kw = {}
-    if seed is not None:
-        kw["seed"] = seed
-    else:
-        kw["seed"] = _default_seed()
+    kw = {"seed": _default_seed() if seed is None else seed}
     if samples is not None:
         kw["samples"] = samples
     if tol is not None:
         kw["atol"] = tol
     return ZeroTestConfig(**kw)
+
+
+def _exit_code(*verdicts: ZeroVerdict) -> int:
+    """0 when every verdict is zero, 1 when one is nonzero, else 3."""
+    if all(v.is_zero for v in verdicts):
+        return 0
+    return 1 if any(isinstance(v, NonZero) for v in verdicts) else 3
 
 
 def _envelope(subcommand: str, input_obj: dict, result_obj: dict, trace: list) -> str:
@@ -237,7 +241,7 @@ def _run_fels(args, out) -> int:
     else:
         out.write(f"T5: {result['T5']}\nT5 verdict: {v5.describe()}\n")
         out.write(f"I1: {result['I1']}\nI1 verdict: {v1.describe()}\n")
-    return 0 if both_zero else 1
+    return _exit_code(v5, v1)
 
 
 def _run_verify(args, out) -> int:
@@ -257,9 +261,7 @@ def _run_verify(args, out) -> int:
                             result, []) + "\n")
     else:
         out.write(f"verdict: {v.describe()}\n")
-    if v.is_zero:
-        return 0
-    return 1 if isinstance(v, NonZero) else 3
+    return _exit_code(v)
 
 
 def _run_roundtrip(args, out) -> int:

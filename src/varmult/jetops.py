@@ -13,6 +13,7 @@ differs between them only in the image of an atom.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -170,17 +171,10 @@ def _indices_with_norm_at_most(m: int, k: int):
     """All multi-indices of length m with weighted norm <= k.  Only the k
     leading slots can be nonzero since slot j contributes weight j."""
     slots = min(m, k)
-
-    def rec(j: int, budget: int, prefix: list[int]):
-        if j > slots:
-            yield tuple(prefix) + (0,) * (m - slots)
-            return
-        for i in range(budget // j + 1):
-            prefix.append(i)
-            yield from rec(j + 1, budget - j * i, prefix)
-            prefix.pop()
-
-    yield from rec(1, k, [])
+    pad = (0,) * (m - slots)
+    for head in itertools.product(*(range(k // j + 1) for j in range(1, slots + 1))):
+        if sum(j * i for j, i in enumerate(head, start=1)) <= k:
+            yield head + pad
 
 
 def expand_d_pow(m: int, k: int) -> list[OperatorTerm]:
@@ -195,10 +189,7 @@ def expand_d_pow(m: int, k: int) -> list[OperatorTerm]:
     terms = []
     for entries in _indices_with_norm_at_most(m, k):
         index = MultiIndex(entries)
-        coeff = a_coeff(index, k)
-        if coeff == 0:
-            continue
-        terms.append(OperatorTerm(coeff=coeff,
+        terms.append(OperatorTerm(coeff=a_coeff(index, k),
                                   pm_power=index.size,
                                   d_power=k - index.weighted_norm,
                                   index=index))

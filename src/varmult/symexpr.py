@@ -572,12 +572,12 @@ def _finish(acc: dict, den: int, whole: dict | None = None) -> Expr:
 
 def add(*terms: ExprLike) -> Expr:
     """Canonical sum: flattens, folds constants, combines like terms."""
+    # a canonical sum holds no sum and no 0, so one level flattens it
     ts = []
-    stack = [as_expr(t) for t in reversed(terms)]
-    while stack:
-        t = stack.pop()
+    for t in terms:
+        t = as_expr(t)
         if t.__class__ is Sum:
-            stack.extend(reversed(t.terms))
+            ts += t.terms
         elif t is not ZERO:
             ts.append(t)
     den = math.lcm(*[t._den for t in ts])
@@ -601,9 +601,8 @@ def add(*terms: ExprLike) -> Expr:
 
 
 def _exp_raw(arg: Expr) -> Expr:
-    # arg is a canonical non-Sum term
-    if arg is ZERO:
-        return ONE
+    # arg is a canonical nonzero non-Sum term: `exp` passes the terms of a
+    # sum or a term other than 0, `_times` a merged exponent that is not 0
     return _intern((Exp, arg), Exp, arg)
 
 
@@ -771,10 +770,8 @@ def pow_int(base: ExprLike, n: int) -> Expr:
     if isinstance(b, Exp):
         return exp(mul(n, b.arg))
     if isinstance(b, Sum) and n > 0:
-        out = b
-        for _ in range(n - 1):
-            out = mul(out, b)
-        return out
+        # one product: the partial powers stay flat terms in its accumulator
+        return mul(*(b,) * n)
     return _intern((Pow, b, n), Pow, b, n)
 
 
@@ -829,8 +826,8 @@ def cos(arg: ExprLike) -> Expr:
 
 
 def _ad_raw(integrand: Expr, var: Expr) -> Expr:
-    if not isinstance(var, (VarX, Jet)):
-        raise ExprError("integration variable must be x or a jet variable")
+    # var is x or a jet: `antideriv` and the parser check the variable they
+    # pass to `_anti1`, and the kernel passes an integral's own
     return _intern((AntiDeriv, integrand, var), AntiDeriv, integrand, var)
 
 
@@ -1119,9 +1116,9 @@ def substitute(e: ExprLike, bindings: Mapping[Expr, ExprLike]) -> Expr:
 
 
 def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """Apply `f` to each child of `e` and rebuild the node through the
-    canonical constructors; atoms come back unchanged.  The tree walk of
-    `substitute` and `_bind_zero`."""
+    """Apply `f` to each child of the composite `e` and rebuild the node
+    through the canonical constructors.  The tree walk of `substitute` and
+    `_bind_zero`, which return atoms and constants before they call it."""
     cls = e.__class__
     if cls is Sum:
         return add(*(f(t) for t in e.terms))
@@ -1129,11 +1126,9 @@ def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
         return mul(*(f(t) for t in e.factors))
     if cls is Pow:
         return pow_int(f(e.base), e.exponent)
-    if isinstance(e, _Unary):
-        return cls(f(e.arg))
     if cls is AntiDeriv:
         return _anti1(f(e.integrand), e.var)
-    return e
+    return cls(f(e.arg))  # exp, log, sin or cos
 
 
 def _subst(e: Expr, b: dict[Expr, Expr]) -> Expr:

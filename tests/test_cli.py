@@ -303,6 +303,21 @@ def test_fels_failing_input():
     assert code == 1
 
 
+@pytest.mark.parametrize("text,code,verdicts", [
+    # neither verdict nonzero and one inconclusive: 3, as in `verify`
+    ("log(-1-p3^2)*p3^3", 3, ("inconclusive", "inconclusive")),
+    ("log(-1-p2^2)*p3", 3, ("zero-structural", "inconclusive")),
+    ("p3^3", 1, ("nonzero", "nonzero")),
+    ("0", 0, ("zero-structural", "zero-structural")),
+])
+def test_fels_exit_code_follows_its_verdicts(text, code, verdicts):
+    got, out, _ = invoke("fels", "--expr", text, "--json")
+    result = validate(out)["result"]
+    assert got == code
+    assert (result["T5_verdict"]["kind"], result["I1_verdict"]["kind"]) == verdicts
+    assert result["variational_candidate"] is (code == 0)
+
+
 def test_check_inconclusive_exit_code():
     code, _, _ = invoke("check", "--order", "2", "--expr",
                         "p3^3*log(-2 - p1^2)")
@@ -470,6 +485,8 @@ def test_usage_error_exit_code():
     for bad in (["--f", "p1"], ["--f", "x=p1"], ["--f", "1=p1", "--f", "1=x"]):
         code, _, err = invoke("construct", "--order", "2", *bad)
         assert code == 2 and "--f" in err, bad
+    code, out, err = invoke("roundtrip", "--order", "2", "--trials", "0")
+    assert (code, out, err) == (2, "", "varmult: error: --trials must be >= 1\n")
 
 
 def test_expression_values_may_begin_with_a_minus():
@@ -527,6 +544,13 @@ def test_env_seed_override(monkeypatch):
     monkeypatch.setenv("VARMULT_SEED", "junk")
     _, out, _ = invoke("check", "--order", "2", "--expr", "p3^2", "--json")
     assert json.loads(out)["input"]["seed"] == 0
+
+
+def test_check_json_echoes_the_sample_count():
+    code, out, _ = invoke("check", "--order", "2", "--expr", "p3^2",
+                          "--samples", "3", "--json")
+    assert code == 0
+    assert validate(out)["input"]["samples"] == 3
 
 
 def test_exit_codes_are_within_contract():

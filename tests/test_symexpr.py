@@ -298,6 +298,8 @@ def test_render_json_shapes():
         "args": [{"op": "exp", "args": [{"op": "prod", "args": [
             {"const": "-1"}, {"op": "pow", "args": [{"jet": 2}, {"const": "2"}]}]}]},
             {"jet": 2}]}
+    with pytest.raises(ExprError, match="unknown render format 'xml'"):
+        render(p1, "xml")
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -613,6 +615,7 @@ def test_simplify_examples():
     assert add(p1, p1) == mul(2, p1)
     assert add(p3, mul(-1, p3)) is ZERO
     assert exp(0) is ONE
+    assert sin(0) is ZERO and cos(0) is ONE
 
 
 def test_simplify_of_raw_nodes():
@@ -775,6 +778,10 @@ def test_evaluate_domain_errors():
         evaluate(p1, {})  # unassigned variable
     with pytest.raises(DomainError):
         evaluate(mul(rational(10 ** 400), p1), {p1: 0.5})  # constant overflows
+    with pytest.raises(DomainError, match="non-finite intermediate value"):
+        evaluate(mul(pow_int(p1, 150), pow_int(p2, 150)), {p1: 100.0, p2: 100.0})
+    with pytest.raises(ExprError, match="unassigned variable p2"):
+        evaluate(antideriv(exp(mul(-1, pow_int(p2, 2))), p2), {p1: 1.0})
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -962,6 +969,32 @@ def test_arithmetic_sugar():
     assert (p2 ** 2 / 2) == mul(Fraction(1, 2), pow_int(p2, 2))
     assert (-p1) == mul(-1, p1)
     assert (1 / p1) == pow_int(p1, -1)
+    assert (1 - p1) is add(1, mul(-1, p1))
+    assert (p1 * p2) is mul(p1, p2)
+
+
+def test_pow_int_takes_an_integral_exponent_only():
+    for bad in (Fraction(3, 2), 2.0):
+        with pytest.raises(ExprError, match="exponent must be an integer"):
+            pow_int(p1, bad)
+    assert pow_int(p1, Fraction(4, 2)) is pow_int(p1, 2)
+
+
+def test_power_of_a_sum_is_one_product():
+    # the partial powers stay flat terms in the accumulator of one `mul`,
+    # so none of them is interned (a product per partial power interns
+    # about 30,000 nodes here)
+    b = add(p1, 1)
+    before = len(symexpr._INTERN)
+    got = pow_int(b, 200)
+    assert len(symexpr._INTERN) - before < 1000
+    assert got is mul(*[b] * 200)
+    assert got is add(*(mul(math.comb(200, k), pow_int(p1, k)) for k in range(201)))
+    assert pow_int(b, 1) is b
+    assert pow_int(b, 2) is add(pow_int(p1, 2), mul(2, p1), 1)
+    for k in (-1, -3):
+        neg = pow_int(b, k)
+        assert neg.__class__ is Pow and neg.base is b and neg.exponent == k
 
 
 @pytest.mark.parametrize("c", [-1, Fraction(1, 2), 3, 1])

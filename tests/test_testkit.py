@@ -57,6 +57,8 @@ def test_gen_config_validation():
         GenConfig(max_degree=0)
     with pytest.raises(ValueError):
         GenConfig(max_terms=0)
+    with pytest.raises(ValueError, match="need at least one variable"):
+        gen_expr([], GenConfig())
 
 
 def test_gen_params_shapes_and_determinism():

@@ -69,6 +69,8 @@ def test_param_set_validation():
 
 
 def test_triple_validation():
+    with pytest.raises(ValueError, match="need m >= n >= 2"):
+        VariationalTriple(f=ZERO, rho=ONE, L=_half(pow_int(p1, 2)), n=1, m=1)
     with pytest.raises(ValueError):
         VariationalTriple(f=p4, rho=ONE, L=_half(pow_int(p2, 2)), n=2, m=2)
     with pytest.raises(ValueError):
@@ -86,6 +88,8 @@ def test_triple_validation():
 
 
 def test_euler_lagrange_examples():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        euler_lagrange(p1, -1)
     assert euler_lagrange(_half(pow_int(p2, 2)), 2) == p4
     assert euler_lagrange(mul(Fraction(-1, 2), pow_int(p3, 2)), 3) == p6
     got = euler_lagrange(add(_half(pow_int(p2, 2)), mul(Fraction(-1, 2), pow_int(p1, 2))), 2)
