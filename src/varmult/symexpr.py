@@ -6,20 +6,20 @@ canonical by construction: sums and products are flattened, constants are
 folded into exact rationals, products are fully distributed over sums, and
 exponentials are kept split so that ``exp(a)*exp(b)`` and ``exp(a + b)``
 reach the same normal form.  On top of the algebra the module provides
-derivations (the partial derivative `diff` and the truncated total
-derivative that `jetops.total_derivative` exposes share one memoized
-product-rule pass over canonical terms, `_derive`), definite
-antiderivatives from 0 (with an opaque integral node as fallback),
-parsing/printing, floating evaluation with Gauss-Legendre quadrature for
-opaque integrals, and a probabilistic zero-testing decision procedure.
+derivations, definite antiderivatives from 0 (with an opaque integral node
+as fallback), parsing/printing, floating evaluation with Gauss-Legendre
+quadrature for opaque integrals, and a probabilistic zero test.
+
 Sums, products, derivations and antiderivatives compute on flat terms (an
 int numerator over an int denominator, a monomial, other factors), which
-every node but a sum carries from construction (`_flat`, `_den`), sum
-integer numerators over one denominator per sum, and build a node only for
-each term that survives: no Fraction arithmetic runs in them.  One routine,
-`_times_sum`, multiplies terms: `mul` and the derivations both multiply
-through it, and it merges the powers of a common base and the exponentials
-of a common core, memoized on the pair of factor tuples (`_times`).
+every node but a sum carries from construction, and build a node only for
+each term that survives.  Work that many terms share is done once per
+structure: `_times` merges two other-factor tuples once per pair, the
+product-rule pass that `diff` and `jetops.total_derivative` share
+(`_derive`) differentiates a term's other factors once per tuple of them
+(`_derive_others`), a product's atom set joins a per-monomial memo with its
+other factors' sets, and evaluation compiles an expression once into an
+instruction list (`_compile`) that each point runs in one loop (`_run`).
 
 Text is read by one regular expression (`_TOKEN`) and a recursive-descent
 parser that multiplies the factors of a term with one `mul` call unless one
@@ -53,6 +53,7 @@ __all__ = [
     "MAX_JET_INDEX",
     "MAX_PARSE_DEPTH",
     "MAX_RATIONAL_DIGITS",
+    "MAX_SUM_POWER",
     "ExprError",
     "ParseError",
     "DomainError",
@@ -112,6 +113,10 @@ MAX_JET_INDEX = 64
 #: constant prints.
 MAX_RATIONAL_DIGITS = 4000
 _RAT_BOUND = 10 ** MAX_RATIONAL_DIGITS
+
+#: Largest exponent of a positive power of a sum, which `pow_int` expands: a
+#: larger one is an `ExprError` (exit 2), raised before any work is done.
+MAX_SUM_POWER = 1000
 
 class ExprError(ValueError):
     """Invalid expression construction or operation."""
@@ -259,8 +264,15 @@ class Prod(Expr):
 
     def _init(self, factors: tuple, flat: tuple, den: int):
         self.factors = factors
-        fa = frozenset().union(*(f.free_atoms for f in factors))
-        self.free_atoms = _ATOMSETS.setdefault(fa, fa)
+        _, mono, others = flat
+        fa = _MONO_ATOMS.get(mono)
+        if fa is None:
+            fa = frozenset(_ATOMS[i] for i, k in enumerate(mono) if k)
+            fa = _MONO_ATOMS[mono] = _ATOMSETS.setdefault(fa, fa)
+        if others:
+            fa = fa.union(*[f.free_atoms for f in others])
+            fa = _ATOMSETS.setdefault(fa, fa)
+        self.free_atoms = fa
         self._key = None
         self._flat = flat
         self._den = den
@@ -342,9 +354,19 @@ _EMPTY: frozenset = frozenset()
 #: `max_jet` of each atom set
 _ATOMSETS: dict[frozenset, frozenset] = {}
 _MAX_JETS: dict[frozenset, int] = {}
+#: the atom set of each monomial of a product
+_MONO_ATOMS: dict[tuple, frozenset] = {}
 
 _RANKS = {Rat: 0, VarX: 1, Jet: 2, Pow: 3, Exp: 4, Log: 5, Sin: 6, Cos: 7,
           AntiDeriv: 8, Prod: 9, Sum: 10}
+
+
+def _float(q: Fraction) -> float:
+    """The float of q, an infinity of q's sign where that overflows."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def sort_key(e: Expr):
@@ -355,11 +377,7 @@ def sort_key(e: Expr):
         if cls is Rat:
             # the float settles almost every comparison in C; float rounding
             # is monotone, so only a float tie falls through to the exact value
-            v = e.value
-            try:
-                k = (0, float(v), v)
-            except OverflowError:
-                k = (0, math.inf if v > 0 else -math.inf, v)
+            k = (0, _float(e.value), e.value)
         elif cls is Pow:
             k = (3, sort_key(e.base), e.exponent)
         elif cls is AntiDeriv:
@@ -432,6 +450,10 @@ def jet(k: int) -> Expr:
     return _intern(("j", k), Jet, k)
 
 
+#: the atom at each monomial position: x, then p_0 to p_MAX_JET_INDEX
+_ATOMS = (X, *[jet(k) for k in range(MAX_JET_INDEX + 1)])
+
+
 def as_expr(v: ExprLike) -> Expr:
     if isinstance(v, Expr):
         return v
@@ -463,9 +485,7 @@ def as_expr(v: ExprLike) -> Expr:
 # builds only the terms that survive, and `_term` makes a Fraction only for
 # a new Rat node: the kernel does no Fraction arithmetic.  A product is
 # interned on its flat term and denominator, (Prod, n, d, mono, others), its
-# only key, so building a term that exists is one lookup; and the merge of
-# two terms' other factors (`_times`) is memoized on the pair of their
-# tuples, since nearly every product repeats a few exponentials and slopes.
+# only key, so building a term that exists is one lookup.
 
 
 def _index(a: Expr) -> int:
@@ -516,7 +536,7 @@ def _term(n: int, d: int, mono: tuple, others: tuple) -> Expr:
     pows = []
     for i, k in enumerate(mono):
         if k:
-            a = X if not i else _intern(("j", i - 1), Jet, i - 1)
+            a = _ATOMS[i]
             if k == 1:
                 fs.append(a)
             else:
@@ -770,6 +790,8 @@ def pow_int(base: ExprLike, n: int) -> Expr:
     if isinstance(b, Exp):
         return exp(mul(n, b.arg))
     if isinstance(b, Sum) and n > 0:
+        if n > MAX_SUM_POWER:
+            raise ExprError(f"power of a sum with an exponent above {MAX_SUM_POWER}")
         # one product: the partial powers stay flat terms in its accumulator
         return mul(*(b,) * n)
     return _intern((Pow, b, n), Pow, b, n)
@@ -803,7 +825,7 @@ def log(arg: ExprLike) -> Expr:
             # evaluation overflows
             scale = _Scale(_EVAL_BUDGET)
             try:
-                negative = _eval_rec(a, {}, {}, scale) < -_RTOL * scale.value
+                negative = _run(_compile(a), {}, scale) < -_RTOL * scale.value
             except DomainError:
                 negative = False
         if negative:
@@ -845,11 +867,13 @@ def _ad_raw(integrand: Expr, var: Expr) -> Expr:
 _MERGES: dict[tuple, tuple] = {}
 
 #: derivation results keyed on (d, interned node): for a single term its
-#: flat terms, for a sum its canonical node.  `d` is an atom
-#: for a partial derivative and an int m for D_m, so the two kinds of key
-#: never collide.  A derivation with `plus` pairs is keyed on (d, e, plus,
-#: scale), and an antiderivative of e in v on ("anti", e, v), so neither
-#: meets a 2-tuple key.  Threads racing on one key store equal values.
+#: flat terms, for a sum its canonical node.  `d` is an atom for a partial
+#: derivative and an int m for D_m, so the two kinds of key never collide.
+#: A derivation with `plus` pairs is keyed on (d, e, plus, scale), the flat
+#: terms of the derivative of a term's other factors on ("others", d,
+#: others), and an antiderivative of e in v on ("anti", e, v): none meets a
+#: 2-tuple key, and the two 3-tuples differ in their first item.  Threads
+#: racing on one key store equal values.
 _DERIV_CACHE: dict[tuple, object] = {}
 
 
@@ -886,6 +910,8 @@ def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
     if d.__class__ is int:
         # D_m and D_m' agree on e once both orders exceed max_jet(e)
         d = min(d, max_jet(e) + 1)
+        if d > MAX_JET_INDEX:
+            raise ExprError(f"D_{d} of p{MAX_JET_INDEX} exceeds the maximum jet index")
     elif d not in e.free_atoms and not plus:
         return ZERO
     key = (d, e, plus, scale) if plus else (d, e)
@@ -922,10 +948,9 @@ _ONE_TERMS = (1, (1, (), ()))
 def _derive_term(d, t: Expr) -> tuple:
     """The product rule for `d` on a canonical non-Sum term t, memoized, as
     a list of flat terms (den, ft, ...) with no factor common to den and all
-    numerators: one per atom power, and the term with the factor
-    differentiated away times each term of the derivative of that factor's
-    argument (an exponent, a slope, or the argument of a log, sin, cos or
-    opaque integral)."""
+    numerators: one per atom power, and the term's coefficient and monomial
+    times each flat term of the derivative of its other factors
+    (`_derive_others`)."""
     if d.__class__ is int:
         d = min(d, max_jet(t) + 1)
     elif d not in t.free_atoms:
@@ -934,40 +959,11 @@ def _derive_term(d, t: Expr) -> tuple:
     out = _DERIV_CACHE.get(key)
     if out is not None:
         return out
-    ft = t._flat
-    coeff, mono, others = ft
-    q = t._den
-    # the parts of the other factors, each a flat term over q times flat
-    # terms, collected first so that the denominator of the accumulator is
-    # their lcm from the start
-    parts = []
-    for i, f in enumerate(others):
-        if f.__class__ is Exp:
-            # d exp(a) = exp(a) d a
-            d_inner = _derive_term(d, f.arg)
-            if len(d_inner) > 1:
-                parts.append((ft, d_inner))
-        elif f.__class__ is Pow and f.base.__class__ is Sum:
-            # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
-            k = f.exponent
-            ds = _derive(d, f.base)
-            if ds is f.base:
-                # S^(k-1) * S folds back to S^k, as in `mul`
-                parts.append(((k * coeff, mono, others), _ONE_TERMS))
-            elif ds is not ZERO:
-                # S^(k-1) takes the place of S^k in the canonical order
-                lower = others[:i] + (pow_int(f.base, k - 1),) + others[i + 1:]
-                left = (k * coeff, mono, lower)
-                parts += [(left, lst) for lst in _flats(ds)]
-        else:
-            dg = _derive_factor(d, f)
-            if dg is not ZERO:
-                left = (coeff, mono, others[:i] + others[i + 1:])
-                parts += [(left, lst) for lst in _flats(dg)]
-    den = q * math.lcm(*[terms[0] for _, terms in parts])
+    coeff, mono, others = t._flat
+    dots = _derive_others(d, others) if others else _NO_TERMS
+    den = t._den * dots[0]
     acc: dict = {}
     at = None if d.__class__ is int else _index(d)
-    lift = den // q
     for i, k in enumerate(mono):
         # a^k goes to k a^(k-1) times the image of a: 1 for v under d/dv and
         # for x under D_m, p_{j+1} for p_j under D_m when j < m, else 0
@@ -981,9 +977,57 @@ def _derive_term(d, t: Expr) -> tuple:
         while m and not m[-1]:
             m.pop()
         mk = (tuple(m), others)
-        acc[mk] = acc.get(mk, 0) + k * coeff * lift
+        acc[mk] = acc.get(mk, 0) + k * coeff * dots[0]
+    _times_sum(acc, den, (coeff, mono, ()), t._den, dots)
+    g = math.gcd(den, *acc.values()) if den != 1 else 1
+    out = (den // g, *[(c // g, m, o) for (m, o), c in acc.items() if c])
+    _DERIV_CACHE[key] = out
+    return out
+
+
+def _derive_others(d, others: tuple) -> tuple:
+    """The derivation `d` of the product of the other factors of a term, as
+    a list of flat terms like `_derive_term`'s, memoized on (d, others) for
+    every term that shares them: per factor, the other factors times each
+    term of the derivative of that factor's argument (an exponent, a slope,
+    or the argument of a log, sin, cos or opaque integral)."""
+    if d.__class__ is int:
+        d = min(d, max(map(max_jet, others)) + 1)
+    elif not any(d in f.free_atoms for f in others):
+        return _NO_TERMS
+    key = ("others", d, others)
+    out = _DERIV_CACHE.get(key)
+    if out is not None:
+        return out
+    # each part is a flat term times a list of flat terms, collected first so
+    # that the denominator of the accumulator is their lcm from the start
+    parts = []
+    for i, f in enumerate(others):
+        if f.__class__ is Exp:
+            # d exp(a) = exp(a) d a
+            d_inner = _derive_term(d, f.arg)
+            if len(d_inner) > 1:
+                parts.append(((1, (), others), d_inner))
+        elif f.__class__ is Pow and f.base.__class__ is Sum:
+            # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
+            k = f.exponent
+            ds = _derive(d, f.base)
+            if ds is f.base:
+                # S^(k-1) * S folds back to S^k, as in `mul`
+                parts.append(((k, (), others), _ONE_TERMS))
+            elif ds is not ZERO:
+                # S^(k-1) takes the place of S^k in the canonical order
+                lower = others[:i] + (pow_int(f.base, k - 1),) + others[i + 1:]
+                parts += [((k, (), lower), lst) for lst in _flats(ds)]
+        else:
+            dg = _derive_factor(d, f)
+            if dg is not ZERO:
+                left = (1, (), others[:i] + others[i + 1:])
+                parts += [(left, lst) for lst in _flats(dg)]
+    den = math.lcm(*[terms[0] for _, terms in parts])
+    acc: dict = {}
     for left, terms in parts:
-        _times_sum(acc, den, left, q, terms)
+        _times_sum(acc, den, left, 1, terms)
     g = math.gcd(den, *acc.values()) if den != 1 else 1
     out = (den // g, *[(c // g, m, o) for (m, o), c in acc.items() if c])
     _DERIV_CACHE[key] = out
@@ -1471,9 +1515,11 @@ _BOX = (-1.0, 1.0)
 _RTOL = 1e-8
 #: fresh points drawn for one sample before it is given up on domain errors
 _MAX_RETRIES_PER_POINT = 50
-#: total node-visit budget for one evaluation or zero-test call; exceeding
-#: it fails the call (inconclusive for the zero test) rather than letting
-#: deeply nested quadrature run unboundedly
+#: total budget of ticks for one evaluation or zero-test call: a tick is one
+#: instruction of a compiled program (one distinct node) run at one sample
+#: point or quadrature node, charged before the program runs and refunded
+#: for what a domain error leaves unrun; exceeding it fails the call
+#: (inconclusive for the zero test), so nested quadrature stays bounded
 _EVAL_BUDGET = 2_000_000
 
 
@@ -1579,90 +1625,115 @@ class _Scale:
         self.value = 0.0
         self.remaining = budget
 
-    def tick(self):
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise BudgetExceeded("evaluation budget exceeded")
 
-    def feed(self, v: float) -> float:
-        if not math.isfinite(v):
-            raise DomainError("non-finite intermediate value")
-        a = abs(v)
-        if a > self.value:
-            self.value = a
-        return v
+def _compile(e: Expr) -> list:
+    """The program that evaluates `e`: one instruction (op, operand) per
+    distinct node, children first in depth-first order and named by index.
+    The op is the node's class (Jet for x too), or the `math` function of an
+    exp, sin or cos; an opaque integral holds its variable, its integrand's
+    program and whether it collapsed an integral over the same variable."""
+    slots: dict = {}
+    prog: list = []
+
+    def visit(n: Expr) -> int:
+        i = slots.get(n)
+        if i is not None:
+            return i
+        op = n.__class__
+        if op is Sum or op is Prod:
+            arg = tuple(map(visit, n.terms if op is Sum else n.factors))
+        elif op is Pow:
+            arg = (visit(n.base), n.exponent)
+        elif op is Rat:
+            arg = _float(n.value)
+        elif op is VarX or op is Jet:
+            op, arg = Jet, n
+        elif op is AntiDeriv:
+            g = n.integrand
+            kernel = g.__class__ is AntiDeriv and g.var is n.var
+            arg = (n.var, _compile(g.integrand if kernel else g), kernel)
+        else:
+            op, arg = (op if op is Log else getattr(math, n._tag)), visit(n.arg)
+        i = slots[n] = len(prog)
+        prog.append((op, arg))
+        return i
+
+    visit(e)
+    return prog
 
 
-def _eval_rec(e: Expr, env: dict, cache: dict, scale: _Scale, depth: int = 0) -> float:
-    v = cache.get(e)
-    if v is not None:
-        return v
-    scale.tick()
-    cls = e.__class__
-    if cls is Rat:
-        try:
-            v = float(e.value)
-        except OverflowError:
-            raise DomainError("overflow in constant") from None
-    elif cls is VarX or cls is Jet:
-        try:
-            v = env[e]
-        except KeyError:
-            raise ExprError(f"unassigned variable {render(e)}") from None
-    elif cls is Sum:
-        v = math.fsum(_eval_rec(t, env, cache, scale, depth) for t in e.terms)
-    elif cls is Prod:
-        v = 1.0
-        for f in e.factors:
-            v *= _eval_rec(f, env, cache, scale, depth)
-    elif cls is Pow:
-        b = _eval_rec(e.base, env, cache, scale, depth)
-        if b == 0.0 and e.exponent < 0:
-            raise DomainError("division by zero")
-        try:
-            v = b ** e.exponent
-        except OverflowError:
-            raise DomainError("overflow in power") from None
-    elif cls is Exp:
-        try:
-            v = math.exp(_eval_rec(e.arg, env, cache, scale, depth))
-        except OverflowError:
-            raise DomainError("overflow in exp") from None
-    elif cls is Log:
-        a = _eval_rec(e.arg, env, cache, scale, depth)
-        if a <= 0.0:
-            raise DomainError("log of a nonpositive value")
-        v = math.log(a)
-    elif cls is Sin:
-        v = math.sin(_eval_rec(e.arg, env, cache, scale, depth))
-    elif cls is Cos:
-        v = math.cos(_eval_rec(e.arg, env, cache, scale, depth))
-    elif cls is AntiDeriv:
-        v = _eval_quad(e, env, scale, depth)
-    else:  # pragma: no cover
-        raise ExprError(f"cannot evaluate {e!r}")
-    scale.feed(v)
-    cache[e] = v
+def _run(prog: list, env: dict, scale: _Scale, depth: int = 0) -> float:
+    """The value of a compiled program at the point `env`, in one loop: a
+    product multiplies its factors in order, a sum is an `fsum`, and a value
+    out of the domain or not finite is a DomainError.  Raises `scale.value`
+    to the largest magnitude."""
+    scale.remaining -= len(prog)
+    if scale.remaining < 0:
+        raise BudgetExceeded("evaluation budget exceeded")
+    vals: list = []
+    push = vals.append
+    try:
+        for op, arg in prog:
+            if op is Prod:
+                v = 1.0
+                for i in arg:
+                    v *= vals[i]
+                if not math.isfinite(v):
+                    raise DomainError("non-finite intermediate value")
+            elif op is Sum:
+                v = math.fsum(map(vals.__getitem__, arg))
+            elif op is Jet:
+                v = env.get(arg)
+                if v is None:
+                    raise ExprError(f"unassigned variable {render(arg)}")
+                if not math.isfinite(v):
+                    raise DomainError("non-finite intermediate value")
+            elif op is Rat:
+                v = arg
+                if not math.isfinite(v):
+                    raise DomainError("overflow in constant")
+            elif op is Pow:
+                v = vals[arg[0]]
+                if v == 0.0 and arg[1] < 0:
+                    raise DomainError("division by zero")
+                v **= arg[1]
+            elif op is Log:
+                v = vals[arg]
+                if v <= 0.0:
+                    raise DomainError("log of a nonpositive value")
+                v = math.log(v)
+            elif op is AntiDeriv:
+                v = _eval_quad(*arg, env, scale, depth)
+            else:  # exp, sin or cos
+                v = op(vals[arg])
+            push(v)
+    except (DomainError, OverflowError) as exc:
+        # refund the instructions after the failing one
+        scale.remaining += len(prog) - len(vals) - 1
+        if exc.__class__ is OverflowError:
+            raise DomainError(f"overflow in {op.__name__.lower()}") from None
+        raise
+    top = max(map(abs, vals))
+    if top > scale.value:
+        scale.value = top
     return v
 
 
-def _eval_quad(node: AntiDeriv, env: dict, scale: _Scale, depth: int) -> float:
-    upper = env.get(node.var)
+def _eval_quad(var: Expr, prog: list, kernel: bool, env: dict, scale: _Scale,
+               depth: int) -> float:
+    """The integral over `var` from 0 whose integrand compiles to `prog`,
+    times the kernel (t - s) for a collapsed double integral."""
+    upper = env.get(var)
     if upper is None:
-        raise ExprError(f"unassigned variable {render(node.var)}")
+        raise ExprError(f"unassigned variable {render(var)}")
     if upper == 0.0:
         return 0.0
     if depth >= len(_QUAD_LEVELS):
         raise DomainError("opaque integrals nested deeper than "
                           f"{len(_QUAD_LEVELS)} levels")
-    g = node.integrand
-    # iterated integral over the same variable collapses to a single pass
-    # with kernel (t - s)
-    kernel = isinstance(g, AntiDeriv) and g.var is node.var
-    if kernel:
-        g = g.integrand
     order, panels = _QUAD_LEVELS[depth]
     rule = _gauss_legendre(order)
+    env = dict(env)
     total = 0.0
     for p in range(panels):
         a = upper * p / panels
@@ -1670,21 +1741,23 @@ def _eval_quad(node: AntiDeriv, env: dict, scale: _Scale, depth: int) -> float:
         half = (b - a) / 2.0
         mid = (a + b) / 2.0
         for xi, wi in rule:
-            s = mid + half * xi
-            env2 = dict(env)
-            env2[node.var] = s
-            val = _eval_rec(g, env2, {}, scale, depth + 1)
+            s = env[var] = mid + half * xi
+            val = _run(prog, env, scale, depth + 1)
             if kernel:
                 val *= upper - s
             total += wi * half * val
-    return scale.feed(total)
+    if not math.isfinite(total):
+        raise DomainError("non-finite intermediate value")
+    return total
 
 
 def evaluate(e: ExprLike, point: Mapping[Expr, float]) -> float:
-    """Floating evaluation at a point assigning every free variable.  Opaque
-    integrals are evaluated by composite Gauss-Legendre quadrature over
-    [0, upper limit], recursively for nested nodes."""
-    return _eval_rec(as_expr(e), dict(point), {}, _Scale(_EVAL_BUDGET))
+    """Floating evaluation at a point assigning every free variable, whose
+    values are taken as floats.  Opaque integrals are evaluated by composite
+    Gauss-Legendre quadrature over [0, upper limit], recursively for nested
+    nodes."""
+    env = {a: float(v) for a, v in point.items()}
+    return _run(_compile(as_expr(e)), env, _Scale(_EVAL_BUDGET))
 
 
 def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
@@ -1707,23 +1780,20 @@ def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
     if s is ZERO:
         return ZeroStructural()
     if s.__class__ is Rat:
-        try:
-            value = float(s.value)
-        except OverflowError:
-            value = math.inf if s.value > 0 else -math.inf
-        return NonZero(point={}, value=value)
+        return NonZero(point={}, value=_float(s.value))
     atoms = sorted(s.free_atoms, key=sort_key)
     rng = random.Random(cfg.seed)
     lo, hi = _BOX
     evaluated = 0
     first = None
     scale = _Scale(_EVAL_BUDGET)  # one budget for the whole call
+    prog = _compile(s)
     for _ in range(cfg.samples):
         for _ in range(_MAX_RETRIES_PER_POINT):
             pt = {a: rng.uniform(lo, hi) for a in atoms}
             scale.value = 0.0
             try:
-                val = _eval_rec(s, pt, {}, scale)
+                val = _run(prog, pt, scale)
                 break
             except BudgetExceeded:
                 return Inconclusive("evaluation budget exceeded")
@@ -1741,7 +1811,7 @@ def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
     if _is_laurent(s):
         # the canonical form of a Laurent polynomial is unique, so one that
         # is not the literal 0 is nonzero, however small its samples are
-        return _ray_witness(s, first, cfg, scale)
+        return _ray_witness(prog, first, cfg, scale)
     return ZeroNumeric(points=evaluated)
 
 
@@ -1750,9 +1820,9 @@ def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
 _RAY_STEPS = 64
 
 
-def _ray_witness(s: Expr, first: tuple[dict, float], cfg: ZeroTestConfig,
+def _ray_witness(prog: list, first: tuple[dict, float], cfg: ZeroTestConfig,
                  scale: _Scale) -> NonZero:
-    """The witness for a Laurent polynomial `s` that is not 0 but within
+    """The witness for a Laurent polynomial s, compiled to `prog`, that is not 0 but within
     tolerance at every sample point: the first point t*p, for p the first
     sample and t = 2^(k/8), 2^(-k/8), k = 1, 2, ..., where the value clears
     the tolerance.  Along the ray, s is a Laurent polynomial in t, so unless
@@ -1764,7 +1834,7 @@ def _ray_witness(s: Expr, first: tuple[dict, float], cfg: ZeroTestConfig,
         pt = {a: v * t for a, v in p.items()}
         scale.value = 0.0
         try:
-            val = _eval_rec(s, pt, {}, scale)
+            val = _run(prog, pt, scale)
         except BudgetExceeded:
             break
         except DomainError:

@@ -439,6 +439,28 @@ def test_oversized_rationals_are_input_errors():
         assert time.perf_counter() - start < 10
 
 
+def test_huge_power_of_a_sum_is_an_input_error():
+    # a positive power of a sum is expanded, so its exponent is bounded
+    # (MAX_SUM_POWER) and a larger one is refused before any work is done
+    for text in ("(p1+1)^99999999999999999999*p3^2", "(p1+1)^1001*p3^2"):
+        start = time.perf_counter()
+        code, out, err = invoke("check", "--order", "2", f"--expr={text}")
+        assert (code, out) == (2, "")
+        assert err == "varmult: error: power of a sum with an exponent above 1000\n"
+        assert time.perf_counter() - start < 1
+    assert varmult.symexpr.MAX_SUM_POWER == 1000
+
+
+def test_check_rejects_a_slope_whose_sample_sum_overflows():
+    # S2(k=3) checks 16*10^307*(x + p1): each term of the sum is a finite
+    # float at the first sample point, but their sum is not
+    code, out, err = invoke("check", "--order", "2", "--expr",
+                            "16*10^307/3*(x+p1)*p3^3", "--json")
+    assert code == 1, err
+    result = validate(out)["result"]
+    assert result["outcome"] == "rejected" and result["step"] == "S2(k=3)"
+
+
 @pytest.mark.xfail(strict=True, reason="false accept: S2(k=3) is zero-numeric because "
                    "every sampled value underflows to 0")
 @pytest.mark.parametrize("text", ["exp(p3)^100000", "exp(100000*p3)",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import IDENTITY_SUITES, assert_zeroish, comb0, rand_expr, to_sympy
+from conftest import CFG, IDENTITY_SUITES, assert_zeroish, comb0, rand_expr, to_sympy
 from varmult import jetops
 from varmult.jetops import (
     MultiIndex,
@@ -85,6 +85,12 @@ def test_total_derivative_validates():
                  lambda: euler_op(-1, 1, p1)):
         with pytest.raises(ValueError, match="integers >= 0"):
             call()
+    # D_m of p_64 would be p_65, past the largest jet index
+    top = jet(64)
+    assert total_derivative(64, top) is ZERO
+    for e in (top, mul(X, top), exp(top), add(1, pow_int(top, 2))):
+        with pytest.raises(ValueError, match="exceeds the maximum jet index"):
+            total_derivative(65, e)
 
 
 def test_d_pow_examples():
@@ -144,6 +150,7 @@ def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
 
 def _td_branches(seed):
     # one summand per case of the product-rule pass in symexpr._derive_term
+    # and symexpr._derive_others
     return [
         mul(rand_expr(seed + 10, max_index=3), pow_int(p2, -2)),  # negative atom power
         mul(p4, p1, pow_int(p3, 2)),  # p_m next to lower jets
@@ -177,6 +184,58 @@ def test_total_derivative_memo_returns_identical_node(seed):
     assert total_derivative(top + 3, e) is total_derivative(top + 1, e)
     for t in e.terms:
         assert total_derivative(top + 5, t) is total_derivative(max_jet(t) + 1, t)
+
+
+def test_terms_with_equal_other_factors_share_one_derivative(monkeypatch):
+    # the derivative of a term's other factors is memoized on (d, others), so
+    # terms that differ only in coefficient and monomial share one entry and
+    # one product-rule pass, and D_m still equals d/dx + sum_j p_j d/dp_{j-1}
+    # for each kind of factor
+    from varmult import symexpr
+
+    monkeypatch.setattr(symexpr, "_DERIV_CACHE", {})
+    inner, passes = symexpr._derive_factor, []
+    monkeypatch.setattr(symexpr, "_derive_factor",
+                        lambda d, f: passes.append((d, f)) or inner(d, f))
+    slope = pow_int(add(1, pow_int(p0, 2), p1), -2)
+    opaque = antideriv(exp(mul(p0, pow_int(p1, 2))), p1)
+    for g in (exp(mul(p1, p2)), slope, log(add(2, p1)), sin(mul(X, p0)),
+              cos(p2), opaque, mul(exp(p0), slope, log(add(2, p1)), opaque)):
+        others = g._flat[2]
+        terms = (mul(3, p2, g), mul(Fraction(-5, 2), pow_int(X, 2), p1, g), g)
+        assert {t._flat[2] for t in terms} == {others}
+        e = add(*terms)
+        for m in (1, 3, 5):
+            passes.clear()
+            got = total_derivative(m, e)
+            # no factor went through the chain rule twice for one order
+            assert len(passes) == len(set(passes))
+            k = min(m, max(max_jet(f) for f in others) + 1)
+            assert ("others", k, others) in symexpr._DERIV_CACHE
+            assert got == add(diff(e, X), *(mul(jet(j), diff(e, jet(j - 1)))
+                                            for j in range(1, m + 1)))
+
+
+def test_cold_and_warm_checks_give_the_same_nodes(monkeypatch):
+    from varmult import symexpr
+    from varmult.checker import check
+    from varmult.testkit import GenConfig, gen_params
+    from varmult.varcore import construct
+
+    f = construct(gen_params(4, 4, GenConfig(seed=40_002, max_degree=3,
+                                             max_terms=4))).f
+    monkeypatch.setattr(symexpr, "_DERIV_CACHE", {})
+    cold = check(f, 4, CFG)
+    assert symexpr._DERIV_CACHE
+    warm = check(f, 4, CFG)
+    assert cold.outcome.__class__ is warm.outcome.__class__
+    for field in ("R", "rho", "L"):
+        assert getattr(cold.outcome, field) is getattr(warm.outcome, field)
+    assert all(a is b for a, b in zip(cold.outcome.f_lower, warm.outcome.f_lower))
+    assert len(cold.trace) == len(warm.trace)
+    for a, b in zip(cold.trace, warm.trace):
+        # nodes compare by identity
+        assert (a.step, a.checked, a.derived, a.verdict) == (b.step, b.checked, b.derived, b.verdict)
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -782,6 +782,52 @@ def test_evaluate_domain_errors():
         evaluate(mul(pow_int(p1, 150), pow_int(p2, 150)), {p1: 100.0, p2: 100.0})
     with pytest.raises(ExprError, match="unassigned variable p2"):
         evaluate(antideriv(exp(mul(-1, pow_int(p2, 2))), p2), {p1: 1.0})
+    # the values of a point are floats, so an int one cannot grow exactly
+    assert type(evaluate(p1, {p1: 2})) is float
+    with pytest.raises(DomainError, match="overflow"):
+        evaluate(pow_int(p1, 3000), {p1: 10})
+    # a float overflow in a sum of finite terms is a domain error too
+    with pytest.raises(DomainError, match="overflow"):
+        evaluate(add(mul(rational(10 ** 308), X), mul(rational(10 ** 308), p1)),
+                 {X: 1.0, p1: 1.0})
+
+
+def _rand_transcendental(seed):
+    # a random polynomial times, plus and inside exp, log, sin, cos and a
+    # slope (a negative power of a sum), with every log argument positive
+    rng = random.Random(seed)
+
+    def poly(k):
+        return rand_expr(seed * 7 + k, max_index=3, degree=2, terms=2)
+
+    parts = [mul(poly(0), exp(mul(Fraction(1, 2), poly(1)))),
+             mul(poly(2), log(add(1, pow_int(poly(3), 2)))),
+             mul(sin(poly(4)), cos(poly(5))),
+             mul(poly(6), pow_int(add(2, pow_int(poly(7), 2)), -rng.randint(1, 3))),
+             exp(sin(poly(8)))]
+    return add(*rng.sample(parts, 3), poly(9))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_evaluate_matches_sympy(seed):
+    # the compiled evaluator against sympy's evaluation of the printed text,
+    # at 40 digits, at seeded points of the box
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import parse_expr
+
+    e = _rand_transcendental(seed)
+    assert {type(f) for t in e.terms for f in t._flat[2]} & {
+        symexpr.Exp, symexpr.Log, symexpr.Sin, symexpr.Cos, Pow}
+    atoms = sorted(e.free_atoms, key=sort_key)
+    names = {render(a): sympy.Symbol(render(a)) for a in atoms}
+    theirs = parse_expr(render(e).replace("^", "**"), local_dict=names)
+    rng = random.Random(seed)
+    for _ in range(5):
+        point = {a: rng.uniform(-1, 1) for a in atoms}
+        ours = evaluate(e, point)
+        ref = theirs.evalf(40, subs={names[render(a)]: sympy.Float(v, 40)
+                                     for a, v in point.items()})
+        assert math.isclose(ours, float(ref), rel_tol=1e-12, abs_tol=1e-12), (render(e), point)
 
 
 @pytest.mark.parametrize("level", [0, 1])
