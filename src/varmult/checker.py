@@ -61,8 +61,8 @@ __all__ = [
 
 
 class TraceEntry(Record):
-    """One recorded event: a vanishing check (kind "check") or an advisory
-    comparison (kind "note")."""
+    """One recorded event: a vanishing check (kind "check") or the
+    certified pruning of a functionally absent jet (kind "note")."""
 
     step: str
     checked: Expr
@@ -128,9 +128,9 @@ class _Run:
         self.cfg = cfg
         self.trace: list[TraceEntry] = []
 
-    def probe(self, step: str, e: Expr, derived: Expr | None = None) -> None:
+    def probe(self, step: str, e: Expr) -> None:
         v = is_zero(e, self.cfg)
-        self.trace.append(TraceEntry(step=step, checked=e, verdict=v, derived=derived))
+        self.trace.append(TraceEntry(step=step, checked=e, verdict=v))
         _settle(step, e, v)
 
     def attach(self, derived: Expr) -> None:
@@ -141,18 +141,13 @@ class _Run:
                 self.trace[i] = replace(t, derived=derived)
                 return
 
-    def note(self, step: str, e: Expr, text: str,
-             verdict: ZeroVerdict | None = None) -> ZeroVerdict:
-        # `verdict`, when given, is the caller's is_zero(e, self.cfg)
-        v = verdict if verdict is not None else is_zero(e, self.cfg)
-        self.trace.append(TraceEntry(step=step, checked=e, verdict=v,
-                                     kind="note", note=text))
-        return v
-
     def certify(self, step: str, e: Expr, text: str) -> None:
         # like probe, but recorded as a note: these are refinement checks
         # outside the algorithm's own tally
-        _settle(step, e, self.note(step, e, text))
+        v = is_zero(e, self.cfg)
+        self.trace.append(TraceEntry(step=step, checked=e, verdict=v,
+                                     kind="note", note=text))
+        _settle(step, e, v)
 
     def restrict(self, step: str, e: Expr, cap: int) -> Expr:
         """Remove jets above `cap` that occur syntactically but not
@@ -203,7 +198,6 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
     run.attach(g)
 
     # S2: peel the multiplier exponent order by order
-    g_snapshots: dict[int, Expr] = {n + 1: g}
     r_parts: list[Expr] = []
     for k in range(n + 1, 0, -1):
         pk = jet(k)
@@ -212,14 +206,12 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
         a1 = antideriv(alpha, jet(k - 1), 1)
         r_parts.append(a1)
         g = add(g, mul(-1, alpha, pk), mul(-1, total_derivative(k - 1, a1)))
-        g_snapshots[k - 1] = g
         run.attach(g)
 
     # S3: g_0 is pure x; assemble R and the first remainder
     run.probe("S3", diff(g, jet(0)))
     big_r = run.restrict("S3", add(*r_parts, antideriv(g, X, 1)), n)
     run.attach(big_r)
-    _note_alternate_assembly(run, big_r, g_snapshots, n)
 
     rho = exp(mul(-1, big_r))
     d2_top = diff(d_top, top)
@@ -264,22 +256,3 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
     return Accepted(R=big_r, rho=rho, f_lower=params.f_lower, L=lagrangian,
                     residual=residual)
 
-
-def _note_alternate_assembly(run: _Run, big_r: Expr,
-                             g_snapshots: dict[int, Expr], n: int) -> None:
-    """Compare R against the alternate assembly sum_{k=1..n} I^{p_k} dg_k/dp_k
-    + I^x (g_1 - dg_1/dp_1 * p_1).  The recursion-consistent form is the one
-    used; when the two disagree numerically a note entry records it."""
-    parts = []
-    for k in range(1, n + 1):
-        gk = g_snapshots[k]
-        parts.append(antideriv(diff(gk, jet(k)), jet(k), 1))
-    g1 = g_snapshots[1]
-    parts.append(antideriv(add(g1, mul(-1, diff(g1, jet(1)), jet(1))), X, 1))
-    alt = add(*parts)
-    delta = add(big_r, mul(-1, alt))
-    verdict = is_zero(delta, run.cfg)
-    if not verdict.is_zero:
-        run.note("S3", delta,
-                 "alternate single-pass assembly of R disagrees with the "
-                 "recursion-consistent form; using the latter", verdict)

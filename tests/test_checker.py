@@ -202,29 +202,54 @@ def test_trace_is_ordered_and_annotated():
                      "S4(j=1)", "S4(j=1)", "S5"]
     s3 = [t for t in report.trace if t.step == "S3" and t.kind == "check"][0]
     assert s3.derived == p2  # R is attached to the step that produced it
-    notes = [t for t in report.trace if t.kind == "note"]
-    # the alternate printed assembly of R disagrees here (by exactly p2),
-    # and the disagreement is recorded without polluting the check count
-    assert len(notes) == 1 and isinstance(notes[0].verdict, NonZero)
-
-
-def test_trace_note_absent_when_assemblies_agree():
-    report = check(ZERO, 2, CFG)
     assert not [t for t in report.trace if t.kind == "note"]
 
 
-def test_alternate_assembly_is_zero_tested_once(monkeypatch):
-    tested = []
+def _corpus_f(n, seed, **gen):
+    params = gen_params(n, n, GenConfig(seed=seed, **gen))
+    return construct(params).f, params
+
+
+def _perturbed_s4():
+    # corpus n=2 s=2 plus a term that breaks the form of f_1's coefficient
+    f, params = _corpus_f(2, 20_002, max_degree=3, max_terms=4)
+    return add(f, mul(exp(params.R), pow_int(p2, 2)))
+
+
+#: (f, n) builders of equations that reach every kind of trace entry:
+#: accepted with and without pruning notes, and rejected at S4(j=1)
+TRACE_INPUTS = {
+    "zero": lambda: (ZERO, 2),
+    "p3^2": lambda: (pow_int(p3, 2), 2),
+    "corpus n=3 s=0": lambda: (_corpus_f(3, 30_000, max_degree=3,
+                                         max_terms=4)[0], 3),
+    "pruning": lambda: (_corpus_f(2, 8802, max_degree=2, max_terms=2,
+                                  allow_exp=True)[0], 2),
+    "perturbed S4": lambda: (_perturbed_s4(), 2),
+}
+
+
+@pytest.mark.parametrize("name", TRACE_INPUTS)
+def test_every_zero_test_is_in_the_trace(monkeypatch, name):
+    f, n = TRACE_INPUTS[name]()
+    calls = []
 
     def counting(e, cfg=None):
-        tested.append(e)
+        calls.append(e)
         return is_zero(e, cfg)
 
     monkeypatch.setattr(checker, "is_zero", counting)
-    report = check(pow_int(p3, 2), 2, CFG)
-    notes = [t for t in report.trace if t.kind == "note"]
-    assert len(notes) == 1
-    assert sum(1 for e in tested if e is notes[0].checked) == 1
+    report = check(f, n, CFG)
+    assert len(calls) == len(report.trace)
+    assert [t.checked for t in report.trace] == calls
+    for t in report.trace:
+        if t.kind == "note":
+            assert t.note.startswith("pruning functionally-absent p"), t.note
+    if name == "pruning":
+        assert any(t.kind == "note" for t in report.trace)
+    if name == "perturbed S4":
+        assert isinstance(report.outcome, Rejected)
+        assert report.outcome.step == "S4(j=1)"
 
 
 def test_check_determinism():
