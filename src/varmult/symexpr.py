@@ -17,9 +17,12 @@ each term that survives.  Work that many terms share is done once per
 structure: `_times` merges two other-factor tuples once per pair, the
 product-rule pass that `diff` and `jetops.total_derivative` share
 (`_derive`) differentiates a term's other factors once per tuple of them
-(`_derive_others`), a product's atom set joins a per-monomial memo with its
-other factors' sets, and evaluation compiles an expression once into an
-instruction list (`_compile`) that each point runs in one loop (`_run`).
+(`_derive_others`) and adds each term's product rule (`_rule`) straight
+into its one accumulator, so its memo holds result nodes and those tuples'
+derivatives, nothing per term; a product's atom set joins a per-monomial
+memo with its other factors' sets, and evaluation compiles an expression
+once into an instruction list (`_compile`) that each point runs in one loop
+(`_run`).
 
 Text is read by one regular expression (`_TOKEN`) and a recursive-descent
 parser that multiplies the factors of a term with one `mul` call unless one
@@ -552,18 +555,6 @@ def _term(n: int, d: int, mono: tuple, others: tuple) -> Expr:
     return _intern(key, Prod, tuple(fs), (n, mono, others), d)
 
 
-def _put(acc: dict, den: int, terms: tuple) -> None:
-    """Add a list of flat terms to the accumulator (mono, others) ->
-    numerator over den, a multiple of the list's denominator."""
-    it = iter(terms)
-    k = den // next(it)
-    for c, m, o in it:
-        key = (m, o)
-        prev = acc.get(key)
-        c *= k
-        acc[key] = c if prev is None else prev + c
-
-
 def _finish(acc: dict, den: int, whole: dict | None = None) -> Expr:
     """The canonical sum of an accumulator over `den`: zero numerators drop,
     and the surviving terms are reduced, built, sorted and interned once.
@@ -757,12 +748,14 @@ def _times_sum(acc: dict, den: int, ft: tuple, d0: int, terms: tuple) -> None:
 def pow_int(base: ExprLike, n: int) -> Expr:
     """Canonical integer power."""
     b = as_expr(base)
-    if isinstance(n, Fraction):
-        if n.denominator != 1:
-            raise ExprError(f"exponent must be an integer, got {n}")
-        n = int(n)
-    if not isinstance(n, int):
-        raise ExprError(f"exponent must be an integer, got {n!r}")
+    # a plain int skips the ABC check of isinstance(n, Fraction)
+    if n.__class__ is not int:
+        if isinstance(n, Fraction):
+            if n.denominator != 1:
+                raise ExprError(f"exponent must be an integer, got {n}")
+            n = int(n)
+        elif not isinstance(n, int):
+            raise ExprError(f"exponent must be an integer, got {n!r}")
     if not -_RAT_BOUND < n < _RAT_BOUND:
         raise ExprError(f"exponent with more than {MAX_RATIONAL_DIGITS} digits")
     if n == 0:
@@ -866,14 +859,14 @@ def _ad_raw(integrand: Expr, var: Expr) -> Expr:
 #: their other-factor tuples.
 _MERGES: dict[tuple, tuple] = {}
 
-#: derivation results keyed on (d, interned node): for a single term its
-#: flat terms, for a sum its canonical node.  `d` is an atom for a partial
-#: derivative and an int m for D_m, so the two kinds of key never collide.
-#: A derivation with `plus` pairs is keyed on (d, e, plus, scale), the flat
-#: terms of the derivative of a term's other factors on ("others", d,
-#: others), and an antiderivative of e in v on ("anti", e, v): none meets a
-#: 2-tuple key, and the two 3-tuples differ in their first item.  Threads
-#: racing on one key store equal values.
+#: derivation results keyed on (d, interned node), each a canonical node.
+#: `d` is an atom for a partial derivative and an int m for D_m, so the two
+#: kinds of key never collide.  A derivation with `plus` pairs is keyed on
+#: (d, e, plus, scale), the flat terms of the derivative of a term's other
+#: factors (the only lists of flat terms here) on ("others", d, others), and
+#: an antiderivative of e in v on ("anti", e, v): none meets a 2-tuple key,
+#: and the two 3-tuples differ in their first item.  Threads racing on one
+#: key store equal values.
 _DERIV_CACHE: dict[tuple, object] = {}
 
 
@@ -899,14 +892,15 @@ def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
     """The derivation `d` applied to the canonical `e`: the partial
     derivative d/dv for an atom `d` = v, the truncated total derivative
     D_m = d/dx + p_1 d/dp_0 + ... + p_m d/dp_{m-1} for an int `d` = m.  The
-    flat terms of all terms (`_derive_term`) are added in one accumulator, so
-    only terms that survive the sum are built.  Each pair (a, b) of `plus`
-    adds the product a*b of a canonical term and expression to the result,
-    in the same accumulator: a result that cancels builds no sum at all.
-    The terms are those of `mul(a, b)` when a holds no power of b.  A
-    canonical term `scale`, given with `plus`, multiplies the derivative
-    (not the pairs) after its like terms have merged, so each merged term
-    is multiplied once."""
+    product rule of every term (`_rule`) adds straight into one accumulator,
+    so only terms that survive the sum are built, and the result node is
+    memoized on (d, e).  Each pair (a, b) of `plus` adds the product a*b of
+    a canonical term and expression to the result, in the same accumulator:
+    a result that cancels builds no sum at all.  The terms are those of
+    `mul(a, b)` when a holds no power of b.  A canonical term `scale`, given
+    with `plus`, multiplies the derivative (not the pairs) after its like
+    terms have merged, so each merged term is multiplied once; such a
+    result is memoized on (d, e, plus, scale)."""
     if d.__class__ is int:
         # D_m and D_m' agree on e once both orders exceed max_jet(e)
         d = min(d, max_jet(e) + 1)
@@ -915,28 +909,38 @@ def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
     elif d not in e.free_atoms and not plus:
         return ZERO
     key = (d, e, plus, scale) if plus else (d, e)
-    memo = bool(plus) or e.__class__ is Sum
-    out = _DERIV_CACHE.get(key) if memo else None
-    if out is None:
-        # the accumulator's denominator is fixed first, as the lcm of all
-        # that enter it, so it is never rescaled
-        parts = [_derive_term(d, t) for t in (e.terms if e.__class__ is Sum else (e,))]
-        pairs = [(a._flat, a._den, lst) for a, b in plus for lst in _flats(b)]
-        den = math.lcm(*[p[0] for p in parts])
-        top = math.lcm(den * scale._den, *[da * lst[0] for _, da, lst in pairs])
-        acc: dict = {}
-        for p in parts:
-            _put(acc, top if scale is ONE else den, p)
-        if scale is not ONE:
-            items = [den]
-            items += [(c, m, o) for (m, o), c in acc.items() if c]
-            acc = {}
-            _times_sum(acc, top, scale._flat, scale._den, items)
-        for aft, da, lst in pairs:
-            _times_sum(acc, top, aft, da, lst)
-        out = _finish(acc, top)
-        if memo:
-            _DERIV_CACHE[key] = out
+    out = _DERIV_CACHE.get(key)
+    if out is not None:
+        return out
+    # each term with the derivative of its other factors, looked up once per
+    # tuple of them; the accumulator's denominator is fixed first, as the
+    # lcm of all that enter it, so it is never rescaled
+    atom = d.__class__ is not int
+    work = []
+    dots: dict = {}
+    for t in (e.terms if e.__class__ is Sum else (e,)):
+        if atom and d not in t.free_atoms:
+            continue
+        o = t._flat[2]
+        ds = dots.get(o)
+        if ds is None:
+            ds = dots[o] = _derive_others(d, o) if o else _NO_TERMS
+        work.append((t, ds))
+    pairs = [(a._flat, a._den, lst) for a, b in plus for lst in _flats(b)]
+    den = math.lcm(*[t._den * ds[0] for t, ds in work])
+    top = math.lcm(den * scale._den, *[da * lst[0] for _, da, lst in pairs])
+    acc: dict = {}
+    for t, ds in work:
+        _rule(acc, top if scale is ONE else den, t, d, ds)
+    if scale is not ONE:
+        items = [den]
+        items += [(c, m, o) for (m, o), c in acc.items() if c]
+        acc = {}
+        _times_sum(acc, top, scale._flat, scale._den, items)
+    for aft, da, lst in pairs:
+        _times_sum(acc, top, aft, da, lst)
+    out = _finish(acc, top)
+    _DERIV_CACHE[key] = out
     return out
 
 
@@ -945,25 +949,15 @@ _NO_TERMS = (1,)
 _ONE_TERMS = (1, (1, (), ()))
 
 
-def _derive_term(d, t: Expr) -> tuple:
-    """The product rule for `d` on a canonical non-Sum term t, memoized, as
-    a list of flat terms (den, ft, ...) with no factor common to den and all
-    numerators: one per atom power, and the term's coefficient and monomial
-    times each flat term of the derivative of its other factors
-    (`_derive_others`)."""
-    if d.__class__ is int:
-        d = min(d, max_jet(t) + 1)
-    elif d not in t.free_atoms:
-        return _NO_TERMS
-    key = (d, t)
-    out = _DERIV_CACHE.get(key)
-    if out is not None:
-        return out
+def _rule(acc: dict, den: int, t: Expr, d, dots: tuple) -> None:
+    """Add the product rule for `d` on a canonical non-Sum term t to the
+    accumulator `acc` over `den`, a multiple of t's denominator times that of
+    `dots`, the list of flat terms of the derivative of t's other factors
+    (`_derive_others`): one flat term per atom power, and the term's
+    coefficient and monomial times each flat term of `dots`."""
     coeff, mono, others = t._flat
-    dots = _derive_others(d, others) if others else _NO_TERMS
-    den = t._den * dots[0]
-    acc: dict = {}
     at = None if d.__class__ is int else _index(d)
+    k0 = coeff * (den // t._den)
     for i, k in enumerate(mono):
         # a^k goes to k a^(k-1) times the image of a: 1 for v under d/dv and
         # for x under D_m, p_{j+1} for p_j under D_m when j < m, else 0
@@ -977,20 +971,18 @@ def _derive_term(d, t: Expr) -> tuple:
         while m and not m[-1]:
             m.pop()
         mk = (tuple(m), others)
-        acc[mk] = acc.get(mk, 0) + k * coeff * dots[0]
-    _times_sum(acc, den, (coeff, mono, ()), t._den, dots)
-    g = math.gcd(den, *acc.values()) if den != 1 else 1
-    out = (den // g, *[(c // g, m, o) for (m, o), c in acc.items() if c])
-    _DERIV_CACHE[key] = out
-    return out
+        acc[mk] = acc.get(mk, 0) + k * k0
+    if len(dots) > 1:
+        _times_sum(acc, den, (coeff, mono, ()), t._den, dots)
 
 
 def _derive_others(d, others: tuple) -> tuple:
     """The derivation `d` of the product of the other factors of a term, as
-    a list of flat terms like `_derive_term`'s, memoized on (d, others) for
-    every term that shares them: per factor, the other factors times each
-    term of the derivative of that factor's argument (an exponent, a slope,
-    or the argument of a log, sin, cos or opaque integral)."""
+    a list of flat terms (den, ft, ...) with no factor common to den and all
+    numerators, memoized on ("others", d, others) for every term that shares
+    them: per factor, the other factors times each term of the derivative
+    of that factor's argument (an exponent, a slope, or the argument of a
+    log, sin, cos or opaque integral)."""
     if d.__class__ is int:
         d = min(d, max(map(max_jet, others)) + 1)
     elif not any(d in f.free_atoms for f in others):
@@ -1005,9 +997,9 @@ def _derive_others(d, others: tuple) -> tuple:
     for i, f in enumerate(others):
         if f.__class__ is Exp:
             # d exp(a) = exp(a) d a
-            d_inner = _derive_term(d, f.arg)
-            if len(d_inner) > 1:
-                parts.append(((1, (), others), d_inner))
+            da = _derive(d, f.arg)
+            if da is not ZERO:
+                parts += [((1, (), others), lst) for lst in _flats(da)]
         elif f.__class__ is Pow and f.base.__class__ is Sum:
             # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
             k = f.exponent

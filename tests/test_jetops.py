@@ -149,8 +149,8 @@ def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
 
 
 def _td_branches(seed):
-    # one summand per case of the product-rule pass in symexpr._derive_term
-    # and symexpr._derive_others
+    # one summand per case of the product-rule pass in symexpr._rule and
+    # symexpr._derive_others
     return [
         mul(rand_expr(seed + 10, max_index=3), pow_int(p2, -2)),  # negative atom power
         mul(p4, p1, pow_int(p3, 2)),  # p_m next to lower jets

@@ -59,6 +59,7 @@ from varmult.symexpr import (
 )
 from varmult import symexpr
 from varmult.checker import check
+from varmult.jetops import total_derivative
 from varmult.symexpr import MAX_PARSE_DEPTH, DomainError, _bind_zero
 from varmult.testkit import GenConfig, gen_params
 from varmult.varcore import construct
@@ -1026,6 +1027,18 @@ def test_pow_int_takes_an_integral_exponent_only():
     assert pow_int(p1, Fraction(4, 2)) is pow_int(p1, 2)
 
 
+def test_pow_int_exponents_that_are_not_plain_ints():
+    # a plain int takes a fast path; every other exponent keeps its meaning:
+    # an integral Fraction is its int, a bool is an int, anything else fails
+    assert pow_int(p1, Fraction(2)) is pow_int(p1, 2)
+    assert pow_int(add(p1, 1), True) is add(p1, 1)
+    assert pow_int(p1, False) is ONE
+    with pytest.raises(ExprError, match="exponent must be an integer, got 1/2"):
+        pow_int(p1, Fraction(1, 2))
+    with pytest.raises(ExprError, match="exponent must be an integer, got 2.0"):
+        pow_int(p1, 2.0)
+
+
 def test_power_of_a_sum_is_one_product():
     # the partial powers stay flat terms in the accumulator of one `mul`,
     # so none of them is interned (a product per partial power interns
@@ -1423,15 +1436,32 @@ def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
     assert heads == [Fraction(n, d) for n, d in pairs]
     # a list of flat terms (den, ft, ...) shares one denominator, and no
     # factor is common to it and all the numerators: a sum's lists, one per
-    # denominator of its terms, and the derivation memo's, where sums of
-    # fractions can come out integral
+    # denominator of its terms, and the derivation memo's derivatives of
+    # other factors, where sums of fractions can come out integral
     lists = symexpr._flats(t.f)
     assert sorted(lst[0] for lst in lists) == sorted({d for _, d in pairs})
-    lists += [v for v in list(symexpr._DERIV_CACHE.values()) if isinstance(v, tuple)]
-    assert len(lists) > 100 and any(lst[0] > 1 for lst in lists)
+    memo = [v for v in list(symexpr._DERIV_CACHE.values()) if isinstance(v, tuple)]
+    assert len(memo) > 10
+    lists += memo
+    assert any(lst[0] > 1 for lst in lists)
     for den, *fts in lists:
         assert type(den) is int and den >= 1 and all(type(c) is int for c, _, _ in fts)
         assert math.gcd(den, *[c for c, _, _ in fts]) == 1
+
+
+def test_the_derivation_memo_holds_nodes_and_other_factor_derivatives_only(monkeypatch):
+    # a derivation adds each term's product rule straight into its one
+    # accumulator and memoizes the resulting node; the only lists of flat
+    # terms left in the memo are the derivatives of other-factor tuples,
+    # which many terms share (1,311 entries when each term kept its own)
+    monkeypatch.setattr(symexpr, "_DERIV_CACHE", {})
+    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
+    assert check(t.f, 4, CFG).accepted
+    memo = symexpr._DERIV_CACHE
+    assert memo
+    for key, v in memo.items():
+        assert isinstance(v, symexpr.Expr) or (key[0] == "others" and isinstance(v, tuple)), key
+    assert len(memo) < 200
 
 
 def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
@@ -1561,7 +1591,8 @@ def _oracle_terms(rng):
 @pytest.mark.parametrize("seed", range(30))
 def test_add_mul_diff_match_sympy_exactly(seed):
     sympy = pytest.importorskip("sympy")
-    sym = {X: sympy.Symbol("x"), p1: sympy.Symbol("p1"), p2: sympy.Symbol("p2")}
+    sym = {X: sympy.Symbol("x"), p0: sympy.Symbol("p0"), p1: sympy.Symbol("p1"),
+           p2: sympy.Symbol("p2"), p3: sympy.Symbol("p3")}
 
     def ours(e):
         return to_sympy(e, sympy, sym[X], lambda k: sym[jet(k)])
@@ -1585,6 +1616,22 @@ def test_add_mul_diff_match_sympy_exactly(seed):
         for t in (e.terms if isinstance(e, Sum) else (e,)):
             n, d = t._flat[0], t._den
             assert d >= 1 and math.gcd(n, d) == 1
+
+    def d_m(m, expr):
+        # D_m = d/dx + sum_{j=1..m} p_j d/dp_{j-1}, built in sympy
+        return sympy.diff(expr, sym[X]) + sum(
+            sym[jet(j)] * sympy.diff(expr, sym[jet(j - 1)]) for j in range(1, m + 1))
+
+    # the derivation's one accumulator, with a pair (a, sb) and a scale whose
+    # coefficient is a fraction: terms over mixed denominators, pairs that
+    # cancel and terms that share their other factors meet in it
+    a = mul(c, p2)
+    scale = mul(Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), 12),
+                rng.choice(_ORACLE_FACTORS))
+    for m in range(4):
+        same(total_derivative(m, sa), d_m(m, ours(sa)))
+        same(symexpr._derive(m, sa, ((a, sb),), scale),
+             ours(scale) * d_m(m, ours(sa)) + ours(a) * ours(sb))
 
 
 def test_fraction_coefficients_that_cancel_to_integers():
