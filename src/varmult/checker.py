@@ -40,7 +40,6 @@ from .symexpr import (
     as_expr,
     diff,
     exp,
-    free_jets,
     is_zero,
     jet,
     max_jet,
@@ -155,11 +154,7 @@ class _Run:
         certifying each removal.  Sound: binding a functionally absent
         variable to 0 leaves the function unchanged."""
         out = e
-        while True:
-            phantom = [k for k in free_jets(out) if k > cap]
-            if not phantom:
-                return out
-            k = max(phantom)
+        while (k := max_jet(out)) > cap:
             self.certify(step, diff(out, jet(k)),
                          f"pruning functionally-absent p{k} from a derived "
                          "quantity")
@@ -167,6 +162,7 @@ class _Run:
                 out = _bind_zero(out, jet(k))
             except ExprError:
                 raise _Stop(Inconclusive(step=step, witness=out)) from None
+        return out
 
 
 def check(f: ExprLike, n: int, cfg: ZeroTestConfig | None = None) -> CheckReport:

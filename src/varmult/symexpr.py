@@ -8,7 +8,8 @@ exponentials are kept split so that ``exp(a)*exp(b)`` and ``exp(a + b)``
 reach the same normal form.  On top of the algebra the module provides
 derivations, definite antiderivatives from 0 (with an opaque integral node
 as fallback), parsing/printing, floating evaluation with Gauss-Legendre
-quadrature for opaque integrals, and a probabilistic zero test.
+quadrature for opaque integrals, and a probabilistic zero test, exact on
+the forms that the canonical form shows to be nonzero (`_nonzero_by_form`).
 
 Sums, products, derivations and antiderivatives compute on flat terms (an
 int numerator over an int denominator, a monomial, other factors), which
@@ -19,10 +20,10 @@ product-rule pass that `diff` and `jetops.total_derivative` share
 (`_derive`) differentiates a term's other factors once per tuple of them
 (`_derive_others`) and adds each term's product rule (`_rule`) straight
 into its one accumulator, so its memo holds result nodes and those tuples'
-derivatives, nothing per term; a product's atom set joins a per-monomial
-memo with its other factors' sets, and evaluation compiles an expression
-once into an instruction list (`_compile`) that each point runs in one loop
-(`_run`).
+derivatives, nothing per term; and evaluation compiles an expression once
+into an instruction list (`_compile`) that each point runs in one loop
+(`_run`).  The atoms (x and the jets) a node holds are one int bit mask
+(`_atoms`), the OR of its children's, so that no table keeps atom sets.
 
 Text is read by one regular expression (`_TOKEN`) and a recursive-descent
 parser that multiplies the factors of a term with one `mul` call unless one
@@ -152,8 +153,10 @@ class Expr:
 
     # _flat, _den: a non-Sum node as a flat term and the denominator of its
     # coefficient, set by `_init` (a Sum's `_flat` is None; `_term`, the only
-    # maker of products, hands a product its own)
-    __slots__ = ("_key", "free_atoms", "_flat", "_den")
+    # maker of products, hands a product its own); _atoms: the atoms the node
+    # holds, as a bit mask with bit i for the atom at monomial position i
+    # (`_index`), so that the bit order is the `sort_key` order
+    __slots__ = ("_key", "_atoms", "_flat", "_den")
     #: the attributes that are the arguments of a class call, in order
     _args: tuple = ()
 
@@ -174,6 +177,11 @@ class Expr:
 
     def __repr__(self) -> str:
         return render(self)
+
+    @property
+    def free_atoms(self) -> frozenset:
+        """The atoms (x and the jets) occurring syntactically."""
+        return frozenset(_atom_list(self._atoms))
 
     # -- arithmetic sugar ---------------------------------------------------
 
@@ -217,7 +225,7 @@ class Rat(Expr):
 
     def _init(self, value: Fraction):
         self.value = value
-        self.free_atoms = _EMPTY
+        self._atoms = 0
         self._key = None
         self._flat = (value.numerator, (), ())
         self._den = value.denominator
@@ -229,7 +237,7 @@ class VarX(Expr):
     __slots__ = ()
 
     def _init(self):
-        self.free_atoms = frozenset((self,))
+        self._atoms = 1
         self._key = (1,)
         self._flat = (1, (1,), ())
         self._den = 1
@@ -243,7 +251,7 @@ class Jet(Expr):
 
     def _init(self, index: int):
         self.index = index
-        self.free_atoms = frozenset((self,))
+        self._atoms = 2 << index
         self._key = (2, index)
         self._flat = (1, (0,) * (index + 1) + (1,), ())
         self._den = 1
@@ -255,8 +263,10 @@ class Sum(Expr):
 
     def _init(self, terms: tuple):
         self.terms = terms
-        fa = frozenset().union(*(t.free_atoms for t in terms))
-        self.free_atoms = _ATOMSETS.setdefault(fa, fa)
+        m = 0
+        for t in terms:
+            m |= t._atoms
+        self._atoms = m
         self._key = None
         self._flat = None
 
@@ -268,14 +278,13 @@ class Prod(Expr):
     def _init(self, factors: tuple, flat: tuple, den: int):
         self.factors = factors
         _, mono, others = flat
-        fa = _MONO_ATOMS.get(mono)
-        if fa is None:
-            fa = frozenset(_ATOMS[i] for i, k in enumerate(mono) if k)
-            fa = _MONO_ATOMS[mono] = _ATOMSETS.setdefault(fa, fa)
-        if others:
-            fa = fa.union(*[f.free_atoms for f in others])
-            fa = _ATOMSETS.setdefault(fa, fa)
-        self.free_atoms = fa
+        m = 0
+        for i, k in enumerate(mono):
+            if k:
+                m |= 1 << i
+        for f in others:
+            m |= f._atoms
+        self._atoms = m
         self._key = None
         self._flat = flat
         self._den = den
@@ -290,7 +299,7 @@ class Pow(Expr):
     def _init(self, base: Expr, exponent: int):
         self.base = base
         self.exponent = exponent
-        self.free_atoms = base.free_atoms
+        self._atoms = base._atoms
         self._key = None
         if base.__class__ in (VarX, Jet):
             self._flat = (1, (0,) * _index(base) + (exponent,), ())
@@ -306,7 +315,7 @@ class _Unary(Expr):
 
     def _init(self, arg: Expr):
         self.arg = arg
-        self.free_atoms = arg.free_atoms
+        self._atoms = arg._atoms
         self._key = None
         self._flat = (1, (), (self,))
         self._den = 1
@@ -344,21 +353,11 @@ class AntiDeriv(Expr):
     def _init(self, integrand: Expr, var: Expr):
         self.integrand = integrand
         self.var = var
-        self.free_atoms = integrand.free_atoms | var.free_atoms
+        self._atoms = integrand._atoms | var._atoms
         self._key = None
         self._flat = (1, (), (self,))
         self._den = 1
 
-
-_EMPTY: frozenset = frozenset()
-
-#: every distinct atom set of a sum or product, so that nodes with equal
-#: sets share one frozenset (the corpus has a few hundred), and the
-#: `max_jet` of each atom set
-_ATOMSETS: dict[frozenset, frozenset] = {}
-_MAX_JETS: dict[frozenset, int] = {}
-#: the atom set of each monomial of a product
-_MONO_ATOMS: dict[tuple, frozenset] = {}
 
 _RANKS = {Rat: 0, VarX: 1, Jet: 2, Pow: 3, Exp: 4, Log: 5, Sin: 6, Cos: 7,
           AntiDeriv: 8, Prod: 9, Sum: 10}
@@ -455,6 +454,11 @@ def jet(k: int) -> Expr:
 
 #: the atom at each monomial position: x, then p_0 to p_MAX_JET_INDEX
 _ATOMS = (X, *[jet(k) for k in range(MAX_JET_INDEX + 1)])
+
+
+def _atom_list(m: int) -> list:
+    """The atoms of the bit mask m, in position order."""
+    return [_ATOMS[i] for i in range(m.bit_length()) if m >> i & 1]
 
 
 def as_expr(v: ExprLike) -> Expr:
@@ -807,7 +811,7 @@ def log(arg: ExprLike) -> Expr:
         return ZERO
     if a.__class__ is Rat and a.value <= 0:
         raise ExprError(f"log of the nonpositive constant {a.value}")
-    if not a.free_atoms and a.__class__ is not Rat:
+    if not a._atoms and a.__class__ is not Rat:
         # a constant such as -exp(1)
         if a.__class__ is not Sum and all(f.__class__ is Exp for f in a._flat[2]):
             # a coefficient times exponentials has the coefficient's sign,
@@ -906,7 +910,7 @@ def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
         d = min(d, max_jet(e) + 1)
         if d > MAX_JET_INDEX:
             raise ExprError(f"D_{d} of p{MAX_JET_INDEX} exceeds the maximum jet index")
-    elif d not in e.free_atoms and not plus:
+    elif not d._atoms & e._atoms and not plus:
         return ZERO
     key = (d, e, plus, scale) if plus else (d, e)
     out = _DERIV_CACHE.get(key)
@@ -919,7 +923,7 @@ def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
     work = []
     dots: dict = {}
     for t in (e.terms if e.__class__ is Sum else (e,)):
-        if atom and d not in t.free_atoms:
+        if atom and not d._atoms & t._atoms:
             continue
         o = t._flat[2]
         ds = dots.get(o)
@@ -985,7 +989,7 @@ def _derive_others(d, others: tuple) -> tuple:
     log, sin, cos or opaque integral)."""
     if d.__class__ is int:
         d = min(d, max(map(max_jet, others)) + 1)
-    elif not any(d in f.free_atoms for f in others):
+    elif not any(d._atoms & f._atoms for f in others):
         return _NO_TERMS
     key = ("others", d, others)
     out = _DERIV_CACHE.get(key)
@@ -1034,7 +1038,7 @@ def _derive_factor(d, f: Expr) -> Expr:
     cls = g.__class__
     if cls is AntiDeriv:
         parts = []
-        for a in sorted(g.free_atoms, key=sort_key):
+        for a in _atom_list(g._atoms):
             img = _derive(d, a)
             if img is ZERO:
                 continue
@@ -1094,7 +1098,7 @@ def _anti1(e: Expr, v: Expr) -> Expr:
     key = ("anti", e, v)
     out = _DERIV_CACHE.get(key)
     if out is None:
-        if v not in e.free_atoms:
+        if not v._atoms & e._atoms:
             out = mul(e, v)
         else:
             groups: dict[tuple, list[Expr]] = {}
@@ -1115,8 +1119,8 @@ def _split(t: Expr, v: Expr) -> tuple:
     k = m[i] if i < len(m) else 0
     if k:
         m = _mono_mul(m, (0,) * i + (-k,))
-    dep = tuple(f for f in o if v in f.free_atoms)
-    rest = tuple(f for f in o if v not in f.free_atoms)
+    dep = tuple(f for f in o if v._atoms & f._atoms)
+    rest = tuple(f for f in o if not v._atoms & f._atoms)
     return k, dep, _term(c, t._den, m, rest)
 
 
@@ -1145,10 +1149,11 @@ def substitute(e: ExprLike, bindings: Mapping[Expr, ExprLike]) -> Expr:
     Binding the integration variable of an opaque integral is rejected (it is
     bound, not free), except for the identity binding."""
     b = {}
+    keys = 0
     for k, val in bindings.items():
-        _require_atom(k)
+        keys |= _require_atom(k)._atoms
         b[k] = as_expr(val)
-    return _subst(as_expr(e), b)
+    return _subst(as_expr(e), b, keys)
 
 
 def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
@@ -1167,8 +1172,8 @@ def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     return cls(f(e.arg))  # exp, log, sin or cos
 
 
-def _subst(e: Expr, b: dict[Expr, Expr]) -> Expr:
-    if not (e.free_atoms & b.keys()):
+def _subst(e: Expr, b: dict[Expr, Expr], keys: int) -> Expr:
+    if not e._atoms & keys:
         return e
     cls = e.__class__
     if cls is VarX or cls is Jet:
@@ -1181,24 +1186,25 @@ def _subst(e: Expr, b: dict[Expr, Expr]) -> Expr:
                     f"cannot substitute the integration variable {render(v)} "
                     "of an opaque integral")
             b = {k: val for k, val in b.items() if k is not v}
+            keys &= ~v._atoms
             if not b:
                 return e
         for k, val in b.items():
             # the integration variable is bound; a replacement mentioning it
             # would be captured
-            if k in e.integrand.free_atoms and v in val.free_atoms:
+            if k._atoms & e.integrand._atoms and v._atoms & val._atoms:
                 raise ExprError(
                     f"substituting {render(k)} -> {render(val)} inside an "
                     f"integral over {render(v)} would capture the "
                     "integration variable")
-    return _rebuild(e, lambda c: _subst(c, b))
+    return _rebuild(e, lambda c: _subst(c, b, keys))
 
 
 def _bind_zero(e: Expr, v: Expr) -> Expr:
     """Internal: representative of `e` on the slice v = 0, for expressions
     known to be functionally independent of v.  Unlike `substitute`, an
     opaque integral over v collapses to 0 (the integral from 0 to 0)."""
-    if v not in e.free_atoms:
+    if not v._atoms & e._atoms:
         return e
     if e is v or (e.__class__ is AntiDeriv and e.var is v):
         return ZERO
@@ -1214,17 +1220,12 @@ def simplify(e: ExprLike) -> Expr:
 def max_jet(e: ExprLike) -> int:
     """Largest jet index occurring syntactically, -1 if none.  A conservative
     over-approximation of true dependence."""
-    fa = as_expr(e).free_atoms
-    top = _MAX_JETS.get(fa)
-    if top is None:
-        top = _MAX_JETS[fa] = max((a.index for a in fa if a.__class__ is Jet), default=-1)
-    return top
+    return max(as_expr(e)._atoms.bit_length() - 2, -1)
 
 
 def free_jets(e: ExprLike) -> frozenset:
     """Set of jet indices occurring syntactically."""
-    e = as_expr(e)
-    return frozenset(a.index for a in e.free_atoms if isinstance(a, Jet))
+    return frozenset(a.index for a in _atom_list(as_expr(e)._atoms & ~1))
 
 
 # ---------------------------------------------------------------------------
@@ -1561,8 +1562,9 @@ class ZeroNumeric(ZeroVerdict):
 
 
 class NonZero(ZeroVerdict):
-    """A witness point where the magnitude exceeds the tolerance (for a
-    Laurent polynomial that is not 0, where it could be found)."""
+    """A witness point where the magnitude exceeds the tolerance, where it
+    could be found: an expression nonzero by its form (`_nonzero_by_form`)
+    may have none, and then its witness value can read 0."""
 
     point: dict
     value: float
@@ -1762,18 +1764,20 @@ def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
     when every sampled magnitude is within atol + 1e-8 * scale, where scale
     is the largest intermediate magnitude at that point.  A zero-numeric
     verdict is probabilistic; nonzero verdicts carry an explicit witness.  A
-    Laurent polynomial in x and the jets (no exp, log, sin, cos or integral)
-    is decided exactly: its canonical form is unique, so when it is not 0 but
-    every sample is within tolerance (say, it underflows), the verdict is
-    nonzero, with a witness found along the ray through the first sample
-    (`_ray_witness`), which may lie outside the box."""
+    canonical form that is nonzero by its shape (`_nonzero_by_form`: a
+    Laurent polynomial in x and the jets, a sum of such polynomials times
+    exponentials of Laurent monomials, or one term whose other factors
+    cannot vanish) is decided exactly: when every sample is within tolerance
+    (say, it underflows), the verdict is nonzero, with a witness found along
+    the ray through the first sample (`_ray_witness`), which may lie outside
+    the box, or else the first sample itself, whose value can read 0."""
     cfg = cfg or _DEFAULT_CFG
     s = as_expr(e)
     if s is ZERO:
         return ZeroStructural()
     if s.__class__ is Rat:
         return NonZero(point={}, value=_float(s.value))
-    atoms = sorted(s.free_atoms, key=sort_key)
+    atoms = _atom_list(s._atoms)
     rng = random.Random(cfg.seed)
     lo, hi = _BOX
     evaluated = 0
@@ -1800,9 +1804,7 @@ def is_zero(e: ExprLike, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
             first = (pt, val)
     if evaluated == 0:
         return Inconclusive("no sample point could be evaluated")
-    if _is_laurent(s):
-        # the canonical form of a Laurent polynomial is unique, so one that
-        # is not the literal 0 is nonzero, however small its samples are
+    if _nonzero_by_form(s):
         return _ray_witness(prog, first, cfg, scale)
     return ZeroNumeric(points=evaluated)
 
@@ -1814,13 +1816,15 @@ _RAY_STEPS = 64
 
 def _ray_witness(prog: list, first: tuple[dict, float], cfg: ZeroTestConfig,
                  scale: _Scale) -> NonZero:
-    """The witness for a Laurent polynomial s, compiled to `prog`, that is not 0 but within
-    tolerance at every sample point: the first point t*p, for p the first
-    sample and t = 2^(k/8), 2^(-k/8), k = 1, 2, ..., where the value clears
-    the tolerance.  Along the ray, s is a Laurent polynomial in t, so unless
-    it is constant there its highest or lowest power takes over far enough
-    out or in.  When no step clears it (or the budget runs out), the first
-    sample is the witness."""
+    """The witness for an expression s, compiled to `prog`, that is nonzero
+    by its form (`_nonzero_by_form`) but within tolerance at every sample
+    point: the first point t*p, for p the first sample and t = 2^(k/8),
+    2^(-k/8), k = 1, 2, ..., where the value clears the tolerance.  Along the
+    ray a Laurent polynomial s is a Laurent polynomial in t, so unless it is
+    constant there its highest or lowest power takes over far enough out or
+    in; an exponential's s is not, and may stay below the tolerance.  When
+    no step clears it (or the budget runs out), the first sample is the
+    witness, and its value may read 0."""
     p, value = first
     for t in (2.0 ** (sign * k / 8) for k in range(1, _RAY_STEPS + 1) for sign in (1, -1)):
         pt = {a: v * t for a, v in p.items()}
@@ -1836,7 +1840,38 @@ def _ray_witness(prog: list, first: tuple[dict, float], cfg: ZeroTestConfig,
     return NonZero(point=p, value=value)
 
 
-def _is_laurent(s: Expr) -> bool:
-    """Whether the canonical `s` is a Laurent polynomial in x and the jets
-    over the rationals: none of its flat terms has other factors."""
-    return not any(t._flat[2] for t in (s.terms if s.__class__ is Sum else (s,)))
+def _nonzero_by_form(s: Expr) -> bool:
+    """Whether the canonical s, not 0, is nonzero by its form
+    alone, however small its samples are.  It is when either holds:
+
+    (i) s is one term, and each of its other factors, or that factor's base,
+    is an exponential, a negative power, or the sine, cosine or log of a
+    rational.  e^a is never 0, nor is a negative power where it is defined.
+    sin q = 0 or cos q = 0 at a rational q would make pi rational (sin(0)
+    and cos(0) fold), and `log` folds log(1) and refuses q <= 0.  So s is a
+    nonzero coefficient times a monomial times factors that do not vanish.
+
+    (ii) every other factor of every term is the exponential of a Laurent
+    monomial (an argument with no other factors).  Like terms merge on
+    (monomial, others), exponentials of one core merge (`_times`), and `exp`
+    splits a sum, so s = sum_P e^P Q_P over distinct Laurent polynomials P,
+    each Q_P a nonzero Laurent polynomial.  Exponentials whose exponents
+    differ by a non-constant are linearly independent over the rational
+    functions, and where the exponents differ by rationals c != 0, the e^c
+    are linearly independent over Q (Lindemann-Weierstrass).  So s is not
+    0.  With no exponential, s is a Laurent polynomial, whose canonical form
+    is unique."""
+    if s.__class__ is not Sum:
+        return all(map(_never_zero, s._flat[2]))
+    return all(f.__class__ is Exp and not f.arg._flat[2]
+               for t in s.terms for f in t._flat[2])
+
+
+def _never_zero(f: Expr) -> bool:
+    """Whether the other factor f of a term is nonzero wherever it is
+    defined, as (i) of `_nonzero_by_form` takes it."""
+    if f.__class__ is Pow:
+        if f.exponent < 0:
+            return True
+        f = f.base
+    return f.__class__ is Exp or (f.__class__ in (Sin, Cos, Log) and f.arg.__class__ is Rat)

@@ -461,11 +461,17 @@ def test_check_rejects_a_slope_whose_sample_sum_overflows():
     assert result["outcome"] == "rejected" and result["step"] == "S2(k=3)"
 
 
-@pytest.mark.xfail(strict=True, reason="false accept: S2(k=3) is zero-numeric because "
-                   "every sampled value underflows to 0")
 @pytest.mark.parametrize("text", ["exp(p3)^100000", "exp(100000*p3)",
-                                  "(p3+1)^-99999999999999999999"])
+                                  "(p3+1)^-99999999999999999999",
+                                  "p3^2 + (exp(1/10^20)-1)*p3^3",
+                                  "p3^2 + (exp(1/10^12)-1)*p3^3",
+                                  "p3^2 + (exp(p0/10^20)-1)*p3^3",
+                                  "p3^2 + (exp(x) - exp(x + 1/10^20))*p3^3",
+                                  "p3^2 + sin(1/10^20)*p3^3",
+                                  "p3^2 + log(1+1/10^20)*p3^3"])
 def test_check_rejects_a_slope_whose_samples_underflow(text):
+    # every S2(k=3) sample is within tolerance of 0, but the canonical form
+    # of the slope is nonzero by its shape
     code, out, _ = invoke("check", "--order", "2", "--expr", text)
     assert code == 1 and "outcome: rejected" in out and "step: S2(k=3)" in out
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import copy
 import functools
+import io
+import json
 import math
 import os
 import pickle
@@ -886,10 +888,51 @@ def test_is_zero_decides_laurent_polynomials_exactly():
     v = is_zero(e)
     assert isinstance(v, NonZero) and set(v.point) == {p3}
     assert -1 <= v.point[p3] <= 1 and evaluate(e, v.point) == v.value
-    assert symexpr._is_laurent(add(3, mul(X, pow_int(p1, -2))))
-    # a negative power of a sum, or an exponential, leaves the fragment
-    assert not symexpr._is_laurent(mul(X, pow_int(add(1, p1), -1)))
-    assert not symexpr._is_laurent(add(p1, exp(p2)))
+    # a constant exponential form reads 0 in floats everywhere: the first
+    # sample is the witness, and its value is 0
+    tiny = rational(Fraction(1, 10 ** 20))
+    assert is_zero(add(mul(6, exp(tiny)), -6)) == NonZero(point={}, value=0.0)
+    by_form = symexpr._nonzero_by_form
+    # (ii) a Laurent polynomial, or a sum of them times exponentials of
+    # Laurent monomials
+    assert by_form(add(3, mul(X, pow_int(p1, -2))))
+    assert by_form(add(mul(6, exp(tiny)), -6))
+    assert by_form(add(exp(X), mul(-1, exp(add(X, tiny)))))
+    assert by_form(add(p1, mul(X, exp(mul(p2, pow_int(p1, -1)))), exp(p2)))
+    # (i) one term whose other factors do not vanish
+    assert by_form(mul(X, pow_int(add(1, p1), -1)))
+    assert by_form(mul(p3, exp(sin(p1)), pow_int(log(p1), -2)))
+    assert by_form(mul(3, sin(tiny), cos(rational(5)), pow_int(log(rational(2)), 2)))
+    # a sum with a slope, a cosine that can be 1, and factors that vanish
+    # somewhere are left to the samples
+    assert not by_form(add(mul(X, pow_int(add(1, p1), -1)), p2))
+    assert not by_form(add(cos(rational(Fraction(1, 10 ** 10))), -1))
+    assert not by_form(log(p1))
+    assert not by_form(sin(p1))
+    assert not by_form(add(p1, exp(sin(p2))))
+
+
+def _laurent(rng):
+    """A seeded Laurent polynomial in x, p1 and p2 with two or three terms."""
+    return add(*(mul(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)),
+                     *(pow_int(rng.choice((X, p1, p2)), rng.choice((-2, -1, 1, 2)))
+                       for _ in range(rng.randint(0, 2))))
+                 for _ in range(rng.randint(2, 3))))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exp_laurent_forms_built_two_ways_are_one_node(seed):
+    # the exact fragment (ii) of `_nonzero_by_form` rests on one canonical
+    # form per sum of Laurent polynomials times exponentials of Laurent
+    # polynomials, however it is built
+    rng = random.Random(seed)
+    a, b = _laurent(rng), _laurent(rng)
+    assert exp(add(a, b)) is mul(exp(a), exp(b))
+    s1 = add(*(mul(_laurent(rng), exp(_laurent(rng))) for _ in range(2)))
+    s2 = add(_laurent(rng), mul(_laurent(rng), exp(a)))
+    prod = mul(s1, s2)
+    assert prod is add(*(mul(t, u) for t in s1.terms for u in s2.terms))
+    assert prod is ZERO or symexpr._nonzero_by_form(prod)
 
 
 def test_is_zero_numeric_path():
@@ -912,30 +955,27 @@ def test_is_zero_deterministic():
     assert a == b and a.point == b.point
 
 
-class _Ordered(frozenset):
-    """A frozenset that iterates in sort order, or in reverse."""
+def test_is_zero_point_does_not_depend_on_the_process():
+    # the atoms are drawn in position order (x, p0, p1, ...), which no
+    # object address decides: two fresh processes print the same witness
+    # point as an in-process run, and the JSON point's keys are sorted, so
+    # its values carry the check
+    from varmult.cli import run
 
-    reverse = False
-
-    def __iter__(self):
-        return iter(sorted(frozenset.__iter__(self), key=sort_key,
-                           reverse=self.reverse))
-
-
-class _Reversed(_Ordered):
-    reverse = True
-
-
-def test_is_zero_point_ignores_the_order_of_free_atoms(monkeypatch):
-    # set order follows identity hashes, that is object addresses, which
-    # differ between processes; the witness point must not depend on it
-    e = add(X, mul(2, p1), mul(3, p2), mul(5, p3))
-    points = []
-    for order in (_Ordered, _Reversed):
-        monkeypatch.setattr(e, "free_atoms", order(e.free_atoms))
-        points.append(is_zero(e, CFG).point)
-    assert points[0] == points[1]
-    assert list(points[1]) == [X, p1, p2, p3]
+    argv = ["check", "--order", "2", "--expr", "(x + p0 + p1 + p2)*p3^3", "--json"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symexpr.__file__)))
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-m", "varmult.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        outs.append(proc.stdout)
+    buf = io.StringIO()
+    assert run(argv, out=buf, err=io.StringIO()) == 1
+    assert outs[0] == outs[1] == buf.getvalue()
+    result = json.loads(outs[0])["result"]
+    assert result["step"] == "S2(k=3)" and len(result["verdict"]["point"]) == 4
+    assert list(is_zero(parse(result["witness"])).point) == [X, p0, p1, p2]
 
 
 def test_is_zero_retries_domain_errors():
@@ -1403,17 +1443,37 @@ def test_times_sum_calls_neither_mul_nor_add():
 
 
 # ---------------------------------------------------------------------------
-# flat terms: exact coefficients, shared atom sets
+# flat terms: exact coefficients, atom masks
 # ---------------------------------------------------------------------------
 
 
-def test_nodes_with_equal_atom_sets_share_one_frozenset():
-    s = add(mul(p1, pow_int(p2, 3)), mul(5, X))
-    t = mul(X, p1, exp(p2))
-    u = add(mul(-1, X), mul(7, p2, exp(p1)))
-    assert len({id(s), id(t), id(u)}) == 3
-    assert s.free_atoms == t.free_atoms == u.free_atoms == {X, p1, p2}
-    assert s.free_atoms is t.free_atoms is u.free_atoms
+def _walk_atoms(e):
+    """The atoms of e, by a walk over its children."""
+    if isinstance(e, (VarX, Jet)):
+        return {e}
+    kids = [*getattr(e, "terms", ()), *getattr(e, "factors", ())]
+    kids += [getattr(e, f) for f in ("base", "arg", "integrand", "var") if hasattr(e, f)]
+    return set().union(*map(_walk_atoms, kids))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_atom_masks_agree_with_a_walk_of_the_tree(seed):
+    # every node's atom set, top jet and jet set against an independent
+    # walk, on exponentials, logs, sines, cosines, slopes and opaque
+    # integrals; a derivation in an atom the node lacks is 0
+    inner = mul(rand_expr(seed, max_index=4, degree=2, terms=2), pow_int(p2, 2))
+    e = add(_rand_transcendental(seed), antideriv(exp(add(inner, pow_int(p2, 2))), p2))
+    nodes = set(_walk(e))
+    assert any(isinstance(n, AntiDeriv) for n in nodes)
+    atoms = [X, *(jet(k) for k in range(7))]
+    for n in nodes:
+        walked = _walk_atoms(n)
+        jets = {a.index for a in walked if isinstance(a, Jet)}
+        assert n.free_atoms == walked, render(n)
+        assert max_jet(n) == max(jets, default=-1) and free_jets(n) == jets
+        for v in atoms:
+            if v not in walked:
+                assert diff(n, v) is ZERO, (render(n), render(v))
 
 
 def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
