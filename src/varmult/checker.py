@@ -127,9 +127,12 @@ class _Run:
         self.cfg = cfg
         self.trace: list[TraceEntry] = []
 
-    def probe(self, step: str, e: Expr) -> None:
+    def probe(self, step: str, e: Expr, note: str | None = None) -> None:
+        # a check with a note is recorded as a note: a refinement check
+        # outside the algorithm's own tally
         v = is_zero(e, self.cfg)
-        self.trace.append(TraceEntry(step=step, checked=e, verdict=v))
+        self.trace.append(TraceEntry(step=step, checked=e, verdict=v,
+                                     kind="note" if note else "check", note=note))
         _settle(step, e, v)
 
     def attach(self, derived: Expr) -> None:
@@ -140,14 +143,6 @@ class _Run:
                 self.trace[i] = replace(t, derived=derived)
                 return
 
-    def certify(self, step: str, e: Expr, text: str) -> None:
-        # like probe, but recorded as a note: these are refinement checks
-        # outside the algorithm's own tally
-        v = is_zero(e, self.cfg)
-        self.trace.append(TraceEntry(step=step, checked=e, verdict=v,
-                                     kind="note", note=text))
-        _settle(step, e, v)
-
     def restrict(self, step: str, e: Expr, cap: int) -> Expr:
         """Remove jets above `cap` that occur syntactically but not
         functionally (possible after merely-numeric zero verdicts upstream),
@@ -155,9 +150,8 @@ class _Run:
         variable to 0 leaves the function unchanged."""
         out = e
         while (k := max_jet(out)) > cap:
-            self.certify(step, diff(out, jet(k)),
-                         f"pruning functionally-absent p{k} from a derived "
-                         "quantity")
+            self.probe(step, diff(out, jet(k)),
+                       f"pruning functionally-absent p{k} from a derived quantity")
             try:
                 out = _bind_zero(out, jet(k))
             except ExprError:

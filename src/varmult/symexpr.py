@@ -24,6 +24,9 @@ derivatives, nothing per term; and evaluation compiles an expression once
 into an instruction list (`_compile`) that each point runs in one loop
 (`_run`).  The atoms (x and the jets) a node holds are one int bit mask
 (`_atoms`), the OR of its children's, so that no table keeps atom sets.
+Every node but a sum holds its sort key (`sort_key`) from construction, made
+from its children's keys, and a sum's is built from its terms' keys when
+asked for: nothing writes a node after it is published.
 
 Text is read by one regular expression (`_TOKEN`) and a recursive-descent
 parser that multiplies the factors of a term with one `mul` call unless one
@@ -49,7 +52,7 @@ import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache, reduce
-from operator import add as _plus
+from operator import add as _plus, attrgetter
 
 from ._record import Record
 
@@ -153,9 +156,11 @@ class Expr:
 
     # _flat, _den: a non-Sum node as a flat term and the denominator of its
     # coefficient, set by `_init` (a Sum's `_flat` is None; `_term`, the only
-    # maker of products, hands a product its own); _atoms: the atoms the node
-    # holds, as a bit mask with bit i for the atom at monomial position i
-    # (`_index`), so that the bit order is the `sort_key` order
+    # maker of products, hands a product its own); _key: a non-Sum node's
+    # sort key, set by `_init` from its children's (a Sum's is None and
+    # `sort_key` builds it); _atoms: the atoms the node holds, as a bit mask
+    # with bit i for the atom at monomial position i (`_index`), so that the
+    # bit order is the `sort_key` order
     __slots__ = ("_key", "_atoms", "_flat", "_den")
     #: the attributes that are the arguments of a class call, in order
     _args: tuple = ()
@@ -226,7 +231,9 @@ class Rat(Expr):
     def _init(self, value: Fraction):
         self.value = value
         self._atoms = 0
-        self._key = None
+        # the float settles almost every comparison in C; float rounding is
+        # monotone, so only a float tie falls through to the exact value
+        self._key = (0, _float(value), value)
         self._flat = (value.numerator, (), ())
         self._den = value.denominator
 
@@ -285,7 +292,8 @@ class Prod(Expr):
         for f in others:
             m |= f._atoms
         self._atoms = m
-        self._key = None
+        # a product's factors are never sums, so each holds its key
+        self._key = (9, tuple(map(_key_of, factors)))
         self._flat = flat
         self._den = den
 
@@ -300,7 +308,7 @@ class Pow(Expr):
         self.base = base
         self.exponent = exponent
         self._atoms = base._atoms
-        self._key = None
+        self._key = (3, sort_key(base), exponent)
         if base.__class__ in (VarX, Jet):
             self._flat = (1, (0,) * _index(base) + (exponent,), ())
         else:
@@ -316,29 +324,29 @@ class _Unary(Expr):
     def _init(self, arg: Expr):
         self.arg = arg
         self._atoms = arg._atoms
-        self._key = None
+        self._key = (self._rank, sort_key(arg))
         self._flat = (1, (), (self,))
         self._den = 1
 
 
 class Exp(_Unary):
     __slots__ = ()
-    _tag = "exp"
+    _tag, _rank = "exp", 4
 
 
 class Log(_Unary):
     __slots__ = ()
-    _tag = "log"
+    _tag, _rank = "log", 5
 
 
 class Sin(_Unary):
     __slots__ = ()
-    _tag = "sin"
+    _tag, _rank = "sin", 6
 
 
 class Cos(_Unary):
     __slots__ = ()
-    _tag = "cos"
+    _tag, _rank = "cos", 7
 
 
 class AntiDeriv(Expr):
@@ -354,13 +362,9 @@ class AntiDeriv(Expr):
         self.integrand = integrand
         self.var = var
         self._atoms = integrand._atoms | var._atoms
-        self._key = None
+        self._key = (8, sort_key(integrand), var._key)
         self._flat = (1, (), (self,))
         self._den = 1
-
-
-_RANKS = {Rat: 0, VarX: 1, Jet: 2, Pow: 3, Exp: 4, Log: 5, Sin: 6, Cos: 7,
-          AntiDeriv: 8, Prod: 9, Sum: 10}
 
 
 def _float(q: Fraction) -> float:
@@ -371,27 +375,17 @@ def _float(q: Fraction) -> float:
         return math.inf if q > 0 else -math.inf
 
 
+#: a node's sort key, for a node that is not a sum
+_key_of = attrgetter("_key")
+
+
 def sort_key(e: Expr):
-    """Deterministic total order on canonical expressions."""
+    """Deterministic total order on canonical expressions: the key that every
+    node but a sum holds from construction, or a sum's, built from its terms'
+    keys on each call (once per slope, function argument or integrand made
+    from the sum), so that no node is written after it is published."""
     k = e._key
-    if k is None:
-        cls = e.__class__
-        if cls is Rat:
-            # the float settles almost every comparison in C; float rounding
-            # is monotone, so only a float tie falls through to the exact value
-            k = (0, _float(e.value), e.value)
-        elif cls is Pow:
-            k = (3, sort_key(e.base), e.exponent)
-        elif cls is AntiDeriv:
-            k = (8, sort_key(e.integrand), sort_key(e.var))
-        elif cls is Prod:
-            k = (9, tuple(map(sort_key, e.factors)))
-        elif cls is Sum:
-            k = (10, tuple(map(sort_key, e.terms)))
-        else:  # Exp/Log/Sin/Cos
-            k = (_RANKS[cls], sort_key(e.arg))
-        e._key = k
-    return k
+    return (10, tuple(map(_key_of, e.terms))) if k is None else k
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +574,7 @@ def _finish(acc: dict, den: int, whole: dict | None = None) -> Expr:
         return ZERO
     if len(out) == 1:
         return out[0]
-    out.sort(key=sort_key)
+    out.sort(key=_key_of)
     fs = tuple(out)
     return _intern((Sum, fs), Sum, fs)
 
@@ -727,7 +721,7 @@ def _times(o0: tuple, o1: tuple) -> tuple:
             if a:
                 pieces.append(b if a == 1 else _intern((Pow, b, a), Pow, b, a))
     pieces.extend(h[2] for h in bases.values())
-    pieces.sort(key=sort_key)
+    pieces.sort(key=_key_of)
     # threads racing on one pair store equal tuples
     return _MERGES.setdefault(key, tuple(pieces))
 
@@ -1823,9 +1817,12 @@ def _ray_witness(prog: list, first: tuple[dict, float], cfg: ZeroTestConfig,
     ray a Laurent polynomial s is a Laurent polynomial in t, so unless it is
     constant there its highest or lowest power takes over far enough out or
     in; an exponential's s is not, and may stay below the tolerance.  When
-    no step clears it (or the budget runs out), the first sample is the
-    witness, and its value may read 0."""
+    s is constant (the sample is empty), or no step clears it (or the budget
+    runs out), the first sample is the witness, and its value may read 0."""
     p, value = first
+    if not p:
+        # a constant has one value all along the ray
+        return NonZero(point=p, value=value)
     for t in (2.0 ** (sign * k / 8) for k in range(1, _RAY_STEPS + 1) for sign in (1, -1)):
         pt = {a: v * t for a, v in p.items()}
         scale.value = 0.0

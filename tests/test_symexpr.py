@@ -652,7 +652,7 @@ _EACH_CLASS = (rational(Fraction(-3, 4)), X, p2, add(p1, X), pow_int(p1, -2),
 
 
 def test_every_node_survives_pickling():
-    assert {type(e) for e in _EACH_CLASS} == set(symexpr._RANKS)
+    assert {type(e) for e in _EACH_CLASS} == set(symexpr._MAKE)
     # unpickling goes through the class call, so it returns the interned node
     for e in _EACH_CLASS:
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
@@ -935,6 +935,22 @@ def test_exp_laurent_forms_built_two_ways_are_one_node(seed):
     assert prod is ZERO or symexpr._nonzero_by_form(prod)
 
 
+def test_a_constant_nonzero_form_tries_no_ray_step(monkeypatch):
+    # a constant has one value at every point, so no step along the ray
+    # through its empty first sample is tried
+    run = symexpr._run
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return run(*args)
+
+    e = add(mul(6, exp(rational(Fraction(1, 10 ** 20)))), -6)
+    monkeypatch.setattr(symexpr, "_run", counting)
+    assert is_zero(e) == NonZero(point={}, value=0.0)
+    assert 0 < len(calls) <= ZeroTestConfig().samples
+
+
 def test_is_zero_numeric_path():
     # exp(x)*exp(-x) - 1 cancels structurally; sin^2 + cos^2 - 1 does not,
     # the numeric path must accept it
@@ -1192,6 +1208,62 @@ def test_rational_sort_key_breaks_float_ties_exactly():
             assert (sort_key(rational(a)) < sort_key(rational(b))) == (a < b)
     # the key orders a constant before every other node, as before
     assert sort_key(rational(10**401)) < sort_key(X) < sort_key(p0)
+
+
+#: the rank of each class in the sort order
+_RANK = {Rat: 0, VarX: 1, Jet: 2, Pow: 3, symexpr.Exp: 4, symexpr.Log: 5, symexpr.Sin: 6,
+         symexpr.Cos: 7, AntiDeriv: 8, Prod: 9, Sum: 10}
+
+
+def _reference_key(e, memo):
+    """The sort key of e, by recursion over its children, memoized."""
+    k = memo.get(e)
+    if k is None:
+        cls = e.__class__
+        if cls is Rat:
+            k = (0, symexpr._float(e.value), e.value)
+        elif cls is VarX:
+            k = (1,)
+        elif cls is Jet:
+            k = (2, e.index)
+        elif cls is Pow:
+            k = (3, _reference_key(e.base, memo), e.exponent)
+        elif cls is AntiDeriv:
+            k = (8, _reference_key(e.integrand, memo), _reference_key(e.var, memo))
+        elif cls is Prod or cls is Sum:
+            k = (_RANK[cls], tuple(_reference_key(c, memo)
+                                   for c in (e.factors if cls is Prod else e.terms)))
+        else:
+            k = (_RANK[cls], _reference_key(e.arg, memo))
+        memo[e] = k
+    return k
+
+
+def test_every_node_but_a_sum_holds_its_sort_key_from_construction():
+    t = construct(gen_params(3, 3, GenConfig(seed=30001, max_degree=2, max_terms=3,
+                                             allow_exp=True)))
+    assert check(t.f, 3, CFG).accepted
+    # a node's children are interned before it, so the memoized reference
+    # recurses one level per node of the table
+    nodes = [*_EACH_CLASS, *symexpr._INTERN.values()]
+    assert {type(e) for e in nodes} == set(_RANK)
+    memo = {}
+    for e in nodes:
+        assert (e._key is None) == (e.__class__ is Sum), render(e)
+        assert sort_key(e) == _reference_key(e, memo), render(e)
+    # asking for a sum's key writes nothing into the sum
+    s = add(p1, X)
+    assert sort_key(s) == (10, (X._key, p1._key)) and s._key is None
+
+
+def test_a_deep_exponential_chain_sorts_without_recursion():
+    # every key beside a sum's is read off the node, so sorting a
+    # 3000-deep chain beside p2 reads two keys
+    e = p2
+    for _ in range(3000):
+        e = exp(e)
+    assert add(e, p2).terms == (p2, e)
+    assert mul(e, log(p2)).factors == (e, log(p2))
 
 
 def test_rational_interning_normalizes():
