@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .symexpr import ONE, ZERO, Expr, ExprLike, _derive, add, as_expr, diff, jet, mul, pow_int
+from .symexpr import ONE, ZERO, Expr, ExprLike, _derive, add, as_expr, diff, jet, mul, pow_int, rational
 
 __all__ = [
     "MultiIndex",
@@ -77,11 +77,12 @@ def _euler_op(m: int, n: int, e: ExprLike, plus: tuple, scale: Expr = ONE) -> Ex
     out = None
     for k in range(n, -1, -1):
         d = diff(e, jet(k))
-        if k % 2:
-            d = mul(-1, d)
+        # the sign of an odd step is its pair's coefficient; only the first
+        # step, which has no pair, negates the partial itself
+        sign = rational(-1) if k % 2 else ONE
         if k == 0 and plus:
             return _derive(m, ZERO if out is None else out, ((scale, d),) + plus, scale)
-        out = d if out is None else _derive(m, out, ((ONE, d),))
+        out = mul(sign, d) if out is None else _derive(m, out, ((sign, d),))
     return out
 
 

@@ -14,19 +14,32 @@ the forms that the canonical form shows to be nonzero (`_nonzero_by_form`).
 Sums, products, derivations and antiderivatives compute on flat terms (an
 int numerator over an int denominator, a monomial, other factors), which
 every node but a sum carries from construction, and build a node only for
-each term that survives.  Work that many terms share is done once per
-structure: `_times` merges two other-factor tuples once per pair, the
-product-rule pass that `diff` and `jetops.total_derivative` share
-(`_derive`) differentiates a term's other factors once per tuple of them
-(`_derive_others`) and adds each term's product rule (`_rule`) straight
-into its one accumulator, so its memo holds result nodes and those tuples'
-derivatives, nothing per term; and evaluation compiles an expression once
-into an instruction list (`_compile`) that each point runs in one loop
-(`_run`).  The atoms (x and the jets) a node holds are one int bit mask
-(`_atoms`), the OR of its children's, so that no table keeps atom sets.
-Every node but a sum holds its sort key (`sort_key`) from construction, made
-from its children's keys, and a sum's is built from its terms' keys when
-asked for: nothing writes a node after it is published.
+each term that survives.  A monomial is one int, the packed exponent vector
+m = sum of e_i * B^i over the positions i (x at 0, p_k at k + 1), so that
+multiplying two monomials is one integer add; every node but a sum also
+holds its exponents as a tuple (`_exps`), and `_term` decodes a monomial
+only when it builds a new product.  B = 2^64 + 0x9E3779B97F4A7C15 is odd:
+Python hashes an int as its value mod 2^61 - 1, where 2^64 is 8, so with
+B = 2^64 all of x^(8a) * p0^(1000-a) would share one hash.  The digits e_i
+are balanced, so negative exponents pack, and the packing is one-to-one
+while every |e_i| < B/2, about 2^63.6.  A node's exponents are below
+`MAX_ATOM_EXPONENT` = 2^31 (`pow_int` and `_term` refuse more), and an
+accumulator key is the sum of the node monomials of one product: the
+factors of one `mul` call (1000 for a power of a sum), or a few terms and a
+derivation's steps of 1 (`_rule`).  So no key's digit nears B/2.
+
+Work that many terms share is done once per structure: `_times` merges two
+other-factor tuples once per pair, the product-rule pass that `diff` and
+`jetops.total_derivative` share (`_derive`) differentiates a term's other
+factors once per tuple of them (`_derive_others`) and adds each term's
+product rule (`_rule`) straight into its one accumulator, so its memo holds
+result nodes and those tuples' derivatives, nothing per term; and evaluation
+compiles an expression once into an instruction list (`_compile`) that each
+point runs in one loop (`_run`).  The atoms (x and the jets) a node holds
+are one int bit mask (`_atoms`), the OR of its children's, so that no table
+keeps atom sets.  Every node but a sum holds its sort key (`sort_key`) from
+construction, made from its children's keys, and a sum's is built from its
+terms' keys when asked for: nothing writes a node after it is published.
 
 Text is read by one regular expression (`_TOKEN`) and a recursive-descent
 parser that multiplies the factors of a term with one `mul` call unless one
@@ -52,11 +65,12 @@ import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache, reduce
-from operator import add as _plus, attrgetter
+from operator import attrgetter
 
 from ._record import Record
 
 __all__ = [
+    "MAX_ATOM_EXPONENT",
     "MAX_JET_INDEX",
     "MAX_PARSE_DEPTH",
     "MAX_RATIONAL_DIGITS",
@@ -125,6 +139,10 @@ _RAT_BOUND = 10 ** MAX_RATIONAL_DIGITS
 #: larger one is an `ExprError` (exit 2), raised before any work is done.
 MAX_SUM_POWER = 1000
 
+#: Bound on the exponent of x or a jet in a term: a power at or past it in
+#: absolute value is an `ExprError` (exit 2), so that monomials pack exactly.
+MAX_ATOM_EXPONENT = 2**31
+
 class ExprError(ValueError):
     """Invalid expression construction or operation."""
 
@@ -156,12 +174,13 @@ class Expr:
 
     # _flat, _den: a non-Sum node as a flat term and the denominator of its
     # coefficient, set by `_init` (a Sum's `_flat` is None; `_term`, the only
-    # maker of products, hands a product its own); _key: a non-Sum node's
-    # sort key, set by `_init` from its children's (a Sum's is None and
+    # maker of products, hands a product its own); _exps: a non-Sum node's
+    # monomial as its tuple of exponents (a Sum has none); _key: a non-Sum
+    # node's sort key, set by `_init` from its children's (a Sum's is None and
     # `sort_key` builds it); _atoms: the atoms the node holds, as a bit mask
     # with bit i for the atom at monomial position i (`_index`), so that the
     # bit order is the `sort_key` order
-    __slots__ = ("_key", "_atoms", "_flat", "_den")
+    __slots__ = ("_key", "_atoms", "_flat", "_den", "_exps")
     #: the attributes that are the arguments of a class call, in order
     _args: tuple = ()
 
@@ -234,7 +253,8 @@ class Rat(Expr):
         # the float settles almost every comparison in C; float rounding is
         # monotone, so only a float tie falls through to the exact value
         self._key = (0, _float(value), value)
-        self._flat = (value.numerator, (), ())
+        self._exps = ()
+        self._flat = (value.numerator, 0, ())
         self._den = value.denominator
 
 
@@ -246,7 +266,8 @@ class VarX(Expr):
     def _init(self):
         self._atoms = 1
         self._key = (1,)
-        self._flat = (1, (1,), ())
+        self._exps = (1,)
+        self._flat = (1, 1, ())
         self._den = 1
 
 
@@ -260,7 +281,8 @@ class Jet(Expr):
         self.index = index
         self._atoms = 2 << index
         self._key = (2, index)
-        self._flat = (1, (0,) * (index + 1) + (1,), ())
+        self._exps = (0,) * (index + 1) + (1,)
+        self._flat = (1, _UNIT[index + 1], ())
         self._den = 1
 
 
@@ -282,20 +304,20 @@ class Prod(Expr):
     __slots__ = ("factors",)
     _args = __slots__
 
-    def _init(self, factors: tuple, flat: tuple, den: int):
+    def _init(self, factors: tuple, flat: tuple, den: int, exps: tuple):
         self.factors = factors
-        _, mono, others = flat
         m = 0
-        for i, k in enumerate(mono):
+        for i, k in enumerate(exps):
             if k:
                 m |= 1 << i
-        for f in others:
+        for f in flat[2]:
             m |= f._atoms
         self._atoms = m
         # a product's factors are never sums, so each holds its key
         self._key = (9, tuple(map(_key_of, factors)))
         self._flat = flat
         self._den = den
+        self._exps = exps
 
 
 class Pow(Expr):
@@ -310,9 +332,12 @@ class Pow(Expr):
         self._atoms = base._atoms
         self._key = (3, sort_key(base), exponent)
         if base.__class__ in (VarX, Jet):
-            self._flat = (1, (0,) * _index(base) + (exponent,), ())
+            i = _index(base)
+            self._exps = (0,) * i + (exponent,)
+            self._flat = (1, exponent * _UNIT[i], ())
         else:
-            self._flat = (1, (), (self,))
+            self._exps = ()
+            self._flat = (1, 0, (self,))
         self._den = 1
 
 
@@ -325,7 +350,8 @@ class _Unary(Expr):
         self.arg = arg
         self._atoms = arg._atoms
         self._key = (self._rank, sort_key(arg))
-        self._flat = (1, (), (self,))
+        self._exps = ()
+        self._flat = (1, 0, (self,))
         self._den = 1
 
 
@@ -363,7 +389,8 @@ class AntiDeriv(Expr):
         self.var = var
         self._atoms = integrand._atoms | var._atoms
         self._key = (8, sort_key(integrand), var._key)
-        self._flat = (1, (), (self,))
+        self._exps = ()
+        self._flat = (1, 0, (self,))
         self._den = 1
 
 
@@ -446,6 +473,12 @@ def jet(k: int) -> Expr:
     return _intern(("j", k), Jet, k)
 
 
+#: the packed monomial B^i of the atom at each position i, and the step that
+#: D_m adds to a monomial for each: x^k -> x^(k-1), p_j^k -> p_j^(k-1) p_(j+1)
+_BASE = (1 << 64) + 0x9E3779B97F4A7C15
+_UNIT = tuple(_BASE**i for i in range(MAX_JET_INDEX + 2))
+_STEP = (-1, *[_UNIT[i + 1] - _UNIT[i] for i in range(1, MAX_JET_INDEX + 1)])
+
 #: the atom at each monomial position: x, then p_0 to p_MAX_JET_INDEX
 _ATOMS = (X, *[jet(k) for k in range(MAX_JET_INDEX + 1)])
 
@@ -470,16 +503,16 @@ def as_expr(v: ExprLike) -> Expr:
 
 # A canonical non-Sum term is handled as a flat term (n, mono, others) over
 # a denominator d: its rational coefficient n/d, as coprime ints with d > 0;
-# its monomial, the exponents of x, p0, p1, ... as a tuple with no trailing
-# zero, so that multiplying monomials adds tuples; and its other factors in
-# canonical order.  Every non-Sum node carries its flat term and d from
-# construction (`_flat`, `_den`, set by `_init`; `_term`, the only maker of
-# products, hands a product its own), so no routine walks a product's
-# factors to recover them, and a node is complete before it is published in
-# the intern table.  An integral coefficient is one int, and a list of flat
-# terms (den, ft, ...) holds numerators over one denominator (`_flats`
-# splits a sum into one list per denominator, so that no flat term is
-# copied).  An accumulator maps the key (mono, others) of like terms to
+# its monomial, the exponents of x, p0, p1, ... packed into one int (see
+# the module docstring), so that multiplying monomials adds ints; and its
+# other factors in canonical order.  Every non-Sum node carries its flat
+# term and d from construction (`_flat`, `_den`, set by `_init`; `_term`,
+# the only maker of products, hands a product its own), so no routine walks
+# a product's factors to recover them, and a node is complete before it is
+# published in the intern table.  An integral coefficient is one int, and a
+# list of flat terms (den, ft, ...) holds numerators over one denominator
+# (`_flats` splits a sum into one list per denominator, so that no flat term
+# is copied).  An accumulator maps the key (mono, others) of like terms to
 # their summed numerator over one denominator: the lcm of the denominators
 # of everything that enters it, fixed before the first term does, so it is
 # never rescaled.  `_finish` reduces each surviving numerator once and
@@ -492,20 +525,6 @@ def as_expr(v: ExprLike) -> Expr:
 def _index(a: Expr) -> int:
     """The monomial position of the atom a: 0 for x, k + 1 for p_k."""
     return 0 if a is X else a.index + 1
-
-
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    """The product of two monomials."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    m = tuple(map(_plus, a, b))
-    if len(a) > len(b):
-        return m + a[len(b):]
-    while m and not m[-1]:
-        m = m[:-1]
-    return m
 
 
 def _flats(e: Expr) -> list[list]:
@@ -523,25 +542,34 @@ def _flats(e: Expr) -> list[list]:
     return list(lists.values())
 
 
-def _term(n: int, d: int, mono: tuple, others: tuple) -> Expr:
+def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
     """The canonical term of a flat term with coefficient n/d != 0 (coprime,
     d > 0), interned once: the coefficient, then x and the jets, then their
     powers, then the others, which is the `sort_key` order; inverts the
     node's `_flat`.  A product is interned on its flat term, so an existing
-    one is one lookup."""
+    one is one lookup, and only a new one decodes its monomial."""
     key = (Prod, n, d, mono, others)
     t = _INTERN.get(key)
     if t is not None:
         return t
+    # the balanced base-B digits of mono are its exponents in position order:
+    # a digit k of mono mod B past B - MAX_ATOM_EXPONENT is the exponent k - B
+    exps = []
     fs = []
     pows = []
-    for i, k in enumerate(mono):
+    while mono:
+        mono, k = divmod(mono, _BASE)
         if k:
-            a = _ATOMS[i]
+            if k >= MAX_ATOM_EXPONENT:
+                if k <= _BASE - MAX_ATOM_EXPONENT:
+                    raise ExprError(f"atom power with an exponent of magnitude {MAX_ATOM_EXPONENT} or more")
+                mono, k = mono + 1, k - _BASE
+            a = _ATOMS[len(exps)]
             if k == 1:
                 fs.append(a)
             else:
                 pows.append(_intern((Pow, a, k), Pow, a, k))
+        exps.append(k)
     fs += pows
     fs += others
     if n != 1 or d != 1:
@@ -550,7 +578,7 @@ def _term(n: int, d: int, mono: tuple, others: tuple) -> Expr:
         return ONE
     if len(fs) == 1:
         return fs[0]
-    return _intern(key, Prod, tuple(fs), (n, mono, others), d)
+    return _intern(key, Prod, tuple(fs), (n, key[3], others), d, tuple(exps))
 
 
 def _finish(acc: dict, den: int, whole: dict | None = None) -> Expr:
@@ -624,7 +652,7 @@ def mul(*factors: ExprLike) -> Expr:
     term is then multiplied by the terms of each remaining sum in turn
     (`_times_sum`), the products are summed as flat terms in one
     accumulator, and only the terms that survive are built."""
-    n, d, m, o = 1, 1, (), ()
+    n, d, m, o = 1, 1, 0, ()
     sums = []
     for f in factors:
         f = as_expr(f)
@@ -638,8 +666,7 @@ def mul(*factors: ExprLike) -> Expr:
             n *= n1
         if f._den != 1:
             d *= f._den
-        if m1:
-            m = _mono_mul(m, m1)
+        m += m1
         if o1:
             o = _times(o, o1) if o else o1
     if d != 1:
@@ -738,7 +765,7 @@ def _times_sum(acc: dict, den: int, ft: tuple, d0: int, terms: tuple) -> None:
     for c1, m, o in it:
         others = _times(o0, o) if o and o0 else o or o0
         c = c0 * c1
-        key = (_mono_mul(m0, m), others)
+        key = (m0 + m, others)
         prev = acc.get(key)
         acc[key] = c if prev is None else prev + c
 
@@ -785,6 +812,8 @@ def pow_int(base: ExprLike, n: int) -> Expr:
             raise ExprError(f"power of a sum with an exponent above {MAX_SUM_POWER}")
         # one product: the partial powers stay flat terms in its accumulator
         return mul(*(b,) * n)
+    if b.__class__ in (VarX, Jet) and not -MAX_ATOM_EXPONENT < n < MAX_ATOM_EXPONENT:
+        raise ExprError(f"atom power with an exponent of magnitude {MAX_ATOM_EXPONENT} or more")
     return _intern((Pow, b, n), Pow, b, n)
 
 
@@ -944,7 +973,7 @@ def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
 
 #: the lists of flat terms of 0 and of 1
 _NO_TERMS = (1,)
-_ONE_TERMS = (1, (1, (), ()))
+_ONE_TERMS = (1, (1, 0, ()))
 
 
 def _rule(acc: dict, den: int, t: Expr, d, dots: tuple) -> None:
@@ -956,19 +985,12 @@ def _rule(acc: dict, den: int, t: Expr, d, dots: tuple) -> None:
     coeff, mono, others = t._flat
     at = None if d.__class__ is int else _index(d)
     k0 = coeff * (den // t._den)
-    for i, k in enumerate(mono):
+    for i, k in enumerate(t._exps):
         # a^k goes to k a^(k-1) times the image of a: 1 for v under d/dv and
         # for x under D_m, p_{j+1} for p_j under D_m when j < m, else 0
         if not k or (i > d if at is None else i != at):
             continue
-        m = list(mono)
-        m[i] = k - 1
-        if at is None and i:
-            m += [0] * (i + 2 - len(m))
-            m[i + 1] += 1
-        while m and not m[-1]:
-            m.pop()
-        mk = (tuple(m), others)
+        mk = (mono + _STEP[i] if at is None else mono - _UNIT[i], others)
         acc[mk] = acc.get(mk, 0) + k * k0
     if len(dots) > 1:
         _times_sum(acc, den, (coeff, mono, ()), t._den, dots)
@@ -997,22 +1019,22 @@ def _derive_others(d, others: tuple) -> tuple:
             # d exp(a) = exp(a) d a
             da = _derive(d, f.arg)
             if da is not ZERO:
-                parts += [((1, (), others), lst) for lst in _flats(da)]
+                parts += [((1, 0, others), lst) for lst in _flats(da)]
         elif f.__class__ is Pow and f.base.__class__ is Sum:
             # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
             k = f.exponent
             ds = _derive(d, f.base)
             if ds is f.base:
                 # S^(k-1) * S folds back to S^k, as in `mul`
-                parts.append(((k, (), others), _ONE_TERMS))
+                parts.append(((k, 0, others), _ONE_TERMS))
             elif ds is not ZERO:
                 # S^(k-1) takes the place of S^k in the canonical order
                 lower = others[:i] + (pow_int(f.base, k - 1),) + others[i + 1:]
-                parts += [((k, (), lower), lst) for lst in _flats(ds)]
+                parts += [((k, 0, lower), lst) for lst in _flats(ds)]
         else:
             dg = _derive_factor(d, f)
             if dg is not ZERO:
-                left = (1, (), others[:i] + others[i + 1:])
+                left = (1, 0, others[:i] + others[i + 1:])
                 parts += [(left, lst) for lst in _flats(dg)]
     den = math.lcm(*[terms[0] for _, terms in parts])
     acc: dict = {}
@@ -1110,12 +1132,10 @@ def _split(t: Expr, v: Expr) -> tuple:
     tuple dep of its other factors that hold v, and the term u free of v."""
     c, m, o = t._flat
     i = _index(v)
-    k = m[i] if i < len(m) else 0
-    if k:
-        m = _mono_mul(m, (0,) * i + (-k,))
+    k = t._exps[i] if i < len(t._exps) else 0
     dep = tuple(f for f in o if v._atoms & f._atoms)
     rest = tuple(f for f in o if not v._atoms & f._atoms)
-    return k, dep, _term(c, t._den, m, rest)
+    return k, dep, _term(c, t._den, m - k * _UNIT[i], rest)
 
 
 def _anti_group(u: Expr, k: int, dep: tuple, v: Expr) -> Expr:
@@ -1124,7 +1144,7 @@ def _anti_group(u: Expr, k: int, dep: tuple, v: Expr) -> Expr:
     of exponentials linear in v, or an opaque integral."""
     if not dep and k >= 0:
         return mul(u, _rat(1, k + 1), pow_int(v, k + 1))
-    core = _term(1, 1, (0,) * _index(v) + (k,) if k else (), dep)
+    core = _term(1, 1, k * _UNIT[_index(v)], dep)
     if not k and all(f.__class__ is Exp for f in dep):
         # each exponent as slope * v^j * (factors that hold v)
         parts = [_split(f.arg, v) for f in dep]

@@ -451,6 +451,16 @@ def test_huge_power_of_a_sum_is_an_input_error():
     assert varmult.symexpr.MAX_SUM_POWER == 1000
 
 
+def test_huge_power_of_an_atom_is_an_input_error():
+    # an exponent of x or a jet is below MAX_ATOM_EXPONENT, so that the
+    # kernel's packed monomials are exact
+    for text in ("p1^2147483648*p3^2", "p1^2147483647*p1*p3^2", "x^-2147483648*p3^2"):
+        code, out, err = invoke("check", "--order", "2", f"--expr={text}")
+        assert (code, out) == (2, "")
+        assert err == "varmult: error: atom power with an exponent of magnitude 2147483648 or more\n"
+    assert invoke("check", "--order", "2", "--expr=p1^2147483647*p3^2")[0] == 1
+
+
 def test_check_rejects_a_slope_whose_sample_sum_overflows():
     # S2(k=3) checks 16*10^307*(x + p1): each term of the sum is a finite
     # float at the first sample point, but their sum is not

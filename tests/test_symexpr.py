@@ -1286,7 +1286,7 @@ def test_rational_digits_are_bounded():
                  lambda: pow_int(2, 10**10), lambda: pow_int(Fraction(2, 3), -10**10),
                  lambda: pow_int(2, 10**400), lambda: pow_int(Fraction(-1, 2), 3 * 10**3999),
                  lambda: pow_int(10, symexpr.MAX_RATIONAL_DIGITS), lambda: mul(top - 1, 10),
-                 lambda: pow_int(X, top), lambda: pow_int(pow_int(X, top - 1), 10)):
+                 lambda: pow_int(X, top), lambda: pow_int(pow_int(add(X, 1), -(top - 1)), 10)):
         with pytest.raises(ExprError, match="more than 4000 digits"):
             make()
     assert time.perf_counter() - start < 5
@@ -1328,6 +1328,42 @@ def test_product_of_distinct_exponentials_does_not_add(monkeypatch):
     assert calls == []
 
 
+#: the kernel's packing base, and a monomial packed from its exponents of x,
+#: p0, p1, ... the way the kernel packs it, for the white-box tests
+_BASE = (1 << 64) + 0x9E3779B97F4A7C15
+
+
+def _pack(exps):
+    return sum(e * _BASE**i for i, e in enumerate(exps))
+
+
+def test_packed_monomials_hash_apart():
+    # Python hashes an int mod 2^61 - 1: with a base of 2^64 (8 there) every
+    # x^(8a) * p0^(1000-a) would share one hash, and the 16^4 grid would
+    # take 8,776 hashes, so a power of a sum would crowd its accumulator
+    unit = symexpr._UNIT
+    assert mul(pow_int(X, 16), pow_int(p0, 998))._flat[1] == _pack((16, 998))
+    line = {hash(8 * a * unit[0] + (1000 - a) * unit[1]) for a in range(1001)}
+    assert len(line) == 1001
+    grid = {hash(a * unit[0] + b * unit[1] + c * unit[2] + d * unit[3])
+            for a in range(16) for b in range(16) for c in range(16) for d in range(16)}
+    assert len(grid) == 16**4
+
+
+def test_atom_exponents_are_bounded():
+    # monomials pack exactly while every exponent is below MAX_ATOM_EXPONENT
+    top = symexpr.MAX_ATOM_EXPONENT
+    assert top == 2**31
+    assert pow_int(p1, top - 1)._flat[1] == _pack((0, 0, top - 1))
+    assert mul(pow_int(p1, top - 2), p1, X)._exps == (1, 0, top - 1)
+    assert pow_int(p1, 1 - top)._exps == (0, 0, 1 - top)
+    for make in (lambda: pow_int(p1, top), lambda: pow_int(X, -top),
+                 lambda: mul(pow_int(p1, 2**30), pow_int(p1, 2**30)),
+                 lambda: pow_int(pow_int(p1, 2**16), 2**15), lambda: parse("p1^2147483647*p1")):
+        with pytest.raises(ExprError, match="atom power with an exponent of magnitude 2147483648"):
+            make()
+
+
 def test_add_keeps_terms_with_distinct_cores(monkeypatch):
     terms = [mul(3, p1, p2), pow_int(p2, 2), exp(p1), mul(Fraction(-1, 2), X),
              mul(-7, exp(p2), p1)]
@@ -1342,7 +1378,7 @@ def test_add_keeps_terms_with_distinct_cores(monkeypatch):
     # only a core that occurs twice is rebuilt, and a zero sum drops it;
     # p1*p2 is the monomial with exponent 1 at the positions of p1 and p2
     merged = add(s, twice)
-    assert calls == [(5, 1, (0, 0, 1, 1), ())]
+    assert calls == [(5, 1, _pack((0, 0, 1, 1)), ())]
     assert merged is add(mul(5, p1, p2), *terms[1:])
     assert add(s, mul(-3, p1, p2)) is add(*terms[1:])
     # -1/2*x + 1/3*x: the numerators meet over the common denominator 6, and
@@ -1351,7 +1387,7 @@ def test_add_keeps_terms_with_distinct_cores(monkeypatch):
     third = mul(Fraction(1, 3), X)
     del calls[:]
     assert add(s, third) is sixth
-    assert calls == [(-1, 6, (1,), ())]
+    assert calls == [(-1, 6, _pack((1,)), ())]
 
 
 # ---------------------------------------------------------------------------
@@ -1620,8 +1656,8 @@ def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
 
 
 def _reference_flat(e):
-    """The flat term and denominator of a non-Sum node, read off its factors
-    without the kernel."""
+    """The flat term, denominator and exponent tuple of a non-Sum node, read
+    off its factors without the kernel."""
     n, d, powers, others = 1, 1, {}, []
     for f in (e.factors if e.__class__ is Prod else (e,)):
         if f.__class__ is Rat:
@@ -1635,7 +1671,7 @@ def _reference_flat(e):
     mono = [0] * (max(powers, default=-1) + 1)
     for i, k in powers.items():
         mono[i] = k
-    return (n, tuple(mono), tuple(others)), d
+    return (n, _pack(mono), tuple(others)), d, tuple(mono)
 
 
 def test_every_node_carries_its_flat_term_from_birth():
@@ -1647,7 +1683,7 @@ def test_every_node_carries_its_flat_term_from_birth():
         if e.__class__ is Sum:
             assert e._flat is None
         else:
-            assert (e._flat, e._den) == _reference_flat(e), render(e)
+            assert (e._flat, e._den, e._exps) == _reference_flat(e), render(e)
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
@@ -1773,7 +1809,7 @@ def test_fraction_coefficients_that_cancel_to_integers():
     assert render(prod) == "p1 + 1/2*x"
     # each term's coprime pair, and the terms as one list per denominator
     assert [(u._flat[0], u._den) for u in prod.terms] == [(1, 1), (1, 2)]
-    assert symexpr._flats(prod) == [[1, (1, (0, 0, 1), ())], [2, (1, (1,), ())]]
+    assert symexpr._flats(prod) == [[1, (1, _pack((0, 0, 1)), ())], [2, (1, _pack((1,)), ())]]
     # a sum of fractions that comes out integral: the built term caches the
     # pair (2, 1)
     u = add(mul(Fraction(1, 2), X, jet(9), jet(11)), mul(Fraction(3, 2), X, jet(9), jet(11)))
