@@ -75,10 +75,17 @@ from .varcore import (
     verify_triple,
 )
 from .checker import CheckReport, check, expected_check_count
-from .testkit import (
-    GenConfig,
-    PolynomialPath,
-    el_path_oracle,
-    gen_expr,
-    gen_params,
-)
+
+#: the test-kit names the package re-exports; `varmult.testkit` is imported
+#: on the first access to one of them, so that `import varmult.cli` does not
+#: compile it
+_TESTKIT = frozenset({"GenConfig", "PolynomialPath", "el_path_oracle", "gen_expr", "gen_params"})
+
+
+def __getattr__(name: str):
+    # read from the module on each access, so that a wrapper installed in
+    # `varmult.testkit` is what `varmult.gen_params` returns
+    if name in _TESTKIT:
+        from . import testkit
+        return getattr(testkit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,7 +41,6 @@ from .symexpr import (
     parse,
     render,
 )
-from .testkit import GenConfig, gen_params
 from .varcore import ParamSet, VariationalTriple, construct, fels_I1, fels_T5, verify_triple
 
 __all__ = ["main", "run"]
@@ -265,6 +264,9 @@ def _run_verify(args, out) -> int:
 
 
 def _run_roundtrip(args, out) -> int:
+    # imported here, so that a process that only checks never compiles it
+    from .testkit import GenConfig, gen_params
+
     n = _order(args)
     if args.trials < 1:
         raise _Usage("--trials must be >= 1")

@@ -17,8 +17,11 @@ every node but a sum carries from construction, and build a node only for
 each term that survives.  A monomial is one int, the packed exponent vector
 m = sum of e_i * B^i over the positions i (x at 0, p_k at k + 1), so that
 multiplying two monomials is one integer add; every node but a sum also
-holds its exponents as a tuple (`_exps`), and `_term` decodes a monomial
-only when it builds a new product.  B = 2^64 + 0x9E3779B97F4A7C15 is odd:
+holds its exponents as a tuple (`_exps`).  `_term` decodes a monomial only
+the first time it builds a product of it: an index (`_MONOS`) keeps that
+product, and every later new product of the monomial shares its exponent
+tuple and takes its atom factors from it, so the products of one monomial
+hold one exponent tuple.  B = 2^64 + 0x9E3779B97F4A7C15 is odd:
 Python hashes an int as its value mod 2^61 - 1, where 2^64 is 8, so with
 B = 2^64 all of x^(8a) * p0^(1000-a) would share one hash.  The digits e_i
 are balanced, so negative exponents pack, and the packing is one-to-one
@@ -37,7 +40,8 @@ result nodes and those tuples' derivatives, nothing per term; and evaluation
 compiles an expression once into an instruction list (`_compile`) that each
 point runs in one loop (`_run`).  The atoms (x and the jets) a node holds
 are one int bit mask (`_atoms`), the OR of its children's, so that no table
-keeps atom sets.  Every node but a sum holds its sort key (`sort_key`) from
+keeps atom sets; the products of one atom set share one int (`_MASKS`).
+Every node but a sum holds its sort key (`sort_key`) from
 construction, made from its children's keys, and a sum's is built from its
 terms' keys when asked for: nothing writes a node after it is published.
 
@@ -175,11 +179,13 @@ class Expr:
     # _flat, _den: a non-Sum node as a flat term and the denominator of its
     # coefficient, set by `_init` (a Sum's `_flat` is None; `_term`, the only
     # maker of products, hands a product its own); _exps: a non-Sum node's
-    # monomial as its tuple of exponents (a Sum has none); _key: a non-Sum
-    # node's sort key, set by `_init` from its children's (a Sum's is None and
-    # `sort_key` builds it); _atoms: the atoms the node holds, as a bit mask
-    # with bit i for the atom at monomial position i (`_index`), so that the
-    # bit order is the `sort_key` order
+    # monomial as its tuple of exponents (a Sum has none), one tuple object
+    # for all the products of one monomial (`_MONOS`); _key: a non-Sum node's
+    # sort key, set by `_init` from its children's (a Sum's is None and
+    # `sort_key` builds it; a product's is one flat tuple, (9, *factor
+    # keys)); _atoms: the atoms the node holds, as a bit mask with bit i for
+    # the atom at monomial position i (`_index`), so that the bit order is
+    # the `sort_key` order
     __slots__ = ("_key", "_atoms", "_flat", "_den", "_exps")
     #: the attributes that are the arguments of a class call, in order
     _args: tuple = ()
@@ -304,17 +310,15 @@ class Prod(Expr):
     __slots__ = ("factors",)
     _args = __slots__
 
-    def _init(self, factors: tuple, flat: tuple, den: int, exps: tuple):
+    def _init(self, factors: tuple, flat: tuple, den: int, exps: tuple, atoms: int):
+        # atoms: the bit mask of the atoms of the monomial, from `_term`
         self.factors = factors
-        m = 0
-        for i, k in enumerate(exps):
-            if k:
-                m |= 1 << i
         for f in flat[2]:
-            m |= f._atoms
-        self._atoms = m
-        # a product's factors are never sums, so each holds its key
-        self._key = (9, tuple(map(_key_of, factors)))
+            atoms |= f._atoms
+        self._atoms = _MASKS.setdefault(atoms, atoms)
+        # a product's factors are never sums, so each holds its key; the key
+        # is one flat tuple, which orders as (9, tuple of the factor keys)
+        self._key = (9, *map(_key_of, factors))
         self._flat = flat
         self._den = den
         self._exps = exps
@@ -542,35 +546,66 @@ def _flats(e: Expr) -> list[list]:
     return list(lists.values())
 
 
+#: one product for each monomial a product has been built with, so that a new
+#: product of that monomial shares its exponent tuple and its atom factors
+#: instead of decoding the monomial again.  It holds nodes the intern table
+#: holds too, and a node is entered only once it is interned and complete;
+#: like the mask table below, it is safe to clear, at the cost of
+#: decoding each monomial once more.
+_MONOS: dict[int, Expr] = {}
+
+#: each atom bit mask a product holds, so that products of one atom set share
+#: one int: past 256 each mask is an int object of its own, and a few
+#: thousand masks serve tens of thousands of products
+_MASKS: dict[int, int] = {}
+
+
 def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
     """The canonical term of a flat term with coefficient n/d != 0 (coprime,
     d > 0), interned once: the coefficient, then x and the jets, then their
     powers, then the others, which is the `sort_key` order; inverts the
     node's `_flat`.  A product is interned on its flat term, so an existing
-    one is one lookup, and only a new one decodes its monomial."""
+    one is one lookup; a new one takes its exponents and atom factors from a
+    product of the same monomial (`_MONOS`), and only a new monomial is
+    decoded."""
     key = (Prod, n, d, mono, others)
     t = _INTERN.get(key)
     if t is not None:
         return t
-    # the balanced base-B digits of mono are its exponents in position order:
-    # a digit k of mono mod B past B - MAX_ATOM_EXPONENT is the exponent k - B
-    exps = []
-    fs = []
-    pows = []
-    while mono:
-        mono, k = divmod(mono, _BASE)
-        if k:
-            if k >= MAX_ATOM_EXPONENT:
-                if k <= _BASE - MAX_ATOM_EXPONENT:
-                    raise ExprError(f"atom power with an exponent of magnitude {MAX_ATOM_EXPONENT} or more")
-                mono, k = mono + 1, k - _BASE
-            a = _ATOMS[len(exps)]
-            if k == 1:
-                fs.append(a)
-            else:
-                pows.append(_intern((Pow, a, k), Pow, a, k))
-        exps.append(k)
-    fs += pows
+    ex = _MONOS.get(mono)
+    m = 0
+    if ex is None:
+        # the balanced base-B digits of mono are its exponents in position
+        # order: a digit k of mono mod B past B - MAX_ATOM_EXPONENT is the
+        # exponent k - B
+        exps = []
+        fs = []
+        pows = []
+        while mono:
+            mono, k = divmod(mono, _BASE)
+            if k:
+                if k >= MAX_ATOM_EXPONENT:
+                    if k <= _BASE - MAX_ATOM_EXPONENT:
+                        raise ExprError(f"atom power with an exponent of magnitude {MAX_ATOM_EXPONENT} or more")
+                    mono, k = mono + 1, k - _BASE
+                i = len(exps)
+                m |= 1 << i
+                a = _ATOMS[i]
+                if k == 1:
+                    fs.append(a)
+                else:
+                    pows.append(_intern((Pow, a, k), Pow, a, k))
+            exps.append(k)
+        exps = tuple(exps)
+        fs += pows
+    else:
+        # the exemplar's atom factors follow its coefficient, if it has one,
+        # one per nonzero exponent
+        exps = ex._exps
+        s = ex.factors[0].__class__ is Rat
+        fs = list(ex.factors[s:s + len(exps) - exps.count(0)])
+        for a in fs:
+            m |= a._atoms
     fs += others
     if n != 1 or d != 1:
         fs.insert(0, _rat(n, d))
@@ -578,7 +613,10 @@ def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
         return ONE
     if len(fs) == 1:
         return fs[0]
-    return _intern(key, Prod, tuple(fs), (n, key[3], others), d, tuple(exps))
+    t = _intern(key, Prod, tuple(fs), (n, key[3], others), d, exps, m)
+    if ex is None:
+        _MONOS.setdefault(key[3], t)
+    return t
 
 
 def _finish(acc: dict, den: int, whole: dict | None = None) -> Expr:

@@ -285,9 +285,12 @@ def test_import_does_not_load_numpy():
 
 def test_import_loads_no_typing():
     # -S: no site, so nothing but varmult's own imports counts; annotations
-    # come from collections.abc and ExprLike is a run-time union
+    # come from collections.abc and ExprLike is a run-time union; the test
+    # kit is imported only by `roundtrip`, so a cold `check` does not
+    # compile it
     proc = _python("-S", "-c", "import sys, varmult.cli; print(sorted(m for m in "
-                   "('typing', 'dataclasses', 'numpy') if m in sys.modules))")
+                   "('typing', 'dataclasses', 'numpy', 'varmult.testkit') "
+                   "if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

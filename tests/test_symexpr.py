@@ -1125,7 +1125,7 @@ def test_rational_times_sum_matches_distribution(c):
         assert got is s
 
 
-def test_interning_is_thread_safe():
+def test_interning_is_thread_safe(monkeypatch):
     # four threads build the same fresh corpus f, and the total derivative,
     # the partial derivatives and a double antiderivative of each of its
     # terms at once, so that both kinds of derivation and the antiderivatives
@@ -1180,6 +1180,37 @@ def test_interning_is_thread_safe():
             assert g is f
             assert all(a is b for a, b in zip(others, dts))
 
+    # eight threads build products of one monomial new to the index at
+    # once, each reading the index while the others register in it: each
+    # flat term gives one node, and the index holds one of its products
+    monkeypatch.setattr(symexpr, "_MONOS", {})
+    barrier = threading.Barrier(8)
+    ks = [Fraction(k, 7) for k in range(1, 41)]
+    made = [[] for _ in range(8)]
+
+    def build(i):
+        barrier.wait()
+        made[i] += [mul(k, X**3, jet(3)**-2, exp(jet(1))) for k in ks[i % 2::2] + ks]
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    mono = _pack((3, 0, 0, 0, -2))
+    nodes = {k: mul(k, X**3, jet(3)**-2, exp(jet(1))) for k in ks}
+    for i in range(8):
+        assert all(e is nodes[k] for e, k in zip(made[i], ks[i % 2::2] + ks))
+    assert list(symexpr._MONOS) == [mono] and symexpr._MONOS[mono] in nodes.values()
+    for e in nodes.values():
+        assert e._exps == (3, 0, 0, 0, -2) and mul(*e.factors) is e
+        assert (e._flat, e._den, e._exps) == _reference_flat(e), render(e)
+
 
 # ---------------------------------------------------------------------------
 # canonicalization fast paths
@@ -1215,8 +1246,10 @@ _RANK = {Rat: 0, VarX: 1, Jet: 2, Pow: 3, symexpr.Exp: 4, symexpr.Log: 5, symexp
          symexpr.Cos: 7, AntiDeriv: 8, Prod: 9, Sum: 10}
 
 
-def _reference_key(e, memo):
-    """The sort key of e, by recursion over its children, memoized."""
+def _reference_key(e, memo, nested=False):
+    """The sort key of e, by recursion over its children, memoized: a
+    product's key is (9, *factor keys), or (9, (factor keys)) when `nested`,
+    as products were keyed before their key was one flat tuple."""
     k = memo.get(e)
     if k is None:
         cls = e.__class__
@@ -1227,14 +1260,17 @@ def _reference_key(e, memo):
         elif cls is Jet:
             k = (2, e.index)
         elif cls is Pow:
-            k = (3, _reference_key(e.base, memo), e.exponent)
+            k = (3, _reference_key(e.base, memo, nested), e.exponent)
         elif cls is AntiDeriv:
-            k = (8, _reference_key(e.integrand, memo), _reference_key(e.var, memo))
+            k = (8, _reference_key(e.integrand, memo, nested),
+                 _reference_key(e.var, memo, nested))
+        elif cls is Prod and not nested:
+            k = (9, *(_reference_key(c, memo, nested) for c in e.factors))
         elif cls is Prod or cls is Sum:
-            k = (_RANK[cls], tuple(_reference_key(c, memo)
+            k = (_RANK[cls], tuple(_reference_key(c, memo, nested)
                                    for c in (e.factors if cls is Prod else e.terms)))
         else:
-            k = (_RANK[cls], _reference_key(e.arg, memo))
+            k = (_RANK[cls], _reference_key(e.arg, memo, nested))
         memo[e] = k
     return k
 
@@ -1254,6 +1290,21 @@ def test_every_node_but_a_sum_holds_its_sort_key_from_construction():
     # asking for a sum's key writes nothing into the sum
     s = add(p1, X)
     assert sort_key(s) == (10, (X._key, p1._key)) and s._key is None
+
+
+def test_flat_product_keys_sort_as_the_nested_ones():
+    # a product's key is one flat tuple, (9, *factor keys), where it was
+    # (9, (factor keys)): a tuple orders item by item and then by length,
+    # so every node sorts where it sorted before, and so does every sum
+    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
+    assert check(t.f, 4, CFG).accepted
+    nodes = list(symexpr._INTERN.values())
+    assert sum(e.__class__ is Prod for e in nodes) > 4000
+    memo = {}
+    by_key = sorted(nodes, key=sort_key)
+    by_nested = sorted(nodes, key=lambda e: _reference_key(e, memo, nested=True))
+    assert all(a is b for a, b in zip(by_key, by_nested))
+    assert len(by_key) == len(by_nested) == len(nodes)
 
 
 def test_a_deep_exponential_chain_sorts_without_recursion():
@@ -1684,6 +1735,50 @@ def test_every_node_carries_its_flat_term_from_birth():
             assert e._flat is None
         else:
             assert (e._flat, e._den, e._exps) == _reference_flat(e), render(e)
+
+
+def test_products_of_one_monomial_share_its_exponent_tuple():
+    # in a fresh process, so that the index holds every product this
+    # process made: only a new monomial is decoded, and every other product
+    # shares the exponent tuple of the first product of its monomial; the
+    # products of one atom set share one mask
+    code = """
+from varmult import GenConfig, ZeroTestConfig, check, construct, gen_params, symexpr
+t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
+assert check(t.f, 4, ZeroTestConfig()).accepted
+prods = [e for e in symexpr._INTERN.values() if e.__class__ is symexpr.Prod]
+monos = {e._flat[1] for e in prods}
+assert len(prods) > 4000 and len(monos) < len(prods)
+assert len({id(e._exps) for e in prods}) == len(monos) == len(symexpr._MONOS)
+assert all(symexpr._MONOS[e._flat[1]]._exps is e._exps for e in prods)
+assert len({id(e._atoms) for e in prods}) == len({e._atoms for e in prods})
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+@pytest.mark.parametrize("case, exemplar_coeff, coeff",
+                         [(0, 3, 1), (1, 1, -5), (2, Fraction(-2, 7), 4)])
+def test_a_new_product_takes_its_atoms_from_one_of_its_monomial(monkeypatch, case,
+                                                                exemplar_coeff, coeff):
+    # an empty index, so that the first product of x^-2*p3 made here is
+    # its exemplar; a factor no other case or test builds makes each
+    # product new
+    monkeypatch.setattr(symexpr, "_MONOS", {})
+    odd = log(add(jet(7), 12345 + case))
+    ex = mul(exemplar_coeff, pow_int(X, -2), p3, odd)
+    mono = _pack((-2, 0, 0, 0, 1))
+    assert symexpr._MONOS == {mono: ex}
+    assert isinstance(ex.factors[0], Rat) == (exemplar_coeff != 1)
+    made = [mul(coeff, pow_int(X, -2), p3, f) for f in (exp(odd), sin(odd), cos(odd))]
+    assert symexpr._MONOS == {mono: ex}
+    for e in (ex, *made):
+        assert isinstance(e, Prod) and e._exps is ex._exps == (-2, 0, 0, 0, 1)
+        # the atom factors follow the coefficient, if there is one
+        assert e.factors[isinstance(e.factors[0], Rat):][:2] == (p3, pow_int(X, -2))
+        assert mul(*e.factors) is e
+        assert (e._flat, e._den, e._exps) == _reference_flat(e), render(e)
+        assert e._atoms == X._atoms | p3._atoms | jet(7)._atoms
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",

@@ -155,3 +155,17 @@ def test_el_path_oracle_agreement_random(n, seed):
     xs = [Fraction(rng.randint(-8, 8), 9) for _ in range(4)]
     for lhs, rhs in el_path_oracle(lagr, n, u, xs):
         assert abs(lhs - rhs) <= CFG.atol + 1e-8 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def test_the_package_reads_the_test_kit_names_on_each_access(monkeypatch):
+    # `varmult` imports the test kit only when one of its names is asked
+    # for, and reads the name from the module each time, so that a wrapper
+    # installed in `varmult.testkit` (as perfbench's tracer does) is seen
+    import varmult
+    from varmult import testkit
+
+    assert all(getattr(varmult, n) is getattr(testkit, n) for n in testkit.__all__)
+    monkeypatch.setattr(testkit, "gen_params", lambda *a: "wrapped")
+    assert varmult.gen_params() == "wrapped"
+    with pytest.raises(AttributeError, match="no attribute 'gen_param'"):
+        varmult.gen_param
