@@ -34,7 +34,6 @@ from .symexpr import (
     ZERO,
     ZeroTestConfig,
     ZeroVerdict,
-    _bind_zero,
     add,
     antideriv,
     as_expr,
@@ -45,6 +44,7 @@ from .symexpr import (
     max_jet,
     mul,
     pow_int,
+    substitute,
 )
 from .varcore import ParamSet, VariationalTriple, _lagrangian, verify_triple
 
@@ -153,7 +153,7 @@ class _Run:
             self.probe(step, diff(out, jet(k)),
                        f"pruning functionally-absent p{k} from a derived quantity")
             try:
-                out = _bind_zero(out, jet(k))
+                out = substitute(out, {jet(k): 0})
             except ExprError:
                 raise _Stop(Inconclusive(step=step, witness=out)) from None
         return out

@@ -47,8 +47,10 @@ terms' keys when asked for: nothing writes a node after it is published.
 
 Text is read by one regular expression (`_TOKEN`) and a recursive-descent
 parser that multiplies the factors of a term with one `mul` call unless one
-of them is a sum.  The printer builds no node: a negative term of a sum
-prints as " - " and the rest of its own rendering.
+of them is a sum.  Printing, compiling and substituting loop once over each
+distinct node, children first, on an explicit stack (`_walk`); printing
+builds no node, and a negative term of a sum prints as " - " and its text
+past the sign.
 
 Nodes are hash-consed: every node is interned on construction, so two
 structurally equal trees are the same object, and node equality and hashing
@@ -1196,22 +1198,75 @@ def _anti_group(u: Expr, k: int, dep: tuple, v: Expr) -> Expr:
     return mul(u, _ad_raw(core, v))
 
 
+def _children(e: Expr) -> tuple:
+    """The child nodes of e, in order; an integral's variable comes last."""
+    cls = e.__class__
+    if cls is Sum or cls is Prod:
+        return e.terms if cls is Sum else e.factors
+    if cls is AntiDeriv:
+        return (e.integrand, e.var)
+    return (e.base,) if cls is Pow else (e.arg,) if isinstance(e, _Unary) else ()
+
+
+def _walk(e: Expr, enter: Callable[[Expr], tuple]):
+    """Each distinct node under e once, children first, in depth-first
+    left-to-right order, so e last, on an explicit stack: `enter(n)`, called
+    as n is first reached, gives the children of n to walk."""
+    seen = {e}
+    stack = [(e, iter(enter(e)))]
+    while stack:
+        n, kids = stack[-1]
+        for c in kids:
+            if c not in seen:
+                seen.add(c)
+                ks = enter(c)
+                if ks:
+                    stack.append((c, iter(ks)))
+                    break
+                yield c
+        else:
+            stack.pop()
+            yield n
+
+
 def substitute(e: ExprLike, bindings: Mapping[Expr, ExprLike]) -> Expr:
-    """Simultaneous substitution of variables by expressions, re-canonicalized.
-    Binding the integration variable of an opaque integral is rejected (it is
-    bound, not free), except for the identity binding."""
-    b = {}
-    keys = 0
-    for k, val in bindings.items():
-        keys |= _require_atom(k)._atoms
-        b[k] = as_expr(val)
-    return _subst(as_expr(e), b, keys)
+    """Simultaneous substitution of variables by expressions, re-canonicalized,
+    each distinct node once.  Binding the integration variable of an opaque
+    integral is rejected (it is bound, not free), except to itself or to 0:
+    bound to 0, the integral runs from 0 to 0, and is 0."""
+    # an identity binding changes nothing, inside an integral or out
+    b = {k: as_expr(v) for k, v in bindings.items() if as_expr(v) is not _require_atom(k)}
+    keys = sum(k._atoms for k in b)
+
+    def enter(n: Expr) -> tuple:
+        if not n._atoms & keys:
+            return ()
+        if n.__class__ is not AntiDeriv:
+            return _children(n)
+        v = n.var
+        if v in b:
+            if b[v] is not ZERO:
+                raise ExprError(f"cannot substitute the integration variable {render(v)} of an opaque integral")
+            return ()
+        for k, val in b.items():
+            # a replacement that mentions the bound variable would be captured
+            if k._atoms & n.integrand._atoms and v._atoms & val._atoms:
+                raise ExprError(f"substituting {render(k)} -> {render(val)} inside an integral over "
+                                f"{render(v)} would capture the integration variable")
+        return (n.integrand,)
+
+    out: dict = {}
+    for n in _walk(as_expr(e), enter):
+        if n._atoms & keys and n not in b:
+            out[n] = ZERO if n.__class__ is AntiDeriv and n.var in b else _rebuild(n, out.__getitem__)
+        else:
+            out[n] = b.get(n, n)
+    return out[n]
 
 
 def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     """Apply `f` to each child of the composite `e` and rebuild the node
-    through the canonical constructors.  The tree walk of `substitute` and
-    `_bind_zero`, which return atoms and constants before they call it."""
+    through the canonical constructors, once per node `substitute` changes."""
     cls = e.__class__
     if cls is Sum:
         return add(*(f(t) for t in e.terms))
@@ -1222,45 +1277,6 @@ def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     if cls is AntiDeriv:
         return _anti1(f(e.integrand), e.var)
     return cls(f(e.arg))  # exp, log, sin or cos
-
-
-def _subst(e: Expr, b: dict[Expr, Expr], keys: int) -> Expr:
-    if not e._atoms & keys:
-        return e
-    cls = e.__class__
-    if cls is VarX or cls is Jet:
-        return b.get(e, e)
-    if cls is AntiDeriv:
-        v = e.var
-        if v in b:
-            if b[v] is not v:
-                raise ExprError(
-                    f"cannot substitute the integration variable {render(v)} "
-                    "of an opaque integral")
-            b = {k: val for k, val in b.items() if k is not v}
-            keys &= ~v._atoms
-            if not b:
-                return e
-        for k, val in b.items():
-            # the integration variable is bound; a replacement mentioning it
-            # would be captured
-            if k._atoms & e.integrand._atoms and v._atoms & val._atoms:
-                raise ExprError(
-                    f"substituting {render(k)} -> {render(val)} inside an "
-                    f"integral over {render(v)} would capture the "
-                    "integration variable")
-    return _rebuild(e, lambda c: _subst(c, b, keys))
-
-
-def _bind_zero(e: Expr, v: Expr) -> Expr:
-    """Internal: representative of `e` on the slice v = 0, for expressions
-    known to be functionally independent of v.  Unlike `substitute`, an
-    opaque integral over v collapses to 0 (the integral from 0 to 0)."""
-    if not v._atoms & e._atoms:
-        return e
-    if e is v or (e.__class__ is AntiDeriv and e.var is v):
-        return ZERO
-    return _rebuild(e, lambda c: _bind_zero(c, v))
 
 
 def simplify(e: ExprLike) -> Expr:
@@ -1322,8 +1338,8 @@ def _tokenize(text: str) -> list[tuple]:
     return toks
 
 
-#: deepest nesting of parentheses and calls that `parse` accepts; the
-#: parser and the tree walkers recurse once per level
+#: deepest nesting of parentheses and calls that `parse` accepts; the parser
+#: and `diff` recurse once per level, the other walks do not (`_walk`)
 MAX_PARSE_DEPTH = 100
 
 
@@ -1466,72 +1482,63 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _render_atomish(e: Expr) -> str:
-    # a rational is bracketed unless it prints as digits alone
-    s = _render(e)
-    return f"({s})" if e.__class__ in (Sum, Prod) or (e.__class__ is Rat and not s.isdigit()) else s
-
-
-def _render(e: Expr) -> str:
+def _plain(e: Expr, text: dict) -> str:
+    """The plain text of e from its children's.  A canonical product's
+    factors past its coefficient and a power's base are no constant or
+    product, so only a base that is a sum is bracketed."""
     cls = e.__class__
     if cls is Rat:
         return str(e.value)
-    if cls is VarX:
-        return "x"
-    if cls is Jet:
-        return f"p{e.index}"
+    if cls is VarX or cls is Jet:
+        return "x" if cls is VarX else f"p{e.index}"
     if cls is Sum:
         # a term renders with a leading "-" exactly when its coefficient is
         # negative, so its negation is the rest of its rendering
-        parts = [_render(e.terms[0])]
+        parts = [text[e.terms[0]]]
         for t in e.terms[1:]:
-            s = _render(t)
+            s = text[t]
             parts.append(" - " + s[1:] if s[0] == "-" else " + " + s)
         return "".join(parts)
     if cls is Prod:
         fs = e.factors
-        prefix = ""
-        if fs[0].__class__ is Rat:
-            c = fs[0].value
-            fs = fs[1:]
-            prefix = "-" if c == -1 else f"{c}*"
-        return prefix + "*".join(_render_atomish(f) for f in fs)
+        if fs[0].__class__ is not Rat:
+            return "*".join(map(text.__getitem__, fs))
+        c = fs[0].value
+        return ("-" if c == -1 else f"{c}*") + "*".join(map(text.__getitem__, fs[1:]))
     if cls is Pow:
-        return f"{_render_atomish(e.base)}^{e.exponent}"
+        base = text[e.base]
+        return f"({base})^{e.exponent}" if e.base.__class__ is Sum else f"{base}^{e.exponent}"
     if cls is AntiDeriv:
-        return f"Int({_render(e.integrand)}, {_render(e.var)})"
-    return f"{e._tag}({_render(e.arg)})"
+        return f"Int({text[e.integrand]}, {text[e.var]})"
+    return f"{e._tag}({text[e.arg]})"
 
 
-def _to_obj(e: Expr):
+def _json(e: Expr, text: dict) -> str:
+    """The JSON text of e from its children's, as `json.dumps` prints the
+    object: {"op": ..., "args": [...]}, or a {"const"|"var"|"jet"} leaf."""
     cls = e.__class__
     if cls is Rat:
-        return {"const": str(e.value)}
-    if cls is VarX:
-        return {"var": "x"}
-    if cls is Jet:
-        return {"jet": e.index}
-    if cls is Sum:
-        return {"op": "sum", "args": [_to_obj(t) for t in e.terms]}
-    if cls is Prod:
-        return {"op": "prod", "args": [_to_obj(f) for f in e.factors]}
+        return f'{{"const": "{e.value}"}}'
+    if cls is VarX or cls is Jet:
+        return '{"var": "x"}' if cls is VarX else f'{{"jet": {e.index}}}'
+    args = [text[c] for c in _children(e)]
     if cls is Pow:
-        return {"op": "pow", "args": [_to_obj(e.base), {"const": str(e.exponent)}]}
-    if cls is AntiDeriv:
-        return {"op": "int", "args": [_to_obj(e.integrand), _to_obj(e.var)]}
-    return {"op": e._tag, "args": [_to_obj(e.arg)]}
+        args.append(f'{{"const": "{e.exponent}"}}')
+    tag = {Sum: "sum", Prod: "prod", Pow: "pow", AntiDeriv: "int"}.get(cls) or e._tag
+    return f'{{"op": "{tag}", "args": [{", ".join(args)}]}}'
 
 
 def render(e: ExprLike, format: str = "plain") -> str:
-    """Print an expression.  The plain format round-trips through `parse`;
-    the json format nests {"op": ..., "args": [...]} objects with
-    {"const"|"var"|"jet"} leaves."""
-    e = as_expr(e)
-    if format == "plain":
-        return _render(e)
-    if format == "json":
-        return json.dumps(_to_obj(e))
-    raise ExprError(f"unknown render format {format!r}")
+    """Print an expression, each distinct node once, building no node.  The
+    plain format round-trips through `parse`; the json format nests
+    {"op": ..., "args": [...]} objects with {"const"|"var"|"jet"} leaves."""
+    put = {"plain": _plain, "json": _json}.get(format)
+    if put is None:
+        raise ExprError(f"unknown render format {format!r}")
+    text: dict = {}
+    for n in _walk(as_expr(e), _children):
+        text[n] = put(n, text)
+    return text[n]
 
 
 # ---------------------------------------------------------------------------
@@ -1673,23 +1680,19 @@ class _Scale:
 
 
 def _compile(e: Expr) -> list:
-    """The program that evaluates `e`: one instruction (op, operand) per
-    distinct node, children first in depth-first order and named by index.
-    The op is the node's class (Jet for x too), or the `math` function of an
-    exp, sin or cos; an opaque integral holds its variable, its integrand's
-    program and whether it collapsed an integral over the same variable."""
+    """The program that evaluates `e`: one instruction (op, operand) per node
+    in `_walk` order, named by index.  The op is the node's class (Jet for x
+    too) or the `math` function of an exp, sin or cos; an opaque integral's
+    operand is its variable, its integrand's program and whether it folded
+    a double integral over that variable."""
     slots: dict = {}
     prog: list = []
-
-    def visit(n: Expr) -> int:
-        i = slots.get(n)
-        if i is not None:
-            return i
+    for n in _walk(e, lambda n: () if n.__class__ is AntiDeriv else _children(n)):
         op = n.__class__
         if op is Sum or op is Prod:
-            arg = tuple(map(visit, n.terms if op is Sum else n.factors))
+            arg = tuple(map(slots.__getitem__, n.terms if op is Sum else n.factors))
         elif op is Pow:
-            arg = (visit(n.base), n.exponent)
+            arg = (slots[n.base], n.exponent)
         elif op is Rat:
             arg = _float(n.value)
         elif op is VarX or op is Jet:
@@ -1699,12 +1702,9 @@ def _compile(e: Expr) -> list:
             kernel = g.__class__ is AntiDeriv and g.var is n.var
             arg = (n.var, _compile(g.integrand if kernel else g), kernel)
         else:
-            op, arg = (op if op is Log else getattr(math, n._tag)), visit(n.arg)
-        i = slots[n] = len(prog)
+            op, arg = (op if op is Log else getattr(math, n._tag)), slots[n.arg]
+        slots[n] = len(prog)
         prog.append((op, arg))
-        return i
-
-    visit(e)
     return prog
 
 

@@ -25,6 +25,7 @@ from varmult.symexpr import (
     ExprError,
     Inconclusive,
     Jet,
+    Log,
     NonZero,
     ParseError,
     Pow,
@@ -62,7 +63,7 @@ from varmult.symexpr import (
 from varmult import symexpr
 from varmult.checker import check
 from varmult.jetops import total_derivative
-from varmult.symexpr import MAX_PARSE_DEPTH, DomainError, _bind_zero
+from varmult.symexpr import MAX_PARSE_DEPTH, DomainError
 from varmult.testkit import GenConfig, gen_params
 from varmult.varcore import construct
 
@@ -245,14 +246,135 @@ def test_render_calls_no_kernel_constructor():
 
     tree = ast.parse(Path(symexpr.__file__).read_text())
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["_render"]
+    # the per-node printers and the walk that hands them their nodes
+    roots = ["_plain", "_json", "_walk", "_children"]
+    reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
         if name in funcs and name not in reached:
             reached.add(name)
             todo += [node.id for node in ast.walk(funcs[name]) if isinstance(node, ast.Name)]
-    assert {"_render", "_render_atomish"} <= reached
+    assert set(roots) <= reached
     assert not reached & {"add", "mul", "pow_int", "_term", "_intern"}
+    # and render prints through them
+    names = {node.id for node in ast.walk(funcs["render"]) if isinstance(node, ast.Name)}
+    assert {"_plain", "_json", "_walk", "_children"} <= names
+
+
+# The recursive printers and compiler that the one walk (`symexpr._walk`)
+# replaced, kept as references: each recurses once per tree level, and the
+# printers revisit a shared node at each of its occurrences.
+
+
+def _ref_atomish(e):
+    # a rational is bracketed unless it prints as digits alone
+    s = _ref_render(e)
+    return f"({s})" if e.__class__ in (Sum, Prod) or (e.__class__ is Rat and not s.isdigit()) else s
+
+
+def _ref_render(e):
+    cls = e.__class__
+    if cls is Rat:
+        return str(e.value)
+    if cls is VarX:
+        return "x"
+    if cls is Jet:
+        return f"p{e.index}"
+    if cls is Sum:
+        parts = [_ref_render(e.terms[0])]
+        for t in e.terms[1:]:
+            s = _ref_render(t)
+            parts.append(" - " + s[1:] if s[0] == "-" else " + " + s)
+        return "".join(parts)
+    if cls is Prod:
+        fs = e.factors
+        prefix = ""
+        if fs[0].__class__ is Rat:
+            c = fs[0].value
+            fs = fs[1:]
+            prefix = "-" if c == -1 else f"{c}*"
+        return prefix + "*".join(_ref_atomish(f) for f in fs)
+    if cls is Pow:
+        return f"{_ref_atomish(e.base)}^{e.exponent}"
+    if cls is AntiDeriv:
+        return f"Int({_ref_render(e.integrand)}, {_ref_render(e.var)})"
+    return f"{e._tag}({_ref_render(e.arg)})"
+
+
+def _ref_to_obj(e):
+    cls = e.__class__
+    if cls is Rat:
+        return {"const": str(e.value)}
+    if cls is VarX:
+        return {"var": "x"}
+    if cls is Jet:
+        return {"jet": e.index}
+    if cls is Sum:
+        return {"op": "sum", "args": [_ref_to_obj(t) for t in e.terms]}
+    if cls is Prod:
+        return {"op": "prod", "args": [_ref_to_obj(f) for f in e.factors]}
+    if cls is Pow:
+        return {"op": "pow", "args": [_ref_to_obj(e.base), {"const": str(e.exponent)}]}
+    if cls is AntiDeriv:
+        return {"op": "int", "args": [_ref_to_obj(e.integrand), _ref_to_obj(e.var)]}
+    return {"op": e._tag, "args": [_ref_to_obj(e.arg)]}
+
+
+def _ref_compile(e):
+    slots, prog = {}, []
+
+    def visit(n):
+        i = slots.get(n)
+        if i is not None:
+            return i
+        op = n.__class__
+        if op is Sum or op is Prod:
+            arg = tuple(map(visit, n.terms if op is Sum else n.factors))
+        elif op is Pow:
+            arg = (visit(n.base), n.exponent)
+        elif op is Rat:
+            arg = symexpr._float(n.value)
+        elif op is VarX or op is Jet:
+            op, arg = Jet, n
+        elif op is AntiDeriv:
+            g = n.integrand
+            kernel = g.__class__ is AntiDeriv and g.var is n.var
+            arg = (n.var, _ref_compile(g.integrand if kernel else g), kernel)
+        else:
+            op, arg = (op if op is Log else getattr(math, n._tag)), visit(n.arg)
+        i = slots[n] = len(prog)
+        prog.append((op, arg))
+        return i
+
+    visit(e)
+    return prog
+
+
+def _nodes_against_the_references() -> int:
+    """After n=3 seed 30001 and n=4 seed 40002 construct + check, every
+    interned node prints and compiles as the references do; the node count."""
+    for n, seed in ((3, 30001), (4, 40002)):
+        t = construct(gen_params(n, n, GenConfig(seed=seed, max_degree=3, max_terms=4)))
+        assert check(t.f, n, CFG).accepted
+    nodes = [*_EACH_CLASS, *symexpr._INTERN.values()]
+    assert {type(e) for e in nodes} == set(_RANK)
+    for e in nodes:
+        assert render(e) == _ref_render(e)
+        assert render(e, "json") == json.dumps(_ref_to_obj(e))
+        assert symexpr._compile(e) == _ref_compile(e), render(e)
+    return len(nodes)
+
+
+def test_every_node_prints_and_compiles_as_the_recursive_reference():
+    # in a fresh process, whose intern table holds what the two trials make:
+    # one the whole suite has filled takes each reference far longer
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(symexpr.__file__)), os.path.dirname(__file__)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_symexpr as t; print(t._nodes_against_the_references())"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 5_000
 
 
 # `at`: where in the opener the error points (the parenthesis or the name)
@@ -554,8 +676,8 @@ def test_substitute_examples():
 
 def test_substitute_rejects_bound_integration_variable():
     node = antideriv(exp(mul(-1, pow_int(p2, 2))), p2)
-    with pytest.raises(ExprError):
-        substitute(node, {p2: 0})
+    # binding it to 0 makes the integral run from 0 to 0
+    assert substitute(node, {p2: 0}) is ZERO
     with pytest.raises(ExprError):
         substitute(node, {p2: X})
 
@@ -584,29 +706,29 @@ def test_substitute_refolds_integrals():
 
 
 # ---------------------------------------------------------------------------
-# _bind_zero (restriction to the slice p_k = 0)
+# substitute(e, {v: 0}) (restriction to the slice p_k = 0)
 # ---------------------------------------------------------------------------
 
 
 def test_bind_zero_collapses_integral_over_the_variable():
     node = antideriv(exp(mul(-1, pow_int(p2, 2))), p2)
     assert isinstance(node, AntiDeriv)
-    assert _bind_zero(node, p2) is ZERO
-    assert _bind_zero(add(mul(X, node), p1), p2) is p1
+    assert substitute(node, {p2: 0}) is ZERO
+    assert substitute(add(mul(X, node), p1), {p2: 0}) is p1
 
 
 def test_bind_zero_keeps_free_subterms_interned():
     free = add(exp(mul(X, p1)), sin(p0))
-    assert _bind_zero(free, p2) is free
+    assert substitute(free, {p2: 0}) is free
     e = add(mul(free, add(p2, 1)), pow_int(p2, 3))
-    assert _bind_zero(e, p2) is free
+    assert substitute(e, {p2: 0}) is free
 
 
 def test_bind_zero_negative_power_raises():
     with pytest.raises(ExprError, match="division by zero"):
-        _bind_zero(pow_int(p2, -1), p2)
+        substitute(pow_int(p2, -1), {p2: 0})
     with pytest.raises(ExprError, match="division by zero"):
-        _bind_zero(add(X, mul(p1, pow_int(p2, -1))), p2)
+        substitute(add(X, mul(p1, pow_int(p2, -1))), {p2: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -1317,6 +1439,26 @@ def test_a_deep_exponential_chain_sorts_without_recursion():
     assert mul(e, log(p2)).factors == (e, log(p2))
 
 
+def test_deep_chain_renders_compiles_and_substitutes_without_recursion():
+    # a 3000-deep chain built through the API, under the default recursion
+    # limit: only the parser caps nesting (MAX_PARSE_DEPTH)
+    assert sys.getrecursionlimit() <= 3000
+    e = p2
+    for _ in range(3000):
+        e = exp(e)
+    assert render(e) == "exp(" * 3000 + "p2" + ")" * 3000
+    # json.loads would recurse: the text is checked as written
+    assert render(e, "json") == ('{"op": "exp", "args": [' * 3000 + '{"jet": 2}'
+                                 + "]}" * 3000)
+    assert isinstance(is_zero(e, CFG), (NonZero, Inconclusive))
+    try:
+        evaluate(e, {p2: 0.5})
+    except DomainError:
+        pass  # exp(exp(...)) overflows; only a RecursionError would fail
+    assert max_jet(substitute(e, {p2: p1})) == 1
+    assert substitute(mul(p1, e), {p2: 0}).factors[0] is p1
+
+
 def test_rational_interning_normalizes():
     assert rational(Fraction(2, 4)) is rational(Fraction(1, 2))
     assert rational(Fraction(6, 3)) is rational(2)
@@ -1914,3 +2056,26 @@ def test_fraction_coefficients_that_cancel_to_integers():
     # 2 * 1/2 drops the head: the derivative is the bare atom
     assert diff(mul(Fraction(1, 2), pow_int(p1, 2)), p1) is p1
     assert render(mul(Fraction(3, 7), Fraction(14, 3), exp(p1))) == "2*exp(p1)"
+
+
+# last in the file: its 2^24 paths would make each whole-table reference
+# above walk for minutes
+def test_substitute_rebuilds_each_shared_node_once(monkeypatch):
+    # e_k = sin(e_(k-1)) + cos(e_(k-1)) has 2^k paths to p2 but 3k + 1
+    # distinct nodes, 3k of them composite
+    e, want = p2, p1
+    for _ in range(24):
+        e, want = add(sin(e), cos(e)), add(sin(want), cos(want))
+    nodes = 3 * 24 + 1
+    calls = []
+    rebuild = symexpr._rebuild
+
+    def counting(n, f):
+        calls.append(n)
+        if len(calls) > 10 * nodes:
+            raise AssertionError("substitute rebuilt a shared node again")
+        return rebuild(n, f)
+
+    monkeypatch.setattr(symexpr, "_rebuild", counting)
+    assert substitute(e, {p2: p1}) is want
+    assert len(calls) == len(set(calls)) == nodes - 1
