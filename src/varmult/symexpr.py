@@ -16,12 +16,12 @@ int numerator over an int denominator, a monomial, other factors), which
 every node but a sum carries from construction, and build a node only for
 each term that survives.  A monomial is one int, the packed exponent vector
 m = sum of e_i * B^i over the positions i (x at 0, p_k at k + 1), so that
-multiplying two monomials is one integer add; every node but a sum also
-holds its exponents as a tuple (`_exps`).  `_term` decodes a monomial only
-the first time it builds a product of it: an index (`_MONOS`) keeps that
-product, and every later new product of the monomial shares its exponent
-tuple and takes its atom factors from it, so the products of one monomial
-hold one exponent tuple.  B = 2^64 + 0x9E3779B97F4A7C15 is odd:
+multiplying two monomials is one integer add.  A term's exponents are
+otherwise read from its atom factors (x, the jets and their powers), which
+`_term` places right after the coefficient.  `_term` decodes a monomial
+only the first time it meets it: an index (`_MONOS`) keeps its atom factors
+as one tuple, which every later product of the monomial takes, and holds no
+product.  B = 2^64 + 0x9E3779B97F4A7C15 is odd:
 Python hashes an int as its value mod 2^61 - 1, where 2^64 is 8, so with
 B = 2^64 all of x^(8a) * p0^(1000-a) would share one hash.  The digits e_i
 are balanced, so negative exponents pack, and the packing is one-to-one
@@ -180,15 +180,13 @@ class Expr:
 
     # _flat, _den: a non-Sum node as a flat term and the denominator of its
     # coefficient, set by `_init` (a Sum's `_flat` is None; `_term`, the only
-    # maker of products, hands a product its own); _exps: a non-Sum node's
-    # monomial as its tuple of exponents (a Sum has none), one tuple object
-    # for all the products of one monomial (`_MONOS`); _key: a non-Sum node's
+    # maker of products, hands a product its own); _key: a non-Sum node's
     # sort key, set by `_init` from its children's (a Sum's is None and
     # `sort_key` builds it; a product's is one flat tuple, (9, *factor
     # keys)); _atoms: the atoms the node holds, as a bit mask with bit i for
-    # the atom at monomial position i (`_index`), so that the bit order is
-    # the `sort_key` order
-    __slots__ = ("_key", "_atoms", "_flat", "_den", "_exps")
+    # the atom at monomial position i (`_POS`), so that the bit order is the
+    # `sort_key` order
+    __slots__ = ("_key", "_atoms", "_flat", "_den")
     #: the attributes that are the arguments of a class call, in order
     _args: tuple = ()
 
@@ -261,7 +259,6 @@ class Rat(Expr):
         # the float settles almost every comparison in C; float rounding is
         # monotone, so only a float tie falls through to the exact value
         self._key = (0, _float(value), value)
-        self._exps = ()
         self._flat = (value.numerator, 0, ())
         self._den = value.denominator
 
@@ -274,7 +271,6 @@ class VarX(Expr):
     def _init(self):
         self._atoms = 1
         self._key = (1,)
-        self._exps = (1,)
         self._flat = (1, 1, ())
         self._den = 1
 
@@ -289,7 +285,6 @@ class Jet(Expr):
         self.index = index
         self._atoms = 2 << index
         self._key = (2, index)
-        self._exps = (0,) * (index + 1) + (1,)
         self._flat = (1, _UNIT[index + 1], ())
         self._den = 1
 
@@ -312,10 +307,10 @@ class Prod(Expr):
     __slots__ = ("factors",)
     _args = __slots__
 
-    def _init(self, factors: tuple, flat: tuple, den: int, exps: tuple, atoms: int):
-        # atoms: the bit mask of the atoms of the monomial, from `_term`
+    def _init(self, factors: tuple, flat: tuple, den: int):
         self.factors = factors
-        for f in flat[2]:
+        atoms = 0
+        for f in factors:
             atoms |= f._atoms
         self._atoms = _MASKS.setdefault(atoms, atoms)
         # a product's factors are never sums, so each holds its key; the key
@@ -323,7 +318,6 @@ class Prod(Expr):
         self._key = (9, *map(_key_of, factors))
         self._flat = flat
         self._den = den
-        self._exps = exps
 
 
 class Pow(Expr):
@@ -337,13 +331,8 @@ class Pow(Expr):
         self.exponent = exponent
         self._atoms = base._atoms
         self._key = (3, sort_key(base), exponent)
-        if base.__class__ in (VarX, Jet):
-            i = _index(base)
-            self._exps = (0,) * i + (exponent,)
-            self._flat = (1, exponent * _UNIT[i], ())
-        else:
-            self._exps = ()
-            self._flat = (1, 0, (self,))
+        i = _POS.get(base)
+        self._flat = (1, 0, (self,)) if i is None else (1, exponent * _UNIT[i], ())
         self._den = 1
 
 
@@ -356,7 +345,6 @@ class _Unary(Expr):
         self.arg = arg
         self._atoms = arg._atoms
         self._key = (self._rank, sort_key(arg))
-        self._exps = ()
         self._flat = (1, 0, (self,))
         self._den = 1
 
@@ -395,7 +383,6 @@ class AntiDeriv(Expr):
         self.var = var
         self._atoms = integrand._atoms | var._atoms
         self._key = (8, sort_key(integrand), var._key)
-        self._exps = ()
         self._flat = (1, 0, (self,))
         self._den = 1
 
@@ -485,8 +472,10 @@ _BASE = (1 << 64) + 0x9E3779B97F4A7C15
 _UNIT = tuple(_BASE**i for i in range(MAX_JET_INDEX + 2))
 _STEP = (-1, *[_UNIT[i + 1] - _UNIT[i] for i in range(1, MAX_JET_INDEX + 1)])
 
-#: the atom at each monomial position: x, then p_0 to p_MAX_JET_INDEX
+#: the atom at each monomial position: x, then p_0 to p_MAX_JET_INDEX, and
+#: the position of each atom
 _ATOMS = (X, *[jet(k) for k in range(MAX_JET_INDEX + 1)])
+_POS = {a: i for i, a in enumerate(_ATOMS)}
 
 
 def _atom_list(m: int) -> list:
@@ -528,11 +517,6 @@ def as_expr(v: ExprLike) -> Expr:
 # only key, so building a term that exists is one lookup.
 
 
-def _index(a: Expr) -> int:
-    """The monomial position of the atom a: 0 for x, k + 1 for p_k."""
-    return 0 if a is X else a.index + 1
-
-
 def _flats(e: Expr) -> list[list]:
     """The flat terms of a canonical expression as lists [den, ft, ...], one
     per denominator, so that they hold the nodes' own flat terms."""
@@ -548,13 +532,12 @@ def _flats(e: Expr) -> list[list]:
     return list(lists.values())
 
 
-#: one product for each monomial a product has been built with, so that a new
-#: product of that monomial shares its exponent tuple and its atom factors
-#: instead of decoding the monomial again.  It holds nodes the intern table
-#: holds too, and a node is entered only once it is interned and complete;
-#: like the mask table below, it is safe to clear, at the cost of
-#: decoding each monomial once more.
-_MONOS: dict[int, Expr] = {}
+#: the atom factors of each monomial `_term` has met, as one tuple (x and
+#: the jets, then their powers, in position order), so that a new product
+#: of that monomial takes them instead of decoding the monomial again.  It
+#: holds no product; like the mask table below, it is safe to clear, at the
+#: cost of decoding each monomial once more.
+_MONOS: dict[int, tuple] = {}
 
 #: each atom bit mask a product holds, so that products of one atom set share
 #: one int: past 256 each mask is an int object of its own, and a few
@@ -567,58 +550,39 @@ def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
     d > 0), interned once: the coefficient, then x and the jets, then their
     powers, then the others, which is the `sort_key` order; inverts the
     node's `_flat`.  A product is interned on its flat term, so an existing
-    one is one lookup; a new one takes its exponents and atom factors from a
-    product of the same monomial (`_MONOS`), and only a new monomial is
-    decoded."""
+    one is one lookup; a new one takes its atom factors from the index of
+    monomials (`_MONOS`), and only a new monomial is decoded."""
     key = (Prod, n, d, mono, others)
     t = _INTERN.get(key)
     if t is not None:
         return t
-    ex = _MONOS.get(mono)
-    m = 0
-    if ex is None:
+    atoms = _MONOS.get(mono)
+    if atoms is None:
         # the balanced base-B digits of mono are its exponents in position
         # order: a digit k of mono mod B past B - MAX_ATOM_EXPONENT is the
         # exponent k - B
-        exps = []
         fs = []
         pows = []
-        while mono:
-            mono, k = divmod(mono, _BASE)
+        i, m = 0, mono
+        while m:
+            m, k = divmod(m, _BASE)
             if k:
                 if k >= MAX_ATOM_EXPONENT:
                     if k <= _BASE - MAX_ATOM_EXPONENT:
                         raise ExprError(f"atom power with an exponent of magnitude {MAX_ATOM_EXPONENT} or more")
-                    mono, k = mono + 1, k - _BASE
-                i = len(exps)
-                m |= 1 << i
+                    m, k = m + 1, k - _BASE
                 a = _ATOMS[i]
                 if k == 1:
                     fs.append(a)
                 else:
                     pows.append(_intern((Pow, a, k), Pow, a, k))
-            exps.append(k)
-        exps = tuple(exps)
-        fs += pows
-    else:
-        # the exemplar's atom factors follow its coefficient, if it has one,
-        # one per nonzero exponent
-        exps = ex._exps
-        s = ex.factors[0].__class__ is Rat
-        fs = list(ex.factors[s:s + len(exps) - exps.count(0)])
-        for a in fs:
-            m |= a._atoms
-    fs += others
-    if n != 1 or d != 1:
-        fs.insert(0, _rat(n, d))
-    if not fs:
-        return ONE
-    if len(fs) == 1:
-        return fs[0]
-    t = _intern(key, Prod, tuple(fs), (n, key[3], others), d, exps, m)
-    if ex is None:
-        _MONOS.setdefault(key[3], t)
-    return t
+            i += 1
+        # threads racing on one monomial store equal tuples
+        atoms = _MONOS.setdefault(mono, (*fs, *pows))
+    fs = (_rat(n, d), *atoms, *others) if n != 1 or d != 1 else atoms + others
+    if len(fs) < 2:
+        return fs[0] if fs else ONE
+    return _intern(key, Prod, fs, (n, mono, others), d)
 
 
 def _finish(acc: dict, den: int, whole: dict | None = None) -> Expr:
@@ -1020,18 +984,30 @@ def _rule(acc: dict, den: int, t: Expr, d, dots: tuple) -> None:
     """Add the product rule for `d` on a canonical non-Sum term t to the
     accumulator `acc` over `den`, a multiple of t's denominator times that of
     `dots`, the list of flat terms of the derivative of t's other factors
-    (`_derive_others`): one flat term per atom power, and the term's
+    (`_derive_others`): one flat term per atom factor, and the term's
     coefficient and monomial times each flat term of `dots`."""
     coeff, mono, others = t._flat
-    at = None if d.__class__ is int else _index(d)
-    k0 = coeff * (den // t._den)
-    for i, k in enumerate(t._exps):
-        # a^k goes to k a^(k-1) times the image of a: 1 for v under d/dv and
-        # for x under D_m, p_{j+1} for p_j under D_m when j < m, else 0
-        if not k or (i > d if at is None else i != at):
-            continue
-        mk = (mono + _STEP[i] if at is None else mono - _UNIT[i], others)
-        acc[mk] = acc.get(mk, 0) + k * k0
+    if mono:
+        at = None if d.__class__ is int else _POS[d]
+        k0 = coeff * (den // t._den)
+        # the atom factors (x, the jets and their powers) follow the
+        # coefficient, if there is one, and precede every other factor
+        for f in (t.factors if t.__class__ is Prod else (t,)):
+            i = _POS.get(f)
+            if i is not None:
+                k = 1
+            elif f.__class__ is Rat:
+                continue
+            elif f.__class__ is Pow and (i := _POS.get(f.base)) is not None:
+                k = f.exponent
+            else:
+                break
+            # a^k goes to k a^(k-1) times the image of a: 1 for v under d/dv
+            # and for x under D_m, p_{j+1} for p_j under D_m when j < m, else 0
+            if i > d if at is None else i != at:
+                continue
+            mk = (mono + _STEP[i] if at is None else mono - _UNIT[i], others)
+            acc[mk] = acc.get(mk, 0) + k * k0
     if len(dots) > 1:
         _times_sum(acc, den, (coeff, mono, ()), t._den, dots)
 
@@ -1171,11 +1147,11 @@ def _split(t: Expr, v: Expr) -> tuple:
     """A canonical non-Sum term t as u * v^k * dep: the exponent k, the
     tuple dep of its other factors that hold v, and the term u free of v."""
     c, m, o = t._flat
-    i = _index(v)
-    k = t._exps[i] if i < len(t._exps) else 0
+    fs = t.factors if t.__class__ is Prod else (t,)
+    k = 1 if v in fs else next((f.exponent for f in fs if f.__class__ is Pow and f.base is v), 0)
     dep = tuple(f for f in o if v._atoms & f._atoms)
     rest = tuple(f for f in o if not v._atoms & f._atoms)
-    return k, dep, _term(c, t._den, m - k * _UNIT[i], rest)
+    return k, dep, _term(c, t._den, m - k * _UNIT[_POS[v]], rest)
 
 
 def _anti_group(u: Expr, k: int, dep: tuple, v: Expr) -> Expr:
@@ -1184,7 +1160,7 @@ def _anti_group(u: Expr, k: int, dep: tuple, v: Expr) -> Expr:
     of exponentials linear in v, or an opaque integral."""
     if not dep and k >= 0:
         return mul(u, _rat(1, k + 1), pow_int(v, k + 1))
-    core = _term(1, 1, k * _UNIT[_index(v)], dep)
+    core = _term(1, 1, k * _UNIT[_POS[v]], dep)
     if not k and all(f.__class__ is Exp for f in dep):
         # each exponent as slope * v^j * (factors that hold v)
         parts = [_split(f.arg, v) for f in dep]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import hashlib
 import io
 import json
 import math
@@ -350,6 +351,20 @@ def _ref_compile(e):
     return prog
 
 
+def _in_a_fresh_process(call: str) -> str:
+    """Evaluate `call`, a call of a function of this module, in a fresh
+    process, and give what it prints.  A check that walks the whole intern table sees there
+    only the nodes it builds: in a table the suite has filled it would also
+    walk the deep chains and shared trees other tests build, which costs
+    minutes, or a RecursionError in the comparison of their nested keys."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(symexpr.__file__)), os.path.dirname(__file__)]))
+    proc = subprocess.run([sys.executable, "-c", f"import test_symexpr as t; print(t.{call})"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def _nodes_against_the_references() -> int:
     """After n=3 seed 30001 and n=4 seed 40002 construct + check, every
     interned node prints and compiles as the references do; the node count."""
@@ -366,15 +381,7 @@ def _nodes_against_the_references() -> int:
 
 
 def test_every_node_prints_and_compiles_as_the_recursive_reference():
-    # in a fresh process, whose intern table holds what the two trials make:
-    # one the whole suite has filled takes each reference far longer
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(symexpr.__file__)), os.path.dirname(__file__)]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import test_symexpr as t; print(t._nodes_against_the_references())"],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 5_000
+    assert int(_in_a_fresh_process("_nodes_against_the_references()")) > 5_000
 
 
 # `at`: where in the opener the error points (the parenthesis or the name)
@@ -1304,7 +1311,8 @@ def test_interning_is_thread_safe(monkeypatch):
 
     # eight threads build products of one monomial new to the index at
     # once, each reading the index while the others register in it: each
-    # flat term gives one node, and the index holds one of its products
+    # flat term gives one node, and the index holds the monomial's atom
+    # factors, which every product holds
     monkeypatch.setattr(symexpr, "_MONOS", {})
     barrier = threading.Barrier(8)
     ks = [Fraction(k, 7) for k in range(1, 41)]
@@ -1328,10 +1336,10 @@ def test_interning_is_thread_safe(monkeypatch):
     nodes = {k: mul(k, X**3, jet(3)**-2, exp(jet(1))) for k in ks}
     for i in range(8):
         assert all(e is nodes[k] for e, k in zip(made[i], ks[i % 2::2] + ks))
-    assert list(symexpr._MONOS) == [mono] and symexpr._MONOS[mono] in nodes.values()
+    assert symexpr._MONOS == {mono: (X**3, jet(3)**-2)}
     for e in nodes.values():
-        assert e._exps == (3, 0, 0, 0, -2) and mul(*e.factors) is e
-        assert (e._flat, e._den, e._exps) == _reference_flat(e), render(e)
+        assert _atom_factors(e) == symexpr._MONOS[mono] and mul(*e.factors) is e
+        assert (e._flat, e._den) == _reference_flat(e), render(e)
 
 
 # ---------------------------------------------------------------------------
@@ -1397,7 +1405,7 @@ def _reference_key(e, memo, nested=False):
     return k
 
 
-def test_every_node_but_a_sum_holds_its_sort_key_from_construction():
+def _keys_against_the_reference():
     t = construct(gen_params(3, 3, GenConfig(seed=30001, max_degree=2, max_terms=3,
                                              allow_exp=True)))
     assert check(t.f, 3, CFG).accepted
@@ -1414,7 +1422,11 @@ def test_every_node_but_a_sum_holds_its_sort_key_from_construction():
     assert sort_key(s) == (10, (X._key, p1._key)) and s._key is None
 
 
-def test_flat_product_keys_sort_as_the_nested_ones():
+def test_every_node_but_a_sum_holds_its_sort_key_from_construction():
+    _in_a_fresh_process("_keys_against_the_reference()")
+
+
+def _flat_keys_against_the_nested():
     # a product's key is one flat tuple, (9, *factor keys), where it was
     # (9, (factor keys)): a tuple orders item by item and then by length,
     # so every node sorts where it sorted before, and so does every sum
@@ -1427,6 +1439,10 @@ def test_flat_product_keys_sort_as_the_nested_ones():
     by_nested = sorted(nodes, key=lambda e: _reference_key(e, memo, nested=True))
     assert all(a is b for a, b in zip(by_key, by_nested))
     assert len(by_key) == len(by_nested) == len(nodes)
+
+
+def test_flat_product_keys_sort_as_the_nested_ones():
+    _in_a_fresh_process("_flat_keys_against_the_nested()")
 
 
 def test_a_deep_exponential_chain_sorts_without_recursion():
@@ -1548,8 +1564,9 @@ def test_atom_exponents_are_bounded():
     top = symexpr.MAX_ATOM_EXPONENT
     assert top == 2**31
     assert pow_int(p1, top - 1)._flat[1] == _pack((0, 0, top - 1))
-    assert mul(pow_int(p1, top - 2), p1, X)._exps == (1, 0, top - 1)
-    assert pow_int(p1, 1 - top)._exps == (0, 0, 1 - top)
+    e = mul(pow_int(p1, top - 2), p1, X)
+    assert e._flat[1] == _pack((1, 0, top - 1)) and e.factors == (X, pow_int(p1, top - 1))
+    assert pow_int(p1, 1 - top)._flat[1] == _pack((0, 0, 1 - top))
     for make in (lambda: pow_int(p1, top), lambda: pow_int(X, -top),
                  lambda: mul(pow_int(p1, 2**30), pow_int(p1, 2**30)),
                  lambda: pow_int(pow_int(p1, 2**16), 2**15), lambda: parse("p1^2147483647*p1")):
@@ -1849,8 +1866,8 @@ def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
 
 
 def _reference_flat(e):
-    """The flat term, denominator and exponent tuple of a non-Sum node, read
-    off its factors without the kernel."""
+    """The flat term and denominator of a non-Sum node, read off its factors
+    without the kernel."""
     n, d, powers, others = 1, 1, {}, []
     for f in (e.factors if e.__class__ is Prod else (e,)):
         if f.__class__ is Rat:
@@ -1864,10 +1881,20 @@ def _reference_flat(e):
     mono = [0] * (max(powers, default=-1) + 1)
     for i, k in powers.items():
         mono[i] = k
-    return (n, _pack(mono), tuple(others)), d, tuple(mono)
+    return (n, _pack(mono), tuple(others)), d
 
 
-def test_every_node_carries_its_flat_term_from_birth():
+def _is_atom_factor(f):
+    return f.__class__ in (VarX, Jet) or f.__class__ is Pow and f.base.__class__ in (VarX, Jet)
+
+
+def _atom_factors(e):
+    """The factors of a non-Sum node that are x, a jet or a power of one, in
+    the order the node holds them."""
+    return tuple(filter(_is_atom_factor, e.factors if e.__class__ is Prod else (e,)))
+
+
+def _flat_terms_against_the_reference():
     t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
     assert check(t.f, 4, CFG).accepted
     nodes = list(symexpr._INTERN.values())
@@ -1875,52 +1902,82 @@ def test_every_node_carries_its_flat_term_from_birth():
     for e in nodes:
         if e.__class__ is Sum:
             assert e._flat is None
-        else:
-            assert (e._flat, e._den, e._exps) == _reference_flat(e), render(e)
+            continue
+        assert (e._flat, e._den) == _reference_flat(e), render(e)
+        if e.__class__ is Prod:
+            # the atom factors follow the coefficient, if there is one, and
+            # precede the other factors, where the product rule stops
+            fs = e.factors[e.factors[0].__class__ is Rat:]
+            assert fs == _atom_factors(e) + e._flat[2], render(e)
 
 
-def test_products_of_one_monomial_share_its_exponent_tuple():
-    # in a fresh process, so that the index holds every product this
-    # process made: only a new monomial is decoded, and every other product
-    # shares the exponent tuple of the first product of its monomial; the
-    # products of one atom set share one mask
-    code = """
-from varmult import GenConfig, ZeroTestConfig, check, construct, gen_params, symexpr
-t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
-assert check(t.f, 4, ZeroTestConfig()).accepted
-prods = [e for e in symexpr._INTERN.values() if e.__class__ is symexpr.Prod]
-monos = {e._flat[1] for e in prods}
-assert len(prods) > 4000 and len(monos) < len(prods)
-assert len({id(e._exps) for e in prods}) == len(monos) == len(symexpr._MONOS)
-assert all(symexpr._MONOS[e._flat[1]]._exps is e._exps for e in prods)
-assert len({id(e._atoms) for e in prods}) == len({e._atoms for e in prods})
-"""
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+def test_every_node_carries_its_flat_term_from_birth():
+    _in_a_fresh_process("_flat_terms_against_the_reference()")
+
+
+def _products_against_the_index():
+    # only a new monomial is decoded: the index holds the atom factors of
+    # each monomial as one tuple, and no product, and every product of the
+    # monomial holds those atoms; the products of one atom set share one mask
+    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
+    assert check(t.f, 4, CFG).accepted
+    prods = [e for e in symexpr._INTERN.values() if e.__class__ is Prod]
+    monos = {e._flat[1] for e in prods}
+    assert len(prods) > 4000 and len(monos) < len(prods)
+    index = symexpr._MONOS
+    assert monos <= index.keys()
+    assert all(type(v) is tuple and all(map(_is_atom_factor, v)) for v in index.values())
+    assert all(index[e._flat[1]] == _atom_factors(e) for e in prods)
+    assert len({id(e._atoms) for e in prods}) == len({e._atoms for e in prods})
+
+
+def test_products_of_one_monomial_share_its_atom_factors():
+    _in_a_fresh_process("_products_against_the_index()")
 
 
 @pytest.mark.parametrize("case, exemplar_coeff, coeff",
                          [(0, 3, 1), (1, 1, -5), (2, Fraction(-2, 7), 4)])
 def test_a_new_product_takes_its_atoms_from_one_of_its_monomial(monkeypatch, case,
                                                                 exemplar_coeff, coeff):
-    # an empty index, so that the first product of x^-2*p3 made here is
-    # its exemplar; a factor no other case or test builds makes each
-    # product new
+    # an empty index, so that the first product of x^-2*p3 made here, the
+    # exemplar, decodes the monomial; a factor no other case or test builds
+    # makes each product new
     monkeypatch.setattr(symexpr, "_MONOS", {})
     odd = log(add(jet(7), 12345 + case))
     ex = mul(exemplar_coeff, pow_int(X, -2), p3, odd)
     mono = _pack((-2, 0, 0, 0, 1))
-    assert symexpr._MONOS == {mono: ex}
+    atoms = (p3, pow_int(X, -2))
+    assert symexpr._MONOS == {mono: atoms}
     assert isinstance(ex.factors[0], Rat) == (exemplar_coeff != 1)
     made = [mul(coeff, pow_int(X, -2), p3, f) for f in (exp(odd), sin(odd), cos(odd))]
-    assert symexpr._MONOS == {mono: ex}
+    assert symexpr._MONOS == {mono: atoms}
     for e in (ex, *made):
-        assert isinstance(e, Prod) and e._exps is ex._exps == (-2, 0, 0, 0, 1)
+        assert isinstance(e, Prod) and e._flat[1] == mono
         # the atom factors follow the coefficient, if there is one
-        assert e.factors[isinstance(e.factors[0], Rat):][:2] == (p3, pow_int(X, -2))
+        assert e.factors[isinstance(e.factors[0], Rat):][:2] == atoms == _atom_factors(e)
         assert mul(*e.factors) is e
-        assert (e._flat, e._den, e._exps) == _reference_flat(e), render(e)
+        assert (e._flat, e._den) == _reference_flat(e), render(e)
         assert e._atoms == X._atoms | p3._atoms | jet(7)._atoms
+
+
+def _report_digest(clear_index: bool) -> str:
+    """The sha256 of the renders of an n=3 `construct` and of the `check` of
+    its f, with the monomial index emptied between the two or not."""
+    t = construct(gen_params(3, 3, GenConfig(seed=30002, max_degree=3, max_terms=4)))
+    if clear_index:
+        symexpr._MONOS.clear()
+    report = check(t.f, 3, CFG)
+    assert report.accepted
+    # after the index is emptied, the check decodes 59 monomials again
+    assert len(symexpr._MONOS) > 50
+    return hashlib.sha256(f"{t!r}\n{report!r}".encode()).hexdigest()
+
+
+def test_clearing_the_monomial_index_changes_no_output():
+    # the index is a cache: a product made after it is emptied decodes its
+    # monomial again and takes the same atom factors
+    kept, cleared = (_in_a_fresh_process(f"_report_digest({c})") for c in (False, True))
+    assert kept == cleared
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
@@ -2058,8 +2115,6 @@ def test_fraction_coefficients_that_cancel_to_integers():
     assert render(mul(Fraction(3, 7), Fraction(14, 3), exp(p1))) == "2*exp(p1)"
 
 
-# last in the file: its 2^24 paths would make each whole-table reference
-# above walk for minutes
 def test_substitute_rebuilds_each_shared_node_once(monkeypatch):
     # e_k = sin(e_(k-1)) + cos(e_(k-1)) has 2^k paths to p2 but 3k + 1
     # distinct nodes, 3k of them composite
