@@ -4,6 +4,8 @@ granular tests and the acceptance module."""
 
 from __future__ import annotations
 
+import pytest
+
 from varmult.symexpr import (
     AntiDeriv,
     Cos,
@@ -21,6 +23,7 @@ from varmult.symexpr import (
     ZeroTestConfig,
     add,
     diff,
+    evaluate,
     is_zero,
     jet,
     mul,
@@ -28,6 +31,7 @@ from varmult.symexpr import (
 )
 from varmult.jetops import d_pow, euler_op, total_derivative
 from varmult.testkit import GenConfig, gen_expr
+from varmult.varcore import euler_lagrange
 
 # tolerances pinned by the acceptance criteria
 CFG = ZeroTestConfig(atol=1e-9, seed=20260810)
@@ -70,6 +74,31 @@ def to_sympy(e, sympy, x, jet_image):
         return funcs[type(e)](rec(e.arg))
 
     return rec(e)
+
+
+def el_routes(lagr, n, coeffs, xs):
+    """Two routes to the Euler-Lagrange expression E_{2n}^n L along the
+    polynomial u(x) = sum coeffs[i] x^i: one (path, jet) pair of floats per
+    rational x0 in xs.  The path side is sympy's alone,
+    sum_k (-1)^k (d/dx)^k [dL/dp_k with p_j -> u^(j)(x)], valued exactly at
+    x0 (it only reads the tree of L); the jet side is `euler_lagrange(L, n)`
+    evaluated at the jet of u at x0."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = sympy.symbols(f"p0:{n + 1}")
+    u = sum(sympy.Rational(c) * x**i for i, c in enumerate(coeffs))
+    lagr_s = to_sympy(lagr, sympy, x, lambda k: p[k])
+    along = {p[j]: sympy.diff(u, x, j) for j in range(n + 1)}
+    path = sum((-1) ** k * sympy.diff(sympy.diff(lagr_s, p[k]).subs(along), x, k)
+               for k in range(n + 1))
+    el = euler_lagrange(lagr, n)
+    pairs = []
+    for x0 in map(sympy.Rational, xs):
+        point = {X: float(x0)}
+        for j in range(2 * n + 1):
+            point[jet(j)] = float(sympy.diff(u, x, j).subs(x, x0))
+        pairs.append((float(path.subs(x, x0).evalf(30)), evaluate(el, point)))
+    return pairs
 
 
 def comb0(n: int, r: int) -> int:

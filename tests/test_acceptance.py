@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CFG, IDENTITY_SUITES, comb0, rand_expr
+from conftest import CFG, IDENTITY_SUITES, comb0, el_routes, rand_expr
 from test_cli import invoke, validate
 from varmult.checker import Accepted, Rejected, check
 from varmult.jetops import (
@@ -34,7 +34,7 @@ from varmult.symexpr import (
     mul,
     pow_int,
 )
-from varmult.testkit import GenConfig, PolynomialPath, el_path_oracle, gen_params
+from varmult.testkit import GenConfig, gen_params
 from varmult.varcore import (
     VariationalTriple,
     construct,
@@ -234,7 +234,8 @@ def test_criterion_8_worked_equations():
 
 def test_criterion_9_path_oracle():
     """Two independent Euler-Lagrange routes agree on 20 random
-    (L, u, x) triples with n <= 3, < 30 s."""
+    (L, u, x) triples with n <= 3, < 30 s: sympy's calculus along the path
+    u and the jet operator at the jet of u."""
 
     def body():
         import random
@@ -245,10 +246,9 @@ def test_criterion_9_path_oracle():
             rng = random.Random(seed)
             lagr = rand_expr(7_000 + seed, max_index=n, degree=2, terms=3,
                              allow_exp=True)
-            u = PolynomialPath(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                                     for _ in range(2 * n + 3)))
+            u = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2 * n + 3)]
             x0 = Fraction(rng.randint(-8, 8), 9)
-            ((lhs, rhs),) = el_path_oracle(lagr, n, u, [x0])
+            ((lhs, rhs),) = el_routes(lagr, n, u, [x0])
             assert abs(lhs - rhs) <= 1e-9 + 1e-8 * max(abs(lhs), abs(rhs), 1.0), \
                 f"seed={seed}: {lhs} vs {rhs}"
             count += 1

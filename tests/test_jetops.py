@@ -177,7 +177,7 @@ def test_total_derivative_memo_returns_identical_node(seed):
         assert total_derivative(m, e) is first
         # consistency check against D_m = d/dx + sum_j p_j d/dp_{j-1}: the
         # partial derivatives run the same derivation pass, so this is no
-        # independent oracle (test_diff_matches_sympy is one)
+        # independent oracle (test_total_derivative_matches_sympy is one)
         assert first == add(diff(e, X),
                             *(mul(jet(j), diff(e, jet(j - 1))) for j in range(1, m + 1)))
     # past max_jet(e) + 1 every order is the same operator on e
@@ -258,6 +258,30 @@ def test_diff_matches_sympy(seed):
                 want = float(d_theirs.subs({sym[a]: sympy.Rational(c) for a, c in pt.items()})
                              .evalf(30))
                 assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (e, v, pt)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_total_derivative_matches_sympy(seed):
+    # differential test of the int derivation D_m against sympy's
+    # d/dx + sum_{j<m} p_{j+1} d/dp_j of every branch expression, at the
+    # orders 0, 1, max_jet(e) and max_jet(e) + 1 (those that are >= 0),
+    # compared at rational points as in test_diff_matches_sympy
+    sympy = pytest.importorskip("sympy")
+    sym = {X: sympy.Symbol("x"), **{jet(k): sympy.Symbol(f"p{k}") for k in range(6)}}
+    rng = random.Random(seed)
+    points = [{a: Fraction(rng.randint(2, 9), 10) for a in sym} for _ in range(2)]
+    for e in [_with_exp_and_integral(seed), *_td_branches(seed)]:
+        theirs = to_sympy(e, sympy, sym[X], lambda k: sym[jet(k)])
+        top = max_jet(e)
+        for m in sorted({m for m in (0, 1, top, top + 1) if m >= 0}):
+            ours = total_derivative(m, e)
+            d_theirs = sympy.diff(theirs, sym[X]) + sum(
+                sym[jet(j + 1)] * sympy.diff(theirs, sym[jet(j)]) for j in range(m))
+            for pt in points:
+                got = evaluate(ours, {a: float(c) for a, c in pt.items()})
+                want = float(d_theirs.subs({sym[a]: sympy.Rational(c) for a, c in pt.items()})
+                             .evalf(30))
+                assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (e, m, pt)
 
 
 def test_dm_keeps_the_slope_fold():

@@ -1,4 +1,4 @@
-"""Generator and oracle tests."""
+"""Generator tests, and the Euler-Lagrange expression directly and along a path."""
 
 from __future__ import annotations
 
@@ -6,27 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CFG
+from conftest import CFG, el_routes
 from varmult.jetops import d_pow, expand_d_pow, apply_expansion
 from varmult.symexpr import (
     Prod,
     Rat,
     X,
+    ZERO,
     add,
     jet,
     max_jet,
     mul,
     pow_int,
 )
-from varmult.testkit import (
-    GenConfig,
-    PolynomialPath,
-    el_path_oracle,
-    gen_expr,
-    gen_params,
-)
+from varmult.testkit import GenConfig, gen_expr, gen_params
+from varmult.varcore import euler_lagrange
 
-p0, p1, p2 = jet(0), jet(1), jet(2)
+p0, p1, p2, p4 = jet(0), jet(1), jet(2), jet(4)
 
 
 # ---------------------------------------------------------------------------
@@ -99,61 +95,40 @@ def test_brute_matches_expansion(m):
 
 
 # ---------------------------------------------------------------------------
-# polynomial paths and the Euler-Lagrange oracle
+# the Euler-Lagrange expression, directly and along a polynomial path
 # ---------------------------------------------------------------------------
 
 
-def test_polynomial_path_calculus():
-    u = PolynomialPath((1, 0, Fraction(1, 2)))  # 1 + x^2/2
-    assert u(Fraction(2)) == 3
-    assert u.derivative().coeffs == (Fraction(0), Fraction(1))
-    assert u.derivative(2).coeffs == (Fraction(1),)
-    assert u.derivative(3).coeffs == (Fraction(0),)
-    assert u.as_expr() == add(1, mul(Fraction(1, 2), pow_int(X, 2)))
+def test_euler_lagrange_quartic():
+    # L = p2^2/2 gives E = p4
+    assert euler_lagrange(mul(Fraction(1, 2), pow_int(p2, 2)), 2) is p4
 
 
-def test_el_path_oracle_quartic():
-    lagr = mul(Fraction(1, 2), pow_int(p2, 2))
-    u = PolynomialPath((0, 0, 0, 0, 1))  # x^4, EL = u'''' = 24
-    ((lhs, rhs),) = el_path_oracle(lagr, 2, u, [Fraction(1)])
-    assert lhs == pytest.approx(24.0, abs=1e-9)
-    assert rhs == pytest.approx(24.0, abs=1e-9)
-
-
-def test_el_path_oracle_harmonic():
+def test_euler_lagrange_harmonic():
+    # L = p2^2/2 - p1^2/2 gives E = p4 + p2
     lagr = add(mul(Fraction(1, 2), pow_int(p2, 2)),
                mul(Fraction(-1, 2), pow_int(p1, 2)))
-    u = PolynomialPath((0, 0, 1))  # x^2, EL = u'''' + u'' = 2
-    ((lhs, rhs),) = el_path_oracle(lagr, 2, u, [Fraction(0)])
-    assert lhs == pytest.approx(2.0, abs=1e-9)
-    assert rhs == pytest.approx(2.0, abs=1e-9)
+    assert euler_lagrange(lagr, 2) == add(p4, p2)
 
 
-def test_el_path_oracle_null_lagrangian():
-    # L = p1 is a total derivative; both routes give identically 0
-    u = PolynomialPath((0, 0, 1))
-    for lhs, rhs in el_path_oracle(p1, 1, u, [Fraction(0), Fraction(1, 3)]):
-        assert lhs == pytest.approx(0.0, abs=1e-12)
-        assert rhs == pytest.approx(0.0, abs=1e-12)
-
-
-def test_el_path_oracle_validates_order():
-    with pytest.raises(ValueError):
-        el_path_oracle(pow_int(p2, 2), 1, PolynomialPath((0, 1)), [Fraction(0)])
+def test_euler_lagrange_null_lagrangian():
+    # L = p1 is a total derivative
+    assert euler_lagrange(p1, 1) is ZERO
 
 
 @pytest.mark.parametrize("n,seed", [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4), (3, 5)])
 def test_el_path_oracle_agreement_random(n, seed):
+    # sympy's calculus along a random polynomial path u against the jet
+    # operator at the jet of u, at four points
     import random
 
     from conftest import rand_expr
 
     rng = random.Random(seed)
     lagr = rand_expr(seed, max_index=n, degree=2, terms=3, allow_exp=True)
-    u = PolynomialPath(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                             for _ in range(2 * n + 3)))
+    u = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2 * n + 3)]
     xs = [Fraction(rng.randint(-8, 8), 9) for _ in range(4)]
-    for lhs, rhs in el_path_oracle(lagr, n, u, xs):
+    for lhs, rhs in el_routes(lagr, n, u, xs):
         assert abs(lhs - rhs) <= CFG.atol + 1e-8 * max(abs(lhs), abs(rhs), 1.0)
 
 
