@@ -33,12 +33,12 @@ derivation's steps of 1 (`_rule`).  So no key's digit nears B/2.
 
 Work that many terms share is done once per structure: `_times` merges two
 other-factor tuples once per pair, the product-rule pass that `diff` and
-`jetops.total_derivative` share (`_derive`) differentiates a term's other
-factors once per tuple of them (`_derive_others`) and adds each term's
-product rule (`_rule`) straight into its one accumulator, so its memo holds
-result nodes and those tuples' derivatives, nothing per term; and evaluation
-compiles an expression once into an instruction list (`_compile`) that each
-point runs in one loop (`_run`).  The atoms (x and the jets) a node holds
+`jetops.total_derivative` share (`_derive`) differentiates the other
+factors of the terms it derives once per tuple of them (`_derive_others`)
+and adds each term's product rule (`_rule`) straight into its one
+accumulator, so its memo holds result nodes only, nothing per term or per
+tuple; and evaluation compiles an expression once into an instruction list
+(`_compile`) that each point runs in one loop (`_run`).  The atoms (x and the jets) a node holds
 are one int bit mask (`_atoms`), the OR of its children's, so that no table
 keeps atom sets; the products of one atom set share one int (`_MASKS`).
 Every node but a sum holds its sort key (`sort_key`) from
@@ -585,23 +585,20 @@ def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
     return _intern(key, Prod, fs, (n, mono, others), d)
 
 
-def _finish(acc: dict, den: int, whole: dict | None = None) -> Expr:
+def _finish(acc: dict, den: int) -> Expr:
     """The canonical sum of an accumulator over `den`: zero numerators drop,
-    and the surviving terms are reduced, built, sorted and interned once.
-    `whole` maps a key to its term when that is already built (in `add`, an
-    input term whose key occurred once)."""
+    and the surviving terms are reduced, built, sorted and interned once.  A
+    term that exists, such as an input term of `add` that nothing merged
+    with, is found again by `_term`."""
     out = []
     for key, c in acc.items():
-        t = whole[key] if whole else None
-        if t is None:
-            if not c:
-                continue
-            if den == 1:
-                t = _term(c, 1, *key)
-            else:
-                g = math.gcd(c, den)
-                t = _term(c // g, den // g, *key)
-        out.append(t)
+        if not c:
+            continue
+        if den == 1:
+            out.append(_term(c, 1, *key))
+        else:
+            g = math.gcd(c, den)
+            out.append(_term(c // g, den // g, *key))
     if not out:
         return ZERO
     if len(out) == 1:
@@ -612,7 +609,9 @@ def _finish(acc: dict, den: int, whole: dict | None = None) -> Expr:
 
 
 def add(*terms: ExprLike) -> Expr:
-    """Canonical sum: flattens, folds constants, combines like terms."""
+    """Canonical sum: flattens, folds constants, combines like terms.  Every
+    term enters one accumulator by its flat term, and `_finish` builds the
+    sum; a term that nothing merged with comes back as the same node."""
     # a canonical sum holds no sum and no 0, so one level flattens it
     ts = []
     for t in terms:
@@ -622,23 +621,14 @@ def add(*terms: ExprLike) -> Expr:
         elif t is not ZERO:
             ts.append(t)
     den = math.lcm(*[t._den for t in ts])
-    # key -> numerator, and key -> the term itself while the key has
-    # occurred once, so that a term nothing merges with is kept as it is
     acc: dict = {}
-    whole: dict = {}
     for t in ts:
         c, m, o = t._flat
         if t._den != den:
             c *= den // t._den
         key = (m, o)
-        prev = acc.get(key)
-        if prev is None:
-            acc[key] = c
-            whole[key] = t
-        else:
-            acc[key] = prev + c
-            whole[key] = None
-    return _finish(acc, den, whole)
+        acc[key] = acc.get(key, 0) + c
+    return _finish(acc, den)
 
 
 def _exp_raw(arg: Expr) -> Expr:
@@ -893,12 +883,10 @@ _MERGES: dict[tuple, tuple] = {}
 #: derivation results keyed on (d, interned node), each a canonical node.
 #: `d` is an atom for a partial derivative and an int m for D_m, so the two
 #: kinds of key never collide.  A derivation with `plus` pairs is keyed on
-#: (d, e, plus, scale), the flat terms of the derivative of a term's other
-#: factors (the only lists of flat terms here) on ("others", d, others), and
-#: an antiderivative of e in v on ("anti", e, v): none meets a 2-tuple key,
-#: and the two 3-tuples differ in their first item.  Threads racing on one
-#: key store equal values.
-_DERIV_CACHE: dict[tuple, object] = {}
+#: (d, e, plus, scale) and an antiderivative of e in v on ("anti", e, v):
+#: neither meets a 2-tuple key.  Every value is a node.  Threads racing on
+#: one key store equal values.
+_DERIV_CACHE: dict[tuple, Expr] = {}
 
 
 def _require_atom(v: Expr) -> Expr:
@@ -1015,18 +1003,13 @@ def _rule(acc: dict, den: int, t: Expr, d, dots: tuple) -> None:
 def _derive_others(d, others: tuple) -> tuple:
     """The derivation `d` of the product of the other factors of a term, as
     a list of flat terms (den, ft, ...) with no factor common to den and all
-    numerators, memoized on ("others", d, others) for every term that shares
-    them: per factor, the other factors times each term of the derivative
-    of that factor's argument (an exponent, a slope, or the argument of a
-    log, sin, cos or opaque integral)."""
-    if d.__class__ is int:
-        d = min(d, max(map(max_jet, others)) + 1)
-    elif not any(d._atoms & f._atoms for f in others):
+    numerators: per factor, the other factors times each term of the
+    derivative of that factor's argument (an exponent, a slope, or the
+    argument of a log, sin, cos or opaque integral).  `_derive` calls it
+    once per tuple of other factors in the expression it derives; the
+    derivatives of the arguments come from its memo."""
+    if d.__class__ is not int and not any(d._atoms & f._atoms for f in others):
         return _NO_TERMS
-    key = ("others", d, others)
-    out = _DERIV_CACHE.get(key)
-    if out is not None:
-        return out
     # each part is a flat term times a list of flat terms, collected first so
     # that the denominator of the accumulator is their lcm from the start
     parts = []
@@ -1057,9 +1040,7 @@ def _derive_others(d, others: tuple) -> tuple:
     for left, terms in parts:
         _times_sum(acc, den, left, 1, terms)
     g = math.gcd(den, *acc.values()) if den != 1 else 1
-    out = (den // g, *[(c // g, m, o) for (m, o), c in acc.items() if c])
-    _DERIV_CACHE[key] = out
-    return out
+    return (den // g, *[(c // g, m, o) for (m, o), c in acc.items() if c])
 
 
 def _derive_factor(d, f: Expr) -> Expr:

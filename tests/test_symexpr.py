@@ -924,6 +924,19 @@ def test_evaluate_domain_errors():
                  {X: 1.0, p1: 1.0})
 
 
+def test_a_log_whose_constant_argument_overflows_is_kept():
+    # the sign of a constant log argument is taken by evaluating it; when
+    # that overflows, the log is kept as a node rather than refused
+    e = parse("log(1 + exp(1000))")
+    assert isinstance(e, Log) and e.arg is add(1, exp(1000))
+
+
+def test_evaluate_refuses_a_non_finite_input():
+    for v in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="non-finite intermediate value"):
+            evaluate(jet(1), {jet(1): v})
+
+
 def _rand_transcendental(seed):
     # a random polynomial times, plus and inside exp, log, sin, cos and a
     # slope (a negative power of a sum), with every log argument positive
@@ -1574,30 +1587,40 @@ def test_atom_exponents_are_bounded():
             make()
 
 
-def test_add_keeps_terms_with_distinct_cores(monkeypatch):
+def test_add_keeps_terms_with_distinct_cores():
     terms = [mul(3, p1, p2), pow_int(p2, 2), exp(p1), mul(Fraction(-1, 2), X),
              mul(-7, exp(p2), p1)]
+
+    def kept(total, *left):
+        return all(any(t is u for u in total.terms) for t in left)
+
+    def term_of(total, mono):
+        # the term of `total` with the monomial `mono` and no other factor
+        [t] = [t for t in total.terms if t._flat[1:] == (mono, ())]
+        return t
+
+    # a term that nothing merges with comes back as the same node
     expected = add(*terms)
-    twice = mul(2, p1, p2)
-    calls = _counting(monkeypatch, "_term")
     s = add(*terms)
     assert s is expected and isinstance(s, Sum)
-    assert calls == []
-    assert len(s.terms) == len(terms)
-    assert all(any(t is u for u in s.terms) for t in terms)
-    # only a core that occurs twice is rebuilt, and a zero sum drops it;
-    # p1*p2 is the monomial with exponent 1 at the positions of p1 and p2
-    merged = add(s, twice)
-    assert calls == [(5, 1, _pack((0, 0, 1, 1)), ())]
-    assert merged is add(mul(5, p1, p2), *terms[1:])
+    assert len(s.terms) == len(terms) and kept(s, *terms)
+    # only a core that occurs twice merges, and a zero sum drops it; p1*p2
+    # is the monomial with exponent 1 at the positions of p1 and p2
+    merged = add(s, mul(2, p1, p2))
+    assert merged is add(mul(5, p1, p2), *terms[1:]) and kept(merged, *terms[1:])
+    five = term_of(merged, _pack((0, 0, 1, 1)))
+    assert (five._flat[0], five._den) == (5, 1) and five.factors[0] is rational(5)
     assert add(s, mul(-3, p1, p2)) is add(*terms[1:])
-    # -1/2*x + 1/3*x: the numerators meet over the common denominator 6, and
-    # the one term built gets the coprime pair (numerator, denominator)
-    sixth = add(*terms[:3], mul(Fraction(-1, 6), X), terms[4])
-    third = mul(Fraction(1, 3), X)
-    del calls[:]
-    assert add(s, third) is sixth
-    assert calls == [(-1, 6, _pack((1,)), ())]
+    # -1/2*x + 1/3*x and -1/2*x + 1/6*x: the numerators meet over the common
+    # denominator 6, and the merged term gets the coprime pair (numerator,
+    # denominator), -1/6 as it is and -2/6 reduced to -1/3
+    for other, n, d in ((Fraction(1, 3), -1, 6), (Fraction(1, 6), -1, 3)):
+        total = add(s, mul(other, X))
+        assert total is add(*terms[:3], mul(Fraction(n, d), X), terms[4])
+        assert kept(total, *terms[:3], terms[4])
+        x_term = term_of(total, _pack((1,)))
+        assert (x_term._flat[0], x_term._den) == (n, d)
+        assert x_term.factors[0] is rational(Fraction(n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -1814,31 +1837,33 @@ def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
     assert heads == [Fraction(n, d) for n, d in pairs]
     # a list of flat terms (den, ft, ...) shares one denominator, and no
     # factor is common to it and all the numerators: a sum's lists, one per
-    # denominator of its terms, and the derivation memo's derivatives of
-    # other factors, where sums of fractions can come out integral
+    # denominator of its terms, and the derivatives of f's other-factor
+    # tuples under D_m and d/dv, where sums of fractions can come out integral
     lists = symexpr._flats(t.f)
     assert sorted(lst[0] for lst in lists) == sorted({d for _, d in pairs})
-    memo = [v for v in list(symexpr._DERIV_CACHE.values()) if isinstance(v, tuple)]
-    assert len(memo) > 10
-    lists += memo
+    others = {u._flat[2] for u in t.f.terms if u._flat[2]}
+    assert len(others) > 10
+    lists += [symexpr._derive_others(d, o) for o in others
+              for d in (1, 2, 3, 4, 5, X, p0, p1, p2, p3)]
     assert any(lst[0] > 1 for lst in lists)
     for den, *fts in lists:
         assert type(den) is int and den >= 1 and all(type(c) is int for c, _, _ in fts)
         assert math.gcd(den, *[c for c, _, _ in fts]) == 1
 
 
-def test_the_derivation_memo_holds_nodes_and_other_factor_derivatives_only(monkeypatch):
+def test_the_derivation_memo_holds_nodes_only(monkeypatch):
     # a derivation adds each term's product rule straight into its one
-    # accumulator and memoizes the resulting node; the only lists of flat
-    # terms left in the memo are the derivatives of other-factor tuples,
-    # which many terms share (1,311 entries when each term kept its own)
+    # accumulator, and derives each tuple of other factors once per call, so
+    # the memo holds the result node of each derivation and antiderivative
+    # and nothing per term or per tuple (1,311 entries when each term kept
+    # its own)
     monkeypatch.setattr(symexpr, "_DERIV_CACHE", {})
     t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
     assert check(t.f, 4, CFG).accepted
     memo = symexpr._DERIV_CACHE
     assert memo
     for key, v in memo.items():
-        assert isinstance(v, symexpr.Expr) or (key[0] == "others" and isinstance(v, tuple)), key
+        assert isinstance(v, symexpr.Expr) and key[0] != "others", key
     assert len(memo) < 200
 
 
@@ -1947,10 +1972,11 @@ def test_a_new_product_takes_its_atoms_from_one_of_its_monomial(monkeypatch, cas
     ex = mul(exemplar_coeff, pow_int(X, -2), p3, odd)
     mono = _pack((-2, 0, 0, 0, 1))
     atoms = (p3, pow_int(X, -2))
-    assert symexpr._MONOS == {mono: atoms}
+    held = symexpr._MONOS[mono]
+    assert held == atoms
     assert isinstance(ex.factors[0], Rat) == (exemplar_coeff != 1)
     made = [mul(coeff, pow_int(X, -2), p3, f) for f in (exp(odd), sin(odd), cos(odd))]
-    assert symexpr._MONOS == {mono: atoms}
+    assert symexpr._MONOS[mono] is held
     for e in (ex, *made):
         assert isinstance(e, Prod) and e._flat[1] == mono
         # the atom factors follow the coefficient, if there is one
