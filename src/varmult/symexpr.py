@@ -45,12 +45,13 @@ Every node but a sum holds its sort key (`sort_key`) from
 construction, made from its children's keys, and a sum's is built from its
 terms' keys when asked for: nothing writes a node after it is published.
 
-Text is read by one regular expression (`_TOKEN`) and a recursive-descent
-parser that multiplies the factors of a term with one `mul` call unless one
-of them is a sum.  Printing, compiling and substituting loop once over each
-distinct node, children first, on an explicit stack (`_walk`); printing
-builds no node, and a negative term of a sum prints as " - " and its text
-past the sign.
+Text is read in one pass: a recursive-descent parser takes each token from
+one regular expression (`_TOKEN`) as it goes, with one token of lookahead
+and no token list, and multiplies the factors of a term with one `mul` call
+unless one of them is a sum.  Printing, compiling and substituting loop
+once over each distinct node, children first, on an explicit stack
+(`_walk`); printing builds no node, and a negative term of a sum prints as
+" - " and its text past the sign.
 
 Nodes are hash-consed: every node is interned on construction, so two
 structurally equal trees are the same object, and node equality and hashing
@@ -830,18 +831,20 @@ def log(arg: ExprLike) -> Expr:
         raise ExprError(f"log of the nonpositive constant {a.value}")
     if not a._atoms and a.__class__ is not Rat:
         # a constant such as -exp(1)
-        if a.__class__ is not Sum and all(f.__class__ is Exp for f in a._flat[2]):
-            # a coefficient times exponentials has the coefficient's sign,
-            # which evaluation cannot tell once exp overflows
-            negative = a._flat[0] < 0
+        ts = a.terms if a.__class__ is Sum else (a,)
+        if (all(f.__class__ is Exp for t in ts for f in t._flat[2])
+                and len({t._flat[0] < 0 for t in ts}) == 1):
+            # coefficients of one sign times exponentials: the sum has that
+            # sign, which evaluation cannot tell once exp overflows
+            negative = ts[0]._flat[0] < 0
         else:
-            # the value decides, unless it is within rounding of 0 or its
-            # evaluation overflows
+            # the value decides, unless it is within rounding of 0; a value
+            # that cannot be evaluated, such as an overflow, decides nothing
             scale = _Scale(_EVAL_BUDGET)
             try:
                 negative = _run(_compile(a), {}, scale) < -_RTOL * scale.value
             except DomainError:
-                negative = False
+                raise ExprError(f"log of a constant whose sign cannot be decided: {render(a)}") from None
         if negative:
             raise ExprError(f"log of the negative constant {render(a)}")
     return _intern((Log, a), Log, a)
@@ -1215,25 +1218,18 @@ def substitute(e: ExprLike, bindings: Mapping[Expr, ExprLike]) -> Expr:
     out: dict = {}
     for n in _walk(as_expr(e), enter):
         if n._atoms & keys and n not in b:
-            out[n] = ZERO if n.__class__ is AntiDeriv and n.var in b else _rebuild(n, out.__getitem__)
+            out[n] = ZERO if n.__class__ is AntiDeriv and n.var in b else _rebuild(n, lambda c: out.get(c, c))
         else:
             out[n] = b.get(n, n)
     return out[n]
 
 
 def _rebuild(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """Apply `f` to each child of the composite `e` and rebuild the node
-    through the canonical constructors, once per node `substitute` changes."""
-    cls = e.__class__
-    if cls is Sum:
-        return add(*(f(t) for t in e.terms))
-    if cls is Prod:
-        return mul(*(f(t) for t in e.factors))
-    if cls is Pow:
-        return pow_int(f(e.base), e.exponent)
-    if cls is AntiDeriv:
-        return _anti1(f(e.integrand), e.var)
-    return cls(f(e.arg))  # exp, log, sin or cos
+    """The class call of the composite `e` with `f` applied to each child,
+    once per node `substitute` changes; an int exponent passes unchanged."""
+    args = (getattr(e, a) for a in e._args)
+    return e.__class__(*(tuple(map(f, a)) if a.__class__ is tuple else
+                         f(a) if isinstance(a, Expr) else a for a in args))
 
 
 def simplify(e: ExprLike) -> Expr:
@@ -1272,11 +1268,11 @@ _TOKEN = re.compile(r"""[\t-\r\x1c-\x1f ]*(?:
     |(?P<eof>\Z))""", re.S | re.X)
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """The tokens (kind, text, offset, value) of `text`: kind "num" with an
-    int value (a Fraction for a decimal), "ident", an operator character as
-    its own kind, and a closing "eof"."""
-    toks = []
+def _tokenize(text: str):
+    """The tokens (kind, text, offset, value) of `text`, one match at a time,
+    as the parser reads them: kind "num" with an int value (a Fraction for a
+    decimal), "ident", an operator character as its own kind, and a closing
+    "eof"."""
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         s = m[kind]
@@ -1284,15 +1280,14 @@ def _tokenize(text: str) -> list[tuple]:
         if kind == "num":
             if len(s) > MAX_RATIONAL_DIGITS + ("." in s):
                 raise ParseError(f"number with more than {MAX_RATIONAL_DIGITS} digits", i)
-            toks.append((kind, s, i, Fraction(s) if "." in s else int(s)))
+            yield kind, s, i, Fraction(s) if "." in s else int(s)
         elif kind == "bad":
             if s.isascii():
                 raise ParseError(f"unexpected character {s!r}", i)
             # every token before it is ASCII, so its index is its byte offset
             raise ParseError(f"non-ASCII character {s!r}", i)
         else:
-            toks.append((s if kind == "op" else kind, s, i, None))
-    return toks
+            yield s if kind == "op" else kind, s, i, None
 
 
 #: deepest nesting of parentheses and calls that `parse` accepts; the parser
@@ -1301,17 +1296,17 @@ MAX_PARSE_DEPTH = 100
 
 
 class _Parser:
+    # recursive descent with one token of lookahead, `tok`, which is read
+    # from the text as the parse goes
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
+        self.tokens = _tokenize(text)
+        self.tok = next(self.tokens)
         self.depth = 0
 
-    def peek(self) -> tuple:
-        return self.toks[self.pos]
-
     def next(self) -> tuple:
-        t = self.toks[self.pos]
-        self.pos += 1
+        # the end token stays current once it is reached
+        t = self.tok
+        self.tok = next(self.tokens, t)
         return t
 
     def expect(self, kind: str) -> None:
@@ -1323,14 +1318,14 @@ class _Parser:
         # one add over all terms: adding term by term would re-flatten and
         # re-sort the partial sum at every step
         terms = [self.term()]
-        while self.peek()[0] in "+-":
+        while self.tok[0] in "+-":
             terms.append(self.term(self.next()[0] == "-"))
         return add(*terms)
 
     def term(self, negate: bool = False) -> Expr:
         """A product of factors, negated for a subtracted term."""
         factors = [self.factor()]
-        while self.peek()[0] in "*/":
+        while self.tok[0] in "*/":
             op = self.next()[0]
             rhs = self.factor()
             factors.append(rhs if op == "*" else pow_int(rhs, -1))
@@ -1358,11 +1353,11 @@ class _Parser:
     def factor(self) -> Expr:
         # a run of unary minuses is folded by parity, not by recursion
         neg = False
-        while self.peek()[0] == "-":
+        while self.tok[0] == "-":
             self.next()
             neg = not neg
         out = self.atom()
-        if self.peek()[0] == "^":
+        if self.tok[0] == "^":
             self.next()
             out = pow_int(out, self.integer())
         return mul(-1, out) if neg else out
@@ -1428,7 +1423,7 @@ def parse(text: str) -> Expr:
     """
     p = _Parser(text)
     out = p.expr()
-    kind, text, offset, _ = p.peek()
+    kind, text, offset, _ = p.tok
     if kind != "eof":
         raise ParseError(f"unexpected trailing {text!r}", offset)
     return out

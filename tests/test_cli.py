@@ -362,6 +362,16 @@ def test_log_of_an_overflowing_negative_constant_is_an_input_error():
         assert code == 0 and "outcome: accepted" in out, text
 
 
+def test_log_of_a_constant_of_undecided_sign_is_an_input_error():
+    # 1 - exp(1000) is negative, but its value overflows a float and its
+    # terms' coefficients differ in sign: exit 2, not a verdict
+    code, out, err = invoke("check", "--order", "2", "--expr", "log(1 - exp(1000))*p3^2")
+    assert (code, out) == (2, "") and "sign cannot be decided" in err
+    for text in ("log(1 + exp(1000))*p3^2", "log(exp(1/10^20) - 1)*p3^2"):
+        code, out, _ = invoke("check", "--order", "2", "--expr", text)
+        assert code == 0 and "outcome: accepted" in out, text
+
+
 # ---------------------------------------------------------------------------
 # JSON schema
 # ---------------------------------------------------------------------------

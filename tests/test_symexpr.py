@@ -14,6 +14,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -150,8 +151,42 @@ def test_parse_skips_every_ascii_space():
         assert parse(f"{c}p1{c}*{c}2{c}+{c}p2{c}") is add(mul(2, p1), p2), repr(c)
 
 
+def test_parse_reports_the_first_fault_it_reaches():
+    # the text is read once, left to right, one token ahead of the parse: a
+    # character that starts no token is a fault once it is that token, and
+    # a fault that the parse finds first ends the reading
+    for text, (message, offset) in {
+        "p1 p2 \u00e9": ("unexpected trailing 'p2'", 3),
+        "* p1 !": ("unexpected '*'", 0),
+        "* \u00e9": ("non-ASCII character '\u00e9'", 2),
+        "p1 + (p2 !": ("unexpected character '!'", 9),
+    }.items():
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (byte {offset})", text
+    with pytest.raises(ExprError, match="nonpositive constant"):
+        parse("log(-1) + \u00e9")
+
+
+def test_parse_holds_no_token_list():
+    # the tokens are read as the parse goes, so the text of 100,001 terms
+    # is parsed without a list of its 200,002 tokens
+    text = "p1" + " + p1" * 100_000
+    tracemalloc.start()
+    try:
+        e = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e is mul(100001, jet(1))
+    assert peak < 10 * 2**20, f"parse peaked at {peak / 2**20:.1f} MiB"
+
+
 def test_tokens_carry_exact_values():
-    toks = symexpr._tokenize("12*0.25")
+    # an iterator, which yields each token as the parser asks for it
+    tokens = symexpr._tokenize("12*0.25")
+    assert iter(tokens) is tokens
+    toks = list(tokens)
     assert [t[0] for t in toks] == ["num", "*", "num", "eof"]
     assert toks[0][3] == 12 and toks[0][3].__class__ is int
     assert toks[2][3] == Fraction(1, 4) and toks[2][3].__class__ is Fraction
@@ -669,7 +704,8 @@ def test_log_of_a_negative_constant_is_an_error():
             parse(f"log({bad})")
     with pytest.raises(ExprError, match="negative constant"):
         substitute(log(add(p1, exp(1))), {p1: -3})
-    # positive, within rounding of 0, or overflowing: a node as before
+    # positive or within rounding of 0: a node as before (a coefficient
+    # times exponentials, such as -exp(1000), has the coefficient's sign)
     for ok in ("1 + exp(1)", "exp(1/10^20) - 1", "exp(-1)"):
         assert isinstance(parse(f"log({ok})"), symexpr.Log), ok
 
@@ -925,10 +961,25 @@ def test_evaluate_domain_errors():
 
 
 def test_a_log_whose_constant_argument_overflows_is_kept():
-    # the sign of a constant log argument is taken by evaluating it; when
-    # that overflows, the log is kept as a node rather than refused
+    # a constant whose terms are coefficients of one sign times exponentials
+    # has the coefficients' sign, so it is kept as a node although its
+    # value overflows a float
     e = parse("log(1 + exp(1000))")
     assert isinstance(e, Log) and e.arg is add(1, exp(1000))
+
+
+def test_a_log_of_a_constant_whose_sign_cannot_be_decided_is_an_error():
+    # coefficients of both signs leave the sign to evaluation; when that
+    # overflows the sign is unknown, and the log is refused, not kept
+    for bad in ("1 - exp(1000)", "exp(1000) - 1", "2*exp(3) - exp(1000)*exp(2)"):
+        with pytest.raises(ExprError, match="log of a constant whose sign cannot be decided"):
+            parse(f"log({bad})")
+    with pytest.raises(ExprError, match="negative constant"):
+        parse("log(-exp(1000))")
+    with pytest.raises(ExprError, match="negative constant"):
+        parse("log(-1 - 2*exp(1000))")
+    for ok in ("1 + exp(1000)", "exp(1/10^20) - 1", "2*exp(1000) + exp(-1000)"):
+        assert isinstance(parse(f"log({ok})"), Log), ok
 
 
 def test_evaluate_refuses_a_non_finite_input():
