@@ -7,8 +7,11 @@ the closed-form expansion of ``D_m^k`` over ``D_{m-1}`` in terms of
 multi-indices with exact rational coefficients.
 
 D_m is a derivation of the jet ring, like a partial derivative: both are
-applied by the kernel's one product-rule pass (`symexpr._derive`), which
-differs between them only in the image of an atom.
+applied by the kernel's one product-rule pass, which differs between them
+only in the image of an atom.  A derivation's result is a node
+(`symexpr._derive`); an Euler-Lagrange operator keeps its Horner steps and
+partial derivatives as flat terms in that pass and builds only its result
+(`symexpr._euler`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .symexpr import ONE, ZERO, Expr, ExprLike, _derive, add, as_expr, diff, jet, mul, pow_int, rational
+from .symexpr import ONE, Expr, ExprLike, _derive, _euler, add, as_expr, diff, jet, mul, pow_int
 
 __all__ = [
     "MultiIndex",
@@ -67,23 +70,12 @@ def euler_op(m: int, n: int, e: ExprLike) -> Expr:
 def _euler_op(m: int, n: int, e: ExprLike, plus: tuple, scale: Expr = ONE) -> Expr:
     """`scale * euler_op(m, n, e)`, scale a canonical term, plus the
     products a*b of the pairs (a, b) of `plus`, each a a canonical term that
-    holds no power of b.  Every Horner step builds one sum: the partial
-    derivative goes into the accumulator of its D_m step
-    (`symexpr._derive`), and so do the scale and the pairs in the last step,
-    so a result that cancels builds neither s_0 nor the products."""
+    holds no power of b.  The kernel (`symexpr._euler`) runs the Horner
+    steps on flat terms in the product-rule pass of `total_derivative`, and
+    the scale and the pairs go into the last step's accumulator: no step,
+    partial derivative or product is built, only the result."""
     _check_orders(m, n)
-    e = as_expr(e)
-    m = int(m)
-    out = None
-    for k in range(n, -1, -1):
-        d = diff(e, jet(k))
-        # the sign of an odd step is its pair's coefficient; only the first
-        # step, which has no pair, negates the partial itself
-        sign = rational(-1) if k % 2 else ONE
-        if k == 0 and plus:
-            return _derive(m, ZERO if out is None else out, ((scale, d),) + plus, scale)
-        out = mul(sign, d) if out is None else _derive(m, out, ((sign, d),))
-    return out
+    return _euler(int(m), int(n), as_expr(e), plus, scale)
 
 
 class MultiIndex(Record):

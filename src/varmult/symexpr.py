@@ -6,10 +6,11 @@ canonical by construction: sums and products are flattened, constants are
 folded into exact rationals, products are fully distributed over sums, and
 exponentials are kept split so that ``exp(a)*exp(b)`` and ``exp(a + b)``
 reach the same normal form.  On top of the algebra the module provides
-derivations, definite antiderivatives from 0 (with an opaque integral node
-as fallback), parsing/printing, floating evaluation with Gauss-Legendre
-quadrature for opaque integrals, and a probabilistic zero test, exact on
-the forms that the canonical form shows to be nonzero (`_nonzero_by_form`).
+derivations and the Euler-Lagrange operators built from them, definite
+antiderivatives from 0 (with an opaque integral node as fallback),
+parsing/printing, floating evaluation with Gauss-Legendre quadrature for
+opaque integrals, and a probabilistic zero test, exact on the forms that
+the canonical form shows to be nonzero (`_nonzero_by_form`).
 
 Sums, products, derivations and antiderivatives compute on flat terms (an
 int numerator over an int denominator, a monomial, other factors), which
@@ -18,10 +19,11 @@ each term that survives.  A monomial is one int, the packed exponent vector
 m = sum of e_i * B^i over the positions i (x at 0, p_k at k + 1), so that
 multiplying two monomials is one integer add.  A term's exponents are
 otherwise read from its atom factors (x, the jets and their powers), which
-`_term` places right after the coefficient.  `_term` decodes a monomial
-only the first time it meets it: an index (`_MONOS`) keeps its atom factors
-as one tuple, which every later product of the monomial takes, and holds no
-product.  B = 2^64 + 0x9E3779B97F4A7C15 is odd:
+`_term` places right after the coefficient.  A monomial is decoded only the
+first time it is met (`_mono_atoms`): an index (`_MONOS`) keeps its atom
+factors as one tuple, which every later product of the monomial and the
+product rule on a flat term (`_rule`) take, and holds no product.
+B = 2^64 + 0x9E3779B97F4A7C15 is odd:
 Python hashes an int as its value mod 2^61 - 1, where 2^64 is 8, so with
 B = 2^64 all of x^(8a) * p0^(1000-a) would share one hash.  The digits e_i
 are balanced, so negative exponents pack, and the packing is one-to-one
@@ -29,21 +31,27 @@ while every |e_i| < B/2, about 2^63.6.  A node's exponents are below
 `MAX_ATOM_EXPONENT` = 2^31 (`pow_int` and `_term` refuse more), and an
 accumulator key is the sum of the node monomials of one product: the
 factors of one `mul` call (1000 for a power of a sum), or a few terms and a
-derivation's steps of 1 (`_rule`).  So no key's digit nears B/2.
+derivation's steps of 1 (`_rule`), one per Horner step of an Euler operator
+(`_euler`), so at most MAX_JET_INDEX + 1 of them.  So no key's digit nears
+B/2.
 
 Work that many terms share is done once per structure: `_times` merges two
-other-factor tuples once per pair, the product-rule pass that `diff` and
-`jetops.total_derivative` share (`_derive`) differentiates the other
-factors of the terms it derives once per tuple of them (`_derive_others`)
-and adds each term's product rule (`_rule`) straight into its one
-accumulator, so its memo holds result nodes only, nothing per term or per
-tuple; and evaluation compiles an expression once into an instruction list
-(`_compile`) that each point runs in one loop (`_run`).  The atoms (x and the jets) a node holds
-are one int bit mask (`_atoms`), the OR of its children's, so that no table
-keeps atom sets; the products of one atom set share one int (`_MASKS`).
-Every node but a sum holds its sort key (`sort_key`) from
-construction, made from its children's keys, and a sum's is built from its
-terms' keys when asked for: nothing writes a node after it is published.
+other-factor tuples once per pair; the one product-rule pass (`_rules`),
+which `diff` and `jetops.total_derivative` (`_derive`) and the
+Euler-Lagrange operators (`_euler`) share, differentiates the other factors
+of the terms it derives once per tuple of them (`_derive_others`) and adds
+each term's product rule (`_rule`) straight into one accumulator, so the
+derivation memo holds result nodes only, nothing per term or per tuple; an
+Euler operator keeps its Horner steps and partial derivatives as flat terms
+in that pass, each step's accumulator the next one's input, and builds only
+its result; and evaluation compiles an expression once into an instruction
+list (`_compile`) that each point runs in one loop (`_run`).  The atoms (x
+and the jets) a node holds are one int bit mask (`_atoms`), the OR of its
+children's, so that no table keeps atom sets; the products of one atom set
+share one int (`_MASKS`).  Every node but a sum holds its sort key
+(`sort_key`) from construction, made from its children's keys, and a sum's
+is built from its terms' keys when asked for: nothing writes a node after
+it is published.
 
 Text is read in one pass: a recursive-descent parser takes each token from
 one regular expression (`_TOKEN`) as it goes, with one token of lookahead
@@ -533,11 +541,12 @@ def _flats(e: Expr) -> list[list]:
     return list(lists.values())
 
 
-#: the atom factors of each monomial `_term` has met, as one tuple (x and
-#: the jets, then their powers, in position order), so that a new product
-#: of that monomial takes them instead of decoding the monomial again.  It
-#: holds no product; like the mask table below, it is safe to clear, at the
-#: cost of decoding each monomial once more.
+#: the atom factors of each monomial `_mono_atoms` has decoded, as one tuple
+#: (x and the jets, then their powers, in position order), so that a new
+#: product of that monomial (`_term`), or the product rule on a flat term
+#: (`_rule`), takes them instead of decoding the monomial again.  It holds
+#: no product; like the mask table below, it is safe to clear, at the cost
+#: of decoding each monomial once more.
 _MONOS: dict[int, tuple] = {}
 
 #: each atom bit mask a product holds, so that products of one atom set share
@@ -546,17 +555,10 @@ _MONOS: dict[int, tuple] = {}
 _MASKS: dict[int, int] = {}
 
 
-def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
-    """The canonical term of a flat term with coefficient n/d != 0 (coprime,
-    d > 0), interned once: the coefficient, then x and the jets, then their
-    powers, then the others, which is the `sort_key` order; inverts the
-    node's `_flat`.  A product is interned on its flat term, so an existing
-    one is one lookup; a new one takes its atom factors from the index of
-    monomials (`_MONOS`), and only a new monomial is decoded."""
-    key = (Prod, n, d, mono, others)
-    t = _INTERN.get(key)
-    if t is not None:
-        return t
+def _mono_atoms(mono: int) -> tuple:
+    """The atom factors of the monomial `mono` (x and the jets, then their
+    powers, in position order), decoded the first time it is met and read
+    from the index (`_MONOS`) after that."""
     atoms = _MONOS.get(mono)
     if atoms is None:
         # the balanced base-B digits of mono are its exponents in position
@@ -580,6 +582,21 @@ def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
             i += 1
         # threads racing on one monomial store equal tuples
         atoms = _MONOS.setdefault(mono, (*fs, *pows))
+    return atoms
+
+
+def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
+    """The canonical term of a flat term with coefficient n/d != 0 (coprime,
+    d > 0), interned once: the coefficient, then x and the jets, then their
+    powers, then the others, which is the `sort_key` order; inverts the
+    node's `_flat`.  A product is interned on its flat term, so an existing
+    one is one lookup; a new one takes its atom factors from the index of
+    monomials (`_mono_atoms`)."""
+    key = (Prod, n, d, mono, others)
+    t = _INTERN.get(key)
+    if t is not None:
+        return t
+    atoms = _mono_atoms(mono)
     fs = (_rat(n, d), *atoms, *others) if n != 1 or d != 1 else atoms + others
     if len(fs) < 2:
         return fs[0] if fs else ONE
@@ -885,8 +902,8 @@ _MERGES: dict[tuple, tuple] = {}
 
 #: derivation results keyed on (d, interned node), each a canonical node.
 #: `d` is an atom for a partial derivative and an int m for D_m, so the two
-#: kinds of key never collide.  A derivation with `plus` pairs is keyed on
-#: (d, e, plus, scale) and an antiderivative of e in v on ("anti", e, v):
+#: kinds of key never collide.  An Euler operator (`_euler`) is keyed on
+#: (m, n, e, plus, scale) and an antiderivative of e in v on ("anti", e, v):
 #: neither meets a 2-tuple key.  Every value is a node.  Threads racing on
 #: one key store equal values.
 _DERIV_CACHE: dict[tuple, Expr] = {}
@@ -910,58 +927,91 @@ def diff(e: ExprLike, v: Expr, times: int = 1) -> Expr:
     return out
 
 
-def _derive(d, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
+def _order(m: int, atoms: int) -> int:
+    """The order at which D_m applies to an expression with the atom mask
+    `atoms`: D_m and D_j agree on it once both orders exceed its max jet, so
+    the lesser of m and that max jet + 1, which must be a jet index."""
+    d = min(m, max(atoms.bit_length() - 1, 0))
+    if d > MAX_JET_INDEX:
+        raise ExprError(f"D_{d} of p{MAX_JET_INDEX} exceeds the maximum jet index")
+    return d
+
+
+def _derive(d, e: Expr) -> Expr:
     """The derivation `d` applied to the canonical `e`: the partial
     derivative d/dv for an atom `d` = v, the truncated total derivative
     D_m = d/dx + p_1 d/dp_0 + ... + p_m d/dp_{m-1} for an int `d` = m.  The
-    product rule of every term (`_rule`) adds straight into one accumulator,
-    so only terms that survive the sum are built, and the result node is
-    memoized on (d, e).  Each pair (a, b) of `plus` adds the product a*b of
-    a canonical term and expression to the result, in the same accumulator:
-    a result that cancels builds no sum at all.  The terms are those of
-    `mul(a, b)` when a holds no power of b.  A canonical term `scale`, given
-    with `plus`, multiplies the derivative (not the pairs) after its like
-    terms have merged, so each merged term is multiplied once; such a
-    result is memoized on (d, e, plus, scale)."""
+    terms of e that hold an atom d acts on go through the product-rule pass
+    (`_rules`), so only terms that survive the sum are built, and the result
+    node is memoized on (d, e)."""
     if d.__class__ is int:
-        # D_m and D_m' agree on e once both orders exceed max_jet(e)
-        d = min(d, max_jet(e) + 1)
-        if d > MAX_JET_INDEX:
-            raise ExprError(f"D_{d} of p{MAX_JET_INDEX} exceeds the maximum jet index")
-    elif not d._atoms & e._atoms and not plus:
+        d = _order(d, e._atoms)
+        # D_m acts on x and p_0 ... p_{m-1}, bits 0 to m of a mask
+        mask = (2 << d) - 1
+    else:
+        mask = d._atoms
+    if not mask & e._atoms:
         return ZERO
-    key = (d, e, plus, scale) if plus else (d, e)
+    key = (d, e)
+    out = _DERIV_CACHE.get(key)
+    if out is None:
+        ts = e.terms if e.__class__ is Sum else (e,)
+        out = _finish(*_rules([(d, [(t._flat, t._den) for t in ts if mask & t._atoms])]))
+        _DERIV_CACHE[key] = out
+    return out
+
+
+def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
+    """`scale` times the Euler-Lagrange operator E_m^n e =
+    sum_{k=0..n} (-1)^k D_m^k d/dp_k e, plus the products a*b of the pairs
+    (a, b) of `plus`, for a canonical term `scale` and each a a canonical
+    term that holds no power of b.  In Horner form, s_n = (-1)^n d/dp_n e,
+    s_k = (-1)^k d/dp_k e + D_m s_{k+1}, and the result is s_0: n D_m
+    passes.  Each step is one product-rule pass (`_rules`) over the flat
+    terms of s_{k+1} and of e, whose partial d/dp_k enters the same
+    accumulator, so no step and no partial is built.  The last step's
+    merged terms are multiplied by `scale`, once each, and the pairs are
+    added to its accumulator, so a result that cancels builds neither s_0
+    nor the products; only the result node is built, memoized on
+    (m, n, e, plus, scale)."""
+    key = (m, n, e, plus, scale)
     out = _DERIV_CACHE.get(key)
     if out is not None:
         return out
-    # each term with the derivative of its other factors, looked up once per
-    # tuple of them; the accumulator's denominator is fixed first, as the
-    # lcm of all that enter it, so it is never rescaled
-    atom = d.__class__ is not int
-    work = []
-    dots: dict = {}
-    for t in (e.terms if e.__class__ is Sum else (e,)):
-        if atom and not d._atoms & t._atoms:
-            continue
-        o = t._flat[2]
-        ds = dots.get(o)
-        if ds is None:
-            ds = dots[o] = _derive_others(d, o) if o else _NO_TERMS
-        work.append((t, ds))
+    ts = e.terms if e.__class__ is Sum else (e,)
     pairs = [(a._flat, a._den, lst) for a, b in plus for lst in _flats(b)]
-    den = math.lcm(*[t._den * ds[0] for t, ds in work])
-    top = math.lcm(den * scale._den, *[da * lst[0] for _, da, lst in pairs])
-    acc: dict = {}
-    for t, ds in work:
-        _rule(acc, top if scale is ONE else den, t, d, ds)
+    dens = [da * lst[0] for _, da, lst in pairs]
+    # the flat terms of s_{k+1}, each with the one denominator of the step
+    s = None
+    for k in range(n, -1, -1):
+        p = jet(k)
+        # a term over a negative denominator enters the pass negated
+        q = -1 if k % 2 else 1
+        sources = [(p, [(t._flat, q * t._den) for t in ts if p._atoms & t._atoms])]
+        if s is not None:
+            d = m
+            if m > MAX_JET_INDEX:
+                # D_m applies at s's max jet + 1, which must be a jet index
+                atoms = 0
+                for (_, mono, o), _ in s:
+                    for f in (*_mono_atoms(mono), *o):
+                        atoms |= f._atoms
+                d = _order(m, atoms)
+            sources.append((d, s))
+        # the pairs enter the last accumulator, unless `scale` multiplies
+        # it, and then the scaled one
+        acc, den = _rules(sources, dens if not k and scale is ONE else ())
+        if k:
+            g = math.gcd(den, *acc.values()) if den != 1 else 1
+            s = [((c // g, mo, o), den // g) for (mo, o), c in acc.items() if c]
     if scale is not ONE:
         items = [den]
-        items += [(c, m, o) for (m, o), c in acc.items() if c]
-        acc = {}
-        _times_sum(acc, top, scale._flat, scale._den, items)
+        items += [(c, mo, o) for (mo, o), c in acc.items() if c]
+        acc, den = {}, math.lcm(den * scale._den, *dens)
+        _times_sum(acc, den, scale._flat, scale._den, items)
     for aft, da, lst in pairs:
-        _times_sum(acc, top, aft, da, lst)
-    out = _finish(acc, top)
+        _times_sum(acc, den, aft, da, lst)
+    out = _finish(acc, den)
     _DERIV_CACHE[key] = out
     return out
 
@@ -971,28 +1021,49 @@ _NO_TERMS = (1,)
 _ONE_TERMS = (1, (1, 0, ()))
 
 
-def _rule(acc: dict, den: int, t: Expr, d, dots: tuple) -> None:
-    """Add the product rule for `d` on a canonical non-Sum term t to the
-    accumulator `acc` over `den`, a multiple of t's denominator times that of
-    `dots`, the list of flat terms of the derivative of t's other factors
-    (`_derive_others`): one flat term per atom factor, and the term's
-    coefficient and monomial times each flat term of `dots`."""
-    coeff, mono, others = t._flat
+def _rules(sources: list, extra=()) -> tuple[dict, int]:
+    """The kernel's one product-rule pass: for each source (d, terms), the
+    derivation d of each flat term ft over q of `terms`, pairs (ft, q),
+    summed in one accumulator, which is returned with its denominator, the
+    lcm of the denominators of all that enters it and of `extra`, fixed
+    first so that it is never rescaled.  A term over a negative q enters
+    negated.  The other factors of the terms of a source are derived once
+    per tuple of them (`_derive_others`), and each term's product rule
+    (`_rule`) adds straight into the accumulator."""
+    work = []
+    for d, terms in sources:
+        dots: dict = {}
+        for ft, q in terms:
+            o = ft[2]
+            ds = dots.get(o)
+            if ds is None:
+                ds = dots[o] = _derive_others(d, o) if o else _NO_TERMS
+            work.append((d, ft, q, ds))
+    den = math.lcm(*[q * ds[0] for _, _, q, ds in work], *extra)
+    acc: dict = {}
+    for d, ft, q, ds in work:
+        _rule(acc, den, ft, q, d, ds)
+    return acc, den
+
+
+def _rule(acc: dict, den: int, ft: tuple, q: int, d, dots: tuple) -> None:
+    """Add the product rule for `d` on the flat term ft over q to the
+    accumulator `acc` over `den`, a multiple of q times the denominator of
+    `dots`, the list of flat terms of the derivative of ft's other factors
+    (`_derive_others`): one flat term per atom factor of ft's monomial
+    (`_mono_atoms`), and ft's coefficient and monomial times each flat term
+    of `dots`."""
+    coeff, mono, others = ft
     if mono:
         at = None if d.__class__ is int else _POS[d]
-        k0 = coeff * (den // t._den)
-        # the atom factors (x, the jets and their powers) follow the
-        # coefficient, if there is one, and precede every other factor
-        for f in (t.factors if t.__class__ is Prod else (t,)):
+        k0 = coeff * (den // q)
+        for f in _mono_atoms(mono):
             i = _POS.get(f)
-            if i is not None:
-                k = 1
-            elif f.__class__ is Rat:
-                continue
-            elif f.__class__ is Pow and (i := _POS.get(f.base)) is not None:
-                k = f.exponent
+            if i is None:
+                # a power a^k of an atom a
+                i, k = _POS[f.base], f.exponent
             else:
-                break
+                k = 1
             # a^k goes to k a^(k-1) times the image of a: 1 for v under d/dv
             # and for x under D_m, p_{j+1} for p_j under D_m when j < m, else 0
             if i > d if at is None else i != at:
@@ -1000,7 +1071,7 @@ def _rule(acc: dict, den: int, t: Expr, d, dots: tuple) -> None:
             mk = (mono + _STEP[i] if at is None else mono - _UNIT[i], others)
             acc[mk] = acc.get(mk, 0) + k * k0
     if len(dots) > 1:
-        _times_sum(acc, den, (coeff, mono, ()), t._den, dots)
+        _times_sum(acc, den, (coeff, mono, ()), q, dots)
 
 
 def _derive_others(d, others: tuple) -> tuple:

@@ -6,14 +6,17 @@ from __future__ import annotations
 
 import ast
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import CFG, IDENTITY_SUITES, assert_zeroish, comb0, rand_expr, to_sympy
-from varmult import jetops
+from varmult import jetops, symexpr
 from varmult.jetops import (
     MultiIndex,
     OperatorTerm,
@@ -27,6 +30,7 @@ from varmult.jetops import (
 )
 from varmult.symexpr import (
     AntiDeriv,
+    ExprError,
     ONE,
     X,
     ZERO,
@@ -93,6 +97,18 @@ def test_total_derivative_validates():
             total_derivative(65, e)
 
 
+def test_euler_op_guards_the_jet_index_on_its_steps():
+    # the Horner step s_1 = -p64 is never built: its max jet is read off its
+    # flat terms, the atoms of a monomial or of an other factor
+    top = jet(64)
+    for e in (mul(p1, top), mul(p1, exp(top)), mul(p1, X, pow_int(top, -2))):
+        with pytest.raises(ExprError, match="^D_65 of p64 exceeds the maximum jet index$"):
+            euler_op(65, 1, e)
+    # the step's own max jet, not e's: s_1 = -p63 is in range
+    assert euler_op(65, 1, add(mul(p1, jet(63)), top)) is mul(-1, top)
+    assert euler_op(70, 1, mul(p1, jet(63))) is mul(-1, top)
+
+
 def test_d_pow_examples():
     e = mul(Fraction(1, 2), pow_int(p2, 2))
     assert d_pow(4, 1, e) == mul(p2, p3)
@@ -132,20 +148,44 @@ def test_euler_op_horner_matches_sum_of_powers(seed, m, n):
 
 @pytest.mark.parametrize("n", range(5))
 def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
-    # the Horner steps pass the kernel's derivation directly, an int order
-    # for D_m (a partial derivative passes an atom)
-    calls = []
-    inner = jetops._derive
-
-    def counting(d, e, *args):
-        if d.__class__ is int:
-            calls.append(d)
-        return inner(d, e, *args)
-
-    monkeypatch.setattr(jetops, "_derive", counting)
+    # the Horner steps run the kernel's product-rule pass once each, with an
+    # int order for D_m (a partial derivative passes an atom); the first
+    # call memoizes the derivatives inside the terms, whose own passes the
+    # second call, with the operator's memo emptied, then skips
     e = _with_exp_and_integral(n)
     euler_op(2 * n, n, e)
+    for key in [k for k in symexpr._DERIV_CACHE if len(k) == 5]:
+        del symexpr._DERIV_CACHE[key]
+    calls = []
+    inner = symexpr._rules
+
+    def counting(sources, *args):
+        calls.extend(d for d, _ in sources if d.__class__ is int)
+        return inner(sources, *args)
+
+    monkeypatch.setattr(symexpr, "_rules", counting)
+    euler_op(2 * n, n, e)
     assert calls == [2 * n] * n
+
+
+def test_euler_op_interns_its_result_only():
+    # the operator builds its result only: its last step s_1 is not in the
+    # table after it ran.  s_1 is built here, as a sum of powers, after the
+    # table is read, in a fresh process, so that no other test has built it
+    script = ("from varmult.jetops import d_pow, euler_op\n"
+              "from varmult.symexpr import _INTERN, add, diff, jet, mul, parse\n"
+              "e = parse('x*p1^2*p3 + p0*p2^2 + exp(p1)*p3^2 + 3/5*p2*p3')\n"
+              "out = euler_op(6, 3, e)\n"
+              "nodes = list(_INTERN.values())\n"
+              "s1 = add(*(mul((-1) ** k, d_pow(6, k - 1, diff(e, jet(k)))) for k in (1, 2, 3)))\n"
+              "assert add(diff(e, jet(0)), d_pow(6, 1, s1)) is out\n"
+              "print(len(s1.terms), s1 in nodes, out in nodes)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symexpr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    terms, s1_interned, out_interned = proc.stdout.split()
+    assert int(terms) > 3 and s1_interned == "False" and out_interned == "True"
 
 
 def _td_branches(seed):
@@ -291,13 +331,20 @@ def test_dm_keeps_the_slope_fold():
 
 def test_jetops_reaches_the_kernel_only_through_derive():
     # the derivation lives in the kernel: jetops imports no private symexpr
-    # name but the derivation pass itself
+    # name but the derivation passes, a derivation's and an Euler operator's,
+    # and both reach the product rule through the kernel's one pass
     tree = ast.parse(Path(jetops.__file__).read_text())
     private = {a.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                and (node.module or "").split(".")[-1] == "symexpr"
                for a in node.names if a.name.startswith("_")}
-    assert private == {"_derive"}
+    assert private == {"_derive", "_euler"}
+    kernel = ast.parse(Path(symexpr.__file__).read_text())
+    callers = {name: sorted(f.name for f in kernel.body if isinstance(f, ast.FunctionDef)
+                            for node in ast.walk(f)
+                            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name)
+               for name in ("_rule", "_rules")}
+    assert callers == {"_rule": ["_rules"], "_rules": ["_derive", "_euler"]}
 
 
 # ---------------------------------------------------------------------------

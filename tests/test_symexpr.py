@@ -401,9 +401,10 @@ def _in_a_fresh_process(call: str) -> str:
 
 
 def _nodes_against_the_references() -> int:
-    """After n=3 seed 30001 and n=4 seed 40002 construct + check, every
-    interned node prints and compiles as the references do; the node count."""
-    for n, seed in ((3, 30001), (4, 40002)):
+    """After n=3 seed 30001, n=4 seed 40002 and n=7 seed 70001 construct +
+    check, every interned node prints and compiles as the references do; the
+    node count."""
+    for n, seed in ((3, 30001), (4, 40002), (7, 70001)):
         t = construct(gen_params(n, n, GenConfig(seed=seed, max_degree=3, max_terms=4)))
         assert check(t.f, n, CFG).accepted
     nodes = [*_EACH_CLASS, *symexpr._INTERN.values()]
@@ -841,12 +842,14 @@ def test_pickled_node_rebuilds_in_a_fresh_process():
 
 def test_every_interned_node_is_a_fixed_point_of_its_class_call():
     # unpickling and the identity `simplify` rely on it; in a fresh process,
-    # so that the table holds the nodes of the heaviest corpus trial only
+    # so that the table holds the nodes of the heaviest corpus trial and of
+    # the n=7 seed 70001 trial only
     script = ("from varmult import GenConfig, check, construct, gen_params\n"
               "from varmult.symexpr import _INTERN\n"
-              "t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3,"
+              "for n, seed in ((4, 40002), (7, 70001)):\n"
+              "    t = construct(gen_params(n, n, GenConfig(seed=seed, max_degree=3,"
               " max_terms=4)))\n"
-              "assert check(t.f, 4).accepted\n"
+              "    assert check(t.f, n).accepted\n"
               "nodes = list(_INTERN.values())\n"
               "print(len(nodes), sum(type(v)(*(getattr(v, a) for a in v._args)) is not v"
               " for v in nodes))\n")
@@ -1490,12 +1493,19 @@ def test_every_node_but_a_sum_holds_its_sort_key_from_construction():
     _in_a_fresh_process("_keys_against_the_reference()")
 
 
+def _heavy_trials():
+    """construct + check of the heaviest corpus trial, n=4 seed 40002, and of
+    n=7 seed 70001, so that a whole-table check walks over 5,000 nodes."""
+    for n, seed in ((4, 40002), (7, 70001)):
+        t = construct(gen_params(n, n, GenConfig(seed=seed, max_degree=3, max_terms=4)))
+        assert check(t.f, n, CFG).accepted
+
+
 def _flat_keys_against_the_nested():
     # a product's key is one flat tuple, (9, *factor keys), where it was
     # (9, (factor keys)): a tuple orders item by item and then by length,
     # so every node sorts where it sorted before, and so does every sum
-    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
-    assert check(t.f, 4, CFG).accepted
+    _heavy_trials()
     nodes = list(symexpr._INTERN.values())
     assert sum(e.__class__ is Prod for e in nodes) > 4000
     memo = {}
@@ -1905,9 +1915,9 @@ def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
 def test_the_derivation_memo_holds_nodes_only(monkeypatch):
     # a derivation adds each term's product rule straight into its one
     # accumulator, and derives each tuple of other factors once per call, so
-    # the memo holds the result node of each derivation and antiderivative
-    # and nothing per term or per tuple (1,311 entries when each term kept
-    # its own)
+    # the memo holds the result node of each derivation, Euler operator and
+    # antiderivative and nothing per term or per tuple (1,311 entries when
+    # each term kept its own)
     monkeypatch.setattr(symexpr, "_DERIV_CACHE", {})
     t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
     assert check(t.f, 4, CFG).accepted
@@ -1971,8 +1981,7 @@ def _atom_factors(e):
 
 
 def _flat_terms_against_the_reference():
-    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
-    assert check(t.f, 4, CFG).accepted
+    _heavy_trials()
     nodes = list(symexpr._INTERN.values())
     assert len(nodes) > 5000
     for e in nodes:
@@ -1995,8 +2004,7 @@ def _products_against_the_index():
     # only a new monomial is decoded: the index holds the atom factors of
     # each monomial as one tuple, and no product, and every product of the
     # monomial holds those atoms; the products of one atom set share one mask
-    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
-    assert check(t.f, 4, CFG).accepted
+    _heavy_trials()
     prods = [e for e in symexpr._INTERN.values() if e.__class__ is Prod]
     monos = {e._flat[1] for e in prods}
     assert len(prods) > 4000 and len(monos) < len(prods)
@@ -2161,16 +2169,29 @@ def test_add_mul_diff_match_sympy_exactly(seed):
         return sympy.diff(expr, sym[X]) + sum(
             sym[jet(j)] * sympy.diff(expr, sym[jet(j - 1)]) for j in range(1, m + 1))
 
-    # the derivation's one accumulator, with a pair (a, sb) and a scale whose
-    # coefficient is a fraction: terms over mixed denominators, pairs that
-    # cancel and terms that share their other factors meet in it
+    # the Euler operator's accumulators, with a pair (a, sb) and a scale
+    # whose coefficient is a fraction in the last: terms over mixed
+    # denominators, steps and pairs that cancel and terms that share their
+    # other factors meet in them
     a = mul(c, p2)
     scale = mul(Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), 12),
                 rng.choice(_ORACLE_FACTORS))
+
+    def e_mn(m, n, expr):
+        # E_m^n = sum_{k=0..n} (-1)^k D_m^k d/dp_k, built in sympy
+        out = 0
+        for k in range(n + 1):
+            term = sympy.diff(expr, sym[jet(k)])
+            for _ in range(k):
+                term = d_m(m, term)
+            out += (-1) ** k * term
+        return out
+
     for m in range(4):
         same(total_derivative(m, sa), d_m(m, ours(sa)))
-        same(symexpr._derive(m, sa, ((a, sb),), scale),
-             ours(scale) * d_m(m, ours(sa)) + ours(a) * ours(sb))
+        for n in range(3):
+            same(symexpr._euler(m, n, sa, ((a, sb),), scale),
+                 ours(scale) * e_mn(m, n, ours(sa)) + ours(a) * ours(sb))
 
 
 def test_fraction_coefficients_that_cancel_to_integers():
