@@ -30,10 +30,13 @@ from .symexpr import (
     ExprError,
     ExprLike,
     NonZero,
+    ONE,
     X,
     ZERO,
     ZeroTestConfig,
     ZeroVerdict,
+    _MINUS_ONE,
+    _collector_paused,
     add,
     antideriv,
     as_expr,
@@ -159,6 +162,7 @@ class _Run:
         return out
 
 
+@_collector_paused
 def check(f: ExprLike, n: int, cfg: ZeroTestConfig | None = None) -> CheckReport:
     """Decide whether p_{2n} = f admits a variational multiplier and, if so,
     reconstruct (R, rho, f_0..f_{n-1}, L) with a step-level audit trail."""
@@ -205,15 +209,15 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
 
     rho = exp(mul(-1, big_r))
     d2_top = diff(d_top, top)
-    sign_n = 1 if n % 2 == 0 else -1
-    # -rho Y - (-1)^n E as -(-1)^n (E + (-1)^n rho Y): the sign goes on the
-    # small sum, and rho Y = rho (f - d_top p_top + 1/2 d2_top p_top^2),
-    # whose terms cancel E's, is summed into E's last D_m step as three
-    # products without being built
-    a = mul(sign_n, rho)
-    h = mul(-sign_n, _euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2),
-                               ((a, f), (mul(-1, a, top), d_top),
-                                (mul(Fraction(1, 2), a, pow_int(top, 2)), d2_top))))
+    # h = -(-1)^n E - rho Y: the operator scales E's merged terms by
+    # -(-1)^n, and rho Y = rho (f - d_top p_top + 1/2 d2_top p_top^2), whose
+    # terms cancel E's, is summed into E's last D_m step as three products
+    # of a = -rho, unscaled, without being built
+    a = mul(-1, rho)
+    h = _euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2),
+                  ((a, f), (mul(-1, a, top), d_top),
+                   (mul(Fraction(1, 2), a, pow_int(top, 2)), d2_top)),
+                  _MINUS_ONE if n % 2 == 0 else ONE)
 
     # S4: strip f_{n-1}, ..., f_1
     f_rec: dict[int, Expr] = {}

@@ -69,17 +69,30 @@ canonical constructor (`Sum(terms)` is `add(*terms)`, `Pow(b, n)` is
 may return another class (`Sum((p1, p1))` is `2*p1`, a `Prod`).  Every
 interned node is a fixed point of its own class call, so unpickling, which
 calls the class, returns it.
+
+The top-level calls (`parse` here, `construct` and `verify_triple` in
+`varcore`, `check` in `checker`) pause the cyclic garbage collector while
+they run (`_collector_paused`), and the building blocks (`add`, `mul`,
+`diff`, ...) do not, since around calls that short the pause costs more
+than the collections it saves.  The pause is safe: the kernel makes no
+cyclic garbage, since every node it builds is held by the intern table and
+its temporaries are freed by reference counting, so a collection during
+such a call frees nothing and only rescans nodes that never die.  The one
+cycle it makes, a node whose flat term holds the node itself (an
+exponential, log, sine, cosine, integral or power of a non-atom), is never
+garbage: it lives as long as the intern table.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
 import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, reduce, wraps
 from operator import attrgetter
 
 from ._record import Record
@@ -424,10 +437,32 @@ def sort_key(e: Expr):
 _INTERN: dict = {}
 
 
+def _collector_paused(fn):
+    """`fn` with the cyclic garbage collector paused for the call, for the
+    top-level calls (`parse`, `construct`, `check`, `verify_triple`): the
+    kernel makes no cyclic garbage, so each pass over the nodes they build,
+    which never die, frees nothing.  A call made while the collector is off
+    (a nested call, or a caller who turned it off) leaves it alone."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 def _intern(key, cls, *args) -> Expr:
     """The one node of `key`, for the canonical constructors only: a new
     node is made past the class's `__new__`, so `args` must already be
-    canonical.  A composite's key is `(cls,) + args`."""
+    canonical.  A composite's key is `(cls,) + args`; a product's and a
+    rational's are their own (`_term`, `_rat`), and those two make a new
+    node themselves, with the one lookup they already did."""
     node = _INTERN.get(key)
     if node is None:
         # setdefault, not a store: of two threads building the same node,
@@ -439,14 +474,17 @@ def _intern(key, cls, *args) -> Expr:
 
 
 def _rat(n: int, d: int) -> Expr:
-    """The rational constant n/d, for coprime ints n and d > 0: the node is
-    looked up first, so a Fraction is made only for a new node, and its
-    digits are bounded (`MAX_RATIONAL_DIGITS`)."""
-    node = _INTERN.get(("r", n, d))
+    """The rational constant n/d, for coprime ints n and d > 0, interned on
+    ("r", n, d): the node is looked up first, so a Fraction is made only for
+    a new node, and its digits are bounded (`MAX_RATIONAL_DIGITS`)."""
+    key = ("r", n, d)
+    node = _INTERN.get(key)
     if node is None:
         if not -_RAT_BOUND < n < _RAT_BOUND or d >= _RAT_BOUND:
             raise ExprError(f"rational constant with more than {MAX_RATIONAL_DIGITS} digits")
-        node = _intern(("r", n, d), Rat, Fraction(n, d))
+        node = object.__new__(Rat)
+        node._init(Fraction(n, d))
+        node = _INTERN.setdefault(key, node)
     return node
 
 
@@ -472,7 +510,7 @@ def jet(k: int) -> Expr:
         raise ExprError(f"jet index must be a nonnegative integer, got {k!r}")
     if k > MAX_JET_INDEX:
         raise ExprError(f"jet index {k} exceeds the maximum {MAX_JET_INDEX}")
-    return _intern(("j", k), Jet, k)
+    return _ATOMS[k + 1]
 
 
 #: the packed monomial B^i of the atom at each position i, and the step that
@@ -483,7 +521,7 @@ _STEP = (-1, *[_UNIT[i + 1] - _UNIT[i] for i in range(1, MAX_JET_INDEX + 1)])
 
 #: the atom at each monomial position: x, then p_0 to p_MAX_JET_INDEX, and
 #: the position of each atom
-_ATOMS = (X, *[jet(k) for k in range(MAX_JET_INDEX + 1)])
+_ATOMS = (X, *[_intern(("j", k), Jet, k) for k in range(MAX_JET_INDEX + 1)])
 _POS = {a: i for i, a in enumerate(_ATOMS)}
 
 
@@ -522,8 +560,10 @@ def as_expr(v: ExprLike) -> Expr:
 # never rescaled.  `_finish` reduces each surviving numerator once and
 # builds only the terms that survive, and `_term` makes a Fraction only for
 # a new Rat node: the kernel does no Fraction arithmetic.  A product is
-# interned on its flat term and denominator, (Prod, n, d, mono, others), its
-# only key, so building a term that exists is one lookup.
+# interned on its flat term and denominator, (n, d, mono, others), its only
+# key, so building a term, new or not, is one lookup.  No other key is a
+# 4-tuple, so the key needs no class; without one, a key of ints and () holds
+# nothing the cyclic collector tracks, and the collector stops tracking it.
 
 
 def _flats(e: Expr) -> list[list]:
@@ -589,10 +629,11 @@ def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
     """The canonical term of a flat term with coefficient n/d != 0 (coprime,
     d > 0), interned once: the coefficient, then x and the jets, then their
     powers, then the others, which is the `sort_key` order; inverts the
-    node's `_flat`.  A product is interned on its flat term, so an existing
-    one is one lookup; a new one takes its atom factors from the index of
-    monomials (`_mono_atoms`)."""
-    key = (Prod, n, d, mono, others)
+    node's `_flat`.  A product is interned on its flat term, (n, d, mono,
+    others), so an existing one is one lookup; a new one takes its atom
+    factors from the index of monomials (`_mono_atoms`) and is published
+    under the key that missed, with no second lookup."""
+    key = (n, d, mono, others)
     t = _INTERN.get(key)
     if t is not None:
         return t
@@ -600,7 +641,10 @@ def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
     fs = (_rat(n, d), *atoms, *others) if n != 1 or d != 1 else atoms + others
     if len(fs) < 2:
         return fs[0] if fs else ONE
-    return _intern(key, Prod, fs, (n, mono, others), d)
+    t = object.__new__(Prod)
+    t._init(fs, (n, mono, others), d)
+    # of two threads making this product, both get the first one published
+    return _INTERN.setdefault(key, t)
 
 
 def _finish(acc: dict, den: int) -> Expr:
@@ -633,7 +677,8 @@ def add(*terms: ExprLike) -> Expr:
     # a canonical sum holds no sum and no 0, so one level flattens it
     ts = []
     for t in terms:
-        t = as_expr(t)
+        if not isinstance(t, Expr):
+            t = as_expr(t)
         if t.__class__ is Sum:
             ts += t.terms
         elif t is not ZERO:
@@ -667,7 +712,8 @@ def mul(*factors: ExprLike) -> Expr:
     n, d, m, o = 1, 1, 0, ()
     sums = []
     for f in factors:
-        f = as_expr(f)
+        if not isinstance(f, Expr):
+            f = as_expr(f)
         if f.__class__ is Sum:
             sums.append(f)
             continue
@@ -970,9 +1016,10 @@ def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr
     passes.  Each step is one product-rule pass (`_rules`) over the flat
     terms of s_{k+1} and of e, whose partial d/dp_k enters the same
     accumulator, so no step and no partial is built.  The last step's
-    merged terms are multiplied by `scale`, once each, and the pairs are
-    added to its accumulator, so a result that cancels builds neither s_0
-    nor the products; only the result node is built, memoized on
+    merged terms are multiplied by `scale`, once each (a constant scales
+    their numerators in place), and the pairs are added to its
+    accumulator, so a result that cancels builds neither s_0 nor the
+    products; only the result node is built, memoized on
     (m, n, e, plus, scale)."""
     key = (m, n, e, plus, scale)
     out = _DERIV_CACHE.get(key)
@@ -1005,10 +1052,20 @@ def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr
             g = math.gcd(den, *acc.values()) if den != 1 else 1
             s = [((c // g, mo, o), den // g) for (mo, o), c in acc.items() if c]
     if scale is not ONE:
-        items = [den]
-        items += [(c, mo, o) for (mo, o), c in acc.items() if c]
-        acc, den = {}, math.lcm(den * scale._den, *dens)
-        _times_sum(acc, den, scale._flat, scale._den, items)
+        sd = den * scale._den
+        new = math.lcm(sd, *dens)
+        if scale.__class__ is Rat:
+            # a constant scales the numerators in place, with no second
+            # accumulator
+            c = scale._flat[0] * (new // sd)
+            for key in acc:
+                acc[key] *= c
+        else:
+            items = [den]
+            items += [(c, mo, o) for (mo, o), c in acc.items() if c]
+            acc = {}
+            _times_sum(acc, new, scale._flat, scale._den, items)
+        den = new
     for aft, da, lst in pairs:
         _times_sum(acc, den, aft, da, lst)
     out = _finish(acc, den)
@@ -1483,6 +1540,7 @@ class _Parser:
         raise ParseError(f"unexpected {text or 'end of input'!r}", offset)
 
 
+@_collector_paused
 def parse(text: str) -> Expr:
     """Parse expression text into a canonical Expr.
 

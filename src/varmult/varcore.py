@@ -26,6 +26,7 @@ from .symexpr import (
     Rat,
     ZeroTestConfig,
     ZeroVerdict,
+    _collector_paused,
     add,
     antideriv,
     as_expr,
@@ -127,6 +128,7 @@ def euler_lagrange(L: ExprLike, n: int) -> Expr:
     return euler_op(2 * n, n, L)
 
 
+@_collector_paused
 def construct(params: ParamSet) -> VariationalTriple:
     """Build the solution triple (f, rho, L) from free data:
 
@@ -209,6 +211,7 @@ def fels_I1(f3: ExprLike) -> Expr:
                mul(Fraction(1, 8), pow_int(d3, 3)))
 
 
+@_collector_paused
 def verify_triple(t: VariationalTriple, cfg: ZeroTestConfig | None = None) -> ZeroVerdict:
     """Check the defining identity E_{2m}^m L - rho (p_{2n} - f) = 0."""
     return is_zero(_residual(t), cfg)

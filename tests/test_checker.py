@@ -3,6 +3,7 @@ rejection stability, trace completeness, and determinism."""
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -376,3 +377,114 @@ def test_verify_triple_of_a_hand_built_lagrangian():
     right = VariationalTriple(f=mul(12, pow_int(p1, 2), p2), rho=ONE, L=L,
                               n=2, m=2)
     assert verify_triple(right, CFG).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused in the top-level calls
+# ---------------------------------------------------------------------------
+
+
+def _recording_collector(monkeypatch, module, name, seen):
+    # wrap module.name so that each call notes whether the collector is on
+    inner = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+def test_check_construct_and_verify_triple_pause_the_collector(monkeypatch):
+    params = gen_params(2, 2, GenConfig(seed=4251, max_degree=2, max_terms=3))
+    seen = []
+    _recording_collector(monkeypatch, checker, "_run_steps", seen)
+    _recording_collector(monkeypatch, varcore, "_lagrangian", seen)
+    _recording_collector(monkeypatch, varcore, "_residual", seen)
+    assert gc.isenabled()
+    t = construct(params)
+    assert seen == [False] and gc.isenabled()
+    assert verify_triple(t, CFG).is_zero
+    assert seen == [False] * 2 and gc.isenabled()
+    # check's steps and its own verify_triple run inside the pause that
+    # check began
+    assert check(t.f, 2, CFG).accepted
+    assert seen == [False] * 4 and gc.isenabled()
+
+
+def test_the_collector_is_on_again_after_a_call_raises(monkeypatch):
+    with pytest.raises(ValueError):
+        check(p3, 1)
+    assert gc.isenabled()
+
+    def failing(*args):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(varcore, "_euler_op", failing)
+    params = gen_params(2, 2, GenConfig(seed=4252, max_degree=2, max_terms=3))
+    with pytest.raises(RuntimeError, match="kernel fault"):
+        construct(params)
+    assert gc.isenabled()
+
+
+def test_a_caller_who_turned_the_collector_off_finds_it_off():
+    params = gen_params(2, 2, GenConfig(seed=4253, max_degree=2, max_terms=3))
+    gc.disable()
+    try:
+        t = construct(params)
+        assert not gc.isenabled()
+        assert verify_triple(t, CFG).is_zero
+        assert not gc.isenabled()
+        assert check(t.f, 2, CFG).accepted
+        assert not gc.isenabled()
+        with pytest.raises(ValueError):
+            check(p3, 1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_check_runs_no_collection():
+    # the n=4 corpus trial with the 3261-term f ran 9 collections in check
+    # before the pause; the hook is removed before anything else runs
+    t = construct(gen_params(4, 4, GenConfig(seed=40_002, max_degree=3, max_terms=4)))
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        report = check(t.f, 4, CFG)
+    finally:
+        gc.callbacks.remove(hook)
+    assert report.accepted
+    assert starts == []
+
+
+def test_two_threads_checking_at_once_leave_the_collector_on():
+    import sys
+    import threading
+
+    f = construct(gen_params(3, 3, GenConfig(seed=30_001, max_degree=3, max_terms=4))).f
+    barrier = threading.Barrier(2)
+    reports = []
+
+    def work():
+        barrier.wait()
+        reports.append(check(f, 3, CFG))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(reports) == 2 and all(r.accepted for r in reports)
+    assert gc.isenabled()

@@ -168,6 +168,19 @@ def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
     assert calls == [2 * n] * n
 
 
+@pytest.mark.parametrize("scale", [ONE, -1, Fraction(5, 6), mul(Fraction(3, 4), exp(p1))])
+def test_euler_op_scale_and_pairs_match_the_built_sum(scale):
+    # a constant scale multiplies the merged numerators in place, any other
+    # term multiplies each merged term; the pairs enter unscaled, over
+    # denominators of their own, and may cancel the scaled operator
+    e = add(_with_exp_and_integral(1), mul(Fraction(2, 7), p1, pow_int(p3, 2)))
+    scale = symexpr.as_expr(scale)
+    el = euler_op(6, 3, e)
+    a, b = mul(Fraction(2, 3), p1), add(p2, Fraction(1, 5))
+    assert jetops._euler_op(6, 3, e, ((a, b),), scale) is add(mul(scale, el), mul(a, b))
+    assert jetops._euler_op(6, 3, e, ((a, b), (mul(-1, scale), el)), scale) is mul(a, b)
+
+
 def test_euler_op_interns_its_result_only():
     # the operator builds its result only: its last step s_1 is not in the
     # table after it ran.  s_1 is built here, as a sum of powers, after the

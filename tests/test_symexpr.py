@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -193,20 +194,45 @@ def test_tokens_carry_exact_values():
     assert [t[2] for t in toks] == [0, 2, 3, 7]
 
 
-def test_parse_builds_one_product_per_term(monkeypatch):
-    # the partial products of a term are not interned: one Prod for k factors
-    made = []
-    intern = symexpr._intern
-
-    def counting(key, cls, *args):
-        made.append(cls)
-        return intern(key, cls, *args)
-
-    monkeypatch.setattr(symexpr, "_intern", counting)
+def test_parse_builds_one_product_per_term():
+    # the partial products of a term are not interned: one new Prod for k
+    # factors (the intern table keeps insertion order, so the nodes past
+    # `before` are the ones parse made)
+    before = len(symexpr._INTERN)
     e = parse("7/11*p40*p41^3*exp(p42)*x^-2*sin(p43)")
-    assert made.count(Prod) == 1
+    made = list(symexpr._INTERN.values())[before:]
+    assert [n for n in made if n.__class__ is Prod] == [e]
     assert e is mul(Fraction(7, 11), jet(40), pow_int(jet(41), 3), exp(jet(42)),
                     pow_int(X, -2), sin(jet(43)))
+
+
+def test_parse_pauses_the_collector_and_restores_it(monkeypatch):
+    # the collector is off while the text is read, and on again after parse
+    # returns or raises; a caller who turned it off finds it off
+    seen = []
+    tokenize = symexpr._tokenize
+
+    def recording(text):
+        seen.append(gc.isenabled())
+        return tokenize(text)
+
+    monkeypatch.setattr(symexpr, "_tokenize", recording)
+    assert gc.isenabled()
+    assert parse("p1*p2 + exp(p3)") is add(mul(p1, p2), exp(p3))
+    assert seen == [False] and gc.isenabled()
+    with pytest.raises(ParseError):
+        parse("p1 +* p2")
+    assert seen == [False] * 2 and gc.isenabled()
+    gc.disable()
+    try:
+        assert parse("p1*p2") is mul(p1, p2)
+        assert not gc.isenabled()
+        with pytest.raises(ParseError):
+            parse("(p1")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False] * 4
 
 
 def test_parse_builds_no_positive_twin_of_a_negative_term(monkeypatch):
@@ -1929,8 +1955,8 @@ def test_the_derivation_memo_holds_nodes_only(monkeypatch):
 
 
 def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
-    # a product's one key is its flat term with its denominator, so no two
-    # products have the same factors; the merge memo and the derivation
+    # a product's one key is its flat term with its denominator, without
+    # the class, so no two products have the same factors; the merge memo and the derivation
     # memo hold functions of interned nodes, so emptying them between
     # `construct` and `check` changes no node of the report
     t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
@@ -1946,7 +1972,7 @@ def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
     assert len(prods) > 1000
     for key, e in prods:
         n, mono, others = e._flat
-        assert key == (Prod, n, e._den, mono, others)
+        assert key == (n, e._den, mono, others)
         assert mul(*e.factors) is e
     assert len({e.factors for _, e in prods}) == len(prods)
 
