@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record, replace
-from .jetops import _euler_op, euler_op, total_derivative
+from .jetops import total_derivative
 from .symexpr import (
     Expr,
     ExprError,
@@ -35,8 +35,8 @@ from .symexpr import (
     ZERO,
     ZeroTestConfig,
     ZeroVerdict,
-    _MINUS_ONE,
     _collector_paused,
+    _euler,
     add,
     antideriv,
     as_expr,
@@ -209,15 +209,14 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
 
     rho = exp(mul(-1, big_r))
     d2_top = diff(d_top, top)
-    # h = -(-1)^n E - rho Y: the operator scales E's merged terms by
-    # -(-1)^n, and rho Y = rho (f - d_top p_top + 1/2 d2_top p_top^2), whose
+    # h = E - rho Y, E the operator on -(-1)^n II rho (E is linear over
+    # constants): rho Y = rho (f - d_top p_top + 1/2 d2_top p_top^2), whose
     # terms cancel E's, is summed into E's last D_m step as three products
-    # of a = -rho, unscaled, without being built
+    # of a = -rho, without being built
     a = mul(-1, rho)
-    h = _euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2),
-                  ((a, f), (mul(-1, a, top), d_top),
-                   (mul(Fraction(1, 2), a, pow_int(top, 2)), d2_top)),
-                  _MINUS_ONE if n % 2 == 0 else ONE)
+    h = _euler(2 * n - 2, n, mul(-1 if n % 2 == 0 else 1, antideriv(rho, jet(n), 2)),
+               ((a, f), (mul(-1, a, top), d_top),
+                (mul(Fraction(1, 2), a, pow_int(top, 2)), d2_top)))
 
     # S4: strip f_{n-1}, ..., f_1
     f_rec: dict[int, Expr] = {}
@@ -228,10 +227,11 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
         for k in range(n + 1 - j, 2 * n - 2 * j + 1):
             run.probe(step, diff(dh, jet(k)))
         f_rec[n - j] = run.restrict(step, dh, n - j)
+        # h - dh p_{2n-2j} - sign E, E on II dh: h and the product enter the
+        # accumulator of E's last D_m step as pairs, so only the new h is built
         sign = 1 if (n - j) % 2 == 0 else -1
-        h = add(h, mul(-1, dh, jet(2 * n - 2 * j)),
-                mul(-sign, euler_op(2 * n - 1 - 2 * j, n - j,
-                                    antideriv(dh, jet(n - j), 2))))
+        h = _euler(2 * n - 1 - 2 * j, n - j, mul(-sign, antideriv(dh, jet(n - j), 2)),
+                   ((ONE, h), (mul(-1, jet(2 * n - 2 * j)), dh)))
         run.attach(h)
 
     # S5: what is left is f_0(x, p_0)

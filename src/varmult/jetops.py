@@ -11,7 +11,9 @@ applied by the kernel's one product-rule pass, which differs between them
 only in the image of an atom.  A derivation's result is a node
 (`symexpr._derive`); an Euler-Lagrange operator keeps its Horner steps and
 partial derivatives as flat terms in that pass and builds only its result
-(`symexpr._euler`).
+(`symexpr._euler`).  The kernel's operator also takes the sums that
+`varcore` and `checker` fuse with it, scale * (E_m^n e + sum a*b), and they
+call it directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .symexpr import ONE, Expr, ExprLike, _derive, _euler, add, as_expr, diff, jet, mul, pow_int
+from .symexpr import Expr, ExprLike, _derive, _euler, add, as_expr, diff, jet, mul, pow_int
 
 __all__ = [
     "MultiIndex",
@@ -63,19 +65,10 @@ def euler_op(m: int, n: int, e: ExprLike) -> Expr:
     """The m-th order Euler-Lagrange operator with n+1 terms,
     sum_{k=0..n} (-1)^k D_m^k d/dp_k, in Horner form with the signs on the
     partial derivatives: s_n = (-1)^n d/dp_n e, s_k = (-1)^k d/dp_k e +
-    D_m s_{k+1}, and the result is s_0; n applications of D_m."""
-    return _euler_op(m, n, e, ())
-
-
-def _euler_op(m: int, n: int, e: ExprLike, plus: tuple, scale: Expr = ONE) -> Expr:
-    """`scale * euler_op(m, n, e)`, scale a canonical term, plus the
-    products a*b of the pairs (a, b) of `plus`, each a a canonical term that
-    holds no power of b.  The kernel (`symexpr._euler`) runs the Horner
-    steps on flat terms in the product-rule pass of `total_derivative`, and
-    the scale and the pairs go into the last step's accumulator: no step,
-    partial derivative or product is built, only the result."""
+    D_m s_{k+1}, and the result is s_0; n applications of D_m, of which
+    those past e's max jet are 0 and skipped."""
     _check_orders(m, n)
-    return _euler(int(m), int(n), as_expr(e), plus, scale)
+    return _euler(int(m), int(n), as_expr(e))
 
 
 class MultiIndex(Record):

@@ -32,8 +32,8 @@ while every |e_i| < B/2, about 2^63.6.  A node's exponents are below
 accumulator key is the sum of the node monomials of one product: the
 factors of one `mul` call (1000 for a power of a sum), or a few terms and a
 derivation's steps of 1 (`_rule`), one per Horner step of an Euler operator
-(`_euler`), so at most MAX_JET_INDEX + 1 of them.  So no key's digit nears
-B/2.
+(`_euler`), so at most MAX_JET_INDEX + 1 of them, and then a pair's product
+and a scale.  So no key's digit nears B/2.
 
 Work that many terms share is done once per structure: `_times` merges two
 other-factor tuples once per pair; the one product-rule pass (`_rules`),
@@ -43,15 +43,16 @@ of the terms it derives once per tuple of them (`_derive_others`) and adds
 each term's product rule (`_rule`) straight into one accumulator, so the
 derivation memo holds result nodes only, nothing per term or per tuple; an
 Euler operator keeps its Horner steps and partial derivatives as flat terms
-in that pass, each step's accumulator the next one's input, and builds only
-its result; and evaluation compiles an expression once into an instruction
-list (`_compile`) that each point runs in one loop (`_run`).  The atoms (x
-and the jets) a node holds are one int bit mask (`_atoms`), the OR of its
-children's, so that no table keeps atom sets; the products of one atom set
-share one int (`_MASKS`).  Every node but a sum holds its sort key
-(`sort_key`) from construction, made from its children's keys, and a sum's
-is built from its terms' keys when asked for: nothing writes a node after
-it is published.
+in that pass, each step's accumulator the next one's input, sums the
+products of its pairs into the last one, which a scale multiplies once, and
+builds only its result; and evaluation compiles an expression once into an
+instruction list (`_compile`) that each point runs in one loop (`_run`).
+The atoms (x and the jets) a node holds are one int bit mask (`_atoms`),
+the OR of its children's, so that no table keeps atom sets; the products of
+one atom set share one int (`_MASKS`).  Every node but a sum holds its sort
+key (`sort_key`) from construction, made from its children's keys, and a
+sum's is built from its terms' keys when asked for: nothing writes a node
+after it is published.
 
 Text is read in one pass: a recursive-descent parser takes each token from
 one regular expression (`_TOKEN`) as it goes, with one token of lookahead
@@ -93,6 +94,7 @@ import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache, reduce, wraps
+from itertools import chain
 from operator import attrgetter
 
 from ._record import Record
@@ -813,8 +815,9 @@ def _times(o0: tuple, o1: tuple) -> tuple:
 
 def _times_sum(acc: dict, den: int, ft: tuple, d0: int, terms: tuple) -> None:
     """Add the product of the flat term `ft` over d0 with each flat term of
-    the list `terms` to the accumulator `acc` over `den`, a multiple of d0
-    times the list's denominator: the kernel's one product of terms.
+    the list `terms` (den, ft, ...), read once, so it may be an iterator, to
+    the accumulator `acc` over `den`, a multiple of d0 times the list's
+    denominator: the kernel's one product of terms.
     Coefficients and monomials multiply, and the other factors merge
     (`_times`)."""
     c0, m0, o0 = ft
@@ -1008,18 +1011,19 @@ def _derive(d, e: Expr) -> Expr:
 
 
 def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
-    """`scale` times the Euler-Lagrange operator E_m^n e =
-    sum_{k=0..n} (-1)^k D_m^k d/dp_k e, plus the products a*b of the pairs
-    (a, b) of `plus`, for a canonical term `scale` and each a a canonical
-    term that holds no power of b.  In Horner form, s_n = (-1)^n d/dp_n e,
-    s_k = (-1)^k d/dp_k e + D_m s_{k+1}, and the result is s_0: n D_m
-    passes.  Each step is one product-rule pass (`_rules`) over the flat
-    terms of s_{k+1} and of e, whose partial d/dp_k enters the same
-    accumulator, so no step and no partial is built.  The last step's
-    merged terms are multiplied by `scale`, once each (a constant scales
-    their numerators in place), and the pairs are added to its
-    accumulator, so a result that cancels builds neither s_0 nor the
-    products; only the result node is built, memoized on
+    """`scale` * (E_m^n e + the products a*b of the pairs (a, b) of `plus`),
+    for the Euler-Lagrange operator E_m^n e = sum_{k=0..n} (-1)^k D_m^k
+    d/dp_k e, a canonical term `scale` and each a a canonical term that
+    holds no power of b.  In Horner form, s_n = (-1)^n d/dp_n e,
+    s_k = (-1)^k d/dp_k e + D_m s_{k+1}, and the result is s_0; every step
+    past e's max jet is 0, so the first is at the lesser of n and that max
+    jet.  Each step is one product-rule pass (`_rules`) over the flat terms
+    of s_{k+1} and of e, whose partial d/dp_k enters the same accumulator,
+    so no step and no partial is built.  The pairs enter the last pass's
+    accumulator, and `scale` multiplies its merged terms once each, streamed
+    into a second accumulator; E is linear over constants, so a constant
+    factor belongs in e.  A result that cancels builds neither s_0 nor the
+    products: only the result node is built, memoized on
     (m, n, e, plus, scale)."""
     key = (m, n, e, plus, scale)
     out = _DERIV_CACHE.get(key)
@@ -1027,10 +1031,9 @@ def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr
         return out
     ts = e.terms if e.__class__ is Sum else (e,)
     pairs = [(a._flat, a._den, lst) for a, b in plus for lst in _flats(b)]
-    dens = [da * lst[0] for _, da, lst in pairs]
     # the flat terms of s_{k+1}, each with the one denominator of the step
     s = None
-    for k in range(n, -1, -1):
+    for k in range(max(min(n, max_jet(e)), 0), -1, -1):
         p = jet(k)
         # a term over a negative denominator enters the pass negated
         q = -1 if k % 2 else 1
@@ -1045,29 +1048,19 @@ def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr
                         atoms |= f._atoms
                 d = _order(m, atoms)
             sources.append((d, s))
-        # the pairs enter the last accumulator, unless `scale` multiplies
-        # it, and then the scaled one
-        acc, den = _rules(sources, dens if not k and scale is ONE else ())
+        acc, den = _rules(sources, () if k else [da * lst[0] for _, da, lst in pairs])
         if k:
             g = math.gcd(den, *acc.values()) if den != 1 else 1
             s = [((c // g, mo, o), den // g) for (mo, o), c in acc.items() if c]
-    if scale is not ONE:
-        sd = den * scale._den
-        new = math.lcm(sd, *dens)
-        if scale.__class__ is Rat:
-            # a constant scales the numerators in place, with no second
-            # accumulator
-            c = scale._flat[0] * (new // sd)
-            for key in acc:
-                acc[key] *= c
-        else:
-            items = [den]
-            items += [(c, mo, o) for (mo, o), c in acc.items() if c]
-            acc = {}
-            _times_sum(acc, new, scale._flat, scale._den, items)
-        den = new
     for aft, da, lst in pairs:
         _times_sum(acc, den, aft, da, lst)
+    if scale is not ONE:
+        # the merged terms, read once into the scaled accumulator as the
+        # list (den, ft, ...) that `_times_sum` takes
+        merged = ((c, mo, o) for (mo, o), c in acc.items() if c)
+        acc, sd = {}, den * scale._den
+        _times_sum(acc, sd, scale._flat, scale._den, chain((den,), merged))
+        den = sd
     out = _finish(acc, den)
     _DERIV_CACHE[key] = out
     return out

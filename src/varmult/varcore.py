@@ -16,17 +16,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .jetops import _euler_op, euler_op, total_derivative
+from .jetops import euler_op, total_derivative
 from .symexpr import (
     Expr,
     ExprLike,
     Exp,
-    ONE,
     Prod,
     Rat,
     ZeroTestConfig,
     ZeroVerdict,
     _collector_paused,
+    _euler,
     add,
     antideriv,
     as_expr,
@@ -154,11 +154,11 @@ def construct(params: ParamSet) -> VariationalTriple:
                    mul(2, total_derivative(2, R), jet(3)))
     else:
         lead = mul(n, total_derivative(n + 1, R), jet(2 * n - 1))
-    # lead - (-1)^n e^R E - e^R rest in the accumulator of E's last D_m
-    # step, which scales E's merged terms by -(-1)^n e^R: only f is built
-    e_r = exp(R)
-    f = _euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2),
-                  ((mul(-1, e_r), add(*rest)), (ONE, lead)), mul(-sign_n, e_r))
+    # f = e^R (E - rest + rho lead), E the operator on -(-1)^n II rho: rest
+    # and rho lead enter the accumulator of E's last D_m step, whose merged
+    # terms e^R then scales once: only f is built
+    f = _euler(2 * n - 2, n, mul(-sign_n, antideriv(rho, jet(n), 2)),
+               ((as_expr(-1), add(*rest)), (rho, lead)), exp(R))
     return VariationalTriple(f=f, rho=rho, L=_lagrangian(params), n=n, m=m)
 
 
@@ -220,5 +220,4 @@ def verify_triple(t: VariationalTriple, cfg: ZeroTestConfig | None = None) -> Ze
 def _residual(t: VariationalTriple) -> Expr:
     # E L + rho f - rho p_{2n}, summed in the accumulator of the last D_m step
     # of E L: a certificate that cancels builds neither E L nor rho f
-    return _euler_op(2 * t.m, t.m, t.L,
-                     ((t.rho, t.f), (t.rho, mul(-1, jet(2 * t.n)))))
+    return _euler(2 * t.m, t.m, t.L, ((t.rho, t.f), (t.rho, mul(-1, jet(2 * t.n)))))

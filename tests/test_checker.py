@@ -4,6 +4,9 @@ rejection stability, trace completeness, and determinism."""
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -341,6 +344,46 @@ def test_certificate_builds_only_the_lagrangian(monkeypatch):
     assert verified[0].L is report.outcome.L
 
 
+def test_s4_builds_only_h():
+    # each S4 step sums h, -dh p_{2n-2j} and -sign E, E the operator on
+    # II dh, into the accumulator of E's last D_m step: neither E, nor
+    # -sign E, nor the product is in the intern table after check.  They
+    # are built here, step by step from the S3 formula, after the table is
+    # read, in a fresh process that parses f, so that construct has not
+    # built them
+    f = construct(gen_params(3, 3, GenConfig(seed=30_002, max_degree=3, max_terms=4))).f
+    script = ("import sys\n"
+              "from fractions import Fraction\n"
+              "from varmult.checker import check\n"
+              "from varmult.jetops import euler_op\n"
+              "from varmult.symexpr import _INTERN, add, antideriv, diff, jet, mul, parse, pow_int\n"
+              "n = 3\n"
+              "f = parse(sys.stdin.read())\n"
+              "report = check(f, n)\n"
+              "assert report.accepted\n"
+              "nodes = set(_INTERN.values())\n"
+              "rho, top = report.outcome.rho, jet(2 * n - 1)\n"
+              "d_top = diff(f, top)\n"
+              "y = add(f, mul(-1, d_top, top), mul(Fraction(1, 2), diff(d_top, top), pow_int(top, 2)))\n"
+              "h = add(mul(-(-1) ** n, euler_op(2 * n - 2, n, antideriv(rho, jet(n), 2))),\n"
+              "        mul(-1, rho, y))\n"
+              "built = []\n"
+              "for j in range(1, n):\n"
+              "    dh = diff(h, jet(2 * n - 2 * j))\n"
+              "    el = euler_op(2 * n - 1 - 2 * j, n - j, antideriv(dh, jet(n - j), 2))\n"
+              "    built += [el, mul(-(-1) ** (n - j), el), mul(-1, dh, jet(2 * n - 2 * j))]\n"
+              "    h = add(h, *built[-2:])\n"
+              "    derived = [t.derived for t in report.trace\n"
+              "               if t.step == f'S4(j={j})' and t.derived is not None]\n"
+              "    assert derived == [h] and h in nodes\n"
+              "print(len(built), sum(b in nodes for b in built))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(symexpr.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], input=render(f), capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6", "0"]
+
+
 def test_zero_test_rebuilds_no_node(monkeypatch):
     # every node is canonical, so is_zero samples its input as it is: the
     # checked and derived expressions of a corpus trial give the verdicts
@@ -420,7 +463,7 @@ def test_the_collector_is_on_again_after_a_call_raises(monkeypatch):
     def failing(*args):
         raise RuntimeError("kernel fault")
 
-    monkeypatch.setattr(varcore, "_euler_op", failing)
+    monkeypatch.setattr(varcore, "_euler", failing)
     params = gen_params(2, 2, GenConfig(seed=4252, max_degree=2, max_terms=3))
     with pytest.raises(RuntimeError, match="kernel fault"):
         construct(params)

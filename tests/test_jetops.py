@@ -170,15 +170,18 @@ def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
 
 @pytest.mark.parametrize("scale", [ONE, -1, Fraction(5, 6), mul(Fraction(3, 4), exp(p1))])
 def test_euler_op_scale_and_pairs_match_the_built_sum(scale):
-    # a constant scale multiplies the merged numerators in place, any other
-    # term multiplies each merged term; the pairs enter unscaled, over
-    # denominators of their own, and may cancel the scaled operator
+    # the kernel's operator is scale * (E e + a*b): the pairs enter the
+    # operator's last accumulator over denominators of their own, may cancel
+    # the operator, and the scale, constant or not, multiplies the sum
     e = add(_with_exp_and_integral(1), mul(Fraction(2, 7), p1, pow_int(p3, 2)))
     scale = symexpr.as_expr(scale)
     el = euler_op(6, 3, e)
     a, b = mul(Fraction(2, 3), p1), add(p2, Fraction(1, 5))
-    assert jetops._euler_op(6, 3, e, ((a, b),), scale) is add(mul(scale, el), mul(a, b))
-    assert jetops._euler_op(6, 3, e, ((a, b), (mul(-1, scale), el)), scale) is mul(a, b)
+    assert symexpr._euler(6, 3, e, ((a, b),), scale) is mul(scale, add(el, mul(a, b)))
+    minus = symexpr.as_expr(-1)
+    assert symexpr._euler(6, 3, e, ((a, b), (minus, el)), scale) is mul(scale, a, b)
+    # the pair (-1, el) alone cancels the operator: the result is 0
+    assert el is not ZERO and symexpr._euler(6, 3, e, ((minus, el),), scale) is ZERO
 
 
 def test_euler_op_interns_its_result_only():

@@ -2195,8 +2195,8 @@ def test_add_mul_diff_match_sympy_exactly(seed):
         return sympy.diff(expr, sym[X]) + sum(
             sym[jet(j)] * sympy.diff(expr, sym[jet(j - 1)]) for j in range(1, m + 1))
 
-    # the Euler operator's accumulators, with a pair (a, sb) and a scale
-    # whose coefficient is a fraction in the last: terms over mixed
+    # the Euler operator's accumulators, with a pair (a, sb) in the last and
+    # a scale, whose coefficient is a fraction, over both: terms over mixed
     # denominators, steps and pairs that cancel and terms that share their
     # other factors meet in them
     a = mul(c, p2)
@@ -2217,7 +2217,7 @@ def test_add_mul_diff_match_sympy_exactly(seed):
         same(total_derivative(m, sa), d_m(m, ours(sa)))
         for n in range(3):
             same(symexpr._euler(m, n, sa, ((a, sb),), scale),
-                 ours(scale) * e_mn(m, n, ours(sa)) + ours(a) * ours(sb))
+                 ours(scale) * (e_mn(m, n, ours(sa)) + ours(a) * ours(sb)))
 
 
 def test_fraction_coefficients_that_cancel_to_integers():

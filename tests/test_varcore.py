@@ -107,6 +107,16 @@ def test_euler_lagrange_kills_total_derivatives():
     assert euler_lagrange(total_derivative(2, n_expr), 2) is ZERO
 
 
+def test_euler_operator_skips_the_steps_past_the_max_jet():
+    # the Horner steps start at the max jet of the operand, every step past
+    # it being 0, so an order past the largest jet index asks for no jet
+    # beyond it: a construct triple with m = 100 verifies, and E_200^100
+    # of p2^2 is 2 p4
+    assert euler_lagrange(pow_int(p2, 2), 100) is mul(2, p4)
+    t = construct(ParamSet(n=2, R=p2, f_lower=(ZERO, pow_int(p1, 2)), N=pow_int(p1, 3), m=100))
+    assert isinstance(verify_triple(t, CFG), ZeroStructural)
+
+
 @pytest.mark.parametrize("n,seed", [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4),
                                     (3, 5), (4, 6), (4, 7)])
 def test_euler_lagrange_matches_sympy(n, seed):
@@ -336,9 +346,9 @@ def _unfused_f(params):
 ], ids=["n2-20000", "n3-30002", "n4-40000", "n4-40002", "n2-20002-exp",
         "n3-30001-exp", "m5-n3", "exp-R-quadratic-in-p3"])
 def test_fused_f_is_the_node_of_the_unfused_formula(params):
-    # construct sums the lead, e^R times the rest and the scaled E into the
-    # accumulator of E's last D_m step; that is the node of the formula
-    # built sum by sum
+    # construct sums the signed E, minus the rest and rho times the lead in
+    # the accumulator of E's last D_m step, which e^R then scales; that is
+    # the node of the formula built sum by sum
     t = construct(params)
     assert t.f is _unfused_f(params)
     assert verify_triple(t, CFG).is_zero
