@@ -129,29 +129,30 @@ class _Run:
     def __init__(self, cfg: ZeroTestConfig):
         self.cfg = cfg
         self.trace: list[TraceEntry] = []
+        self.verdicts: dict[Expr, ZeroVerdict] = {}  # is_zero depends on node and cfg
+        self.last_check = -1  # the trace index of the latest check, if any
 
     def probe(self, step: str, e: Expr, note: str | None = None) -> None:
         # a check with a note is recorded as a note: a refinement check
-        # outside the algorithm's own tally
-        v = is_zero(e, self.cfg)
-        self.trace.append(TraceEntry(step=step, checked=e, verdict=v,
+        # outside the algorithm's own tally; a node probed before keeps its verdict
+        if e not in self.verdicts:
+            self.verdicts[e] = is_zero(e, self.cfg)
+        if not note:
+            self.last_check = len(self.trace)
+        self.trace.append(TraceEntry(step=step, checked=e, verdict=self.verdicts[e],
                                      kind="note" if note else "check", note=note))
-        _settle(step, e, v)
+        _settle(step, e, self.verdicts[e])
 
     def attach(self, derived: Expr) -> None:
         # record the quantity derived after the most recent vanishing check
-        for i in range(len(self.trace) - 1, -1, -1):
-            t = self.trace[i]
-            if t.kind == "check":
-                self.trace[i] = replace(t, derived=derived)
-                return
+        if (i := self.last_check) >= 0:
+            self.trace[i] = replace(self.trace[i], derived=derived)
 
-    def restrict(self, step: str, e: Expr, cap: int) -> Expr:
+    def restrict(self, step: str, out: Expr, cap: int) -> Expr:
         """Remove jets above `cap` that occur syntactically but not
         functionally (possible after merely-numeric zero verdicts upstream),
         certifying each removal.  Sound: binding a functionally absent
         variable to 0 leaves the function unchanged."""
-        out = e
         while (k := max_jet(out)) > cap:
             self.probe(step, diff(out, jet(k)),
                        f"pruning functionally-absent p{k} from a derived quantity")

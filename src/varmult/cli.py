@@ -24,7 +24,7 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .checker import Accepted, CheckReport, Rejected, check
+from .checker import Accepted, Rejected, check
 from .jetops import total_derivative
 from .symexpr import (
     MAX_JET_INDEX,
@@ -44,13 +44,6 @@ from .symexpr import (
 from .varcore import ParamSet, VariationalTriple, construct, fels_I1, fels_T5, verify_triple
 
 __all__ = ["main", "run"]
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("VARMULT_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,12 +106,21 @@ def _order(args) -> int:
     return n
 
 
-def _cfg(seed: int | None, samples: int | None = None, tol: float | None = None) -> ZeroTestConfig:
-    kw = {"seed": _default_seed() if seed is None else seed}
-    if samples is not None:
-        kw["samples"] = samples
-    if tol is not None:
-        kw["atol"] = tol
+def _cfg(args) -> ZeroTestConfig:
+    """The zero-test settings: --seed, --samples and --tol where the
+    subcommand has them, else VARMULT_SEED and the defaults."""
+    opts = vars(args)
+    seed = opts.get("seed")
+    if seed is None:
+        try:
+            seed = int(os.environ.get("VARMULT_SEED", "0"))
+        except ValueError:
+            seed = 0
+    kw = {"seed": seed}
+    if opts.get("samples") is not None:
+        kw["samples"] = opts["samples"]
+    if opts.get("tol") is not None:
+        kw["atol"] = opts["tol"]
     return ZeroTestConfig(**kw)
 
 
@@ -129,27 +131,16 @@ def _exit_code(*verdicts: ZeroVerdict) -> int:
     return 1 if any(isinstance(v, NonZero) for v in verdicts) else 3
 
 
-def _envelope(subcommand: str, input_obj: dict, result_obj: dict, trace: list) -> str:
-    return json.dumps({"tool": "varmult", "version": __version__,
-                       "subcommand": subcommand, "input": input_obj,
-                       "result": result_obj, "trace": trace}, allow_nan=False)
+# Each handler returns its report: the exit code, the envelope's input and
+# result, its trace, and a function that gives its text in pieces.  `run`
+# writes either the envelope or the text; the trace is a generator, so a
+# text run does not render it, and a JSON run does not call the text.
 
 
-def _trace_obj(report: CheckReport) -> list:
-    out = []
-    for t in report.trace:
-        out.append({"step": t.step, "kind": t.kind,
-                    "checked": render(t.checked),
-                    "verdict": t.verdict.to_obj(),
-                    "derived": None if t.derived is None else render(t.derived),
-                    "note": t.note})
-    return out
-
-
-def _run_check(args, out) -> int:
+def _run_check(args):
     n = _order(args)
     f = parse(args.expr)
-    cfg = _cfg(args.seed, args.samples, args.tol)
+    cfg = _cfg(args)
     report = check(f, n, cfg)
     o = report.outcome
     if isinstance(o, Accepted):
@@ -165,26 +156,28 @@ def _run_check(args, out) -> int:
         result = {"outcome": "inconclusive", "step": o.step,
                   "witness": render(o.witness)}
         code = 3
-    if args.json:
-        out.write(_envelope("check", {"order": n, "expr": args.expr,
-                                      "seed": cfg.seed, "samples": cfg.samples,
-                                      "atol": cfg.atol},
-                            result, _trace_obj(report)) + "\n")
-    else:
-        out.write(f"outcome: {result['outcome']}\n")
+    trace = ({"step": t.step, "kind": t.kind, "checked": render(t.checked),
+              "verdict": t.verdict.to_obj(),
+              "derived": None if t.derived is None else render(t.derived),
+              "note": t.note} for t in report.trace)
+
+    def text():
+        yield f"outcome: {result['outcome']}\n"
         if isinstance(o, Accepted):
-            out.write(f"R: {result['R']}\nrho: {result['rho']}\n")
+            yield f"R: {result['R']}\nrho: {result['rho']}\n"
             for ell, g in enumerate(result["f_lower"]):
-                out.write(f"f{ell}: {g}\n")
-            out.write(f"L: {result['L']}\nresidual: {o.residual.describe()}\n")
+                yield f"f{ell}: {g}\n"
+            yield f"L: {result['L']}\nresidual: {o.residual.describe()}\n"
         else:
-            out.write(f"step: {o.step}\nwitness: {result['witness']}\n")
+            yield f"step: {o.step}\nwitness: {result['witness']}\n"
             if isinstance(o, Rejected):
-                out.write(f"verdict: {o.verdict.describe()}\n")
+                yield f"verdict: {o.verdict.describe()}\n"
         for t in report.trace:
             mark = t.step if t.kind == "check" else f"{t.step} [note]"
-            out.write(f"  {mark}: {t.verdict.describe()}  checked {render(t.checked)}\n")
-    return code
+            yield f"  {mark}: {t.verdict.describe()}  checked {render(t.checked)}\n"
+
+    return (code, {"order": n, "expr": args.expr, "seed": cfg.seed,
+                   "samples": cfg.samples, "atol": cfg.atol}, result, trace, text)
 
 
 def _parse_lower(args, n: int) -> tuple[Expr, ...]:
@@ -204,7 +197,7 @@ def _parse_lower(args, n: int) -> tuple[Expr, ...]:
     return tuple(lower)
 
 
-def _run_construct(args, out) -> int:
+def _run_construct(args):
     n = _order(args)
     m = args.lagrangian_order if args.lagrangian_order is not None else n
     params = ParamSet(n=n, R=parse(args.R), f_lower=_parse_lower(args, n),
@@ -212,70 +205,52 @@ def _run_construct(args, out) -> int:
     t = construct(params)
     result = {"f": render(t.f), "rho": render(t.rho), "L": render(t.L),
               "order": n, "lagrangian_order": m}
-    if args.json:
-        out.write(_envelope("construct",
-                            {"order": n, "lagrangian_order": m, "R": args.R,
-                             "f_lower": [render(g) for g in params.f_lower],
-                             "N": args.N},
-                            result, []) + "\n")
-    else:
-        out.write(f"f: {result['f']}\nrho: {result['rho']}\nL: {result['L']}\n")
-    return 0
+    return (0, {"order": n, "lagrangian_order": m, "R": args.R,
+                "f_lower": [render(g) for g in params.f_lower], "N": args.N}, result, (),
+            lambda: [f"f: {result['f']}\nrho: {result['rho']}\nL: {result['L']}\n"])
 
 
-def _run_fels(args, out) -> int:
+def _run_fels(args):
     f3 = parse(args.expr)
-    cfg = _cfg(None)
+    cfg = _cfg(args)
     t5 = fels_T5(f3)
     i1 = fels_I1(f3)
     v5 = is_zero(t5, cfg)
     v1 = is_zero(i1, cfg)
-    both_zero = v5.is_zero and v1.is_zero
     result = {"T5": render(t5), "T5_verdict": v5.to_obj(),
               "I1": render(i1), "I1_verdict": v1.to_obj(),
-              "variational_candidate": both_zero}
-    if args.json:
-        out.write(_envelope("fels", {"expr": args.expr, "seed": cfg.seed},
-                            result, []) + "\n")
-    else:
-        out.write(f"T5: {result['T5']}\nT5 verdict: {v5.describe()}\n")
-        out.write(f"I1: {result['I1']}\nI1 verdict: {v1.describe()}\n")
-    return _exit_code(v5, v1)
+              "variational_candidate": v5.is_zero and v1.is_zero}
+    return (_exit_code(v5, v1), {"expr": args.expr, "seed": cfg.seed}, result, (),
+            lambda: [f"T5: {result['T5']}\nT5 verdict: {v5.describe()}\n"
+                     f"I1: {result['I1']}\nI1 verdict: {v1.describe()}\n"])
 
 
-def _run_verify(args, out) -> int:
+def _run_verify(args):
     n = _order(args)
     try:
         triple = VariationalTriple(f=parse(args.expr), rho=parse(args.rho),
                                    L=parse(args.lagrangian), n=n, m=n)
     except ValueError as exc:
         raise _Usage(str(exc)) from None
-    cfg = _cfg(None)
+    cfg = _cfg(args)
     v = verify_triple(triple, cfg)
-    result = {"verdict": v.to_obj()}
-    if args.json:
-        out.write(_envelope("verify",
-                            {"order": n, "expr": args.expr, "rho": args.rho,
-                             "lagrangian": args.lagrangian, "seed": cfg.seed},
-                            result, []) + "\n")
-    else:
-        out.write(f"verdict: {v.describe()}\n")
-    return _exit_code(v)
+    return (_exit_code(v), {"order": n, "expr": args.expr, "rho": args.rho,
+                            "lagrangian": args.lagrangian, "seed": cfg.seed},
+            {"verdict": v.to_obj()}, (), lambda: [f"verdict: {v.describe()}\n"])
 
 
-def _run_roundtrip(args, out) -> int:
+def _run_roundtrip(args):
     # imported here, so that a process that only checks never compiles it
     from .testkit import GenConfig, gen_params
 
     n = _order(args)
     if args.trials < 1:
         raise _Usage("--trials must be >= 1")
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = _cfg(seed)
+    cfg = _cfg(args)
     trials = []
     all_ok = True
     for i in range(args.trials):
-        params = gen_params(n, n, GenConfig(seed=seed + 7919 * i,
+        params = gen_params(n, n, GenConfig(seed=cfg.seed + 7919 * i,
                                             max_degree=2, max_terms=3))
         triple = construct(params)
         report = check(triple.f, n, cfg)
@@ -290,17 +265,15 @@ def _run_roundtrip(args, out) -> int:
                        "residual": residual, "multiplier_consistent": consistent,
                        "ok": ok})
         all_ok = all_ok and ok
-    result = {"trials": trials, "all_passed": all_ok}
-    if args.json:
-        out.write(_envelope("roundtrip",
-                            {"order": n, "trials": args.trials, "seed": seed},
-                            result, []) + "\n")
-    else:
+
+    def text():
         for t in trials:
-            out.write(f"trial {t['trial']}: accepted={t['accepted']} "
-                      f"consistent={t['multiplier_consistent']} ok={t['ok']}\n")
-        out.write(("all trials passed\n") if all_ok else ("some trials failed\n"))
-    return 0 if all_ok else 1
+            yield (f"trial {t['trial']}: accepted={t['accepted']} "
+                   f"consistent={t['multiplier_consistent']} ok={t['ok']}\n")
+        yield "all trials passed\n" if all_ok else "some trials failed\n"
+
+    return (0 if all_ok else 1, {"order": n, "trials": args.trials, "seed": cfg.seed},
+            {"trials": trials, "all_passed": all_ok}, (), text)
 
 
 class _Usage(Exception):
@@ -330,7 +303,8 @@ def _attach_expr_values(argv: Sequence[str]) -> list[str]:
 
 
 def run(argv: Sequence[str], out=None, err=None) -> int:
-    """Dispatch a CLI invocation; returns the exit code."""
+    """Dispatch a CLI invocation, write its report to `out` as JSON or text
+    (or its error to `err`), and return the exit code."""
     out = out or sys.stdout
     err = err or sys.stderr
     ap = _build_parser()
@@ -342,7 +316,15 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
                 "fels": _run_fels, "verify": _run_verify,
                 "roundtrip": _run_roundtrip}
     try:
-        return handlers[args.subcommand](args, out)
+        code, input_obj, result, trace, text = handlers[args.subcommand](args)
+        if args.json:
+            out.write(json.dumps({"tool": "varmult", "version": __version__,
+                                  "subcommand": args.subcommand, "input": input_obj,
+                                  "result": result, "trace": list(trace)},
+                                 allow_nan=False) + "\n")
+        else:
+            out.writelines(text())
+        return code
     except ParseError as exc:
         err.write(f"varmult: expression error: {exc}\n")
         return 2

@@ -1753,12 +1753,14 @@ class _Scale:
         self.remaining = budget
 
 
-def _compile(e: Expr) -> list:
-    """The program that evaluates `e`: one instruction (op, operand) per node
-    in `_walk` order, named by index.  The op is the node's class (Jet for x
-    too) or the `math` function of an exp, sin or cos; an opaque integral's
-    operand is its variable, its integrand's program and whether it folded
-    a double integral over that variable."""
+def _compile(e: Expr, depth: int = 0) -> list:
+    """The program that evaluates `e` at the nesting level `depth` of opaque
+    integrals: one instruction (op, operand) per node in `_walk` order, named
+    by index.  The op is the node's class (Jet for x too) or the `math`
+    function of an exp, sin or cos; an opaque integral's operand is its
+    variable, its integrand's program (None at depth len(_QUAD_LEVELS),
+    whose integrals `_eval_quad` refuses) and whether it folded a double
+    integral over that variable."""
     slots: dict = {}
     prog: list = []
     for n in _walk(e, lambda n: () if n.__class__ is AntiDeriv else _children(n)):
@@ -1774,7 +1776,8 @@ def _compile(e: Expr) -> list:
         elif op is AntiDeriv:
             g = n.integrand
             kernel = g.__class__ is AntiDeriv and g.var is n.var
-            arg = (n.var, _compile(g.integrand if kernel else g), kernel)
+            arg = (n.var, _compile(g.integrand if kernel else g, depth + 1)
+                   if depth < len(_QUAD_LEVELS) else None, kernel)
         else:
             op, arg = (op if op is Log else getattr(math, n._tag)), slots[n.arg]
         slots[n] = len(prog)

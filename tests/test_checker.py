@@ -244,8 +244,10 @@ def test_every_zero_test_is_in_the_trace(monkeypatch, name):
 
     monkeypatch.setattr(checker, "is_zero", counting)
     report = check(f, n, CFG)
-    assert len(calls) == len(report.trace)
-    assert [t.checked for t in report.trace] == calls
+    # each node is tested once, and a node met again keeps its verdict
+    assert calls == list(dict.fromkeys(t.checked for t in report.trace))
+    for t in report.trace:
+        assert t.verdict == is_zero(t.checked, CFG)
     for t in report.trace:
         if t.kind == "note":
             assert t.note.startswith("pruning functionally-absent p"), t.note
@@ -254,6 +256,32 @@ def test_every_zero_test_is_in_the_trace(monkeypatch, name):
     if name == "perturbed S4":
         assert isinstance(report.outcome, Rejected)
         assert report.outcome.step == "S4(j=1)"
+
+
+def test_a_node_probed_again_is_not_sampled_again(monkeypatch):
+    # f is p3^2 in function, with p0*(cos(p2)^2 + sin(p2)^2 - 1) in form:
+    # S4(j=1) and S5 each prune a jet whose first probe is the node that
+    # the step's last check probed, so 10 entries name 4 nodes, and with the
+    # certificate is_zero runs 5 times, not 11
+    f = add(pow_int(p3, 2), mul(p0, add(pow_int(cos(p2), 2), pow_int(sin(p2), 2), -1)))
+    calls = []
+
+    def counting(e, cfg=None):
+        calls.append(e)
+        return is_zero(e, cfg)
+
+    monkeypatch.setattr(checker, "is_zero", counting)
+    monkeypatch.setattr(varcore, "is_zero", counting)
+    report = check(f, 2, CFG)
+    assert report.accepted
+    assert [(t.step, t.kind) for t in report.trace] == [
+        ("S2(k=3)", "check"), ("S2(k=2)", "check"), ("S2(k=1)", "check"), ("S3", "check"),
+        ("S4(j=1)", "check"), ("S4(j=1)", "check"), ("S4(j=1)", "note"),
+        ("S5", "check"), ("S5", "check"), ("S5", "note")]
+    trace = report.trace
+    assert trace[6].checked is trace[5].checked and trace[9].checked is trace[8].checked
+    assert trace[6].verdict == trace[5].verdict and trace[9].verdict == trace[8].verdict
+    assert len({t.checked for t in trace}) == 4 and len(calls) == 5
 
 
 def test_check_determinism():

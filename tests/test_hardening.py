@@ -116,6 +116,22 @@ def test_budget_bounds_nested_quadrature(monkeypatch):
     assert is_zero(lvl2, CFG) == InconclusiveVerdict("evaluation budget exceeded")
 
 
+@pytest.mark.parametrize("depth", [3, 1200])
+def test_deeply_nested_integrals_fail_evaluation_without_recursing(depth):
+    # only two levels of opaque integrals are evaluated, so the integrands
+    # below them are not compiled: a chain of any depth is a DomainError for
+    # evaluate and inconclusive for is_zero, never a RecursionError
+    from varmult.symexpr import DomainError, antideriv
+
+    e = p1
+    for i in range(depth):
+        v = p2 if i % 2 else p1
+        e = antideriv(exp(mul(e, v, v)), v)
+    with pytest.raises(DomainError, match="opaque integrals nested deeper than 2 levels"):
+        evaluate(e, {p1: 0.5, p2: 0.5})
+    assert is_zero(e) == InconclusiveVerdict("no sample point could be evaluated")
+
+
 def test_budget_exhaustion_is_inconclusive_not_slow():
     # a known numerically hostile reconstruction: bounded time, honest verdict
     params = gen_params(3, 3, GenConfig(seed=8810, max_degree=2, max_terms=2,

@@ -382,7 +382,7 @@ def _ref_to_obj(e):
     return {"op": e._tag, "args": [_ref_to_obj(e.arg)]}
 
 
-def _ref_compile(e):
+def _ref_compile(e, depth=0):
     slots, prog = {}, []
 
     def visit(n):
@@ -401,7 +401,9 @@ def _ref_compile(e):
         elif op is AntiDeriv:
             g = n.integrand
             kernel = g.__class__ is AntiDeriv and g.var is n.var
-            arg = (n.var, _ref_compile(g.integrand if kernel else g), kernel)
+            inner = g.integrand if kernel else g
+            arg = (n.var, _ref_compile(inner, depth + 1)
+                   if depth < len(symexpr._QUAD_LEVELS) else None, kernel)
         else:
             op, arg = (op if op is Log else getattr(math, n._tag)), visit(n.arg)
         i = slots[n] = len(prog)
