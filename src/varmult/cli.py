@@ -46,10 +46,19 @@ from .varcore import ParamSet, VariationalTriple, construct, fels_I1, fels_T5, v
 __all__ = ["main", "run"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="varmult",
-                                 description="variational multiplier toolkit "
-                                             "for scalar equations u^(2n) = f")
+def _build_parser(out, err) -> argparse.ArgumentParser:
+    """The command-line parser, which writes its help to `out` and its usage
+    errors to `err`, where argparse alone writes to sys.stdout and
+    sys.stderr; its subcommand parsers are of its class."""
+
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            if message:
+                (out if file is sys.stdout else err).write(message)
+
+    ap = Parser(prog="varmult",
+                description="variational multiplier toolkit "
+                            "for scalar equations u^(2n) = f")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p_check = sub.add_parser("check", help="decide variationality of u^(2n) = f")
@@ -307,7 +316,7 @@ def run(argv: Sequence[str], out=None, err=None) -> int:
     (or its error to `err`), and return the exit code."""
     out = out or sys.stdout
     err = err or sys.stderr
-    ap = _build_parser()
+    ap = _build_parser(out, err)
     try:
         args = ap.parse_args(_attach_expr_values(argv))
     except SystemExit as exc:

@@ -12,10 +12,12 @@ parsing/printing, floating evaluation with Gauss-Legendre quadrature for
 opaque integrals, and a probabilistic zero test, exact on the forms that
 the canonical form shows to be nonzero (`_nonzero_by_form`).
 
-Sums, products, derivations and antiderivatives compute on flat terms (an
-int numerator over an int denominator, a monomial, other factors), which
-every node but a sum carries from construction, and build a node only for
-each term that survives.  A monomial is one int, the packed exponent vector
+Sums, products, derivations and antiderivatives compute on flat terms, one
+tuple (n, d, mono, others): an int numerator over an int denominator, a
+monomial, other factors.  Every node but a sum carries its flat term from
+construction, and a rational or a product is interned under it, so its term
+and its intern key are one tuple; the kernel builds a node only for each
+term that survives.  A monomial is one int, the packed exponent vector
 m = sum of e_i * B^i over the positions i (x at 0, p_k at k + 1), so that
 multiplying two monomials is one integer add.  A term's exponents are
 otherwise read from its atom factors (x, the jets and their powers), which
@@ -202,15 +204,16 @@ class Expr:
     class call, which is the class's canonical constructor (`_MAKE`); the
     fields are filled once, by `_init`, when the node is first made."""
 
-    # _flat, _den: a non-Sum node as a flat term and the denominator of its
-    # coefficient, set by `_init` (a Sum's `_flat` is None; `_term`, the only
-    # maker of products, hands a product its own); _key: a non-Sum node's
+    # _flat: a non-Sum node as a flat term (n, d, mono, others), set by
+    # `_init` (a Sum's is None; `_term`, the only maker of rationals and
+    # products, hands each the key it interns the node under, so that key
+    # and term are one tuple); _key: a non-Sum node's
     # sort key, set by `_init` from its children's (a Sum's is None and
     # `sort_key` builds it; a product's is one flat tuple, (9, *factor
     # keys)); _atoms: the atoms the node holds, as a bit mask with bit i for
     # the atom at monomial position i (`_POS`), so that the bit order is the
     # `sort_key` order
-    __slots__ = ("_key", "_atoms", "_flat", "_den")
+    __slots__ = ("_key", "_atoms", "_flat")
     #: the attributes that are the arguments of a class call, in order
     _args: tuple = ()
 
@@ -277,14 +280,13 @@ class Rat(Expr):
     __slots__ = ("value",)
     _args = __slots__
 
-    def _init(self, value: Fraction):
-        self.value = value
+    def _init(self, flat: tuple):
+        self.value = value = Fraction(flat[0], flat[1])
         self._atoms = 0
         # the float settles almost every comparison in C; float rounding is
         # monotone, so only a float tie falls through to the exact value
         self._key = (0, _float(value), value)
-        self._flat = (value.numerator, 0, ())
-        self._den = value.denominator
+        self._flat = flat
 
 
 class VarX(Expr):
@@ -295,8 +297,7 @@ class VarX(Expr):
     def _init(self):
         self._atoms = 1
         self._key = (1,)
-        self._flat = (1, 1, ())
-        self._den = 1
+        self._flat = (1, 1, 1, ())
 
 
 class Jet(Expr):
@@ -309,8 +310,7 @@ class Jet(Expr):
         self.index = index
         self._atoms = 2 << index
         self._key = (2, index)
-        self._flat = (1, _UNIT[index + 1], ())
-        self._den = 1
+        self._flat = (1, 1, _UNIT[index + 1], ())
 
 
 class Sum(Expr):
@@ -331,7 +331,7 @@ class Prod(Expr):
     __slots__ = ("factors",)
     _args = __slots__
 
-    def _init(self, factors: tuple, flat: tuple, den: int):
+    def _init(self, factors: tuple, flat: tuple):
         self.factors = factors
         atoms = 0
         for f in factors:
@@ -341,7 +341,6 @@ class Prod(Expr):
         # is one flat tuple, which orders as (9, tuple of the factor keys)
         self._key = (9, *map(_key_of, factors))
         self._flat = flat
-        self._den = den
 
 
 class Pow(Expr):
@@ -356,8 +355,7 @@ class Pow(Expr):
         self._atoms = base._atoms
         self._key = (3, sort_key(base), exponent)
         i = _POS.get(base)
-        self._flat = (1, 0, (self,)) if i is None else (1, exponent * _UNIT[i], ())
-        self._den = 1
+        self._flat = (1, 1, 0, (self,)) if i is None else (1, 1, exponent * _UNIT[i], ())
 
 
 class _Unary(Expr):
@@ -369,8 +367,7 @@ class _Unary(Expr):
         self.arg = arg
         self._atoms = arg._atoms
         self._key = (self._rank, sort_key(arg))
-        self._flat = (1, 0, (self,))
-        self._den = 1
+        self._flat = (1, 1, 0, (self,))
 
 
 class Exp(_Unary):
@@ -407,8 +404,7 @@ class AntiDeriv(Expr):
         self.var = var
         self._atoms = integrand._atoms | var._atoms
         self._key = (8, sort_key(integrand), var._key)
-        self._flat = (1, 0, (self,))
-        self._den = 1
+        self._flat = (1, 1, 0, (self,))
 
 
 def _float(q: Fraction) -> float:
@@ -462,9 +458,9 @@ def _collector_paused(fn):
 def _intern(key, cls, *args) -> Expr:
     """The one node of `key`, for the canonical constructors only: a new
     node is made past the class's `__new__`, so `args` must already be
-    canonical.  A composite's key is `(cls,) + args`; a product's and a
-    rational's are their own (`_term`, `_rat`), and those two make a new
-    node themselves, with the one lookup they already did."""
+    canonical.  A composite's key is `(cls,) + args`; a rational's and a
+    product's is its flat term, and `_term` makes a new one itself, with
+    the one lookup it already did."""
     node = _INTERN.get(key)
     if node is None:
         # setdefault, not a store: of two threads building the same node,
@@ -475,32 +471,13 @@ def _intern(key, cls, *args) -> Expr:
     return node
 
 
-def _rat(n: int, d: int) -> Expr:
-    """The rational constant n/d, for coprime ints n and d > 0, interned on
-    ("r", n, d): the node is looked up first, so a Fraction is made only for
-    a new node, and its digits are bounded (`MAX_RATIONAL_DIGITS`)."""
-    key = ("r", n, d)
-    node = _INTERN.get(key)
-    if node is None:
-        if not -_RAT_BOUND < n < _RAT_BOUND or d >= _RAT_BOUND:
-            raise ExprError(f"rational constant with more than {MAX_RATIONAL_DIGITS} digits")
-        node = object.__new__(Rat)
-        node._init(Fraction(n, d))
-        node = _INTERN.setdefault(key, node)
-    return node
-
-
 def rational(value) -> Expr:
     """Exact rational constant node."""
     if value.__class__ is int:
-        return _rat(value, 1)
+        return _term(value, 1, 0, ())
     v = value if isinstance(value, Fraction) else Fraction(value)
-    return _rat(v.numerator, v.denominator)
+    return _term(v.numerator, v.denominator, 0, ())
 
-
-ZERO = rational(0)
-ONE = rational(1)
-_MINUS_ONE = rational(-1)
 
 X = _intern(("x",), VarX)
 
@@ -545,41 +522,42 @@ def as_expr(v: ExprLike) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-# A canonical non-Sum term is handled as a flat term (n, mono, others) over
-# a denominator d: its rational coefficient n/d, as coprime ints with d > 0;
-# its monomial, the exponents of x, p0, p1, ... packed into one int (see
-# the module docstring), so that multiplying monomials adds ints; and its
-# other factors in canonical order.  Every non-Sum node carries its flat
-# term and d from construction (`_flat`, `_den`, set by `_init`; `_term`,
-# the only maker of products, hands a product its own), so no routine walks
-# a product's factors to recover them, and a node is complete before it is
-# published in the intern table.  An integral coefficient is one int, and a
-# list of flat terms (den, ft, ...) holds numerators over one denominator
-# (`_flats` splits a sum into one list per denominator, so that no flat term
-# is copied).  An accumulator maps the key (mono, others) of like terms to
-# their summed numerator over one denominator: the lcm of the denominators
-# of everything that enters it, fixed before the first term does, so it is
-# never rescaled.  `_finish` reduces each surviving numerator once and
-# builds only the terms that survive, and `_term` makes a Fraction only for
-# a new Rat node: the kernel does no Fraction arithmetic.  A product is
-# interned on its flat term and denominator, (n, d, mono, others), its only
-# key, so building a term, new or not, is one lookup.  No other key is a
-# 4-tuple, so the key needs no class; without one, a key of ints and () holds
-# nothing the cyclic collector tracks, and the collector stops tracking it.
+# A canonical non-Sum term is handled as one flat term, the tuple
+# (n, d, mono, others): its rational coefficient n/d, as coprime ints with
+# d > 0; its monomial, the exponents of x, p0, p1, ... packed into one int
+# (see the module docstring), so that multiplying monomials adds ints; and
+# its other factors in canonical order.  Every non-Sum node carries its flat
+# term from construction (`_flat`, set by `_init`), so no routine walks a
+# product's factors to recover it, and a node is complete before it is
+# published in the intern table.  A rational or a product is interned under
+# its flat term, its only key, which is the node's `_flat` itself, so
+# building a term, new or not, is one lookup (`_term`).  No other key is a
+# 4-tuple, so the key needs no class; without one, a key of ints and ()
+# holds nothing the cyclic collector tracks, and the collector stops
+# tracking it.  An integral coefficient is one int.  A list of flat terms
+# (den, ft, ...) holds terms over one denominator, den (`_flats` splits a
+# sum into one list per denominator, so that no flat term is copied).  An
+# accumulator maps the key (mono, others) of like terms to their summed
+# numerator over one denominator: the lcm of the denominators of everything
+# that enters it, fixed before the first term does, so it is never
+# rescaled.  `_finish` reduces each surviving numerator once and builds only
+# the terms that survive, and `_term` makes a Fraction only for a new Rat
+# node: the kernel does no Fraction arithmetic.
 
 
 def _flats(e: Expr) -> list[list]:
     """The flat terms of a canonical expression as lists [den, ft, ...], one
     per denominator, so that they hold the nodes' own flat terms."""
     if e.__class__ is not Sum:
-        return [[e._den, e._flat]]
+        return [[e._flat[1], e._flat]]
     lists: dict = {}
     for t in e.terms:
-        lst = lists.get(t._den)
+        ft = t._flat
+        lst = lists.get(ft[1])
         if lst is None:
-            lists[t._den] = [t._den, t._flat]
+            lists[ft[1]] = [ft[1], ft]
         else:
-            lst.append(t._flat)
+            lst.append(ft)
     return list(lists.values())
 
 
@@ -628,25 +606,38 @@ def _mono_atoms(mono: int) -> tuple:
 
 
 def _term(n: int, d: int, mono: int, others: tuple) -> Expr:
-    """The canonical term of a flat term with coefficient n/d != 0 (coprime,
-    d > 0), interned once: the coefficient, then x and the jets, then their
-    powers, then the others, which is the `sort_key` order; inverts the
-    node's `_flat`.  A product is interned on its flat term, (n, d, mono,
-    others), so an existing one is one lookup; a new one takes its atom
-    factors from the index of monomials (`_mono_atoms`) and is published
-    under the key that missed, with no second lookup."""
+    """The canonical term of the flat term (n, d, mono, others), for coprime
+    ints n and d > 0 (n = 0 only for the constant 0); inverts the node's
+    `_flat`.  A rational or a product is interned under its flat term, the
+    very tuple it keeps as `_flat`, so an existing one is one lookup, and a
+    new one is published under the key that missed, with no second lookup.
+    A new rational's digits are bounded (`MAX_RATIONAL_DIGITS`), and only
+    it makes a Fraction; a new product holds the coefficient, then x and the
+    jets, then their powers, then the others, which is the `sort_key` order,
+    and takes its atom factors from the index of monomials (`_mono_atoms`)."""
     key = (n, d, mono, others)
     t = _INTERN.get(key)
     if t is not None:
         return t
-    atoms = _mono_atoms(mono)
-    fs = (_rat(n, d), *atoms, *others) if n != 1 or d != 1 else atoms + others
-    if len(fs) < 2:
-        return fs[0] if fs else ONE
-    t = object.__new__(Prod)
-    t._init(fs, (n, mono, others), d)
-    # of two threads making this product, both get the first one published
+    if mono or others:
+        atoms = _mono_atoms(mono)
+        fs = (_term(n, d, 0, ()), *atoms, *others) if n != 1 or d != 1 else atoms + others
+        if len(fs) < 2:
+            return fs[0]
+        t = object.__new__(Prod)
+        t._init(fs, key)
+    else:
+        if not -_RAT_BOUND < n < _RAT_BOUND or d >= _RAT_BOUND:
+            raise ExprError(f"rational constant with more than {MAX_RATIONAL_DIGITS} digits")
+        t = object.__new__(Rat)
+        t._init(key)
+    # of two threads making this node, both get the first one published
     return _INTERN.setdefault(key, t)
+
+
+ZERO = rational(0)
+ONE = rational(1)
+_MINUS_ONE = rational(-1)
 
 
 def _finish(acc: dict, den: int) -> Expr:
@@ -685,12 +676,12 @@ def add(*terms: ExprLike) -> Expr:
             ts += t.terms
         elif t is not ZERO:
             ts.append(t)
-    den = math.lcm(*[t._den for t in ts])
+    den = math.lcm(*[t._flat[1] for t in ts])
     acc: dict = {}
     for t in ts:
-        c, m, o = t._flat
-        if t._den != den:
-            c *= den // t._den
+        c, d, m, o = t._flat
+        if d != den:
+            c *= den // d
         key = (m, o)
         acc[key] = acc.get(key, 0) + c
     return _finish(acc, den)
@@ -719,13 +710,13 @@ def mul(*factors: ExprLike) -> Expr:
         if f.__class__ is Sum:
             sums.append(f)
             continue
-        n1, m1, o1 = f._flat
+        n1, d1, m1, o1 = f._flat
         if n1 != 1:
             if not n1:
                 return ZERO
             n *= n1
-        if f._den != 1:
-            d *= f._den
+        if d1 != 1:
+            d *= d1
         m += m1
         if o1:
             o = _times(o, o1) if o else o1
@@ -746,15 +737,15 @@ def mul(*factors: ExprLike) -> Expr:
         return _term(n, d, m, o)
     if len(sums) == 1 and n == 1 and d == 1 and not m and not o:
         return sums[0]
-    q, items = d, ((n, m, o),)
+    den, items = d, ((n, d, m, o),)
     for s in sums:
         lists = _flats(s)
-        den = q * math.lcm(*[lst[0] for lst in lists])
+        den *= math.lcm(*[lst[0] for lst in lists])
         acc: dict = {}
         for ft in items:
             for lst in lists:
-                _times_sum(acc, den, ft, q, lst)
-        q, items = den, [(c, m, o) for (m, o), c in acc.items() if c]
+                _times_sum(acc, den, ft, lst)
+        items = [(c, den, m, o) for (m, o), c in acc.items() if c]
     return _finish(acc, den)
 
 
@@ -776,8 +767,8 @@ def _times(o0: tuple, o1: tuple) -> tuple:
     for f in o0:
         cls = f.__class__
         if cls is Exp:
-            a, em, eo = f.arg._flat
-            bases[em, eo] = (a, f.arg._den, f)
+            a, da, em, eo = f.arg._flat
+            bases[em, eo] = (a, da, f)
         elif cls is Pow:
             bases[f.base] = (f.exponent, 1, f)
         else:
@@ -786,7 +777,7 @@ def _times(o0: tuple, o1: tuple) -> tuple:
     for f in o1:
         cls = f.__class__
         if cls is Exp:
-            a, em, eo = f.arg._flat
+            a, da, em, eo = f.arg._flat
             b = (em, eo)
         elif cls is Pow:
             b, a = f.base, f.exponent
@@ -797,7 +788,6 @@ def _times(o0: tuple, o1: tuple) -> tuple:
             pieces.append(f)
         elif cls is Exp:
             # a/da + hit: the exponent coefficients add as pairs
-            da = f.arg._den
             a = a * hit[1] + hit[0] * da
             if a:
                 da *= hit[1]
@@ -813,17 +803,16 @@ def _times(o0: tuple, o1: tuple) -> tuple:
     return _MERGES.setdefault(key, tuple(pieces))
 
 
-def _times_sum(acc: dict, den: int, ft: tuple, d0: int, terms: tuple) -> None:
-    """Add the product of the flat term `ft` over d0 with each flat term of
-    the list `terms` (den, ft, ...), read once, so it may be an iterator, to
-    the accumulator `acc` over `den`, a multiple of d0 times the list's
-    denominator: the kernel's one product of terms.
-    Coefficients and monomials multiply, and the other factors merge
-    (`_times`)."""
-    c0, m0, o0 = ft
+def _times_sum(acc: dict, den: int, ft: tuple, terms: tuple) -> None:
+    """Add the product of the flat term `ft` with each flat term of the list
+    `terms` (den, ft, ...), read once, so it may be an iterator, to the
+    accumulator `acc` over `den`, a multiple of ft's denominator times the
+    list's: the kernel's one product of terms.  Coefficients and monomials
+    multiply, and the other factors merge (`_times`)."""
+    c0, d0, m0, o0 = ft
     it = iter(terms)
     c0 *= den // (d0 * next(it))
-    for c1, m, o in it:
+    for c1, _, m, o in it:
         others = _times(o0, o) if o and o0 else o or o0
         c = c0 * c1
         key = (m0 + m, others)
@@ -861,7 +850,7 @@ def pow_int(base: ExprLike, n: int) -> Expr:
         top = max(-p, p, q)
         if top > 1 and n > MAX_RATIONAL_DIGITS / math.log10(top):
             raise ExprError(f"power of {b.value} with more than {MAX_RATIONAL_DIGITS} digits")
-        return _rat(p ** n, q ** n)
+        return _term(p ** n, q ** n, 0, ())
     if isinstance(b, Prod):
         return mul(*(pow_int(f, n) for f in b.factors))
     if isinstance(b, Pow):
@@ -898,7 +887,7 @@ def log(arg: ExprLike) -> Expr:
     if not a._atoms and a.__class__ is not Rat:
         # a constant such as -exp(1)
         ts = a.terms if a.__class__ is Sum else (a,)
-        if (all(f.__class__ is Exp for t in ts for f in t._flat[2])
+        if (all(f.__class__ is Exp for t in ts for f in t._flat[3])
                 and len({t._flat[0] < 0 for t in ts}) == 1):
             # coefficients of one sign times exponentials: the sum has that
             # sign, which evaluation cannot tell once exp overflows
@@ -951,10 +940,9 @@ _MERGES: dict[tuple, tuple] = {}
 
 #: derivation results keyed on (d, interned node), each a canonical node.
 #: `d` is an atom for a partial derivative and an int m for D_m, so the two
-#: kinds of key never collide.  An Euler operator (`_euler`) is keyed on
-#: (m, n, e, plus, scale) and an antiderivative of e in v on ("anti", e, v):
-#: neither meets a 2-tuple key.  Every value is a node.  Threads racing on
-#: one key store equal values.
+#: kinds of key never collide.  An antiderivative of e in v is keyed on
+#: ("anti", e, v), which meets no 2-tuple key.  Every value is a node.
+#: Threads racing on one key store equal values.
 _DERIV_CACHE: dict[tuple, Expr] = {}
 
 
@@ -1005,7 +993,7 @@ def _derive(d, e: Expr) -> Expr:
     out = _DERIV_CACHE.get(key)
     if out is None:
         ts = e.terms if e.__class__ is Sum else (e,)
-        out = _finish(*_rules([(d, [(t._flat, t._den) for t in ts if mask & t._atoms])]))
+        out = _finish(*_rules([(d, [t._flat for t in ts if mask & t._atoms])]))
         _DERIV_CACHE[key] = out
     return out
 
@@ -1023,87 +1011,81 @@ def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr
     accumulator, and `scale` multiplies its merged terms once each, streamed
     into a second accumulator; E is linear over constants, so a constant
     factor belongs in e.  A result that cancels builds neither s_0 nor the
-    products: only the result node is built, memoized on
-    (m, n, e, plus, scale)."""
-    key = (m, n, e, plus, scale)
-    out = _DERIV_CACHE.get(key)
-    if out is not None:
-        return out
+    products: only the result node is built."""
     ts = e.terms if e.__class__ is Sum else (e,)
-    pairs = [(a._flat, a._den, lst) for a, b in plus for lst in _flats(b)]
-    # the flat terms of s_{k+1}, each with the one denominator of the step
+    pairs = [(a._flat, lst) for a, b in plus for lst in _flats(b)]
+    # the flat terms of s_{k+1}, over the one denominator of the step
     s = None
     for k in range(max(min(n, max_jet(e)), 0), -1, -1):
         p = jet(k)
-        # a term over a negative denominator enters the pass negated
-        q = -1 if k % 2 else 1
-        sources = [(p, [(t._flat, q * t._den) for t in ts if p._atoms & t._atoms])]
+        fts = [t._flat for t in ts if p._atoms & t._atoms]
+        if k % 2:
+            # the sign (-1)^k rides on the numerators
+            fts = [(-c, d, mo, o) for c, d, mo, o in fts]
+        sources = [(p, fts)]
         if s is not None:
             d = m
             if m > MAX_JET_INDEX:
                 # D_m applies at s's max jet + 1, which must be a jet index
                 atoms = 0
-                for (_, mono, o), _ in s:
+                for _, _, mono, o in s:
                     for f in (*_mono_atoms(mono), *o):
                         atoms |= f._atoms
                 d = _order(m, atoms)
             sources.append((d, s))
-        acc, den = _rules(sources, () if k else [da * lst[0] for _, da, lst in pairs])
+        acc, den = _rules(sources, () if k else [aft[1] * lst[0] for aft, lst in pairs])
         if k:
             g = math.gcd(den, *acc.values()) if den != 1 else 1
-            s = [((c // g, mo, o), den // g) for (mo, o), c in acc.items() if c]
-    for aft, da, lst in pairs:
-        _times_sum(acc, den, aft, da, lst)
+            s = [(c // g, den // g, mo, o) for (mo, o), c in acc.items() if c]
+    for aft, lst in pairs:
+        _times_sum(acc, den, aft, lst)
     if scale is not ONE:
         # the merged terms, read once into the scaled accumulator as the
         # list (den, ft, ...) that `_times_sum` takes
-        merged = ((c, mo, o) for (mo, o), c in acc.items() if c)
-        acc, sd = {}, den * scale._den
-        _times_sum(acc, sd, scale._flat, scale._den, chain((den,), merged))
+        merged = ((c, den, mo, o) for (mo, o), c in acc.items() if c)
+        acc, sd = {}, den * scale._flat[1]
+        _times_sum(acc, sd, scale._flat, chain((den,), merged))
         den = sd
-    out = _finish(acc, den)
-    _DERIV_CACHE[key] = out
-    return out
+    return _finish(acc, den)
 
 
 #: the lists of flat terms of 0 and of 1
 _NO_TERMS = (1,)
-_ONE_TERMS = (1, (1, 0, ()))
+_ONE_TERMS = (1, (1, 1, 0, ()))
 
 
 def _rules(sources: list, extra=()) -> tuple[dict, int]:
     """The kernel's one product-rule pass: for each source (d, terms), the
-    derivation d of each flat term ft over q of `terms`, pairs (ft, q),
-    summed in one accumulator, which is returned with its denominator, the
-    lcm of the denominators of all that enters it and of `extra`, fixed
-    first so that it is never rescaled.  A term over a negative q enters
-    negated.  The other factors of the terms of a source are derived once
+    derivation d of each flat term of `terms`, summed in one accumulator,
+    which is returned with its denominator, the lcm of the denominators of
+    all that enters it and of `extra`, fixed first so that it is never
+    rescaled.  The other factors of the terms of a source are derived once
     per tuple of them (`_derive_others`), and each term's product rule
     (`_rule`) adds straight into the accumulator."""
     work = []
     for d, terms in sources:
         dots: dict = {}
-        for ft, q in terms:
-            o = ft[2]
+        for ft in terms:
+            o = ft[3]
             ds = dots.get(o)
             if ds is None:
                 ds = dots[o] = _derive_others(d, o) if o else _NO_TERMS
-            work.append((d, ft, q, ds))
-    den = math.lcm(*[q * ds[0] for _, _, q, ds in work], *extra)
+            work.append((d, ft, ds))
+    den = math.lcm(*[ft[1] * ds[0] for _, ft, ds in work], *extra)
     acc: dict = {}
-    for d, ft, q, ds in work:
-        _rule(acc, den, ft, q, d, ds)
+    for d, ft, ds in work:
+        _rule(acc, den, ft, d, ds)
     return acc, den
 
 
-def _rule(acc: dict, den: int, ft: tuple, q: int, d, dots: tuple) -> None:
-    """Add the product rule for `d` on the flat term ft over q to the
-    accumulator `acc` over `den`, a multiple of q times the denominator of
-    `dots`, the list of flat terms of the derivative of ft's other factors
+def _rule(acc: dict, den: int, ft: tuple, d, dots: tuple) -> None:
+    """Add the product rule for `d` on the flat term ft to the accumulator
+    `acc` over `den`, a multiple of ft's denominator times that of `dots`,
+    the list of flat terms of the derivative of ft's other factors
     (`_derive_others`): one flat term per atom factor of ft's monomial
     (`_mono_atoms`), and ft's coefficient and monomial times each flat term
     of `dots`."""
-    coeff, mono, others = ft
+    coeff, q, mono, others = ft
     if mono:
         at = None if d.__class__ is int else _POS[d]
         k0 = coeff * (den // q)
@@ -1121,7 +1103,7 @@ def _rule(acc: dict, den: int, ft: tuple, q: int, d, dots: tuple) -> None:
             mk = (mono + _STEP[i] if at is None else mono - _UNIT[i], others)
             acc[mk] = acc.get(mk, 0) + k * k0
     if len(dots) > 1:
-        _times_sum(acc, den, (coeff, mono, ()), q, dots)
+        _times_sum(acc, den, (coeff, q, mono, ()), dots)
 
 
 def _derive_others(d, others: tuple) -> tuple:
@@ -1142,29 +1124,30 @@ def _derive_others(d, others: tuple) -> tuple:
             # d exp(a) = exp(a) d a
             da = _derive(d, f.arg)
             if da is not ZERO:
-                parts += [((1, 0, others), lst) for lst in _flats(da)]
+                parts += [((1, 1, 0, others), lst) for lst in _flats(da)]
         elif f.__class__ is Pow and f.base.__class__ is Sum:
             # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
             k = f.exponent
             ds = _derive(d, f.base)
             if ds is f.base:
                 # S^(k-1) * S folds back to S^k, as in `mul`
-                parts.append(((k, 0, others), _ONE_TERMS))
+                parts.append(((k, 1, 0, others), _ONE_TERMS))
             elif ds is not ZERO:
                 # S^(k-1) takes the place of S^k in the canonical order
                 lower = others[:i] + (pow_int(f.base, k - 1),) + others[i + 1:]
-                parts += [((k, 0, lower), lst) for lst in _flats(ds)]
+                parts += [((k, 1, 0, lower), lst) for lst in _flats(ds)]
         else:
             dg = _derive_factor(d, f)
             if dg is not ZERO:
-                left = (1, 0, others[:i] + others[i + 1:])
+                left = (1, 1, 0, others[:i] + others[i + 1:])
                 parts += [(left, lst) for lst in _flats(dg)]
     den = math.lcm(*[terms[0] for _, terms in parts])
     acc: dict = {}
     for left, terms in parts:
-        _times_sum(acc, den, left, 1, terms)
+        _times_sum(acc, den, left, terms)
     g = math.gcd(den, *acc.values()) if den != 1 else 1
-    return (den // g, *[(c // g, m, o) for (m, o), c in acc.items() if c])
+    den //= g
+    return (den, *[(c // g, den, m, o) for (m, o), c in acc.items() if c])
 
 
 def _derive_factor(d, f: Expr) -> Expr:
@@ -1219,8 +1202,8 @@ _MAKE = {Rat: rational, VarX: lambda: X, Jet: jet, Sum: lambda terms: add(*terms
 
 def _rat_multiple(u: Expr, a: Expr) -> Fraction | None:
     """The rational c with u == c * a structurally, or None, for a != 0."""
-    um = {(m, o): (c, lst[0]) for lst in _flats(u) for c, m, o in lst[1:]}
-    am = {(m, o): (c, lst[0]) for lst in _flats(a) for c, m, o in lst[1:]}
+    um = {(m, o): (c, d) for lst in _flats(u) for c, d, m, o in lst[1:]}
+    am = {(m, o): (c, d) for lst in _flats(a) for c, d, m, o in lst[1:]}
     if um.keys() != am.keys():
         return None
     ratios = {Fraction(um[key][0] * da, um[key][1] * ca) for key, (ca, da) in am.items()}
@@ -1251,12 +1234,12 @@ def _anti1(e: Expr, v: Expr) -> Expr:
 def _split(t: Expr, v: Expr) -> tuple:
     """A canonical non-Sum term t as u * v^k * dep: the exponent k, the
     tuple dep of its other factors that hold v, and the term u free of v."""
-    c, m, o = t._flat
+    c, d, m, o = t._flat
     fs = t.factors if t.__class__ is Prod else (t,)
     k = 1 if v in fs else next((f.exponent for f in fs if f.__class__ is Pow and f.base is v), 0)
     dep = tuple(f for f in o if v._atoms & f._atoms)
     rest = tuple(f for f in o if not v._atoms & f._atoms)
-    return k, dep, _term(c, t._den, m - k * _UNIT[_POS[v]], rest)
+    return k, dep, _term(c, d, m - k * _UNIT[_POS[v]], rest)
 
 
 def _anti_group(u: Expr, k: int, dep: tuple, v: Expr) -> Expr:
@@ -1264,7 +1247,7 @@ def _anti_group(u: Expr, k: int, dep: tuple, v: Expr) -> Expr:
     other factors of a canonical term that hold v: a power rule, a product
     of exponentials linear in v, or an opaque integral."""
     if not dep and k >= 0:
-        return mul(u, _rat(1, k + 1), pow_int(v, k + 1))
+        return mul(u, _term(1, k + 1, 0, ()), pow_int(v, k + 1))
     core = _term(1, 1, k * _UNIT[_POS[v]], dep)
     if not k and all(f.__class__ is Exp for f in dep):
         # each exponent as slope * v^j * (factors that hold v)
@@ -1994,9 +1977,9 @@ def _nonzero_by_form(s: Expr) -> bool:
     0.  With no exponential, s is a Laurent polynomial, whose canonical form
     is unique."""
     if s.__class__ is not Sum:
-        return all(map(_never_zero, s._flat[2]))
-    return all(f.__class__ is Exp and not f.arg._flat[2]
-               for t in s.terms for f in t._flat[2])
+        return all(map(_never_zero, s._flat[3]))
+    return all(f.__class__ is Exp and not f.arg._flat[3]
+               for t in s.terms for f in t._flat[3])
 
 
 def _never_zero(f: Expr) -> bool:

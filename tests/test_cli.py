@@ -610,6 +610,21 @@ def test_usage_error_exit_code():
     assert (code, out, err) == (2, "", "varmult: error: --trials must be >= 1\n")
 
 
+def test_argparse_writes_to_the_given_streams(capfd):
+    # argparse's usage errors go to `err` and its help to `out`, as every
+    # other message of `run` does: nothing reaches the process's streams
+    code, out, err = invoke("check", "--order", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: varmult check ") and "required: --expr" in err
+    code, out, err = invoke("bogus")
+    assert (code, out) == (2, "") and "invalid choice: 'bogus'" in err
+    for argv in (["--help"], ["check", "--help"]):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "") and out.startswith("usage: varmult"), argv
+    assert "--expr F" in out
+    assert capfd.readouterr() == ("", "")
+
+
 def test_expression_values_may_begin_with_a_minus():
     # argparse alone reads "-p3^2" as an option and exits 2
     code, out, err = invoke("check", "--order", "2", "--expr", "-p3^2")

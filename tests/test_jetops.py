@@ -151,11 +151,12 @@ def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
     # the Horner steps run the kernel's product-rule pass once each, with an
     # int order for D_m (a partial derivative passes an atom); the first
     # call memoizes the derivatives inside the terms, whose own passes the
-    # second call, with the operator's memo emptied, then skips
+    # second call then skips, and the operator keeps no memo entry of its
+    # own: the memo holds derivations and antiderivatives only, so the
+    # second call runs every Horner step again
     e = _with_exp_and_integral(n)
     euler_op(2 * n, n, e)
-    for key in [k for k in symexpr._DERIV_CACHE if len(k) == 5]:
-        del symexpr._DERIV_CACHE[key]
+    assert all(len(k) == 2 or k[0] == "anti" for k in symexpr._DERIV_CACHE)
     calls = []
     inner = symexpr._rules
 
@@ -257,9 +258,9 @@ def test_terms_with_equal_other_factors_share_one_derivative(monkeypatch):
     opaque = antideriv(exp(mul(p0, pow_int(p1, 2))), p1)
     for g in (exp(mul(p1, p2)), slope, log(add(2, p1)), sin(mul(X, p0)),
               cos(p2), opaque, mul(exp(p0), slope, log(add(2, p1)), opaque)):
-        others = g._flat[2]
+        others = g._flat[3]
         terms = (mul(3, p2, g), mul(Fraction(-5, 2), pow_int(X, 2), p1, g), g)
-        assert {t._flat[2] for t in terms} == {others}
+        assert {t._flat[3] for t in terms} == {others}
         e = add(*terms)
         for m in (1, 3, 5):
             passes.clear()

@@ -255,7 +255,7 @@ def test_parse_builds_no_positive_twin_of_a_negative_term(monkeypatch):
     twins = [t for t in twins if t.__class__ is Prod]
     assert len(twins) > 100
     assert len(asked) > len(twins)
-    assert not any((t._flat[0], t._den, *t._flat[1:]) in asked for t in twins)
+    assert not any(t._flat in asked for t in twins)
 
 
 def test_parse_multiplies_a_product_with_a_sum_left_to_right():
@@ -1043,7 +1043,7 @@ def test_evaluate_matches_sympy(seed):
     from sympy.parsing.sympy_parser import parse_expr
 
     e = _rand_transcendental(seed)
-    assert {type(f) for t in e.terms for f in t._flat[2]} & {
+    assert {type(f) for t in e.terms for f in t._flat[3]} & {
         symexpr.Exp, symexpr.Log, symexpr.Sin, symexpr.Cos, Pow}
     atoms = sorted(e.free_atoms, key=sort_key)
     names = {render(a): sympy.Symbol(render(a)) for a in atoms}
@@ -1173,6 +1173,36 @@ def test_a_constant_nonzero_form_tries_no_ray_step(monkeypatch):
     monkeypatch.setattr(symexpr, "_run", counting)
     assert is_zero(e) == NonZero(point={}, value=0.0)
     assert 0 < len(calls) <= ZeroTestConfig().samples
+
+
+def test_a_ray_out_of_budget_leaves_the_first_sample_the_witness(monkeypatch):
+    # 1/10^20*p3^997 reads as zero at every sample, since its value is
+    # 1e-20 times its largest intermediate; the budget fits the 20 samples
+    # of its 4 instructions and no more, so the first ray step runs out of
+    # it, the ray stops there, and the first sample is the witness
+    e = parse("1/10^20*p3^997")
+    assert len(symexpr._compile(e)) == 4
+    run, calls = symexpr._run, []
+
+    def counting(*args):
+        calls.append(args)
+        return run(*args)
+
+    first = random.Random(0).uniform(-1.0, 1.0)
+    witness = NonZero(point={p3: first}, value=evaluate(e, {p3: first}))
+    monkeypatch.setattr(symexpr, "_EVAL_BUDGET", 4 * 20)
+    monkeypatch.setattr(symexpr, "_run", counting)
+    assert is_zero(e) == witness
+    assert len(calls) == 20 + 1
+
+
+def test_a_non_finite_integral_is_a_domain_error():
+    # each quadrature node of exp(709*cos(p1)) is finite, below e^709, but
+    # their weighted sum over [0, 1e4] overflows to inf: the integral, not
+    # one of its nodes, leaves the domain
+    with pytest.raises(DomainError, match="non-finite intermediate value") as info:
+        evaluate(parse("Int(exp(709*cos(p1)), p1)"), {p1: 1e4})
+    assert info.traceback[-1].name == "_eval_quad"
 
 
 def test_is_zero_numeric_path():
@@ -1434,7 +1464,7 @@ def test_interning_is_thread_safe(monkeypatch):
     assert symexpr._MONOS == {mono: (X**3, jet(3)**-2)}
     for e in nodes.values():
         assert _atom_factors(e) == symexpr._MONOS[mono] and mul(*e.factors) is e
-        assert (e._flat, e._den) == _reference_flat(e), render(e)
+        assert e._flat == _reference_flat(e), render(e)
 
 
 # ---------------------------------------------------------------------------
@@ -1653,7 +1683,7 @@ def test_packed_monomials_hash_apart():
     # x^(8a) * p0^(1000-a) would share one hash, and the 16^4 grid would
     # take 8,776 hashes, so a power of a sum would crowd its accumulator
     unit = symexpr._UNIT
-    assert mul(pow_int(X, 16), pow_int(p0, 998))._flat[1] == _pack((16, 998))
+    assert mul(pow_int(X, 16), pow_int(p0, 998))._flat[2] == _pack((16, 998))
     line = {hash(8 * a * unit[0] + (1000 - a) * unit[1]) for a in range(1001)}
     assert len(line) == 1001
     grid = {hash(a * unit[0] + b * unit[1] + c * unit[2] + d * unit[3])
@@ -1665,10 +1695,10 @@ def test_atom_exponents_are_bounded():
     # monomials pack exactly while every exponent is below MAX_ATOM_EXPONENT
     top = symexpr.MAX_ATOM_EXPONENT
     assert top == 2**31
-    assert pow_int(p1, top - 1)._flat[1] == _pack((0, 0, top - 1))
+    assert pow_int(p1, top - 1)._flat[2] == _pack((0, 0, top - 1))
     e = mul(pow_int(p1, top - 2), p1, X)
-    assert e._flat[1] == _pack((1, 0, top - 1)) and e.factors == (X, pow_int(p1, top - 1))
-    assert pow_int(p1, 1 - top)._flat[1] == _pack((0, 0, 1 - top))
+    assert e._flat[2] == _pack((1, 0, top - 1)) and e.factors == (X, pow_int(p1, top - 1))
+    assert pow_int(p1, 1 - top)._flat[2] == _pack((0, 0, 1 - top))
     for make in (lambda: pow_int(p1, top), lambda: pow_int(X, -top),
                  lambda: mul(pow_int(p1, 2**30), pow_int(p1, 2**30)),
                  lambda: pow_int(pow_int(p1, 2**16), 2**15), lambda: parse("p1^2147483647*p1")):
@@ -1685,7 +1715,7 @@ def test_add_keeps_terms_with_distinct_cores():
 
     def term_of(total, mono):
         # the term of `total` with the monomial `mono` and no other factor
-        [t] = [t for t in total.terms if t._flat[1:] == (mono, ())]
+        [t] = [t for t in total.terms if t._flat[2:] == (mono, ())]
         return t
 
     # a term that nothing merges with comes back as the same node
@@ -1698,7 +1728,7 @@ def test_add_keeps_terms_with_distinct_cores():
     merged = add(s, mul(2, p1, p2))
     assert merged is add(mul(5, p1, p2), *terms[1:]) and kept(merged, *terms[1:])
     five = term_of(merged, _pack((0, 0, 1, 1)))
-    assert (five._flat[0], five._den) == (5, 1) and five.factors[0] is rational(5)
+    assert five._flat[:2] == (5, 1) and five.factors[0] is rational(5)
     assert add(s, mul(-3, p1, p2)) is add(*terms[1:])
     # -1/2*x + 1/3*x and -1/2*x + 1/6*x: the numerators meet over the common
     # denominator 6, and the merged term gets the coprime pair (numerator,
@@ -1708,7 +1738,7 @@ def test_add_keeps_terms_with_distinct_cores():
         assert total is add(*terms[:3], mul(Fraction(n, d), X), terms[4])
         assert kept(total, *terms[:3], terms[4])
         x_term = term_of(total, _pack((1,)))
-        assert (x_term._flat[0], x_term._den) == (n, d)
+        assert x_term._flat[:2] == (n, d)
         assert x_term.factors[0] is rational(Fraction(n, d))
 
 
@@ -1916,28 +1946,30 @@ def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
     rats = [e for e in list(symexpr._INTERN.values()) if e.__class__ is Rat]
     assert len(rats) > 100
     assert all(type(e.value) is Fraction for e in rats)
-    # a node's flat coefficient is the coprime int pair (numerator, _den),
-    # denominator >= 1, equal to the value of its Rat factor
-    pairs = [(u._flat[0], u._den) for u in t.f.terms]
+    # a node's flat coefficient is the coprime int pair (numerator,
+    # denominator), denominator >= 1, equal to the value of its Rat factor
+    pairs = [u._flat[:2] for u in t.f.terms]
     assert all(type(n) is int and type(d) is int and d >= 1 and math.gcd(n, d) == 1
                for n, d in pairs)
     assert any(d == 1 for _, d in pairs) and any(d > 1 for _, d in pairs)
     heads = [u.factors[0].value if u.factors[0].__class__ is Rat else 1 for u in t.f.terms]
     assert heads == [Fraction(n, d) for n, d in pairs]
-    # a list of flat terms (den, ft, ...) shares one denominator, and no
-    # factor is common to it and all the numerators: a sum's lists, one per
-    # denominator of its terms, and the derivatives of f's other-factor
-    # tuples under D_m and d/dv, where sums of fractions can come out integral
+    # a list of flat terms (den, ft, ...) holds terms over its one
+    # denominator, and no factor is common to it and all the numerators: a
+    # sum's lists, one per denominator of its terms, and the derivatives of
+    # f's other-factor tuples under D_m and d/dv, where sums of fractions can
+    # come out integral
     lists = symexpr._flats(t.f)
     assert sorted(lst[0] for lst in lists) == sorted({d for _, d in pairs})
-    others = {u._flat[2] for u in t.f.terms if u._flat[2]}
+    others = {u._flat[3] for u in t.f.terms if u._flat[3]}
     assert len(others) > 10
     lists += [symexpr._derive_others(d, o) for o in others
               for d in (1, 2, 3, 4, 5, X, p0, p1, p2, p3)]
     assert any(lst[0] > 1 for lst in lists)
     for den, *fts in lists:
-        assert type(den) is int and den >= 1 and all(type(c) is int for c, _, _ in fts)
-        assert math.gcd(den, *[c for c, _, _ in fts]) == 1
+        assert type(den) is int and den >= 1 and all(type(c) is int for c, _, _, _ in fts)
+        assert all(d == den for _, d, _, _ in fts)
+        assert math.gcd(den, *[c for c, _, _, _ in fts]) == 1
 
 
 def test_the_derivation_memo_holds_nodes_only(monkeypatch):
@@ -1957,10 +1989,12 @@ def test_the_derivation_memo_holds_nodes_only(monkeypatch):
 
 
 def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
-    # a product's one key is its flat term with its denominator, without
-    # the class, so no two products have the same factors; the merge memo and the derivation
-    # memo hold functions of interned nodes, so emptying them between
-    # `construct` and `check` changes no node of the report
+    # a rational's and a product's one key is its flat term, without the
+    # class, and the very tuple the node keeps as `_flat`, which holds its
+    # denominator: no node keeps one apart, no rational has a key of its
+    # own, and no two products have the same factors; the merge memo and the
+    # derivation memo hold functions of interned nodes, so emptying them
+    # between `construct` and `check` changes no node of the report
     t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
     symexpr._MERGES.clear()
     symexpr._DERIV_CACHE.clear()
@@ -1970,18 +2004,21 @@ def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
     assert cold.accepted and warm == cold
     assert all(getattr(warm.outcome, k) is getattr(cold.outcome, k) for k in ("R", "rho", "L"))
     assert all(a is b for a, b in zip(warm.outcome.f_lower, cold.outcome.f_lower))
-    prods = [(k, e) for k, e in list(symexpr._INTERN.items()) if e.__class__ is Prod]
-    assert len(prods) > 1000
-    for key, e in prods:
-        n, mono, others = e._flat
-        assert key == (n, e._den, mono, others)
-        assert mul(*e.factors) is e
-    assert len({e.factors for _, e in prods}) == len(prods)
+    items = list(symexpr._INTERN.items())
+    terms = [(k, e) for k, e in items if e.__class__ in (Rat, Prod)]
+    prods = [e for _, e in terms if e.__class__ is Prod]
+    assert len(prods) > 1000 and len(terms) > len(prods)
+    for key, e in terms:
+        assert key is e._flat, render(e)
+    assert all(mul(*e.factors) is e for e in prods)
+    assert len({e.factors for e in prods}) == len(prods)
+    assert not any(len(k) == 3 and k[0] == "r" for k, _ in items)
+    assert "_den" not in symexpr.Expr.__slots__
 
 
 def _reference_flat(e):
-    """The flat term and denominator of a non-Sum node, read off its factors
-    without the kernel."""
+    """The flat term (n, d, mono, others) of a non-Sum node, read off its
+    factors without the kernel."""
     n, d, powers, others = 1, 1, {}, []
     for f in (e.factors if e.__class__ is Prod else (e,)):
         if f.__class__ is Rat:
@@ -1995,7 +2032,7 @@ def _reference_flat(e):
     mono = [0] * (max(powers, default=-1) + 1)
     for i, k in powers.items():
         mono[i] = k
-    return (n, _pack(mono), tuple(others)), d
+    return n, d, _pack(mono), tuple(others)
 
 
 def _is_atom_factor(f):
@@ -2016,12 +2053,12 @@ def _flat_terms_against_the_reference():
         if e.__class__ is Sum:
             assert e._flat is None
             continue
-        assert (e._flat, e._den) == _reference_flat(e), render(e)
+        assert e._flat == _reference_flat(e), render(e)
         if e.__class__ is Prod:
             # the atom factors follow the coefficient, if there is one, and
             # precede the other factors, where the product rule stops
             fs = e.factors[e.factors[0].__class__ is Rat:]
-            assert fs == _atom_factors(e) + e._flat[2], render(e)
+            assert fs == _atom_factors(e) + e._flat[3], render(e)
 
 
 def test_every_node_carries_its_flat_term_from_birth():
@@ -2034,12 +2071,12 @@ def _products_against_the_index():
     # monomial holds those atoms; the products of one atom set share one mask
     _heavy_trials()
     prods = [e for e in symexpr._INTERN.values() if e.__class__ is Prod]
-    monos = {e._flat[1] for e in prods}
+    monos = {e._flat[2] for e in prods}
     assert len(prods) > 4000 and len(monos) < len(prods)
     index = symexpr._MONOS
     assert monos <= index.keys()
     assert all(type(v) is tuple and all(map(_is_atom_factor, v)) for v in index.values())
-    assert all(index[e._flat[1]] == _atom_factors(e) for e in prods)
+    assert all(index[e._flat[2]] == _atom_factors(e) for e in prods)
     assert len({id(e._atoms) for e in prods}) == len({e._atoms for e in prods})
 
 
@@ -2065,11 +2102,11 @@ def test_a_new_product_takes_its_atoms_from_one_of_its_monomial(monkeypatch, cas
     made = [mul(coeff, pow_int(X, -2), p3, f) for f in (exp(odd), sin(odd), cos(odd))]
     assert symexpr._MONOS[mono] is held
     for e in (ex, *made):
-        assert isinstance(e, Prod) and e._flat[1] == mono
+        assert isinstance(e, Prod) and e._flat[2] == mono
         # the atom factors follow the coefficient, if there is one
         assert e.factors[isinstance(e.factors[0], Rat):][:2] == atoms == _atom_factors(e)
         assert mul(*e.factors) is e
-        assert (e._flat, e._den) == _reference_flat(e), render(e)
+        assert e._flat == _reference_flat(e), render(e)
         assert e._atoms == X._atoms | p3._atoms | jet(7)._atoms
 
 
@@ -2189,7 +2226,7 @@ def test_add_mul_diff_match_sympy_exactly(seed):
         same(diff(mul(sa, sb), v), sympy.diff(ours(sa) * ours(sb), sym[v]))
     for e in (sa, mul(sa, sb)):
         for t in (e.terms if isinstance(e, Sum) else (e,)):
-            n, d = t._flat[0], t._den
+            n, d = t._flat[:2]
             assert d >= 1 and math.gcd(n, d) == 1
 
     def d_m(m, expr):
@@ -2228,14 +2265,14 @@ def test_fraction_coefficients_that_cancel_to_integers():
     prod = mul(Fraction(2, 3), add(mul(Fraction(3, 2), p1), mul(Fraction(3, 4), X)))
     assert render(prod) == "p1 + 1/2*x"
     # each term's coprime pair, and the terms as one list per denominator
-    assert [(u._flat[0], u._den) for u in prod.terms] == [(1, 1), (1, 2)]
-    assert symexpr._flats(prod) == [[1, (1, _pack((0, 0, 1)), ())], [2, (1, _pack((1,)), ())]]
+    assert [u._flat[:2] for u in prod.terms] == [(1, 1), (1, 2)]
+    assert symexpr._flats(prod) == [[1, (1, 1, _pack((0, 0, 1)), ())], [2, (1, 2, _pack((1,)), ())]]
     # a sum of fractions that comes out integral: the built term caches the
     # pair (2, 1)
     u = add(mul(Fraction(1, 2), X, jet(9), jet(11)), mul(Fraction(3, 2), X, jet(9), jet(11)))
     assert u is mul(2, X, jet(9), jet(11))
-    assert u._flat[0] == 2 and u._den == 1
-    assert all(type(v) is Fraction for v in (symexpr._rat(2, 1).value, Rat(Fraction(7, 3)).value))
+    assert u._flat[:2] == (2, 1)
+    assert all(type(v) is Fraction for v in (symexpr._term(2, 1, 0, ()).value, Rat(Fraction(7, 3)).value))
     # 2 * 1/2 drops the head: the derivative is the bare atom
     assert diff(mul(Fraction(1, 2), pow_int(p1, 2)), p1) is p1
     assert render(mul(Fraction(3, 7), Fraction(14, 3), exp(p1))) == "2*exp(p1)"
