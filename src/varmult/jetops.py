@@ -10,10 +10,11 @@ D_m is a derivation of the jet ring, like a partial derivative: both are
 applied by the kernel's one product-rule pass, which differs between them
 only in the image of an atom.  A derivation's result is a node
 (`symexpr._derive`); an Euler-Lagrange operator keeps its Horner steps and
-partial derivatives as flat terms in that pass and builds only its result
-(`symexpr._euler`).  The kernel's operator also takes the sums that
-`varcore` and `checker` fuse with it, scale * (E_m^n e + sum a*b), and they
-call it directly.
+partial derivatives as the accumulators of that pass and builds only its
+result (`symexpr._euler`), and a call on the operand of the latest call
+starts from that call's last accumulator.  The kernel's operator also takes
+the sums that `varcore` and `checker` fuse with it, scale * (E_m^n e +
+sum a*b), and they call it directly.
 """
 
 from __future__ import annotations

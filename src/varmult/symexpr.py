@@ -31,24 +31,31 @@ B = 2^64 all of x^(8a) * p0^(1000-a) would share one hash.  The digits e_i
 are balanced, so negative exponents pack, and the packing is one-to-one
 while every |e_i| < B/2, about 2^63.6.  A node's exponents are below
 `MAX_ATOM_EXPONENT` = 2^31 (`pow_int` and `_term` refuse more), and an
-accumulator key is the sum of the node monomials of one product: the
+accumulator's monomial is the sum of the node monomials of one product: the
 factors of one `mul` call (1000 for a power of a sum), or a few terms and a
 derivation's steps of 1 (`_rule`), one per Horner step of an Euler operator
 (`_euler`), so at most MAX_JET_INDEX + 1 of them, and then a pair's product
-and a scale.  So no key's digit nears B/2.
+and a scale.  So no monomial's digit nears B/2.
 
-Work that many terms share is done once per structure: `_times` merges two
-other-factor tuples once per pair; the one product-rule pass (`_rules`),
-which `diff` and `jetops.total_derivative` (`_derive`) and the
-Euler-Lagrange operators (`_euler`) share, differentiates the other factors
-of the terms it derives once per tuple of them (`_derive_others`) and adds
-each term's product rule (`_rule`) straight into one accumulator, so the
-derivation memo holds result nodes only, nothing per term or per tuple; an
-Euler operator keeps its Horner steps and partial derivatives as flat terms
-in that pass, each step's accumulator the next one's input, sums the
-products of its pairs into the last one, which a scale multiplies once, and
-builds only its result; and evaluation compiles an expression once into an
-instruction list (`_compile`) that each point runs in one loop (`_run`).
+Work that many terms share is done once per structure.  An accumulator
+maps each other-factor tuple to a dict from packed monomial to numerator,
+so that no (mono, others) pair is built or hashed per term: the kernel's
+one product of terms (`_times_sum`) merges two other-factor tuples once
+(`_times`, memoized per pair) and multiplies all the terms of the one by a
+term of the other in one loop on int keys.  The one product-rule pass
+(`_rules`), which `diff` and `jetops.total_derivative` (`_derive`) and the
+Euler-Lagrange operators (`_euler`) share, takes terms in that form,
+differentiates the other factors of the terms it derives once per tuple of
+them (`_derive_others`), adds the product rule on their monomials (`_rule`)
+into that tuple's terms and multiplies them all by each term of the
+tuple's derivative, so the derivation memo holds result nodes only,
+nothing per term or per tuple.  An Euler operator keeps its Horner steps
+and partial derivatives in that pass, each step's accumulator the next
+one's input, keeps the last one in a slot (`_EULER_SLOT`) from which a call
+on the same operand starts, sums the products of its pairs into a copy of
+it, which a scale multiplies once per tuple, and builds only its result.
+Evaluation compiles an expression once into an instruction list
+(`_compile`) that each point runs in one loop (`_run`).
 The atoms (x and the jets) a node holds are one int bit mask (`_atoms`),
 the OR of its children's, so that no table keeps atom sets; the products of
 one atom set share one int (`_MASKS`).  Every node but a sum holds its sort
@@ -96,7 +103,6 @@ import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache, reduce, wraps
-from itertools import chain
 from operator import attrgetter
 
 from ._record import Record
@@ -537,12 +543,17 @@ def as_expr(v: ExprLike) -> Expr:
 # tracking it.  An integral coefficient is one int.  A list of flat terms
 # (den, ft, ...) holds terms over one denominator, den (`_flats` splits a
 # sum into one list per denominator, so that no flat term is copied).  An
-# accumulator maps the key (mono, others) of like terms to their summed
-# numerator over one denominator: the lcm of the denominators of everything
-# that enters it, fixed before the first term does, so it is never
-# rescaled.  `_finish` reduces each surviving numerator once and builds only
-# the terms that survive, and `_term` makes a Fraction only for a new Rat
-# node: the kernel does no Fraction arithmetic.
+# accumulator holds like terms summed over one denominator, as a dict from
+# other-factor tuple to a dict from monomial to numerator, so that the
+# terms of one tuple are read, multiplied and added on int keys, and no
+# (mono, others) pair is built per term; the terms a derivation or a
+# product takes are in the same form.  Its denominator is the lcm of the
+# denominators of everything that enters it, fixed before the first term
+# does, so it is never rescaled, save a copy of an Euler operator's Horner
+# pass that its pairs enter (`_euler`).  `_finish` reduces each surviving
+# numerator once and builds only the terms that survive, and `_term` makes
+# a Fraction only for a new Rat node: the kernel does no Fraction
+# arithmetic.
 
 
 def _flats(e: Expr) -> list[list]:
@@ -641,19 +652,20 @@ _MINUS_ONE = rational(-1)
 
 
 def _finish(acc: dict, den: int) -> Expr:
-    """The canonical sum of an accumulator over `den`: zero numerators drop,
-    and the surviving terms are reduced, built, sorted and interned once.  A
-    term that exists, such as an input term of `add` that nothing merged
-    with, is found again by `_term`."""
+    """The canonical sum of an accumulator {others: {mono: numerator}} over
+    `den`: zero numerators drop, and the surviving terms are reduced, built,
+    sorted and interned once.  A term that exists, such as an input term of
+    `add` that nothing merged with, is found again by `_term`."""
     out = []
-    for key, c in acc.items():
-        if not c:
-            continue
-        if den == 1:
-            out.append(_term(c, 1, *key))
-        else:
-            g = math.gcd(c, den)
-            out.append(_term(c // g, den // g, *key))
+    for o, monos in acc.items():
+        for m, c in monos.items():
+            if not c:
+                continue
+            if den == 1:
+                out.append(_term(c, 1, m, o))
+            else:
+                g = math.gcd(c, den)
+                out.append(_term(c // g, den // g, m, o))
     if not out:
         return ZERO
     if len(out) == 1:
@@ -682,8 +694,11 @@ def add(*terms: ExprLike) -> Expr:
         c, d, m, o = t._flat
         if d != den:
             c *= den // d
-        key = (m, o)
-        acc[key] = acc.get(key, 0) + c
+        monos = acc.get(o)
+        if monos is None:
+            acc[o] = {m: c}
+        else:
+            monos[m] = monos.get(m, 0) + c
     return _finish(acc, den)
 
 
@@ -737,16 +752,18 @@ def mul(*factors: ExprLike) -> Expr:
         return _term(n, d, m, o)
     if len(sums) == 1 and n == 1 and d == 1 and not m and not o:
         return sums[0]
-    den, items = d, ((n, d, m, o),)
-    for s in sums:
+    q, acc = d, {o: {m: n}}
+    for i, s in enumerate(sums):
+        if i:
+            # the partial product, its cancelled terms dropped
+            acc = {o: {m: c for m, c in monos.items() if c} for o, monos in acc.items()}
         lists = _flats(s)
-        den *= math.lcm(*[lst[0] for lst in lists])
-        acc: dict = {}
-        for ft in items:
-            for lst in lists:
-                _times_sum(acc, den, ft, lst)
-        items = [(c, den, m, o) for (m, o), c in acc.items() if c]
-    return _finish(acc, den)
+        den = q * math.lcm(*[lst[0] for lst in lists])
+        terms, acc = acc, {}
+        for lst in lists:
+            _times_sum(acc, den, q, terms, lst)
+        q = den
+    return _finish(acc, q)
 
 
 def _times(o0: tuple, o1: tuple) -> tuple:
@@ -803,21 +820,32 @@ def _times(o0: tuple, o1: tuple) -> tuple:
     return _MERGES.setdefault(key, tuple(pieces))
 
 
-def _times_sum(acc: dict, den: int, ft: tuple, terms: tuple) -> None:
-    """Add the product of the flat term `ft` with each flat term of the list
-    `terms` (den, ft, ...), read once, so it may be an iterator, to the
-    accumulator `acc` over `den`, a multiple of ft's denominator times the
-    list's: the kernel's one product of terms.  Coefficients and monomials
-    multiply, and the other factors merge (`_times`)."""
-    c0, d0, m0, o0 = ft
+def _times_sum(acc: dict, den: int, q: int, groups: dict, terms: tuple) -> None:
+    """Add the product of the terms `groups` {others: {mono: numerator}}
+    over `q` with each flat term of the list `terms` (den, ft, ...) to the
+    accumulator `acc` over `den`, a multiple of q times the list's
+    denominator: the kernel's one product of terms.  The other factors merge
+    (`_times`) once per other-factor tuple of `groups` and term of the list,
+    and the monomials and numerators of that tuple's terms then multiply in
+    one loop on int keys."""
     it = iter(terms)
-    c0 *= den // (d0 * next(it))
-    for c1, _, m, o in it:
-        others = _times(o0, o) if o and o0 else o or o0
-        c = c0 * c1
-        key = (m0 + m, others)
-        prev = acc.get(key)
-        acc[key] = c if prev is None else prev + c
+    r = den // (q * next(it))
+    for c1, _, m1, o1 in it:
+        c1 *= r
+        for o0, monos in groups.items():
+            others = _times(o0, o1) if o0 and o1 else o0 or o1
+            out = acc.get(others)
+            if out is None:
+                out = acc[others] = {}
+            if not m1:
+                # a constant monomial: the products share the monomial
+                # objects, not a copy of each int
+                for m, c in monos.items():
+                    out[m] = out.get(m, 0) + c * c1
+                continue
+            for m, c in monos.items():
+                m += m1
+                out[m] = out.get(m, 0) + c * c1
 
 
 def pow_int(base: ExprLike, n: int) -> Expr:
@@ -929,10 +957,11 @@ def _ad_raw(integrand: Expr, var: Expr) -> Expr:
 # Calculus
 # ---------------------------------------------------------------------------
 
-# The kernel's two memos.  Both hold only values that are functions of
-# interned nodes, which are equal exactly when they are the same object, so
-# either is always safe to clear (the next call recomputes the same nodes);
-# the intern table itself is not.
+# The kernel's two memos, and the slot of `_euler`'s latest Horner pass
+# (`_EULER_SLOT`, below `_derive`).  All three hold only values that are
+# functions of interned nodes, which are equal exactly when they are the
+# same object, so each is always safe to clear (the next call recomputes
+# the same nodes); the intern table itself is not.
 
 #: the merged other factors of two terms (`_times`), keyed on the pair of
 #: their other-factor tuples.
@@ -992,10 +1021,40 @@ def _derive(d, e: Expr) -> Expr:
     key = (d, e)
     out = _DERIV_CACHE.get(key)
     if out is None:
-        ts = e.terms if e.__class__ is Sum else (e,)
-        out = _finish(*_rules([(d, [t._flat for t in ts if mask & t._atoms])]))
+        out = _finish(*_rules([(d, *_group(e, mask))]))
         _DERIV_CACHE[key] = out
     return out
+
+
+def _group(e: Expr, mask: int, sign: int = 1) -> tuple[int, dict]:
+    """The terms of the canonical `e` that hold an atom of the bit mask
+    `mask`, times `sign`, as (q, {others: {mono: numerator}}) over q, the
+    lcm of their denominators: the form in which `_rules` takes them."""
+    fts = [t._flat for t in (e.terms if e.__class__ is Sum else (e,)) if mask & t._atoms]
+    if len(fts) == 1:
+        # one term, over its own denominator: most derivations take one
+        c, d, m, o = fts[0]
+        return d, {o: {m: sign * c}}
+    q = math.lcm(*[ft[1] for ft in fts])
+    groups: dict = {}
+    for c, d, m, o in fts:
+        if d != q:
+            c *= q // d
+        monos = groups.get(o)
+        if monos is None:
+            groups[o] = {m: sign * c}
+        else:
+            monos[m] = sign * c
+    return q, groups
+
+
+#: the latest Horner pass of `_euler`, (key (m, n, e), den, its merged
+#: accumulator), or None.  A call with the same key starts from it: S3 of a
+#: `check` right after `construct` applies the operator that `construct`
+#: applied last.  It is replaced by one store and never mutated, so a
+#: thread reads a whole entry or the one before it, and it is a cache, safe
+#: to empty (set to None), like the two memos above.
+_EULER_SLOT: tuple | None = None
 
 
 def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr:
@@ -1005,47 +1064,67 @@ def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr
     holds no power of b.  In Horner form, s_n = (-1)^n d/dp_n e,
     s_k = (-1)^k d/dp_k e + D_m s_{k+1}, and the result is s_0; every step
     past e's max jet is 0, so the first is at the lesser of n and that max
-    jet.  Each step is one product-rule pass (`_rules`) over the flat terms
-    of s_{k+1} and of e, whose partial d/dp_k enters the same accumulator,
-    so no step and no partial is built.  The pairs enter the last pass's
-    accumulator, and `scale` multiplies its merged terms once each, streamed
-    into a second accumulator; E is linear over constants, so a constant
-    factor belongs in e.  A result that cancels builds neither s_0 nor the
-    products: only the result node is built."""
-    ts = e.terms if e.__class__ is Sum else (e,)
-    pairs = [(a._flat, lst) for a, b in plus for lst in _flats(b)]
-    # the flat terms of s_{k+1}, over the one denominator of the step
-    s = None
-    for k in range(max(min(n, max_jet(e)), 0), -1, -1):
-        p = jet(k)
-        fts = [t._flat for t in ts if p._atoms & t._atoms]
-        if k % 2:
+    jet.  Each step is one product-rule pass (`_rules`) over the terms of
+    s_{k+1} and of e, whose partial d/dp_k enters the same accumulator, so
+    no step and no partial is built.  The last pass's accumulator, the
+    merged E_m^n e, is kept in the slot `_EULER_SLOT`, and a call on the same
+    (m, n, e) starts from it and runs no step.  The pairs enter a copy of
+    it, rescaled to their denominators, and `scale` multiplies the merged
+    terms of each other-factor tuple at once, into a second accumulator; E
+    is linear over constants, so a constant factor belongs in e.  A result
+    that cancels builds neither s_0 nor the products: only the result node
+    is built."""
+    global _EULER_SLOT
+    key = (m, n, e)
+    last = _EULER_SLOT
+    if last is not None and last[0] == key:
+        _, den, acc = last
+    else:
+        # the terms of s_{k+1}, over their one denominator q
+        s = None
+        for k in range(max(min(n, max_jet(e)), 0), -1, -1):
+            p = jet(k)
             # the sign (-1)^k rides on the numerators
-            fts = [(-c, d, mo, o) for c, d, mo, o in fts]
-        sources = [(p, fts)]
-        if s is not None:
-            d = m
-            if m > MAX_JET_INDEX:
-                # D_m applies at s's max jet + 1, which must be a jet index
-                atoms = 0
-                for _, _, mono, o in s:
-                    for f in (*_mono_atoms(mono), *o):
-                        atoms |= f._atoms
-                d = _order(m, atoms)
-            sources.append((d, s))
-        acc, den = _rules(sources, () if k else [aft[1] * lst[0] for aft, lst in pairs])
-        if k:
-            g = math.gcd(den, *acc.values()) if den != 1 else 1
-            s = [(c // g, den // g, mo, o) for (mo, o), c in acc.items() if c]
-    for aft, lst in pairs:
-        _times_sum(acc, den, aft, lst)
+            sources = [(p, *_group(e, p._atoms, -1 if k % 2 else 1))]
+            if s is not None:
+                d = m
+                if m > MAX_JET_INDEX:
+                    # D_m applies at s's max jet + 1, which must be a jet index
+                    atoms = 0
+                    for o, monos in s.items():
+                        for f in o:
+                            atoms |= f._atoms
+                        for mono in monos:
+                            for f in _mono_atoms(mono):
+                                atoms |= f._atoms
+                    d = _order(m, atoms)
+                sources.append((d, q, s))
+            acc, den = _rules(sources)
+            if k:
+                g = math.gcd(den, *[c for monos in acc.values() for c in monos.values()]) if den != 1 else 1
+                q, s = den // g, {}
+                for o, monos in acc.items():
+                    monos = {mo: c // g for mo, c in monos.items() if c}
+                    if monos:
+                        s[o] = monos
+        _EULER_SLOT = (key, den, acc)
+    if plus:
+        pairs = [(a._flat, lst) for a, b in plus for lst in _flats(b)]
+        full = math.lcm(den, *[aft[1] * lst[0] for aft, lst in pairs])
+        # a copy, rescaled to the pairs' denominators: the slot's stays as it is
+        r = full // den
+        acc = {o: {mo: c * r for mo, c in monos.items()} if r != 1 else dict(monos)
+               for o, monos in acc.items()}
+        den = full
+        for (c, q, mo, o), lst in pairs:
+            _times_sum(acc, den, q, {o: {mo: c}}, lst)
     if scale is not ONE:
-        # the merged terms, read once into the scaled accumulator as the
-        # list (den, ft, ...) that `_times_sum` takes
-        merged = ((c, den, mo, o) for (mo, o), c in acc.items() if c)
-        acc, sd = {}, den * scale._flat[1]
-        _times_sum(acc, sd, scale._flat, chain((den,), merged))
-        den = sd
+        # the merged terms of each tuple that did not cancel, times the scale
+        sft = scale._flat
+        out, sd = {}, den * sft[1]
+        _times_sum(out, sd, den, {o: monos for o, monos in acc.items() if any(monos.values())},
+                   (sft[1], sft))
+        acc, den = out, sd
     return _finish(acc, den)
 
 
@@ -1054,41 +1133,42 @@ _NO_TERMS = (1,)
 _ONE_TERMS = (1, (1, 1, 0, ()))
 
 
-def _rules(sources: list, extra=()) -> tuple[dict, int]:
-    """The kernel's one product-rule pass: for each source (d, terms), the
-    derivation d of each flat term of `terms`, summed in one accumulator,
-    which is returned with its denominator, the lcm of the denominators of
-    all that enters it and of `extra`, fixed first so that it is never
-    rescaled.  The other factors of the terms of a source are derived once
-    per tuple of them (`_derive_others`), and each term's product rule
-    (`_rule`) adds straight into the accumulator."""
+def _rules(sources: list) -> tuple[dict, int]:
+    """The kernel's one product-rule pass: for each source (d, q, terms),
+    the derivation d of the terms {others: {mono: numerator}} over q, summed
+    in one accumulator of that form, which is returned with its denominator,
+    the lcm of the denominators of all that enters it, fixed first so that
+    it is never rescaled.  The other factors of the terms of a source are
+    derived once per tuple of them (`_derive_others`); the product rule on
+    the monomials of the terms of one tuple (`_rule`) adds into that tuple's
+    terms of the accumulator, and all of them are multiplied by each term of
+    the tuple's derivative in one loop on int keys (`_times_sum`)."""
     work = []
-    for d, terms in sources:
-        dots: dict = {}
-        for ft in terms:
-            o = ft[3]
-            ds = dots.get(o)
-            if ds is None:
-                ds = dots[o] = _derive_others(d, o) if o else _NO_TERMS
-            work.append((d, ft, ds))
-    den = math.lcm(*[ft[1] * ds[0] for _, ft, ds in work], *extra)
+    for d, q, groups in sources:
+        for o, monos in groups.items():
+            work.append((d, q, o, monos, _derive_others(d, o) if o else _NO_TERMS))
+    den = math.lcm(*[q * ds[0] for _, q, _, _, ds in work])
     acc: dict = {}
-    for d, ft, ds in work:
-        _rule(acc, den, ft, d, ds)
+    for d, q, o, monos, ds in work:
+        out = acc.get(o)
+        if out is None:
+            out = acc[o] = {}
+        _rule(out, den // q, d, monos)
+        if len(ds) > 1:
+            _times_sum(acc, den, q, {(): monos}, ds)
     return acc, den
 
 
-def _rule(acc: dict, den: int, ft: tuple, d, dots: tuple) -> None:
-    """Add the product rule for `d` on the flat term ft to the accumulator
-    `acc` over `den`, a multiple of ft's denominator times that of `dots`,
-    the list of flat terms of the derivative of ft's other factors
-    (`_derive_others`): one flat term per atom factor of ft's monomial
-    (`_mono_atoms`), and ft's coefficient and monomial times each flat term
-    of `dots`."""
-    coeff, q, mono, others = ft
-    if mono:
-        at = None if d.__class__ is int else _POS[d]
-        k0 = coeff * (den // q)
+def _rule(out: dict, r: int, d, monos: dict) -> None:
+    """Add the product rule for `d` on the monomials of the terms `monos`
+    {mono: numerator}, each numerator times r, to `out` {mono: numerator},
+    the accumulator's terms with the same other factors: one term per atom
+    factor of each monomial (`_mono_atoms`)."""
+    at = None if d.__class__ is int else _POS[d]
+    for mono, c in monos.items():
+        if not mono:
+            continue
+        c *= r
         for f in _mono_atoms(mono):
             i = _POS.get(f)
             if i is None:
@@ -1100,10 +1180,8 @@ def _rule(acc: dict, den: int, ft: tuple, d, dots: tuple) -> None:
             # and for x under D_m, p_{j+1} for p_j under D_m when j < m, else 0
             if i > d if at is None else i != at:
                 continue
-            mk = (mono + _STEP[i] if at is None else mono - _UNIT[i], others)
-            acc[mk] = acc.get(mk, 0) + k * k0
-    if len(dots) > 1:
-        _times_sum(acc, den, (coeff, q, mono, ()), dots)
+            mk = mono + _STEP[i] if at is None else mono - _UNIT[i]
+            out[mk] = out.get(mk, 0) + k * c
 
 
 def _derive_others(d, others: tuple) -> tuple:
@@ -1111,43 +1189,44 @@ def _derive_others(d, others: tuple) -> tuple:
     a list of flat terms (den, ft, ...) with no factor common to den and all
     numerators: per factor, the other factors times each term of the
     derivative of that factor's argument (an exponent, a slope, or the
-    argument of a log, sin, cos or opaque integral).  `_derive` calls it
-    once per tuple of other factors in the expression it derives; the
-    derivatives of the arguments come from its memo."""
+    argument of a log, sin, cos or opaque integral).  `_rules` calls it
+    once per tuple of other factors in what it derives; the derivatives of
+    the arguments come from the derivation memo."""
     if d.__class__ is not int and not any(d._atoms & f._atoms for f in others):
         return _NO_TERMS
-    # each part is a flat term times a list of flat terms, collected first so
-    # that the denominator of the accumulator is their lcm from the start
+    # each part is a term {others: {0: k}} times a list of flat terms,
+    # collected first so that the denominator of the accumulator is their
+    # lcm from the start
     parts = []
     for i, f in enumerate(others):
         if f.__class__ is Exp:
             # d exp(a) = exp(a) d a
             da = _derive(d, f.arg)
             if da is not ZERO:
-                parts += [((1, 1, 0, others), lst) for lst in _flats(da)]
+                parts += [({others: {0: 1}}, lst) for lst in _flats(da)]
         elif f.__class__ is Pow and f.base.__class__ is Sum:
             # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
             k = f.exponent
             ds = _derive(d, f.base)
             if ds is f.base:
                 # S^(k-1) * S folds back to S^k, as in `mul`
-                parts.append(((k, 1, 0, others), _ONE_TERMS))
+                parts.append(({others: {0: k}}, _ONE_TERMS))
             elif ds is not ZERO:
                 # S^(k-1) takes the place of S^k in the canonical order
                 lower = others[:i] + (pow_int(f.base, k - 1),) + others[i + 1:]
-                parts += [((k, 1, 0, lower), lst) for lst in _flats(ds)]
+                parts += [({lower: {0: k}}, lst) for lst in _flats(ds)]
         else:
             dg = _derive_factor(d, f)
             if dg is not ZERO:
-                left = (1, 1, 0, others[:i] + others[i + 1:])
+                left = {others[:i] + others[i + 1:]: {0: 1}}
                 parts += [(left, lst) for lst in _flats(dg)]
     den = math.lcm(*[terms[0] for _, terms in parts])
     acc: dict = {}
     for left, terms in parts:
-        _times_sum(acc, den, left, terms)
-    g = math.gcd(den, *acc.values()) if den != 1 else 1
+        _times_sum(acc, den, 1, left, terms)
+    g = math.gcd(den, *[c for monos in acc.values() for c in monos.values()]) if den != 1 else 1
     den //= g
-    return (den, *[(c // g, den, m, o) for (m, o), c in acc.items() if c])
+    return (den, *[(c // g, den, m, o) for o, monos in acc.items() for m, c in monos.items() if c])
 
 
 def _derive_factor(d, f: Expr) -> Expr:

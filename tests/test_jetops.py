@@ -152,21 +152,51 @@ def test_euler_op_applies_total_derivative_n_times(monkeypatch, n):
     # int order for D_m (a partial derivative passes an atom); the first
     # call memoizes the derivatives inside the terms, whose own passes the
     # second call then skips, and the operator keeps no memo entry of its
-    # own: the memo holds derivations and antiderivatives only, so the
-    # second call runs every Horner step again
+    # own: the memo holds derivations and antiderivatives only, so once the
+    # slot of the latest Horner pass is emptied, the second call runs every
+    # Horner step again
     e = _with_exp_and_integral(n)
     euler_op(2 * n, n, e)
     assert all(len(k) == 2 or k[0] == "anti" for k in symexpr._DERIV_CACHE)
     calls = []
     inner = symexpr._rules
 
-    def counting(sources, *args):
-        calls.extend(d for d, _ in sources if d.__class__ is int)
-        return inner(sources, *args)
+    def counting(sources):
+        calls.extend(d for d, *_ in sources if d.__class__ is int)
+        return inner(sources)
 
     monkeypatch.setattr(symexpr, "_rules", counting)
+    symexpr._EULER_SLOT = None
     euler_op(2 * n, n, e)
     assert calls == [2 * n] * n
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_a_repeated_euler_op_starts_from_the_slot(monkeypatch, n):
+    # the slot keeps the latest Horner pass under (m, n, e): a second call on
+    # the same operand runs no product-rule pass and returns the same node,
+    # with pairs and a scale too, which enter a copy of the slot's pass; a
+    # call on another order or operand runs its own pass and replaces it
+    e = _with_exp_and_integral(n)
+    first = euler_op(2 * n, n, e)
+    a, b = mul(Fraction(2, 3), p1), add(p2, Fraction(1, 5))
+    fused = symexpr._euler(2 * n, n, e, ((a, b),), exp(p1))
+    slot = symexpr._EULER_SLOT
+    assert slot[0] == (2 * n, n, e)
+    calls = []
+    inner = symexpr._rules
+
+    def counting(sources):
+        calls.append(sources)
+        return inner(sources)
+
+    monkeypatch.setattr(symexpr, "_rules", counting)
+    assert euler_op(2 * n, n, e) is first
+    assert symexpr._euler(2 * n, n, e, ((a, b),), exp(p1)) is fused
+    assert symexpr._EULER_SLOT is slot and not calls
+    assert fused is mul(exp(p1), add(first, mul(a, b)))
+    euler_op(2 * n + 1, n, e)
+    assert calls and symexpr._EULER_SLOT[0] == (2 * n + 1, n, e)
 
 
 @pytest.mark.parametrize("scale", [ONE, -1, Fraction(5, 6), mul(Fraction(3, 4), exp(p1))])

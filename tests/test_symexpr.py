@@ -1467,6 +1467,50 @@ def test_interning_is_thread_safe(monkeypatch):
         assert e._flat == _reference_flat(e), render(e)
 
 
+def test_the_euler_slot_is_thread_safe():
+    # four threads alternate construct -> check on two corpus equations,
+    # starting on different ones, so that each check's S3 may find the slot
+    # holding its own construct's last Horner pass, the other equation's, or
+    # one another thread stored meanwhile: every report must be the serial
+    # run's, node for node
+    import sys
+    import threading
+
+    cases = [(n, gen_params(n, n, GenConfig(seed=seed, max_degree=3, max_terms=4)))
+             for n, seed in ((2, 20003), (3, 30001))]
+
+    def trial(n, params):
+        t = construct(params)
+        return t.f, check(t.f, n, CFG)
+
+    serial = [trial(*c) for c in cases]
+    assert all(r.accepted for _, r in serial)
+    barrier = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def work(i):
+        barrier.wait()
+        for k in range(4):
+            j = (i + k) % 2
+            results[i].append((j, trial(*cases[j])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in results:
+        assert len(out) == 4
+        for j, (f, report) in out:
+            assert f is serial[j][0] and report == serial[j][1]
+
+
 # ---------------------------------------------------------------------------
 # canonicalization fast paths
 # ---------------------------------------------------------------------------
@@ -1998,6 +2042,7 @@ def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
     t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
     symexpr._MERGES.clear()
     symexpr._DERIV_CACHE.clear()
+    symexpr._EULER_SLOT = None
     cold = check(t.f, 4, CFG)
     assert symexpr._MERGES and symexpr._DERIV_CACHE
     warm = check(t.f, 4, CFG)
@@ -2014,6 +2059,55 @@ def test_products_are_interned_on_their_flat_terms_and_the_memos_are_caches():
     assert len({e.factors for e in prods}) == len(prods)
     assert not any(len(k) == 3 and k[0] == "r" for k, _ in items)
     assert "_den" not in symexpr.Expr.__slots__
+
+
+def test_check_after_construct_starts_s3_from_the_slot(monkeypatch):
+    # construct's last operator call and S3 of the check right after it
+    # apply E_6^4 to one node, so S3 starts from the slot of the latest
+    # Horner pass and runs no product-rule pass; the S4 steps and the
+    # certificate run their own.  The report, every node of its outcome
+    # and trace, is the one of a check with the slot and the memos emptied
+    from varmult import checker, varcore
+
+    passes = []
+    rules = symexpr._rules
+
+    def counting(sources):
+        passes.append(sources)
+        return rules(sources)
+
+    calls = []
+
+    def recording(inner):
+        def operator(m, n, e, *args):
+            slot = symexpr._EULER_SLOT
+            before = len(passes)
+            out = inner(m, n, e, *args)
+            calls.append((m, n, slot is not None and slot[0] == (m, n, e), len(passes) - before))
+            return out
+        return operator
+
+    monkeypatch.setattr(symexpr, "_rules", counting)
+    monkeypatch.setattr(checker, "_euler", recording(checker._euler))
+    monkeypatch.setattr(varcore, "_euler", recording(varcore._euler))
+    t = construct(gen_params(4, 4, GenConfig(seed=40002, max_degree=3, max_terms=4)))
+    assert calls[-1][:2] == (6, 4) and symexpr._EULER_SLOT[0][:2] == (6, 4)
+    calls.clear()
+    warm = check(t.f, 4, CFG)
+    # S3, S4 at j = 1, 2, 3, and the certificate E_8^4 L
+    assert [c[:3] for c in calls] == [(6, 4, True), (5, 3, False), (3, 2, False),
+                                      (1, 1, False), (8, 4, False)]
+    assert calls[0][3] == 0 and all(c[3] for c in calls[1:])
+    symexpr._EULER_SLOT = None
+    symexpr._MERGES.clear()
+    symexpr._DERIV_CACHE.clear()
+    calls.clear()
+    cold = check(t.f, 4, CFG)
+    assert not any(hit for _, _, hit, _ in calls)
+    assert cold.accepted and warm == cold and len(warm.trace) == len(cold.trace) > 10
+    for a, b in zip(warm.trace, cold.trace):
+        assert a.checked is b.checked and a.derived is b.derived and a.verdict == b.verdict
+    assert all(getattr(warm.outcome, k) is getattr(cold.outcome, k) for k in ("R", "rho", "L"))
 
 
 def _reference_flat(e):
