@@ -9,8 +9,9 @@ vanish and deriving the next quantity:
   S2  for k = n+1 down to 1: g_k is linear in p_k; peel the slope into the
       log-multiplier accumulator and descend to g_{k-1}.
   S3  g_0 is a function of x alone; assemble R and the order-(2n-2)
-      remainder h.
-  S4  for j = 1..n-1: strip f_{n-j} from h and descend two orders.
+      remainder h by the rho step of `varcore`.
+  S4  for j = 1..n-1: strip f_{n-j} from h by the peel of `varcore` that
+      `construct` added it with, and descend two orders.
   S5  h_0 depends on (x, p_0) only; it is f_0.
 
 On success the multiplier is rho = e^{-R}, a Lagrangian is rebuilt from the
@@ -30,13 +31,11 @@ from .symexpr import (
     ExprError,
     ExprLike,
     NonZero,
-    ONE,
     X,
     ZERO,
     ZeroTestConfig,
     ZeroVerdict,
     _collector_paused,
-    _euler,
     add,
     antideriv,
     as_expr,
@@ -49,7 +48,8 @@ from .symexpr import (
     pow_int,
     substitute,
 )
-from .varcore import ParamSet, VariationalTriple, _lagrangian, verify_triple
+from .varcore import (ParamSet, VariationalTriple, _lagrangian, _orders, _peel, _rho_step,
+                      verify_triple)
 
 __all__ = [
     "TraceEntry",
@@ -168,8 +168,7 @@ def check(f: ExprLike, n: int, cfg: ZeroTestConfig | None = None) -> CheckReport
     """Decide whether p_{2n} = f admits a variational multiplier and, if so,
     reconstruct (R, rho, f_0..f_{n-1}, L) with a step-level audit trail."""
     f = as_expr(f)
-    if n < 2:
-        raise ValueError("half-order n must be >= 2")
+    _orders(n)
     if max_jet(f) > 2 * n - 1:
         raise ValueError(f"f may depend on jets up to p{2 * n - 1} only")
     cfg = cfg or ZeroTestConfig()
@@ -210,16 +209,15 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
 
     rho = exp(mul(-1, big_r))
     d2_top = diff(d_top, top)
-    # h = E - rho Y, E the operator on -(-1)^n II rho (E is linear over
-    # constants): rho Y = rho (f - d_top p_top + 1/2 d2_top p_top^2), whose
-    # terms cancel E's, is summed into E's last D_m step as three products
-    # of a = -rho, without being built
+    # h = the rho step with -rho (f - d_top p_top + 1/2 d2_top p_top^2) as
+    # three pairs; right after `construct`, whose last operator call is this
+    # one, it starts from that call's Horner pass and runs no Horner step
     a = mul(-1, rho)
-    h = _euler(2 * n - 2, n, mul(-1 if n % 2 == 0 else 1, antideriv(rho, jet(n), 2)),
-               ((a, f), (mul(-1, a, top), d_top),
-                (mul(Fraction(1, 2), a, pow_int(top, 2)), d2_top)))
+    h = _rho_step(n, rho, ((a, f), (mul(-1, a, top), d_top),
+                           (mul(Fraction(1, 2), a, pow_int(top, 2)), d2_top)))
 
-    # S4: strip f_{n-1}, ..., f_1
+    # S4: strip f_{n-1}, ..., f_1, each by the peel that `construct` added
+    # it with
     f_rec: dict[int, Expr] = {}
     for j in range(1, n):
         step = f"S4(j={j})"
@@ -228,11 +226,7 @@ def _run_steps(f: Expr, n: int, run: _Run) -> Accepted:
         for k in range(n + 1 - j, 2 * n - 2 * j + 1):
             run.probe(step, diff(dh, jet(k)))
         f_rec[n - j] = run.restrict(step, dh, n - j)
-        # h - dh p_{2n-2j} - sign E, E on II dh: h and the product enter the
-        # accumulator of E's last D_m step as pairs, so only the new h is built
-        sign = 1 if (n - j) % 2 == 0 else -1
-        h = _euler(2 * n - 1 - 2 * j, n - j, mul(-sign, antideriv(dh, jet(n - j), 2)),
-                   ((ONE, h), (mul(-1, jet(2 * n - 2 * j)), dh)))
+        h = _peel(h, n - j, dh)
         run.attach(h)
 
     # S5: what is left is f_0(x, p_0)

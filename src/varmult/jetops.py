@@ -13,8 +13,9 @@ only in the image of an atom.  A derivation's result is a node
 partial derivatives as the accumulators of that pass and builds only its
 result (`symexpr._euler`), and a call on the operand of the latest call
 starts from that call's last accumulator.  The kernel's operator also takes
-the sums that `varcore` and `checker` fuse with it, scale * (E_m^n e +
-sum a*b), and they call it directly.
+the sums that `varcore` fuses with it, scale * (E_m^n e + sum a*b), and
+`varcore` calls it directly: its rho step and peel, which `construct` and
+`checker` share, and the closing certificate.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .symexpr import Expr, X, add, as_expr, exp, jet, mul, sort_key
-from .varcore import ParamSet
+from .varcore import ParamSet, _orders
 
 __all__ = ["GenConfig", "gen_expr", "gen_params"]
 
@@ -70,8 +70,7 @@ def gen_expr(vars: Iterable[Expr], cfg: GenConfig) -> Expr:
 def gen_params(n: int, m: int, cfg: GenConfig) -> ParamSet:
     """Random parameter set for the solution-family constructor: R over
     {x, p0..pn}, f_l over {x, p0..pl}, N over {x, p0..p_{n-1}}."""
-    if not m >= n >= 2:
-        raise ValueError("need m >= n >= 2")
+    _orders(n, m)
     rng = random.Random(cfg.seed)
 
     def sub(atoms):

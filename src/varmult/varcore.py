@@ -8,7 +8,9 @@ Lagrangian L solve
 This module builds the full solution family (f, rho, L) from the free data
 (R, f_0..f_{n-1}, N), computes Euler-Lagrange expressions, evaluates the
 classical fourth-order invariants T5 and I1, and verifies candidate triples
-against the defining identity.
+against the defining identity.  The family's two fused Euler-Lagrange steps,
+the rho step and the peel, are written here once: `construct` runs them to
+build f, and S3 and S4 of `checker` run them to take f apart again.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .symexpr import (
     Expr,
     ExprLike,
     Exp,
+    ONE,
     Prod,
     Rat,
     ZeroTestConfig,
@@ -50,6 +53,20 @@ __all__ = [
 ]
 
 
+def _orders(n: int, m: int | None = None) -> int:
+    """The Lagrangian order m (n when None) for the half-order n, after the
+    one rule for both: each is an int, not a bool, and m >= n >= 2."""
+    m = n if m is None else m
+    for name, k in (("half-order n", n), ("Lagrangian order m", m)):
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"{name} must be an int, got {k!r}; need m >= n >= 2")
+    if n < 2:
+        raise ValueError(f"half-order n must be >= 2, got {n}; need m >= n >= 2")
+    if m < n:
+        raise ValueError(f"Lagrangian order m must be >= n, got m={m}, n={n}; need m >= n >= 2")
+    return m
+
+
 class ParamSet(Record):
     """Free data parameterizing the solution family for half-order n:
     R with jets up to p_n, the sequence (f_0, ..., f_{n-1}) with jets of f_l
@@ -63,15 +80,10 @@ class ParamSet(Record):
     m: int | None = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("half-order n must be >= 2")
+        object.__setattr__(self, "m", _orders(self.n, self.m))
         object.__setattr__(self, "R", as_expr(self.R))
         object.__setattr__(self, "N", as_expr(self.N))
         object.__setattr__(self, "f_lower", tuple(as_expr(f) for f in self.f_lower))
-        m = self.n if self.m is None else self.m
-        object.__setattr__(self, "m", m)
-        if m < self.n:
-            raise ValueError("Lagrangian order m must be >= n")
         if len(self.f_lower) != self.n:
             raise ValueError(f"expected {self.n} lower functions f_0..f_{self.n - 1}")
         if max_jet(self.R) > self.n:
@@ -94,8 +106,7 @@ class VariationalTriple(Record):
     m: int
 
     def __post_init__(self):
-        if self.n < 2 or self.m < self.n:
-            raise ValueError("need m >= n >= 2")
+        _orders(self.n, self.m)
         if max_jet(self.f) > 2 * self.n - 1:
             raise ValueError(f"f may depend on jets up to p{2 * self.n - 1} only")
         if max_jet(self.L) > self.m:
@@ -138,40 +149,59 @@ def construct(params: ParamSet) -> VariationalTriple:
 
     with lead = d2R p3^2 + 2 D2R p3 for n = 2 and n D_{n+1}R p_{2n-1} for
     n >= 3, where II is the double antiderivative from 0 in the matching jet
-    variable (p_n for e^{-R}, p_l for f_l) and I f0 is taken in p_0.
+    variable (p_n for e^{-R}, p_l for f_l) and I f0 is taken in p_0.  f is
+    built through the peel chain: from y = -f0, y = `_peel`(y, l, f_l) for
+    l = 1..n-1 ends at minus the bracket's terms after the first (S4 of
+    `check` runs the chain backwards), and f is the `_rho_step` with the
+    pairs (1, y) and (e^{-R}, lead), scaled by e^R.  That is the last
+    operator call, so a `check` of f right after starts S3 from its Horner
+    pass.
     """
-    n, m, R = params.n, params.m, params.R
+    n, R = params.n, params.R
     rho = exp(mul(-1, R))
-    sign_n = 1 if n % 2 == 0 else -1
-    rest = [params.f_lower[0]]
+    y = mul(-1, params.f_lower[0])
     for ell in range(1, n):
-        fl = params.f_lower[ell]
-        sign = 1 if ell % 2 == 0 else -1
-        rest.append(mul(fl, jet(2 * ell)))
-        rest.append(mul(sign, euler_op(2 * ell - 1, ell, antideriv(fl, jet(ell), 2))))
+        y = _peel(y, ell, params.f_lower[ell])
     if n == 2:
         lead = add(mul(diff(R, jet(2)), pow_int(jet(3), 2)),
                    mul(2, total_derivative(2, R), jet(3)))
     else:
         lead = mul(n, total_derivative(n + 1, R), jet(2 * n - 1))
-    # f = e^R (E - rest + rho lead), E the operator on -(-1)^n II rho: rest
-    # and rho lead enter the accumulator of E's last D_m step, whose merged
-    # terms e^R then scales once: only f is built
-    f = _euler(2 * n - 2, n, mul(-sign_n, antideriv(rho, jet(n), 2)),
-               ((as_expr(-1), add(*rest)), (rho, lead)), exp(R))
-    return VariationalTriple(f=f, rho=rho, L=_lagrangian(params), n=n, m=m)
+    f = _rho_step(n, rho, ((ONE, y), (rho, lead)), exp(R))
+    return VariationalTriple(f=f, rho=rho, L=_lagrangian(params), n=n, m=params.m)
+
+
+def _ii(ell: int, g: Expr, sign: int = 1) -> Expr:
+    """sign * (-1)^l II g, II the double antiderivative from 0 in p_l, as
+    one product."""
+    return mul(-sign if ell % 2 else sign, antideriv(g, jet(ell), 2))
+
+
+def _rho_step(n: int, rho: Expr, plus: tuple, scale: Expr = ONE) -> Expr:
+    """scale * (E_{2n-2}^n (-(-1)^n II rho) + sum a*b over the pairs (a, b)
+    of `plus`), II taken in p_n: f in `construct`, the first remainder h in
+    S3 of `check`.  Only the result is built: the pairs enter the
+    accumulator of E's last D_m step, whose merged terms `scale` multiplies
+    once, and a call on the operand of the latest call starts from that
+    call's Horner pass."""
+    return _euler(2 * n - 2, n, _ii(n, rho, -1), plus, scale)
+
+
+def _peel(h: Expr, ell: int, g: Expr) -> Expr:
+    """h - g p_{2l} - (-1)^l E_{2l-1}^l II g, II taken in p_l: `construct`
+    peels f_l's terms onto minus its bracket, and S4 of `check` peels them
+    off the remainder.  h and the product enter the accumulator of E's last
+    D_m step as pairs, so only the result is built."""
+    return _euler(2 * ell - 1, ell, _ii(ell, g, -1), ((ONE, h), (mul(-1, jet(2 * ell)), g)))
 
 
 def _lagrangian(params: ParamSet) -> Expr:
-    """The L of `construct`, without building f."""
+    """The L of `construct`, without building f: each double antiderivative
+    signed by `_ii`, as in the operands of `_rho_step` and `_peel`."""
     n = params.n
-    f0 = params.f_lower[0]
-    sign_n = 1 if n % 2 == 0 else -1
-    parts = [mul(sign_n, antideriv(exp(mul(-1, params.R)), jet(n), 2)),
-             antideriv(f0, jet(0), 1), total_derivative(params.m, params.N)]
-    for ell in range(1, n):
-        sign = 1 if ell % 2 == 0 else -1
-        parts.append(mul(sign, antideriv(params.f_lower[ell], jet(ell), 2)))
+    parts = [_ii(n, exp(mul(-1, params.R))), antideriv(params.f_lower[0], jet(0), 1),
+             total_derivative(params.m, params.N)]
+    parts += [_ii(ell, params.f_lower[ell]) for ell in range(1, n)]
     return add(*parts)
 
 

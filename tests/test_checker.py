@@ -3,11 +3,13 @@ rejection stability, trace completeness, and determinism."""
 
 from __future__ import annotations
 
+import ast
 import gc
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -559,3 +561,25 @@ def test_two_threads_checking_at_once_leave_the_collector_on():
     assert not any(t.is_alive() for t in threads)
     assert len(reports) == 2 and all(r.accepted for r in reports)
     assert gc.isenabled()
+
+
+def test_the_solution_family_is_stated_once_in_varcore():
+    # checker imports no private symexpr name but the collector's pause: its
+    # S3 and S4 are varcore's rho step and peel, and the kernel's Euler
+    # operator is called only from jetops.euler_op and from varcore
+    tree = ast.parse(Path(checker.__file__).read_text())
+    private = {a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] == "symexpr"
+               for a in node.names if a.name.startswith("_")}
+    assert private == {"_collector_paused"}
+    callers = set()
+    for path in Path(checker.__file__).parent.glob("*.py"):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, ast.FunctionDef):
+                callers |= {(path.stem, f.name) for node in ast.walk(f)
+                            if isinstance(node, ast.Call)
+                            and "_euler" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None))}
+    assert {c for c in callers if c[0] != "varcore"} == {("jetops", "euler_op")}
+    assert {c[1] for c in callers if c[0] == "varcore"} == {"_rho_step", "_peel", "_residual"}

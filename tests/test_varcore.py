@@ -3,6 +3,7 @@ fourth-order invariants, triple verification, and gauge properties."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from varmult.varcore import (
     fels_T5,
     verify_triple,
 )
-from varmult.varcore import _residual
+from varmult.varcore import _peel, _residual
 
 p0, p1, p2, p3, p4, p5, p6 = (jet(k) for k in range(7))
 
@@ -80,6 +81,25 @@ def test_triple_validation():
     t = VariationalTriple(f=ZERO, rho=exp(mul(-1, p2)), L=_half(pow_int(p2, 2)),
                           n=2, m=2)
     assert t.m == 2
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, "2", True], ids=["float", "fraction", "str", "bool"])
+def test_every_entry_point_takes_its_orders_by_one_rule(bad):
+    # n and m are ints, not bools, with m >= n >= 2: a float, a string or a
+    # bool is the same ValueError wherever an order enters
+    from varmult.checker import check
+
+    L = _half(pow_int(p2, 2))
+    calls = [lambda: ParamSet(n=bad, R=ZERO, f_lower=(ZERO, ZERO), N=ZERO),
+             lambda: ParamSet(n=2, R=ZERO, f_lower=(ZERO, ZERO), N=ZERO, m=bad),
+             lambda: VariationalTriple(f=ZERO, rho=ONE, L=L, n=bad, m=2),
+             lambda: VariationalTriple(f=ZERO, rho=ONE, L=L, n=2, m=bad),
+             lambda: check(p3, bad, CFG),
+             lambda: gen_params(bad, 2, GenConfig()),
+             lambda: gen_params(2, bad, GenConfig())]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"must be an int, got {bad!r}")):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +335,30 @@ def test_fused_residual_is_the_node_of_the_unfused_sum(n, seed, allow_exp):
     assert isinstance(verify_triple(bad, CFG), NonZero)
 
 
+def _unfused_rest(params):
+    # f0 + sum_l (f_l p_{2l} + (-1)^l E_{2l-1}^l II f_l), each a full sum
+    rest = [params.f_lower[0]]
+    for ell in range(1, params.n):
+        fl = params.f_lower[ell]
+        rest.append(mul(fl, jet(2 * ell)))
+        rest.append(mul((-1) ** ell, euler_op(2 * ell - 1, ell, antideriv(fl, jet(ell), 2))))
+    return add(*rest)
+
+
 def _unfused_f(params):
     # the f of `construct` built step by step: E, the bracket, its product
     # with e^R and the sum with the lead are each a full sum
     n, R = params.n, params.R
     sign_n = (-1) ** n
-    rest = [params.f_lower[0]]
-    for ell in range(1, n):
-        fl = params.f_lower[ell]
-        rest.append(mul(fl, jet(2 * ell)))
-        rest.append(mul((-1) ** ell, euler_op(2 * ell - 1, ell, antideriv(fl, jet(ell), 2))))
     if n == 2:
         lead = add(mul(diff(R, p2), pow_int(p3, 2)), mul(2, total_derivative(2, R), p3))
     else:
         lead = mul(n, total_derivative(n + 1, R), jet(2 * n - 1))
     E = euler_op(2 * n - 2, n, antideriv(exp(mul(-1, R)), jet(n), 2))
-    return add(lead, mul(-sign_n, exp(R), add(E, mul(sign_n, add(*rest)))))
+    return add(lead, mul(-sign_n, exp(R), add(E, mul(sign_n, _unfused_rest(params)))))
 
 
-@pytest.mark.parametrize("params", [
+_FAMILY = [
     *(gen_params(n, n, GenConfig(seed=seed, max_degree=2 if allow_exp else 3,
                                  max_terms=2 if allow_exp else 4, allow_exp=allow_exp))
       for n, seed, allow_exp in [(2, 20_000, False), (3, 30_002, False),
@@ -343,8 +368,12 @@ def _unfused_f(params):
     # exponentials in R, which is quadratic in p3: II e^{-R} is opaque
     ParamSet(n=3, R=add(mul(p1, exp(p0)), mul(X, p2, pow_int(p3, 2))),
              f_lower=(mul(X, p0), pow_int(p1, 2), mul(p1, p2)), N=p1),
-], ids=["n2-20000", "n3-30002", "n4-40000", "n4-40002", "n2-20002-exp",
-        "n3-30001-exp", "m5-n3", "exp-R-quadratic-in-p3"])
+]
+_FAMILY_IDS = ["n2-20000", "n3-30002", "n4-40000", "n4-40002", "n2-20002-exp",
+               "n3-30001-exp", "m5-n3", "exp-R-quadratic-in-p3"]
+
+
+@pytest.mark.parametrize("params", _FAMILY, ids=_FAMILY_IDS)
 def test_fused_f_is_the_node_of_the_unfused_formula(params):
     # construct sums the signed E, minus the rest and rho times the lead in
     # the accumulator of E's last D_m step, which e^R then scales; that is
@@ -352,6 +381,29 @@ def test_fused_f_is_the_node_of_the_unfused_formula(params):
     t = construct(params)
     assert t.f is _unfused_f(params)
     assert verify_triple(t, CFG).is_zero
+
+
+@pytest.mark.parametrize("params", _FAMILY, ids=_FAMILY_IDS)
+def test_s4_peels_off_what_construct_peeled_on(params, monkeypatch):
+    # construct's chain of peels from -f0 ends at the node -rest, rest built
+    # sum by sum; peeling f_{n-1}, ..., f_1 off rest, as S4 does, leaves f0
+    # itself
+    from varmult import varcore
+
+    chain = []
+
+    def recording(h, ell, g):
+        chain.append(_peel(h, ell, g))
+        return chain[-1]
+
+    monkeypatch.setattr(varcore, "_peel", recording)
+    construct(params)
+    rest = _unfused_rest(params)
+    assert len(chain) == params.n - 1 and chain[-1] is mul(-1, rest)
+    h = rest
+    for ell in range(params.n - 1, 0, -1):
+        h = _peel(h, ell, params.f_lower[ell])
+    assert h is params.f_lower[0]
 
 
 def test_construct_and_check_build_each_large_sum_once(monkeypatch):
