@@ -79,7 +79,7 @@ from .checker import CheckReport, check, expected_check_count
 #: the test-kit names the package re-exports; `varmult.testkit` is imported
 #: on the first access to one of them, so that `import varmult.cli` does not
 #: compile it
-_TESTKIT = frozenset({"GenConfig", "gen_expr", "gen_params"})
+_TESTKIT = frozenset({"GenConfig", "change_variables", "gen_expr", "gen_params"})
 
 
 def __getattr__(name: str):

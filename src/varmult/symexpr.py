@@ -37,16 +37,20 @@ derivation's steps of 1 (`_rule`), one per Horner step of an Euler operator
 (`_euler`), so at most MAX_JET_INDEX + 1 of them, and then a pair's product
 and a scale.  So no monomial's digit nears B/2.
 
-Work that many terms share is done once per structure.  An accumulator
-maps each other-factor tuple to a dict from packed monomial to numerator,
-so that no (mono, others) pair is built or hashed per term: the kernel's
-one product of terms (`_times_sum`) merges two other-factor tuples once
-(`_times`, memoized per pair) and multiplies all the terms of the one by a
-term of the other in one loop on int keys.  The one product-rule pass
-(`_rules`), which `diff` and `jetops.total_derivative` (`_derive`) and the
-Euler-Lagrange operators (`_euler`) share, takes terms in that form,
-differentiates the other factors of the terms it derives once per tuple of
-them (`_derive_others`), adds the product rule on their monomials (`_rule`)
+Work that many terms share is done once per structure.  A set of terms is
+either the nodes' own flat terms or an accumulator, which maps each
+other-factor tuple to a dict from packed monomial to numerator over one
+denominator, so that no (mono, others) pair is built or hashed per term;
+`_gather` turns flat terms into an accumulator and `_finish` an accumulator
+into a node.  The kernel's one product of terms (`_times_sum`) multiplies
+an accumulator by flat terms, each over its own denominator: it merges two
+other-factor tuples once (`_times`, memoized per pair) and multiplies all
+the terms of the one by a term of the other in one loop on int keys.  The
+one product-rule pass (`_rules`), which `diff` and
+`jetops.total_derivative` (`_derive`) and the Euler-Lagrange operators
+(`_euler`) share, takes accumulators, differentiates the other factors of
+the terms it derives once per tuple of them into flat terms
+(`_derive_others`), adds the product rule on their monomials (`_rule`)
 into that tuple's terms and multiplies them all by each term of the
 tuple's derivative, so the derivation memo holds result nodes only,
 nothing per term or per tuple.  An Euler operator keeps its Horner steps
@@ -540,36 +544,20 @@ def as_expr(v: ExprLike) -> Expr:
 # building a term, new or not, is one lookup (`_term`).  No other key is a
 # 4-tuple, so the key needs no class; without one, a key of ints and ()
 # holds nothing the cyclic collector tracks, and the collector stops
-# tracking it.  An integral coefficient is one int.  A list of flat terms
-# (den, ft, ...) holds terms over one denominator, den (`_flats` splits a
-# sum into one list per denominator, so that no flat term is copied).  An
-# accumulator holds like terms summed over one denominator, as a dict from
-# other-factor tuple to a dict from monomial to numerator, so that the
-# terms of one tuple are read, multiplied and added on int keys, and no
-# (mono, others) pair is built per term; the terms a derivation or a
-# product takes are in the same form.  Its denominator is the lcm of the
-# denominators of everything that enters it, fixed before the first term
-# does, so it is never rescaled, save a copy of an Euler operator's Horner
-# pass that its pairs enter (`_euler`).  `_finish` reduces each surviving
-# numerator once and builds only the terms that survive, and `_term` makes
-# a Fraction only for a new Rat node: the kernel does no Fraction
-# arithmetic.
-
-
-def _flats(e: Expr) -> list[list]:
-    """The flat terms of a canonical expression as lists [den, ft, ...], one
-    per denominator, so that they hold the nodes' own flat terms."""
-    if e.__class__ is not Sum:
-        return [[e._flat[1], e._flat]]
-    lists: dict = {}
-    for t in e.terms:
-        ft = t._flat
-        lst = lists.get(ft[1])
-        if lst is None:
-            lists[ft[1]] = [ft[1], ft]
-        else:
-            lst.append(ft)
-    return list(lists.values())
+# tracking it.  An integral coefficient is one int.  A set of terms is in
+# one of two forms: the nodes' own flat terms, each over its own
+# denominator, so that no flat term is copied, or an accumulator, which
+# holds like terms summed over one denominator, as a dict from other-factor
+# tuple to a dict from monomial to numerator, so that the terms of one tuple
+# are read, multiplied and added on int keys, and no (mono, others) pair is
+# built per term; the terms a derivation or a product takes are in the same
+# form.  Its denominator is the lcm of the denominators of everything that
+# enters it, fixed before the first term does, so it is never rescaled, save
+# a copy of an Euler operator's Horner pass that its pairs enter (`_euler`).
+# There is one conversion each way: `_gather` sums flat terms into an
+# accumulator, and `_finish` reduces each surviving numerator once and
+# builds only the terms that survive.  `_term` makes a Fraction only for a
+# new Rat node: the kernel does no Fraction arithmetic.
 
 
 #: the atom factors of each monomial `_mono_atoms` has decoded, as one tuple
@@ -651,7 +639,30 @@ ONE = rational(1)
 _MINUS_ONE = rational(-1)
 
 
-def _finish(acc: dict, den: int) -> Expr:
+def _flat_terms(e: Expr) -> list:
+    """The flat terms of the canonical `e`: its terms' own `_flat` tuples."""
+    return [t._flat for t in e.terms] if e.__class__ is Sum else [e._flat]
+
+
+def _gather(fts, sign: int = 1) -> tuple[int, dict]:
+    """The flat terms `fts`, times `sign`, as (den, {others: {mono:
+    numerator}}) over den, the lcm of their denominators, with like terms
+    summed: the one conversion of flat terms to an accumulator, which
+    `_finish` inverts."""
+    den = math.lcm(*[ft[1] for ft in fts])
+    acc: dict = {}
+    for c, d, m, o in fts:
+        if d != den or sign != 1:
+            c *= sign * den // d
+        monos = acc.get(o)
+        if monos is None:
+            acc[o] = {m: c}
+        else:
+            monos[m] = monos.get(m, 0) + c
+    return den, acc
+
+
+def _finish(den: int, acc: dict) -> Expr:
     """The canonical sum of an accumulator {others: {mono: numerator}} over
     `den`: zero numerators drop, and the surviving terms are reduced, built,
     sorted and interned once.  A term that exists, such as an input term of
@@ -680,26 +691,15 @@ def add(*terms: ExprLike) -> Expr:
     term enters one accumulator by its flat term, and `_finish` builds the
     sum; a term that nothing merged with comes back as the same node."""
     # a canonical sum holds no sum and no 0, so one level flattens it
-    ts = []
+    fts = []
     for t in terms:
         if not isinstance(t, Expr):
             t = as_expr(t)
         if t.__class__ is Sum:
-            ts += t.terms
+            fts += [u._flat for u in t.terms]
         elif t is not ZERO:
-            ts.append(t)
-    den = math.lcm(*[t._flat[1] for t in ts])
-    acc: dict = {}
-    for t in ts:
-        c, d, m, o = t._flat
-        if d != den:
-            c *= den // d
-        monos = acc.get(o)
-        if monos is None:
-            acc[o] = {m: c}
-        else:
-            monos[m] = monos.get(m, 0) + c
-    return _finish(acc, den)
+            fts.append(t._flat)
+    return _finish(*_gather(fts))
 
 
 def _exp_raw(arg: Expr) -> Expr:
@@ -757,13 +757,12 @@ def mul(*factors: ExprLike) -> Expr:
         if i:
             # the partial product, its cancelled terms dropped
             acc = {o: {m: c for m, c in monos.items() if c} for o, monos in acc.items()}
-        lists = _flats(s)
-        den = q * math.lcm(*[lst[0] for lst in lists])
+        fts = _flat_terms(s)
+        den = q * math.lcm(*[ft[1] for ft in fts])
         terms, acc = acc, {}
-        for lst in lists:
-            _times_sum(acc, den, q, terms, lst)
+        _times_sum(acc, den, q, terms, fts)
         q = den
-    return _finish(acc, q)
+    return _finish(q, acc)
 
 
 def _times(o0: tuple, o1: tuple) -> tuple:
@@ -820,18 +819,17 @@ def _times(o0: tuple, o1: tuple) -> tuple:
     return _MERGES.setdefault(key, tuple(pieces))
 
 
-def _times_sum(acc: dict, den: int, q: int, groups: dict, terms: tuple) -> None:
+def _times_sum(acc: dict, den: int, q: int, groups: dict, fts) -> None:
     """Add the product of the terms `groups` {others: {mono: numerator}}
-    over `q` with each flat term of the list `terms` (den, ft, ...) to the
-    accumulator `acc` over `den`, a multiple of q times the list's
-    denominator: the kernel's one product of terms.  The other factors merge
-    (`_times`) once per other-factor tuple of `groups` and term of the list,
-    and the monomials and numerators of that tuple's terms then multiply in
-    one loop on int keys."""
-    it = iter(terms)
-    r = den // (q * next(it))
-    for c1, _, m1, o1 in it:
-        c1 *= r
+    over `q` with each flat term (n, d, mono, others) of `fts`, each over
+    its own denominator d, to the accumulator `acc` over `den`, a multiple
+    of q*d for every d: the kernel's one product of terms.  The other
+    factors merge (`_times`) once per other-factor tuple of `groups` and
+    flat term, and the monomials and numerators of that tuple's terms then
+    multiply in one loop on int keys."""
+    r = den // q
+    for c1, d1, m1, o1 in fts:
+        c1 *= r if d1 == 1 else r // d1
         for o0, monos in groups.items():
             others = _times(o0, o1) if o0 and o1 else o0 or o1
             out = acc.get(others)
@@ -1028,24 +1026,10 @@ def _derive(d, e: Expr) -> Expr:
 
 def _group(e: Expr, mask: int, sign: int = 1) -> tuple[int, dict]:
     """The terms of the canonical `e` that hold an atom of the bit mask
-    `mask`, times `sign`, as (q, {others: {mono: numerator}}) over q, the
-    lcm of their denominators: the form in which `_rules` takes them."""
-    fts = [t._flat for t in (e.terms if e.__class__ is Sum else (e,)) if mask & t._atoms]
-    if len(fts) == 1:
-        # one term, over its own denominator: most derivations take one
-        c, d, m, o = fts[0]
-        return d, {o: {m: sign * c}}
-    q = math.lcm(*[ft[1] for ft in fts])
-    groups: dict = {}
-    for c, d, m, o in fts:
-        if d != q:
-            c *= q // d
-        monos = groups.get(o)
-        if monos is None:
-            groups[o] = {m: sign * c}
-        else:
-            monos[m] = sign * c
-    return q, groups
+    `mask`, times `sign`, as an accumulator (`_gather`): the form in which
+    `_rules` takes them."""
+    ts = e.terms if e.__class__ is Sum else (e,)
+    return _gather([t._flat for t in ts if mask & t._atoms], sign)
 
 
 #: the latest Horner pass of `_euler`, (key (m, n, e), den, its merged
@@ -1099,7 +1083,7 @@ def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr
                                 atoms |= f._atoms
                     d = _order(m, atoms)
                 sources.append((d, q, s))
-            acc, den = _rules(sources)
+            den, acc = _rules(sources)
             if k:
                 g = math.gcd(den, *[c for monos in acc.values() for c in monos.values()]) if den != 1 else 1
                 q, s = den // g, {}
@@ -1109,54 +1093,55 @@ def _euler(m: int, n: int, e: Expr, plus: tuple = (), scale: Expr = ONE) -> Expr
                         s[o] = monos
         _EULER_SLOT = (key, den, acc)
     if plus:
-        pairs = [(a._flat, lst) for a, b in plus for lst in _flats(b)]
-        full = math.lcm(den, *[aft[1] * lst[0] for aft, lst in pairs])
+        pairs = [(a._flat, _flat_terms(b)) for a, b in plus]
+        full = math.lcm(den, *[aft[1] * ft[1] for aft, fts in pairs for ft in fts])
         # a copy, rescaled to the pairs' denominators: the slot's stays as it is
         r = full // den
         acc = {o: {mo: c * r for mo, c in monos.items()} if r != 1 else dict(monos)
                for o, monos in acc.items()}
         den = full
-        for (c, q, mo, o), lst in pairs:
-            _times_sum(acc, den, q, {o: {mo: c}}, lst)
+        for (c, q, mo, o), fts in pairs:
+            _times_sum(acc, den, q, {o: {mo: c}}, fts)
     if scale is not ONE:
         # the merged terms of each tuple that did not cancel, times the scale
         sft = scale._flat
         out, sd = {}, den * sft[1]
         _times_sum(out, sd, den, {o: monos for o, monos in acc.items() if any(monos.values())},
-                   (sft[1], sft))
+                   (sft,))
         acc, den = out, sd
-    return _finish(acc, den)
+    return _finish(den, acc)
 
 
-#: the lists of flat terms of 0 and of 1
-_NO_TERMS = (1,)
-_ONE_TERMS = (1, (1, 1, 0, ()))
+#: the flat terms of 0 and of 1
+_NO_TERMS = ()
+_ONE_TERMS = ((1, 1, 0, ()),)
 
 
-def _rules(sources: list) -> tuple[dict, int]:
+def _rules(sources: list) -> tuple[int, dict]:
     """The kernel's one product-rule pass: for each source (d, q, terms),
-    the derivation d of the terms {others: {mono: numerator}} over q, summed
-    in one accumulator of that form, which is returned with its denominator,
-    the lcm of the denominators of all that enters it, fixed first so that
-    it is never rescaled.  The other factors of the terms of a source are
-    derived once per tuple of them (`_derive_others`); the product rule on
-    the monomials of the terms of one tuple (`_rule`) adds into that tuple's
-    terms of the accumulator, and all of them are multiplied by each term of
-    the tuple's derivative in one loop on int keys (`_times_sum`)."""
+    the derivation d of the accumulator `terms` {others: {mono: numerator}}
+    over q, summed in one accumulator, which is returned after its
+    denominator, the lcm of the denominators of all that enters it, fixed
+    first so that it is never rescaled.  The other factors of the terms of a
+    source are derived once per tuple of them (`_derive_others`), into flat
+    terms over one denominator; the product rule on the monomials of the
+    terms of one tuple (`_rule`) adds into that tuple's terms of the
+    accumulator, and all of them are multiplied by each flat term of the
+    tuple's derivative in one loop on int keys (`_times_sum`)."""
     work = []
     for d, q, groups in sources:
         for o, monos in groups.items():
             work.append((d, q, o, monos, _derive_others(d, o) if o else _NO_TERMS))
-    den = math.lcm(*[q * ds[0] for _, q, _, _, ds in work])
+    den = math.lcm(*[q * ds[0][1] if ds else q for _, q, _, _, ds in work])
     acc: dict = {}
     for d, q, o, monos, ds in work:
         out = acc.get(o)
         if out is None:
             out = acc[o] = {}
         _rule(out, den // q, d, monos)
-        if len(ds) > 1:
+        if ds:
             _times_sum(acc, den, q, {(): monos}, ds)
-    return acc, den
+    return den, acc
 
 
 def _rule(out: dict, r: int, d, monos: dict) -> None:
@@ -1186,24 +1171,23 @@ def _rule(out: dict, r: int, d, monos: dict) -> None:
 
 def _derive_others(d, others: tuple) -> tuple:
     """The derivation `d` of the product of the other factors of a term, as
-    a list of flat terms (den, ft, ...) with no factor common to den and all
-    numerators: per factor, the other factors times each term of the
+    flat terms over one denominator, with no factor common to it and all
+    their numerators: per factor, the other factors times each term of the
     derivative of that factor's argument (an exponent, a slope, or the
     argument of a log, sin, cos or opaque integral).  `_rules` calls it
     once per tuple of other factors in what it derives; the derivatives of
     the arguments come from the derivation memo."""
     if d.__class__ is not int and not any(d._atoms & f._atoms for f in others):
         return _NO_TERMS
-    # each part is a term {others: {0: k}} times a list of flat terms,
-    # collected first so that the denominator of the accumulator is their
-    # lcm from the start
+    # each part is a term {others: {0: k}} times flat terms, collected first
+    # so that the denominator of the accumulator is their lcm from the start
     parts = []
     for i, f in enumerate(others):
         if f.__class__ is Exp:
             # d exp(a) = exp(a) d a
             da = _derive(d, f.arg)
             if da is not ZERO:
-                parts += [({others: {0: 1}}, lst) for lst in _flats(da)]
+                parts.append(({others: {0: 1}}, _flat_terms(da)))
         elif f.__class__ is Pow and f.base.__class__ is Sum:
             # d S^k = k S^(k-1) d S; canonical terms hold only k < 0
             k = f.exponent
@@ -1214,19 +1198,19 @@ def _derive_others(d, others: tuple) -> tuple:
             elif ds is not ZERO:
                 # S^(k-1) takes the place of S^k in the canonical order
                 lower = others[:i] + (pow_int(f.base, k - 1),) + others[i + 1:]
-                parts += [({lower: {0: k}}, lst) for lst in _flats(ds)]
+                parts.append(({lower: {0: k}}, _flat_terms(ds)))
         else:
             dg = _derive_factor(d, f)
             if dg is not ZERO:
                 left = {others[:i] + others[i + 1:]: {0: 1}}
-                parts += [(left, lst) for lst in _flats(dg)]
-    den = math.lcm(*[terms[0] for _, terms in parts])
+                parts.append((left, _flat_terms(dg)))
+    den = math.lcm(*[ft[1] for _, fts in parts for ft in fts])
     acc: dict = {}
-    for left, terms in parts:
-        _times_sum(acc, den, 1, left, terms)
+    for left, fts in parts:
+        _times_sum(acc, den, 1, left, fts)
     g = math.gcd(den, *[c for monos in acc.values() for c in monos.values()]) if den != 1 else 1
     den //= g
-    return (den, *[(c // g, den, m, o) for o, monos in acc.items() for m, c in monos.items() if c])
+    return tuple((c // g, den, m, o) for o, monos in acc.items() for m, c in monos.items() if c)
 
 
 def _derive_factor(d, f: Expr) -> Expr:
@@ -1281,8 +1265,8 @@ _MAKE = {Rat: rational, VarX: lambda: X, Jet: jet, Sum: lambda terms: add(*terms
 
 def _rat_multiple(u: Expr, a: Expr) -> Fraction | None:
     """The rational c with u == c * a structurally, or None, for a != 0."""
-    um = {(m, o): (c, d) for lst in _flats(u) for c, d, m, o in lst[1:]}
-    am = {(m, o): (c, d) for lst in _flats(a) for c, d, m, o in lst[1:]}
+    um = {(m, o): (c, d) for c, d, m, o in _flat_terms(u)}
+    am = {(m, o): (c, d) for c, d, m, o in _flat_terms(a)}
     if um.keys() != am.keys():
         return None
     ratios = {Fraction(um[key][0] * da, um[key][1] * ca) for key, (ca, da) in am.items()}

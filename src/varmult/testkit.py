@@ -13,10 +13,11 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from ._record import Record
-from .symexpr import Expr, X, add, as_expr, exp, jet, mul, sort_key
+from .symexpr import (Expr, ExprLike, X, add, as_expr, diff, exp, jet, mul, pow_int, sort_key,
+                      substitute)
 from .varcore import ParamSet, _orders
 
-__all__ = ["GenConfig", "gen_expr", "gen_params"]
+__all__ = ["GenConfig", "change_variables", "gen_expr", "gen_params"]
 
 
 class GenConfig(Record):
@@ -82,3 +83,21 @@ def gen_params(n: int, m: int, cfg: GenConfig) -> ParamSet:
     f_lower = tuple(sub([X] + [jet(k) for k in range(ell + 1)]) for ell in range(n))
     gauge = sub([X] + [jet(k) for k in range(n)])
     return ParamSet(n=n, R=r_expr, f_lower=f_lower, N=gauge, m=m)
+
+
+def change_variables(f: ExprLike, n: int, mu: ExprLike = 1, lam: ExprLike = 1,
+                     phi: ExprLike = 0) -> Expr:
+    """The right side g of v^(2n) = g(x, v, ..., v^(2n-1)), the equation
+    u^(2n) = f(y, u, ..., u^(2n-1)) becomes under the point change of
+    variables y = mu*x, u = lam*v + phi(x), for constants mu, lam != 0:
+    g = (mu^(2n) f(mu x, ..., (lam p_k + phi^(k))/mu^k, ...) - phi^(2n))/lam.
+    It maps a variational equation to a variational one, so x -> mu*x,
+    u -> lam*u and u -> u + phi must each keep a `check` verdict.  One
+    `substitute` call, which raises `ExprError` where f holds an opaque
+    integral over a variable the change rebinds."""
+    mu, lam, phi = as_expr(mu), as_expr(lam), as_expr(phi)
+    bind = {X: mul(mu, X)}
+    for k in range(2 * n):
+        bind[jet(k)] = mul(pow_int(mu, -k), add(mul(lam, jet(k)), diff(phi, X, k)))
+    g = add(mul(pow_int(mu, 2 * n), substitute(f, bind)), mul(-1, diff(phi, X, 2 * n)))
+    return mul(pow_int(lam, -1), g)

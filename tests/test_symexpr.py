@@ -65,7 +65,7 @@ from varmult.symexpr import (
 )
 from varmult import symexpr
 from varmult.checker import check
-from varmult.jetops import total_derivative
+from varmult.jetops import euler_op, total_derivative
 from varmult.symexpr import MAX_PARSE_DEPTH, DomainError
 from varmult.testkit import GenConfig, gen_params
 from varmult.varcore import construct
@@ -1927,6 +1927,25 @@ def test_products_merge_the_powers_of_each_kind_of_base():
     assert mul(integral, add(1, pow_int(integral, -1))) is add(1, integral)
 
 
+def test_products_of_terms_over_different_denominators():
+    # `_times_sum` multiplies by flat terms each over its own denominator:
+    # a product of sums, an Euler operator's pair and a derivative of a
+    # product each agree with the same built term by term
+    slope = pow_int(add(1, p1), -1)
+    lg = log(add(2, pow_int(p2, 2)))
+    s1 = add(mul(Fraction(1, 2), p1, exp(p1)), mul(Fraction(1, 3), X, slope),
+             mul(Fraction(3, 4), p0, lg), p2, mul(Fraction(5, 6), p1, p2))
+    s2 = add(mul(Fraction(1, 6), exp(p1)), mul(Fraction(2, 3), p2, slope),
+             mul(Fraction(1, 4), X, lg), mul(Fraction(1, 2), p0), 7)
+    assert {u._flat[1] for u in (*s1.terms, *s2.terms)} == {1, 2, 3, 4, 6}
+    pairs = [(u, v) for u in s1.terms for v in s2.terms]
+    assert mul(s1, s2) is add(*[mul(u, v) for u, v in pairs])
+    a = mul(Fraction(1, 3), exp(p2))
+    assert symexpr._euler(4, 2, s1, ((a, s2),)) is add(euler_op(4, 2, s1), mul(a, s2))
+    assert diff(mul(s1, s2), p1) is add(*[add(mul(diff(u, p1), v), mul(u, diff(v, p1)))
+                                         for u, v in pairs])
+
+
 def test_times_sum_calls_neither_mul_nor_add():
     # `_times_sum` is the kernel's one product of terms: it builds what it
     # needs itself, so `mul` (which calls it) is never called back, nor
@@ -1998,22 +2017,20 @@ def test_interned_rationals_stay_fractions_after_the_heaviest_corpus_trial():
     assert any(d == 1 for _, d in pairs) and any(d > 1 for _, d in pairs)
     heads = [u.factors[0].value if u.factors[0].__class__ is Rat else 1 for u in t.f.terms]
     assert heads == [Fraction(n, d) for n, d in pairs]
-    # a list of flat terms (den, ft, ...) holds terms over its one
-    # denominator, and no factor is common to it and all the numerators: a
-    # sum's lists, one per denominator of its terms, and the derivatives of
-    # f's other-factor tuples under D_m and d/dv, where sums of fractions can
-    # come out integral
-    lists = symexpr._flats(t.f)
-    assert sorted(lst[0] for lst in lists) == sorted({d for _, d in pairs})
+    # each flat term of f, and the flat terms of each derivative of f's
+    # other-factor tuples under D_m and d/dv, share one int denominator, and
+    # no factor is common to it and all their int numerators, where sums of
+    # fractions can come out integral
     others = {u._flat[3] for u in t.f.terms if u._flat[3]}
     assert len(others) > 10
-    lists += [symexpr._derive_others(d, o) for o in others
-              for d in (1, 2, 3, 4, 5, X, p0, p1, p2, p3)]
-    assert any(lst[0] > 1 for lst in lists)
-    for den, *fts in lists:
-        assert type(den) is int and den >= 1 and all(type(c) is int for c, _, _, _ in fts)
-        assert all(d == den for _, d, _, _ in fts)
-        assert math.gcd(den, *[c for c, _, _, _ in fts]) == 1
+    derived = [symexpr._derive_others(d, o) for o in others
+               for d in (1, 2, 3, 4, 5, X, p0, p1, p2, p3)]
+    assert any(fts and fts[0][1] > 1 for fts in derived)
+    for fts in [(u._flat,) for u in t.f.terms] + derived:
+        assert all(type(c) is int and type(d) is int and d >= 1 for c, d, _, _ in fts)
+        assert len({d for _, d, _, _ in fts}) <= 1
+        if fts:
+            assert math.gcd(fts[0][1], *[c for c, _, _, _ in fts]) == 1
 
 
 def test_the_derivation_memo_holds_nodes_only(monkeypatch):
@@ -2359,9 +2376,10 @@ def test_fraction_coefficients_that_cancel_to_integers():
     assert s is mul(2, p1) and render(s) == "2*p1"
     prod = mul(Fraction(2, 3), add(mul(Fraction(3, 2), p1), mul(Fraction(3, 4), X)))
     assert render(prod) == "p1 + 1/2*x"
-    # each term's coprime pair, and the terms as one list per denominator
-    assert [u._flat[:2] for u in prod.terms] == [(1, 1), (1, 2)]
-    assert symexpr._flats(prod) == [[1, (1, 1, _pack((0, 0, 1)), ())], [2, (1, 2, _pack((1,)), ())]]
+    # each term's own flat term, over its coprime denominator, and the terms
+    # as one accumulator over their lcm
+    assert [u._flat for u in prod.terms] == [(1, 1, _pack((0, 0, 1)), ()), (1, 2, _pack((1,)), ())]
+    assert symexpr._gather(symexpr._flat_terms(prod)) == (2, {(): {_pack((0, 0, 1)): 2, _pack((1,)): 1}})
     # a sum of fractions that comes out integral: the built term caches the
     # pair (2, 1)
     u = add(mul(Fraction(1, 2), X, jet(9), jet(11)), mul(Fraction(3, 2), X, jet(9), jet(11)))
